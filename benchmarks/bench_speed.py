@@ -1,9 +1,9 @@
 """Simulator speed: wall-clock, events/sec, and the scaling curve.
 
 The hot-path work (incremental ``ReplicaBucketIndex``, memoized cost
-estimates, inlined completion/dispatch loops, the struct-of-arrays
-tables backend, batched event insertion) is justified by this bench:
-it runs Table II scenarios 1-4 under every registered scheduler
+estimates, inlined completion/dispatch loops and min-node scans,
+batched event insertion) is justified by this bench: it runs Table II
+scenarios 1-4 under every registered scheduler
 and emits both machine-dependent rates (``wall_s``, ``events_per_sec``
 — reported, never gated) and *deterministic* algorithmic counters
 (``events_processed``, ``tasks_executed``, and for OURS ``cycles_run``,
@@ -13,13 +13,12 @@ silently re-introduces per-cycle backlog re-sorting shows up as a
 ``backlog_sorts_avoided`` collapse even on a fast machine.
 
 The **scaling curve** runs Scenario 2 under OURS at a ladder of
-absolute scales (independent of ``REPRO_BENCH_SCALE``), once per
-tables backend, and records events/s per point.  The deterministic
-leaves of every curve point are gated; the two backends must agree on
-them exactly (asserted here — a curve point is a cheap differential
-test).  ``REPRO_BENCH_CURVE_MAX`` caps the ladder: CI sets ``0.2`` so
-the smoke subset {0.05, 0.2} regenerates and gates, while local full
-runs add the expensive points as warnings-only extras.
+absolute scales (independent of ``REPRO_BENCH_SCALE``) and records
+events/s per point.  The deterministic leaves of every curve point are
+gated and must repeat exactly across rounds.  ``REPRO_BENCH_CURVE_MAX``
+caps the ladder: CI sets ``0.2`` so the smoke subset {0.05, 0.2}
+regenerates and gates, while local full runs add the expensive points
+as warnings-only extras.
 
 The ``reference`` block records the interleaved old/new measurements of
 the optimization passes (full-scale Scenario 2 under OURS, six
@@ -42,7 +41,6 @@ from benchmarks._shared import (
     get_scenario,
 )
 from repro.core.registry import make_scheduler
-from repro.sim.run_config import RunConfig
 from repro.sim.simulator import run_simulation
 from repro.workload.scenarios import make_scenario
 
@@ -60,9 +58,6 @@ OURS_COUNTERS = ("cycles_run", "backlog_chunks_sorted", "backlog_sorts_avoided")
 #: Event counts grow roughly linearly with scale, so the ladder spans
 #: ~4.5k to ~900k events.
 CURVE_SCALES = (0.05, 0.2, 1.0, 3.0, 10.0)
-
-#: Tables backends measured per curve point.
-CURVE_BACKENDS = ("python", "numpy")
 
 
 def curve_max() -> float:
@@ -89,13 +84,11 @@ SPEEDUP_REFERENCE = {
         "speedup_avg": 2.01,
         "speedup_best_of_best": 2.07,
     },
-    # The SoA-tables / batched-event-queue pass.  The event core was
-    # already within ~2x of the Python floor after the pass above, so
-    # the remaining wins (C-level namedtuple allocation, batched
-    # assignment, pre-bound table hooks, drain-to-timestamp run loop)
-    # land in the few-percent range at the paper's p=8; the SoA
-    # backend's value at this size is differential testing and the
-    # vectorized exclusion path, with headroom at large p.
+    # The batched-event-queue pass (C-level namedtuple allocation,
+    # batched assignment, pre-bound table hooks, drain-to-timestamp run
+    # loop).  The event core was already within ~2x of the Python floor
+    # after the pass above, so these wins land in the few-percent range
+    # at the paper's p=8.  The key keeps its historical name.
     "scenario2_ours_full_scale_soa_pass": {
         "pre_pr_wall_s_avg": 0.904,
         "post_pr_wall_s_avg": 0.820,
@@ -142,43 +135,42 @@ def _measure(number: int, scheduler_name: str) -> Dict[str, float]:
 
 
 def _measure_curve_point(scale: float) -> Dict[str, object]:
-    """One scaling-curve point: Scenario 2 under OURS, both backends.
+    """One scaling-curve point: Scenario 2 under OURS.
 
     Returns the deterministic counters (gated; asserted identical
-    across backends — every curve run doubles as a backend differential
-    test) plus per-backend wall-clock rates (reported, never gated).
+    across rounds) plus the best-of-ROUNDS wall-clock rate under the
+    ``python`` key the baselines already carry (reported, never gated).
     """
     scenario = get_scenario(2, scale)
-    point: Dict[str, object] = {"scale": scale}
     deterministic: Dict[str, int] = {}
-    for backend in CURVE_BACKENDS:
-        config = RunConfig(tables_backend=backend)
-        best_wall = None
-        for _ in range(ROUNDS):
-            scheduler = make_scheduler("OURS")
-            start = time.perf_counter()
-            result = run_simulation(scenario, scheduler, config=config)
-            wall = time.perf_counter() - start
-            if best_wall is None or wall < best_wall:
-                best_wall = wall
-            sample = {
-                "events_processed": result.events_processed,
-                "tasks_executed": result.tasks_executed,
-            }
-            for counter in OURS_COUNTERS:
-                sample[counter] = getattr(scheduler, counter)
-            if deterministic:
-                assert sample == deterministic, (
-                    f"curve point scale={scale}: backend {backend!r} "
-                    f"diverged from the reference counters: "
-                    f"{sample} != {deterministic}"
-                )
-            else:
-                deterministic = sample
-        point[backend] = {
+    best_wall = None
+    for _ in range(ROUNDS):
+        scheduler = make_scheduler("OURS")
+        start = time.perf_counter()
+        result = run_simulation(scenario, scheduler)
+        wall = time.perf_counter() - start
+        if best_wall is None or wall < best_wall:
+            best_wall = wall
+        sample = {
+            "events_processed": result.events_processed,
+            "tasks_executed": result.tasks_executed,
+        }
+        for counter in OURS_COUNTERS:
+            sample[counter] = getattr(scheduler, counter)
+        if deterministic:
+            assert sample == deterministic, (
+                f"curve point scale={scale}: nondeterministic counters: "
+                f"{sample} != {deterministic}"
+            )
+        else:
+            deterministic = sample
+    point: Dict[str, object] = {
+        "scale": scale,
+        "python": {
             "wall_s": best_wall,
             "events_per_sec": deterministic["events_processed"] / best_wall,
-        }
+        },
+    }
     point.update(deterministic)
     return point
 
@@ -238,20 +230,13 @@ def test_simulator_speed(benchmark):
                 f"{cell['tasks_executed']:>7,}  {extras}"
             )
     lines.append("")
-    lines.append(
-        f"scaling curve — scenario 2, OURS, both backends "
-        f"(curve max {cap})"
-    )
-    lines.append(
-        f"{'scale':>7} {'events':>9} {'tasks':>8} "
-        f"{'python ev/s':>13} {'numpy ev/s':>13}"
-    )
+    lines.append(f"scaling curve — scenario 2, OURS (curve max {cap})")
+    lines.append(f"{'scale':>7} {'events':>9} {'tasks':>8} {'events/s':>12}")
     for key, point in curve.items():
         lines.append(
             f"{key:>7} {point['events_processed']:>9,} "
             f"{point['tasks_executed']:>8,} "
-            f"{point['python']['events_per_sec']:>13,.0f} "
-            f"{point['numpy']['events_per_sec']:>13,.0f}"
+            f"{point['python']['events_per_sec']:>12,.0f}"
         )
     lines.append("")
     for name, ref in SPEEDUP_REFERENCE.items():

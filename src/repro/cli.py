@@ -44,6 +44,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro import __version__
 from repro.core.registry import SCHEDULER_NAMES
 from repro.reporting.report import comparison_table
 from repro.render import (
@@ -61,18 +62,6 @@ from repro.sim.simulator import run_simulation
 from repro.workload.scenarios import SCENARIO_FACTORIES, make_scenario
 
 _TFS = {"fire": fire, "cool_warm": cool_warm, "gray": grayscale_ramp}
-
-
-def package_version() -> str:
-    """The installed distribution's version; source-tree fallback."""
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:
-        from repro import __version__
-
-        return __version__
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"%(prog)s {package_version()}",
+        version=f"%(prog)s {__version__}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -954,7 +943,7 @@ def cmd_federate(args: argparse.Namespace) -> int:
     if args.out:
         from repro.obs import render_federation_html, write_report
 
-        page = render_federation_html(result, version=package_version())
+        page = render_federation_html(result, version=__version__)
         write_report(args.out, page)
         print(f"wrote {args.out}")
     return 0
@@ -1140,7 +1129,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     page = render_report_html(
         models,
         divergence=divergence,
-        version=package_version(),
+        version=__version__,
         bins=args.bins,
     )
     write_report(args.out, page)

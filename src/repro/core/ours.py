@@ -48,7 +48,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.core.chunks import Chunk
 from repro.core.job import JobType, RenderJob, RenderTask
 from repro.core.scheduler_base import Scheduler, SchedulerContext, Trigger
-from repro.core.tables import MinScanAvailability
 from repro.obs.audit import (
     REASON_CACHE_HIT,
     REASON_FALLBACK,
@@ -210,16 +209,9 @@ class OursScheduler(Scheduler):
         if render is None:
             render = tables.cost.render_time(chunk.size, group)
         available = tables.available
-        # Min-node selection: under the scan view (python backend at the
-        # paper's node counts) the C-level ``min``+``index`` scan is kept
-        # inline — no strategy-call frame on the hottest path.  Other
-        # views (lazy heap above SCAN_CUTOFF, numpy argmin) are asked
-        # through ``tables.heap`` — all share the identical tie order.
-        heap = tables.heap
-        if type(heap) is MinScanAvailability:
-            best = available.index(min(available))
-        else:
-            best = heap.min_node()
+        # tables.min_available_node() inlined: no call frame on the
+        # hottest path.
+        best = available.index(min(available))
         t = available[best]
         if t < now:
             t = now

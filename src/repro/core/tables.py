@@ -21,13 +21,12 @@ Implementation notes — schedulers make O(jobs x tasks) placement queries
 per second, so the table operations are designed to be cheap:
 
 * "node with minimal available time" (the greedy step of every
-  scheduler here) goes through a pluggable availability view: a single
-  C-level ``min`` scan over the shared list for small clusters
-  (:class:`MinScanAvailability`), a compacting lazy-deletion heap for
-  large ones (:class:`NodeAvailabilityHeap`), or a vectorized numpy
-  ``argmin`` when the tables run on the array backend
-  (:class:`ArgminAvailability`) — all three share the exact
-  ``(time, node)`` tie order, so they are interchangeable bit-for-bit;
+  scheduler here) is one C-level ``min`` scan plus ``index`` over the
+  ``available`` list (:meth:`SchedulerTables.min_available_node`); ties
+  go to the smallest node id.  At the paper's cluster sizes (p ≤ 64)
+  the scan beats maintaining a heap on every table write.  Failed and
+  quarantined nodes sit at ``+inf``, so they are never chosen while a
+  schedulable node remains;
 * locality-aware scoring needs only the cached replica set of a chunk
   (usually 0-2 nodes) plus that minimum, because among non-cached nodes
   the I/O penalty is uniform and the min-available node dominates;
@@ -37,17 +36,6 @@ per second, so the table operations are designed to be cheap:
 * the OURS batch backlog keeps chunks bucketed by replica count
   incrementally (:class:`ReplicaBucketIndex`) instead of re-sorting the
   whole backlog every scheduling cycle.
-
-Struct-of-arrays backend (``backend="numpy"``): the three tables are
-additionally backed by dense arrays — ``available`` as a float64 vector
-(argmin placement queries), cache residency as a ``(node, chunk)`` bool
-matrix plus a per-chunk replica-count vector, and ``Estimate`` as a
-float64 vector — all keyed by dense chunk ids handed out on first
-sight (:meth:`SchedulerTables.chunk_id`).  Because numpy's float64 is
-IEEE-754 double with the same rounding as Python's ``float`` and every
-per-task update stays scalar (only *selection* is vectorized), the
-backend is bit-identical to the dict/list path; the golden-trace suite
-and the backend differential tests pin that.
 """
 
 from __future__ import annotations
@@ -56,187 +44,11 @@ import heapq
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.cluster.costs import CostParameters
 from repro.cluster.memory import LRUChunkCache
 from repro.cluster.storage import StorageModel
 from repro.core.chunks import Chunk
 from repro.core.job import JobType, RenderTask
-
-#: Node count above which the python backend switches from the C-level
-#: ``min`` scan to the compacting lazy-deletion heap: the scan is O(p)
-#: per placement, the heap O(log p) amortized, and the crossover sits
-#: well above the cluster sizes the paper studies (p ≤ 64).
-SCAN_CUTOFF = 128
-
-_INF = math.inf
-
-
-def _scan_min_excluding(current, excluded: Set[int]) -> Optional[int]:
-    """Min-available node not in ``excluded`` by linear scan.
-
-    Shared by every availability view (the exclusion path is the fault
-    path — rare, correctness over speed).  When *every* node is
-    excluded (full-quarantine fault storms) the answer is decided in
-    O(len(excluded)) membership checks, without touching the table.
-    """
-    p = len(current)
-    if len(excluded) >= p and all(k in excluded for k in range(p)):
-        return None
-    best: Optional[int] = None
-    best_t = _INF
-    for k in range(p):
-        if current[k] < best_t and k not in excluded:
-            best = k
-            best_t = current[k]
-    if best is None:
-        # Every candidate sits at +inf (all failed); still prefer
-        # the first non-excluded slot, as the (time, node) order does.
-        for k in range(p):
-            if k not in excluded:
-                return k
-    return best
-
-
-class MinScanAvailability:
-    """Min-available-node view over the shared available-time list.
-
-    At the cluster sizes the paper studies (p ≤ 64) a single C-level
-    ``min`` scan over the shared list beats maintaining heap entries on
-    every table update (two updates per task — assignment and
-    completion — versus one query per placement).  The shared list *is*
-    the state, so :meth:`update` is a no-op; ties resolve to the
-    smallest node id exactly as the ``(time, node)`` heap ordering does.
-    """
-
-    __slots__ = ("_current",)
-
-    #: Views that maintain private state set this; the tables then call
-    #: :meth:`update` on every available-time write.
-    needs_update = False
-
-    def __init__(self, available: List[float]) -> None:
-        self._current = available  # shared, owned by SchedulerTables
-
-    def update(self, node: int) -> None:
-        """Record that ``node``'s available time changed (no-op)."""
-
-    def min_node(self) -> int:
-        """Node with the smallest available time (O(p) C-level scan)."""
-        current = self._current
-        return current.index(min(current))
-
-    def min_node_excluding(self, excluded: Set[int]) -> Optional[int]:
-        """Min-available node not in ``excluded`` (None if all excluded)."""
-        return _scan_min_excluding(self._current, excluded)
-
-
-class NodeAvailabilityHeap:
-    """Compacting lazy-deletion heap over the shared available-time list.
-
-    Every :meth:`update` pushes a fresh ``(time, node)`` entry and
-    leaves the superseded one in place; :meth:`min_node` pops entries
-    whose recorded time no longer matches the live table until the top
-    is current.  Left unchecked, stale entries accumulate one per
-    update, degrading ``min_node`` toward O(n log n) and growing memory
-    without bound on long runs — so the heap *compacts*: whenever the
-    stale entries would outnumber the live ones (heap size reaching
-    ``2p``), it rebuilds from the live table in O(p).  Amortized cost
-    stays O(log p) per update and the footprint is pinned below ``2p``
-    entries.
-
-    Tie order is ``(time, node)`` — identical to the first-minimum scan
-    of :class:`MinScanAvailability`, so the two views are
-    interchangeable without moving a single assignment.
-    """
-
-    __slots__ = ("_current", "_heap")
-
-    needs_update = True
-
-    def __init__(self, available: List[float]) -> None:
-        self._current = available  # shared, owned by SchedulerTables
-        self._heap: List[Tuple[float, int]] = []
-        self._rebuild()
-
-    def __len__(self) -> int:
-        """Live + stale entry count (pinned below ``2p`` by compaction)."""
-        return len(self._heap)
-
-    def _rebuild(self) -> None:
-        heap = [(t, k) for k, t in enumerate(self._current)]
-        heapq.heapify(heap)
-        self._heap = heap
-
-    def update(self, node: int) -> None:
-        """Record that ``node``'s available time changed."""
-        heap = self._heap
-        if len(heap) + 1 >= 2 * len(self._current):
-            self._rebuild()
-        else:
-            heapq.heappush(heap, (self._current[node], node))
-
-    def min_node(self) -> int:
-        """Node with the smallest available time (amortized O(log p))."""
-        heap = self._heap
-        current = self._current
-        while True:
-            entry = heap[0]
-            k = entry[1]
-            if current[k] == entry[0]:
-                return k
-            heapq.heappop(heap)
-
-    def min_node_excluding(self, excluded: Set[int]) -> Optional[int]:
-        """Min-available node not in ``excluded`` (None if all excluded)."""
-        return _scan_min_excluding(self._current, excluded)
-
-
-class ArgminAvailability:
-    """Vectorized min-available-node view over the numpy ``available``.
-
-    Placement queries are a single C-level ``argmin``; candidate
-    exclusion masks the excluded lanes at +inf and re-argmins.  numpy's
-    ``argmin`` returns the *first* minimal index, matching the
-    ``(time, node)`` tie order of the scan and heap views exactly.
-    """
-
-    __slots__ = ("_current",)
-
-    needs_update = False
-
-    def __init__(self, available: "np.ndarray") -> None:
-        self._current = available  # shared, owned by SchedulerTables
-
-    def update(self, node: int) -> None:
-        """Record that ``node``'s available time changed (no-op)."""
-
-    def min_node(self) -> int:
-        """Node with the smallest available time (vectorized argmin)."""
-        return int(self._current.argmin())
-
-    def min_node_excluding(self, excluded: Set[int]) -> Optional[int]:
-        """Min-available node not in ``excluded`` (None if all excluded)."""
-        current = self._current
-        p = current.shape[0]
-        if len(excluded) >= p and all(k in excluded for k in range(p)):
-            return None
-        if not excluded:
-            return int(current.argmin())
-        masked = current.copy()
-        drop = [k for k in excluded if 0 <= k < p]
-        if drop:
-            masked[drop] = _INF
-        best = int(masked.argmin())
-        if masked[best] != _INF:
-            return best
-        # Every candidate sits at +inf (all failed); still prefer the
-        # first non-excluded slot, as the (time, node) order does.
-        for k in range(p):
-            if k not in excluded:
-                return k
-        return None
 
 
 class ReplicaBucketIndex:
@@ -420,10 +232,6 @@ class SchedulerTables:
             mirrored LRU caches.
         cost: Rendering cost constants (for execution-time estimates).
         storage: The cluster's storage model (seeds ``Estimate``).
-        backend: ``"python"`` (dict/list tables, the reference path) or
-            ``"numpy"`` (struct-of-arrays tables with vectorized
-            placement queries).  Both are bit-identical; see the module
-            docstring.
     """
 
     __slots__ = (
@@ -431,9 +239,7 @@ class SchedulerTables:
         "cost",
         "_storage",
         "executors_per_node",
-        "backend",
         "available",
-        "heap",
         "mirrors",
         "_replicas",
         "_io_estimate",
@@ -445,12 +251,6 @@ class SchedulerTables:
         "quarantined",
         "backlog_index",
         "_render_memo_get",
-        "_avail_track",
-        "_cids",
-        "_chunk_of",
-        "_io_arr",
-        "_resident",
-        "_rep_count",
     )
 
     def __init__(
@@ -461,50 +261,15 @@ class SchedulerTables:
         storage: StorageModel,
         *,
         executors_per_node: int = 1,
-        backend: str = "python",
     ) -> None:
-        if backend not in ("python", "numpy"):
-            raise ValueError(
-                f"unknown tables backend {backend!r}: use 'python' or 'numpy'"
-            )
         self.node_count = node_count
         self.cost = cost
         self._storage = storage
-        self.backend = backend
         #: Rendering pipelines per node: queued work drains this many
         #: tasks at a time, so availability advances by est/executors.
         self.executors_per_node = max(1, executors_per_node)
-        if backend == "numpy":
-            #: Available[R_k] — predicted available time of each node.
-            self.available = np.zeros(node_count, dtype=np.float64)
-            self.heap = ArgminAvailability(self.available)
-            #: Dense chunk-id registry: chunk -> column index into the
-            #: SoA tables, handed out on first sight.
-            self._cids: Optional[Dict[Chunk, int]] = {}
-            self._chunk_of: List[Chunk] = []
-            cap = 256
-            #: Estimate[c] as a float64 vector (NaN = not yet seeded).
-            self._io_arr = np.full(cap, np.nan, dtype=np.float64)
-            #: Cache table as a (node, chunk) residency matrix ...
-            self._resident = np.zeros((node_count, cap), dtype=bool)
-            #: ... plus its per-chunk replica-count vector.
-            self._rep_count = np.zeros(cap, dtype=np.int64)
-        else:
-            self.available = [0.0] * node_count
-            self.heap = (
-                NodeAvailabilityHeap(self.available)
-                if node_count > SCAN_CUTOFF
-                else MinScanAvailability(self.available)
-            )
-            self._cids = None
-            self._chunk_of = []
-            self._io_arr = None
-            self._resident = None
-            self._rep_count = None
-        #: True when the availability view keeps private state and must
-        #: hear about every available-time write (hot-path guard: a
-        #: bool test is cheaper than a no-op method call).
-        self._avail_track = self.heap.needs_update
+        #: Available[R_k] — predicted available time of each node.
+        self.available: List[float] = [0.0] * node_count
         #: Mirrored per-node LRU caches (the Cache table, exact).
         self.mirrors: List[LRUChunkCache] = [
             LRUChunkCache(memory_quota) for _ in range(node_count)
@@ -535,45 +300,6 @@ class SchedulerTables:
         #: scheduling while still finishing their running work).
         self.quarantined: List[bool] = [False] * node_count
 
-    # -- dense chunk ids (numpy backend) -------------------------------------
-
-    def chunk_id(self, chunk: Chunk) -> int:
-        """Dense id of ``chunk`` (numpy backend), assigned on first sight.
-
-        Ids index the columns of the SoA tables (``Estimate`` vector,
-        residency matrix, replica-count vector); they are stable for
-        the lifetime of the tables.
-        """
-        cids = self._cids
-        if cids is None:
-            raise RuntimeError("chunk ids exist only on the numpy backend")
-        cid = cids.get(chunk)
-        if cid is None:
-            cid = self._register_chunk(chunk)
-        return cid
-
-    def _register_chunk(self, chunk: Chunk) -> int:
-        cid = len(self._chunk_of)
-        self._cids[chunk] = cid
-        self._chunk_of.append(chunk)
-        if cid >= self._io_arr.shape[0]:
-            self._grow(cid)
-        return cid
-
-    def _grow(self, cid: int) -> None:
-        """Double the SoA capacity to cover column ``cid``."""
-        old = self._io_arr.shape[0]
-        cap = max(2 * old, cid + 1)
-        io = np.full(cap, np.nan, dtype=np.float64)
-        io[:old] = self._io_arr
-        self._io_arr = io
-        resident = np.zeros((self.node_count, cap), dtype=bool)
-        resident[:, :old] = self._resident
-        self._resident = resident
-        reps = np.zeros(cap, dtype=np.int64)
-        reps[:old] = self._rep_count
-        self._rep_count = reps
-
     # -- Cache table --------------------------------------------------------
 
     def cached_nodes(self, chunk: Chunk) -> Set[int]:
@@ -584,26 +310,8 @@ class SchedulerTables:
         """True if ``chunk`` is predicted resident on ``node``."""
         return chunk in self.mirrors[node]
 
-    def cached_mask(self, chunk: Chunk) -> "np.ndarray":
-        """Residency of ``chunk`` across all nodes as a bool vector.
-
-        Numpy backend only: a copy of the residency-matrix column, for
-        vectorized candidate filtering (``available[mask].min()``-style
-        queries in array-native policies).
-        """
-        if self._cids is None:
-            raise RuntimeError(
-                "cached_mask needs the numpy backend "
-                "(RunConfig(tables_backend='numpy'))"
-            )
-        return self._resident[:, self.chunk_id(chunk)].copy()
-
     def replica_count(self, chunk: Chunk) -> int:
         """Number of nodes predicted to cache ``chunk``."""
-        cids = self._cids
-        if cids is not None:
-            cid = cids.get(chunk)
-            return int(self._rep_count[cid]) if cid is not None else 0
         nodes = self._replicas.get(chunk)
         return len(nodes) if nodes else 0
 
@@ -622,7 +330,6 @@ class SchedulerTables:
         """Miss path of :meth:`_mirror_access`: insert + replica upkeep."""
         evicted = self.mirrors[node].insert(chunk)
         index = self.backlog_index
-        cids = self._cids
         for victim in evicted:
             nodes = self._replicas.get(victim)
             if nodes is not None:
@@ -630,18 +337,8 @@ class SchedulerTables:
                 if not nodes:
                     del self._replicas[victim]
             index.count_changed(victim)
-            if cids is not None:
-                vcid = cids[victim]  # was inserted, so registered
-                self._resident[node, vcid] = False
-                self._rep_count[vcid] -= 1
         self._replicas.setdefault(chunk, set()).add(node)
         index.count_changed(chunk)
-        if cids is not None:
-            cid = cids.get(chunk)
-            if cid is None:
-                cid = self._register_chunk(chunk)
-            self._resident[node, cid] = True
-            self._rep_count[cid] += 1
 
     # -- Estimate table -------------------------------------------------------
 
@@ -651,17 +348,6 @@ class SchedulerTables:
         Initialized from the contention-free storage estimate (the
         paper's "test run"), then updated to the latest measured value.
         """
-        cids = self._cids
-        if cids is not None:
-            cid = cids.get(chunk)
-            if cid is None:
-                cid = self._register_chunk(chunk)
-            est = self._io_arr[cid]
-            if est == est:  # not NaN: already seeded
-                return est
-            seeded = self._storage.estimate_load_time(chunk.size)
-            self._io_arr[cid] = seeded
-            return seeded
         est = self._io_estimate.get(chunk)
         if est is None:
             est = self._storage.estimate_load_time(chunk.size)
@@ -719,8 +405,12 @@ class SchedulerTables:
         return max(self.available[node], now)
 
     def min_available_node(self) -> int:
-        """Node with the smallest predicted available time."""
-        return self.heap.min_node()
+        """Node with the smallest predicted available time.
+
+        One C-level scan; ties go to the smallest node id.
+        """
+        available = self.available
+        return available.index(min(available))
 
     # -- scheduling-time updates ----------------------------------------------
 
@@ -747,8 +437,6 @@ class SchedulerTables:
         if t < now:
             t = now
         self.available[node] = t + est / self.executors_per_node
-        if self._avail_track:
-            self.heap.update(node)
         self._pending_est[task] = est
         self._pending_per_node[node] += 1
         if job.job_type is JobType.INTERACTIVE:
@@ -768,7 +456,6 @@ class SchedulerTables:
         self.alive[node] = False
         mirror = self.mirrors[node]
         index = self.backlog_index
-        cids = self._cids
         for chunk in mirror.chunks():
             nodes = self._replicas.get(chunk)
             if nodes is not None:
@@ -776,13 +463,8 @@ class SchedulerTables:
                 if not nodes:
                     del self._replicas[chunk]
             index.count_changed(chunk)
-            if cids is not None:
-                self._rep_count[cids[chunk]] -= 1
         mirror.clear()
-        if cids is not None:
-            self._resident[node, :] = False
         self.available[node] = math.inf
-        self.heap.update(node)
         self._pending_per_node[node] = 0
 
     def quarantine(self, node: int) -> None:
@@ -795,7 +477,6 @@ class SchedulerTables:
         """
         self.quarantined[node] = True
         self.available[node] = math.inf
-        self.heap.update(node)
 
     def mark_node_recovered(self, node: int, now: float) -> None:
         """Return a revived (or un-quarantined) node to scheduling.
@@ -808,7 +489,6 @@ class SchedulerTables:
         self.alive[node] = True
         self.quarantined[node] = False
         self.available[node] = now
-        self.heap.update(node)
         self._pending_per_node[node] = 0
 
     def cancel_assignment(self, task: RenderTask, node: int) -> None:
@@ -836,10 +516,6 @@ class SchedulerTables:
                 if not nodes:
                     del self._replicas[chunk]
             self.backlog_index.count_changed(chunk)
-            if self._cids is not None:
-                cid = self._cids[chunk]  # was resident, so registered
-                self._resident[node, cid] = False
-                self._rep_count[cid] -= 1
 
     def warm(self, chunk: Chunk, node: int) -> None:
         """Mark ``chunk`` resident on ``node`` (pre-run cache warm-up).
@@ -875,8 +551,6 @@ class SchedulerTables:
                 self.available[node] = now
             elif self.available[node] < now:
                 self.available[node] = now
-            if self._avail_track:
-                self.heap.update(node)
         if (
             not task.cache_hit
             and task.io_time > 0
@@ -884,10 +558,7 @@ class SchedulerTables:
         ):
             # Quarantined stragglers' measurements are excluded: their
             # degraded I/O would poison the global per-chunk estimate.
-            if self._cids is not None:
-                self._io_arr[self.chunk_id(task.chunk)] = task.io_time
-            else:
-                self._io_estimate[task.chunk] = task.io_time
+            self._io_estimate[task.chunk] = task.io_time
             self._estimate_memo.pop(task.chunk, None)
 
     # -- diagnostics ---------------------------------------------------------
@@ -905,36 +576,8 @@ class SchedulerTables:
                 if chunk not in self.mirrors[k]:
                     raise AssertionError(f"stale replica {chunk} @ {k}")
         self.backlog_index.check_invariants()
-        if self._cids is not None:
-            for chunk, nodes in self._replicas.items():
-                cid = self._cids.get(chunk)
-                if cid is None:
-                    raise AssertionError(f"replicated chunk {chunk} has no id")
-                if int(self._rep_count[cid]) != len(nodes):
-                    raise AssertionError(
-                        f"replica-count vector disagrees for {chunk}: "
-                        f"{int(self._rep_count[cid])} != {len(nodes)}"
-                    )
-                for k in range(self.node_count):
-                    if bool(self._resident[k, cid]) != (k in nodes):
-                        raise AssertionError(
-                            f"residency matrix disagrees for {chunk} @ {k}"
-                        )
-            live = {self._cids[c] for c in self._replicas}
-            for cid in range(len(self._chunk_of)):
-                if cid not in live and int(self._rep_count[cid]) != 0:
-                    raise AssertionError(
-                        f"orphan replica count for {self._chunk_of[cid]}"
-                    )
         for chunk, memo in self._estimate_memo.items():
-            if self._cids is not None:
-                cid = self._cids.get(chunk)
-                io = None
-                if cid is not None:
-                    seen = self._io_arr[cid]
-                    io = seen if seen == seen else None
-            else:
-                io = self._io_estimate.get(chunk)
+            io = self._io_estimate.get(chunk)
             if io is None:
                 continue
             for group, est in memo.items():
@@ -949,11 +592,4 @@ class SchedulerTables:
 _EMPTY_SET: Set[int] = frozenset()  # type: ignore[assignment]
 
 
-__all__ = [
-    "SchedulerTables",
-    "MinScanAvailability",
-    "NodeAvailabilityHeap",
-    "ArgminAvailability",
-    "ReplicaBucketIndex",
-    "SCAN_CUTOFF",
-]
+__all__ = ["SchedulerTables", "ReplicaBucketIndex"]

@@ -10,8 +10,8 @@ a run that predates the subsystem (the golden-trace hashes pin this).
 
 A plan optionally carries a :class:`DetectionConfig` and a
 :class:`RecoveryConfig`.  Without them the plan is *vanilla*: crashes
-are applied exactly like the legacy ``RunConfig(node_failures=...)``
-hook (the head node learns instantly, §VI-D), and nothing else is
+are applied through the paper's instantly-aware §VI-D path (the head
+node learns at once), and nothing else is
 detected or healed.  With them the run is *self-healing*: the head node
 only learns about faults through the detectors
 (:mod:`repro.faults.detect`) and reacts through the recovery policies
@@ -19,8 +19,8 @@ only learns about faults through the detectors
 
 Plans can be written in code, parsed from the CLI mini-language
 (:meth:`FaultPlan.parse`), generated as a seeded storm
-(:meth:`FaultPlan.storm`), or built from the deprecated
-``node_failures`` pairs (:meth:`FaultPlan.from_node_failures`).
+(:meth:`FaultPlan.storm`), or built from ``(time, node)`` crash pairs
+(:meth:`FaultPlan.from_node_failures`).
 """
 
 from __future__ import annotations
@@ -303,10 +303,11 @@ class FaultPlan:
     def from_node_failures(
         cls, failures: Sequence[Tuple[float, int]]
     ) -> "FaultPlan":
-        """The legacy ``RunConfig(node_failures=...)`` pairs as a plan.
+        """A vanilla plan crashing each ``(time, node)`` pair's node.
 
-        Vanilla semantics (no detection/recovery): the resulting run is
-        bit-identical to the pre-plan crash hook.
+        No detection or recovery: every crash takes the paper's
+        instantly-aware §VI-D path, exactly like a plan of plain
+        :class:`NodeCrash` events without revival.
         """
         return cls(
             events=tuple(NodeCrash(time, node) for time, node in failures)

@@ -1,26 +1,20 @@
 """The consolidated run configuration for the simulation entry points.
 
-:class:`RunConfig` replaces the keyword-argument pile that
-:func:`~repro.sim.simulator.run_simulation` had grown (drain control,
-storage seed, observability toggles, failure schedule, ...) with one
-frozen, picklable object.  That one object is what
-:func:`~repro.sim.sweep.sweep` and :func:`~repro.sim.sweep.replicate`
-ship across process-pool boundaries, what benches persist next to their
-numbers, and where new run-scoped features (like the overload-management
-``frontend``) land without widening every call site.
-
-The legacy keyword signature still works but emits a
-:class:`DeprecationWarning`; it builds the equivalent ``RunConfig``
-internally, so the two spellings are bit-identical.
+:class:`RunConfig` holds every option of
+:func:`~repro.sim.simulator.run_simulation` (drain control, storage
+seed, observability toggles, fault plan, ...) in one frozen, picklable
+object.  That one object is what :func:`~repro.sim.sweep.sweep` and
+:func:`~repro.sim.sweep.replicate` ship across process-pool boundaries,
+what benches persist next to their numbers, and where new run-scoped
+features (like the overload-management ``frontend``) land without
+widening every call site.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
-
-from repro._compat import warn_deprecated
+from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
@@ -46,11 +40,6 @@ class RunConfig:
         timeline_interval: Sample cluster dynamics every this many
             simulated seconds (``result.timeline_samples``); ``None``
             disables.
-        node_failures: Deprecated crash schedule — ``(time, node_id)``
-            pairs, recovered per the paper's §VI-D design.  Converted
-            internally to an equivalent vanilla
-            :class:`~repro.faults.plan.FaultPlan` (bit-identical) with
-            a :class:`DeprecationWarning`; use ``faults`` instead.
         faults: Optional :class:`~repro.faults.plan.FaultPlan` — the
             fault-injection subsystem (crashes, stragglers, cache
             wipes, storage degradation, plus detection/recovery when
@@ -99,19 +88,12 @@ class RunConfig:
             shard ``k`` namespace ``k`` so merged per-shard ids never
             collide; the default ``0`` yields the plain ``0, 1, 2, ...``
             sequence (byte-identical to the historical global counter).
-        tables_backend: Storage layout of the head node's scheduling
-            tables: ``"python"`` (dict/list, the reference path) or
-            ``"numpy"`` (struct-of-arrays with vectorized placement
-            queries).  The two are bit-identical — every golden trace
-            hash is unchanged across backends (pinned by the backend
-            differential tests); pick by profile, not by semantics.
     """
 
     drain: bool = False
     max_drain_time: Optional[float] = None
     storage_seed: int = 0
     timeline_interval: Optional[float] = None
-    node_failures: Optional[Sequence[Tuple[float, int]]] = None
     tracer: Optional["Tracer"] = None
     counter_interval: Optional[float] = None
     metrics: Union[bool, "MetricsRegistry"] = False
@@ -122,46 +104,10 @@ class RunConfig:
     faults: Optional["FaultPlan"] = None
     stream: Optional["StreamConfig"] = None
     job_namespace: int = 0
-    tables_backend: str = "python"
-
-    def __post_init__(self) -> None:
-        if self.tables_backend not in ("python", "numpy"):
-            raise ValueError(
-                f"unknown tables_backend {self.tables_backend!r}: "
-                "use 'python' or 'numpy'"
-            )
-        if self.node_failures:
-            # Deprecation shim: fold the legacy pairs into an equivalent
-            # vanilla FaultPlan.  The injector schedules those crashes
-            # through the exact same (time, callback, priority) slots
-            # the old hook used, so the two spellings stay bit-identical.
-            from repro.faults.plan import FaultPlan
-
-            if self.faults is not None:
-                raise ValueError(
-                    "pass either faults=FaultPlan(...) or the deprecated "
-                    "node_failures=..., not both"
-                )
-            warn_deprecated(
-                "RunConfig(node_failures=...) is deprecated; use "
-                "faults=FaultPlan.from_node_failures(...) (or a full "
-                "FaultPlan) instead",
-                stacklevel=3,
-            )
-            object.__setattr__(
-                self, "faults", FaultPlan.from_node_failures(self.node_failures)
-            )
-            object.__setattr__(self, "node_failures", None)
 
     def replace(self, **changes) -> "RunConfig":
         """A copy with the given fields changed."""
         return dataclasses.replace(self, **changes)
 
 
-#: The field names the legacy keyword signature accepted, in order.
-LEGACY_KWARGS: Tuple[str, ...] = tuple(
-    f.name for f in dataclasses.fields(RunConfig)
-)
-
-
-__all__ = ["RunConfig", "LEGACY_KWARGS"]
+__all__ = ["RunConfig"]

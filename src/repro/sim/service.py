@@ -62,9 +62,6 @@ class VisualizationService:
             namespace-0 allocator by default, so every run's ids start
             at 0 regardless of process history; a federation passes
             shard-namespaced allocators so merged ids never collide.
-        tables_backend: Storage layout of the scheduling tables
-            (``"python"`` or ``"numpy"``, bit-identical); see
-            :class:`~repro.core.tables.SchedulerTables`.
     """
 
     def __init__(
@@ -78,7 +75,6 @@ class VisualizationService:
         metrics=None,
         audit=None,
         job_ids: Optional[JobIdAllocator] = None,
-        tables_backend: str = "python",
     ) -> None:
         self.cluster = cluster
         self.scheduler = scheduler
@@ -93,7 +89,6 @@ class VisualizationService:
             cluster.cost,
             cluster.storage,
             executors_per_node=cluster.nodes[0].executors,
-            backend=tables_backend,
         )
         self.tracer = active_tracer(tracer)
         self.metrics = metrics

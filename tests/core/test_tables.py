@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.chunks import Chunk, Dataset
 from repro.core.job import JobType
-from repro.core.tables import NodeAvailabilityHeap
-from repro.util.units import GiB, MiB
+from repro.util.units import MiB
 
 from tests.conftest import MiniHarness
 
@@ -14,33 +13,32 @@ def chunk(i: int, size=256 * MiB, ds="ds") -> Chunk:
     return Chunk(ds, i, size)
 
 
-class TestAvailabilityHeap:
-    def test_min_node_initial_tie(self):
-        heap = NodeAvailabilityHeap([0.0, 0.0, 0.0])
-        assert heap.min_node() == 0
+class TestMinAvailableNode:
+    def test_initial_tie_goes_to_node_zero(self, harness: MiniHarness):
+        assert harness.tables.min_available_node() == 0
 
-    def test_updates_tracked(self):
-        avail = [0.0, 0.0, 0.0]
-        heap = NodeAvailabilityHeap(avail)
-        avail[0] = 5.0
-        heap.update(0)
-        assert heap.min_node() == 1
+    def test_increase_moves_minimum(self, harness: MiniHarness):
+        harness.tables.available[0] = 5.0
+        assert harness.tables.min_available_node() == 1
 
-    def test_decrease_tracked(self):
-        avail = [5.0, 3.0, 4.0]
-        heap = NodeAvailabilityHeap(avail)
-        avail[0] = 1.0
-        heap.update(0)
-        assert heap.min_node() == 0
+    def test_decrease_moves_it_back(self, harness: MiniHarness):
+        tables = harness.tables
+        tables.available[:] = [5.0, 3.0, 4.0, 6.0]
+        assert tables.min_available_node() == 1
+        tables.available[0] = 1.0
+        assert tables.min_available_node() == 0
 
-    def test_min_excluding(self):
-        avail = [1.0, 2.0, 3.0]
-        heap = NodeAvailabilityHeap(avail)
-        assert heap.min_node_excluding({0}) == 1
-        assert heap.min_node_excluding({0, 1}) == 2
-        assert heap.min_node_excluding({0, 1, 2}) is None
-        # Non-destructive: the excluded minimum is still found afterwards.
-        assert heap.min_node() == 0
+    def test_failed_and_quarantined_nodes_never_chosen(
+        self, harness: MiniHarness
+    ):
+        tables = harness.tables
+        tables.available[:] = [1.0, 2.0, 3.0, 4.0]
+        tables.mark_node_failed(0)
+        tables.quarantine(1)
+        assert tables.available[0] == tables.available[1] == float("inf")
+        assert tables.min_available_node() == 2
+        tables.mark_node_failed(2)
+        assert tables.min_available_node() == 3
 
 
 class TestEstimateTable:

@@ -113,25 +113,3 @@ class TestBitIdentity:
             RunConfig(record_assignments=True, faults=FaultPlan())
         )
         assert baseline == armed
-
-    def test_legacy_node_failures_parity(self):
-        """The deprecation shim is bit-identical to the explicit plan."""
-        failures = [(1.0, 2)]
-        with pytest.warns(DeprecationWarning, match="node_failures"):
-            legacy = self._trace_hash(
-                RunConfig(record_assignments=True, node_failures=failures)
-            )
-        explicit = self._trace_hash(
-            RunConfig(
-                record_assignments=True,
-                faults=FaultPlan.from_node_failures(failures),
-            )
-        )
-        assert legacy == explicit
-
-    def test_node_failures_and_faults_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            RunConfig(
-                node_failures=[(1.0, 0)],
-                faults=FaultPlan.from_node_failures([(1.0, 0)]),
-            )

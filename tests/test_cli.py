@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -287,6 +290,18 @@ class TestVersion:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out.strip() == f"repro {__version__}"
+
+    def test_pyproject_takes_version_from_package(self):
+        """The installed metadata must read ``repro.__version__``: a
+        version hard-coded in pyproject.toml drifts from the source."""
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        assert not re.search(r"^version\s*=", project, re.M)
+        assert re.search(r'^dynamic\s*=\s*\[[^\]]*"version"', project, re.M)
+        dynamic = text.split("\n[tool.setuptools.dynamic]\n", 1)[1]
+        assert re.match(
+            r'version\s*=\s*\{\s*attr\s*=\s*"repro\.__version__"\s*\}', dynamic
+        )
 
 
 class TestReportCommand:

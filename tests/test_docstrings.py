@@ -9,7 +9,6 @@ non-trivial docstring.
 import importlib
 import inspect
 import pkgutil
-import warnings
 
 import pytest
 
@@ -21,15 +20,6 @@ MIN_DOC_LENGTH = 10
 def iter_modules():
     yield repro
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
-        if info.name == "repro.metrics":
-            # The deprecated alias module warns at import time — and,
-            # with its stacklevel fixed, the warning lands *here* and
-            # would trip the error::DeprecationWarning filter.  The
-            # warning itself is verified in tests/reporting/test_alias.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                yield importlib.import_module(info.name)
-            continue
         yield importlib.import_module(info.name)
 
 
