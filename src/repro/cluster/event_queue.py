@@ -56,13 +56,14 @@ class EventQueue:
     caught loudly than silently reordered).
     """
 
-    __slots__ = ("_heap", "_seq", "_now", "_processed")
+    __slots__ = ("_heap", "_seq", "_now", "_processed", "_stop_check")
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._heap: List[Tuple[float, int, int, EventCallback, tuple]] = []
         self._seq = itertools.count()
         self._now = float(start_time)
         self._processed = 0
+        self._stop_check = False
 
     # -- clock -------------------------------------------------------------
 
@@ -178,12 +179,22 @@ class EventQueue:
         callback(*args)
         return True
 
+    def request_stop_check(self) -> None:
+        """Have a ``run(stop=...)`` loop test its predicate after this event.
+
+        Components call this where the run's stop condition can have
+        become true (the service: where in-flight work reaches zero).
+        Without a stop predicate the request is ignored.
+        """
+        self._stop_check = True
+
     def run(
         self,
         until: Optional[float] = None,
         *,
         max_events: Optional[int] = None,
         live_count: bool = False,
+        stop: Optional[Callable[[], bool]] = None,
     ) -> int:
         """Run events until the queue drains, ``until`` passes, or a budget hits.
 
@@ -201,6 +212,13 @@ class EventQueue:
                 watchdog thread) see exact values.  Costs one slot
                 write per event; leave off when nothing reads the
                 counter mid-run.
+            stop: Optional predicate ending the run early.  It is tested
+                only after events that called :meth:`request_stop_check`
+                (each event pays one flag read), and the run returns
+                right after the first event for which it holds.  With
+                ``stop``, ``until`` is a cutoff only: the clock stays at
+                the last executed event (the drain phase of a simulation
+                ends at its last completion, not at the cutoff).
 
         Returns:
             The number of events executed by this call.
@@ -209,6 +227,7 @@ class EventQueue:
         pop = heapq.heappop
         executed = 0
         until_t = _INF if until is None else until
+        self._stop_check = False
         if live_count:
             # Live path: ``_processed`` is exact at every callback (and
             # for other threads), like ``step``.  The general bounded
@@ -225,12 +244,11 @@ class EventQueue:
                 executed += 1
                 self._processed += 1
                 item[3](*item[4])
-            if (
-                until is not None
-                and self._now < until
-                and (not heap or heap[0][0] > until)
-            ):
-                self._now = until
+                if self._stop_check:
+                    self._stop_check = False
+                    if stop is not None and stop():
+                        break
+            self._settle_clock(until, stop)
             return executed
         # ``_processed`` is batched on this path: callbacks observe
         # ``now`` (written every iteration — they depend on it) but
@@ -239,7 +257,7 @@ class EventQueue:
         # counts its predecessors.  Mid-run readers must pass
         # ``live_count=True`` instead.
         try:
-            if max_events is None:
+            if max_events is None and stop is None:
                 if until is None:
                     # Hot path: full drain, no horizon comparison; the
                     # heap-top peek is folded into the pop.
@@ -257,7 +275,8 @@ class EventQueue:
                         executed += 1
                         item[3](*item[4])
             else:
-                while heap and executed < max_events:
+                budget = _INF if max_events is None else max_events
+                while heap and executed < budget:
                     item = heap[0]
                     t = item[0]
                     if t > until_t:
@@ -266,15 +285,26 @@ class EventQueue:
                     self._now = t
                     executed += 1
                     item[3](*item[4])
+                    if self._stop_check:
+                        self._stop_check = False
+                        if stop is not None and stop():
+                            break
         finally:
             self._processed += executed
+        self._settle_clock(until, stop)
+        return executed
+
+    def _settle_clock(
+        self, until: Optional[float], stop: Optional[Callable[[], bool]]
+    ) -> None:
+        """Advance the clock to ``until`` once nothing at or before it is left."""
         if (
             until is not None
+            and stop is None
             and self._now < until
-            and (not heap or heap[0][0] > until)
+            and (not self._heap or self._heap[0][0] > until)
         ):
             self._now = until
-        return executed
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None when empty."""

@@ -25,6 +25,7 @@ runs on the compositing thread.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Optional
 
@@ -38,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (keeps cluster<-core one-way
     from repro.core.job import RenderTask
 
 TaskFinishCallback = Callable[["RenderNode", "RenderTask"], None]
+
+_INF = float("inf")
+_heappush = heapq.heappush
 
 
 class RenderNode:
@@ -64,6 +68,8 @@ class RenderNode:
         "_render_memo_get",
         "_storage",
         "_events",
+        "_heap",
+        "_seq",
         "_vram",
         "_on_task_finish",
         "_rng",
@@ -116,6 +122,11 @@ class RenderNode:
         self._render_memo_get = cost._render_memo.get
         self._storage = storage
         self._events = events
+        # The queue's heap and tie-break counter: each task's completion
+        # is pushed here directly, one heap push per task with no
+        # ``EventQueue.schedule`` frame (see ``_commit_execution``).
+        self._heap = events._heap
+        self._seq = events._seq
         self._vram: Optional[GpuMemoryModel] = (
             GpuMemoryModel(gpu) if (model_vram and gpu is not None) else None
         )
@@ -324,7 +335,7 @@ class RenderNode:
             entries.move_to_end(chunk)
             task.cache_hit = True
             self.cache_hits += 1
-            self._commit_execution(task, io_time=0.0)
+            self._commit_execution(task, 0.0)
         else:
             task.cache_hit = False
             self.cache_misses += 1
@@ -375,16 +386,21 @@ class RenderNode:
         if self._vram is not None:
             for victim in evicted:
                 self._vram.invalidate(victim)
-        self._commit_execution(task, io_time=io_time, waited=waited)
+        self._commit_execution(task, io_time, waited)
 
     def _commit_execution(
-        self, task: "RenderTask", *, io_time: float, waited: float = 0.0
+        self, task: "RenderTask", io_time: float, waited: float = 0.0
     ) -> None:
-        """Charge the task's costs and schedule its completion event.
+        """Charge the task's costs and push its completion event.
 
         ``waited`` is simulated time already burned on timed-out load
         attempts; it is part of the task's I/O accounting but not of the
         remaining execution (it has already elapsed in event time).
+
+        The completion goes straight onto the event heap as the same
+        ``(time, priority, seq, callback, args)`` entry
+        :meth:`EventQueue.schedule <repro.cluster.event_queue.EventQueue.schedule>`
+        would build, behind the same finite/not-in-the-past guard.
         """
         now = self._events._now
         chunk = task.chunk
@@ -416,8 +432,9 @@ class RenderNode:
             # Straggler degradation (fault injection).
             render_time *= self.render_factor
 
-        task.io_time = waited + io_time
-        self.io_seconds += waited + io_time
+        task_io = waited + io_time
+        task.io_time = task_io
+        self.io_seconds += task_io
         metrics = self._metrics
         if metrics is not None:
             m_tasks, m_hits, m_misses, m_io, _ = metrics
@@ -426,15 +443,19 @@ class RenderNode:
                 m_hits.inc()
             else:
                 m_misses.inc()
-                m_io.inc(waited + io_time)
+                m_io.inc(task_io)
         exec_time = io_time + upload_time + render_time
         tracer = self._tracer
         if tracer is not None:
             self._trace_execution(
                 task, now, hit, io_time, upload_time, render_time
             )
-        self._events.schedule(
-            now + exec_time, self._finish, task, priority=PRIORITY_COMPLETION
+        finish = now + exec_time
+        if not (now <= finish < _INF):
+            raise self._events._bad_time(finish)
+        _heappush(
+            self._heap,
+            (finish, PRIORITY_COMPLETION, next(self._seq), self._finish, (task,)),
         )
 
     def _trace_execution(

@@ -58,14 +58,19 @@ class FCFSLScheduler(Scheduler):
 
     def schedule(self, jobs: Sequence[RenderJob], ctx: SchedulerContext) -> None:
         tables = ctx.tables
+        # The reason code is read only by the audit log; unaudited runs
+        # skip its per-task cache probe.
+        audited = ctx.audit is not None
+        reason = None
         for job in jobs:
             for task in ctx.decompose(job):
                 node = greedy_locality_aware(task, ctx)
-                reason = (
-                    REASON_CACHE_HIT
-                    if tables.is_cached(task.chunk, node)
-                    else REASON_MIN_ESTIMATE
-                )
+                if audited:
+                    reason = (
+                        REASON_CACHE_HIT
+                        if tables.is_cached(task.chunk, node)
+                        else REASON_MIN_ESTIMATE
+                    )
                 ctx.assign(task, node, reason)
 
 
@@ -88,6 +93,10 @@ class FCFSUScheduler(Scheduler):
         return UniformDecomposition(node_count)
 
     def schedule(self, jobs: Sequence[RenderJob], ctx: SchedulerContext) -> None:
+        tables = ctx.tables
+        # As in FCFSL, only audited runs compute the reason code.
+        audited = ctx.audit is not None
+        reason = None
         for job in jobs:
             tasks = ctx.decompose(job)
             if len(tasks) != ctx.node_count:
@@ -99,11 +108,12 @@ class FCFSUScheduler(Scheduler):
                 # Static pinning: chunk j always runs on node j — a cache
                 # hit once warm, otherwise outside any scoring loop.
                 node = task.chunk.index
-                reason = (
-                    REASON_CACHE_HIT
-                    if ctx.tables.is_cached(task.chunk, node)
-                    else REASON_FALLBACK
-                )
+                if audited:
+                    reason = (
+                        REASON_CACHE_HIT
+                        if tables.is_cached(task.chunk, node)
+                        else REASON_FALLBACK
+                    )
                 ctx.assign(task, node, reason)
 
 

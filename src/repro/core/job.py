@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import List, Optional
+from operator import attrgetter
+from typing import List, Optional, Tuple
 
 from repro.core.chunks import Chunk, Dataset, DecompositionPolicy  # noqa: F401 (Chunk re-exported for typing)
 
@@ -89,6 +90,10 @@ _default_allocator = JobIdAllocator()
 
 def _next_job_id() -> int:
     return _default_allocator.allocate()
+
+
+_task_node = attrgetter("node")
+_INF = float("inf")
 
 
 class RenderTask:
@@ -261,12 +266,43 @@ class RenderJob:
         return max(ends)  # type: ignore[type-var]
 
     def group_nodes(self) -> List[int]:
-        """Distinct rendering nodes participating in this job."""
-        seen = []
-        for t in self.tasks:
-            if t.node is not None and t.node not in seen:
-                seen.append(t.node)
-        return seen
+        """Distinct rendering nodes participating in this job.
+
+        In order of first appearance over the tasks; unassigned tasks
+        (``node is None``) are skipped.
+        """
+        # A dict keeps first-insertion order: O(t) instead of a list scan.
+        nodes = dict.fromkeys(map(_task_node, self.tasks))
+        nodes.pop(None, None)
+        return list(nodes)
+
+    def completion_summary(self) -> Tuple[List[int], float, int, float]:
+        """``(group_nodes, JS, cache hits, I/O seconds)`` in one pass.
+
+        Everything job completion needs from the tasks: the
+        participating nodes (as :meth:`group_nodes`), the start time
+        ``JS`` (as :meth:`start_time`), the number of cache-hit tasks,
+        and the summed ``t_io`` (added in task order).  Requires every
+        task to have started.
+        """
+        if not self.tasks:
+            raise ValueError(f"job {self.job_id} has no tasks")
+        nodes: dict = {}
+        start = _INF
+        hits = 0
+        io_total = 0.0
+        for task in self.tasks:
+            nodes[task.node] = None
+            task_start = task.start_time
+            if task_start is None:
+                raise ValueError(f"job {self.job_id} has unstarted tasks")
+            if task_start < start:
+                start = task_start
+            if task.cache_hit:
+                hits += 1
+            io_total += task.io_time
+        nodes.pop(None, None)
+        return list(nodes), start, hits, io_total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

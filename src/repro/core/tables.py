@@ -535,27 +535,28 @@ class SchedulerTables:
         * ``Estimate`` is updated to the measured I/O time on a miss.
         """
         est = self._pending_est.pop(task, None)
-        self._pending_per_node[node] -= 1
-        if self.quarantined[node]:
+        pending = self._pending_per_node
+        left = pending[node] - 1
+        quarantined = self.quarantined[node]
+        if quarantined:
             # A quarantined node finishing its residual work must stay
             # pinned at +inf — resetting Available would silently return
             # it to scheduling.
-            if self._pending_per_node[node] < 0:
-                self._pending_per_node[node] = 0
+            pending[node] = left if left > 0 else 0
+        elif left <= 0:
+            # Nothing pending: Available is exactly now (this overrides
+            # any prediction-error adjustment).
+            pending[node] = 0
+            self.available[node] = now
         else:
+            pending[node] = left
+            available = self.available
             if est is not None and task.start_time is not None:
                 actual = task.finish_time - task.start_time  # type: ignore[operator]
-                self.available[node] += actual - est
-            if self._pending_per_node[node] <= 0:
-                self._pending_per_node[node] = 0
-                self.available[node] = now
-            elif self.available[node] < now:
-                self.available[node] = now
-        if (
-            not task.cache_hit
-            and task.io_time > 0
-            and not self.quarantined[node]
-        ):
+                available[node] += actual - est
+            if available[node] < now:
+                available[node] = now
+        if not task.cache_hit and task.io_time > 0 and not quarantined:
             # Quarantined stragglers' measurements are excluded: their
             # degraded I/O would poison the global per-chunk estimate.
             self._io_estimate[task.chunk] = task.io_time

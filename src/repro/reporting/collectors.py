@@ -10,7 +10,7 @@ procedure itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.core.job import JobType, RenderJob
 
@@ -131,16 +131,19 @@ class SimulationCollector:
                 if job.arrival_time > entry[2]:
                     entry[2] = job.arrival_time
 
-    def on_job_complete(self, job: RenderJob) -> None:
-        """Convert a completed job into a :class:`JobRecord`."""
-        hits = 0
-        io_total = 0.0
-        for t in job.tasks:
-            if t.cache_hit:
-                hits += 1
-            io_total += t.io_time
+    def on_job_complete(
+        self, job: RenderJob, summary: Tuple[List[int], float, int, float]
+    ) -> None:
+        """Convert a completed job into a :class:`JobRecord`.
+
+        ``summary`` is the job's
+        :meth:`~repro.core.job.RenderJob.completion_summary`, computed
+        once per job and shared with compositing.
+        """
+        group_nodes, start, hits, io_total = summary
+        task_count = len(job.tasks)
         self.tasks_hit += hits
-        self.tasks_missed += job.task_count - hits
+        self.tasks_missed += task_count - hits
         self.records.append(
             _job_record_new(
                 JobRecord,
@@ -152,12 +155,12 @@ class SimulationCollector:
                     job.action,
                     job.sequence,
                     job.arrival_time,
-                    job.start_time(),
+                    start,
                     job.finish_time,
-                    job.task_count,
+                    task_count,
                     hits,
                     io_total,
-                    len(job.group_nodes()),
+                    len(group_nodes),
                 ),
             )
         )

@@ -15,7 +15,11 @@ In the simulation, :class:`VisualizationService` owns:
 
 Scheduling-cycle events self-terminate when no work remains and are
 re-armed by the next submission, so a simulation can be run to event-
-queue exhaustion (drain) or stopped at a horizon.
+queue exhaustion (drain) or stopped at a horizon.  Wherever in-flight
+work reaches zero (a task completion, or a dispatch that leaves nothing
+in flight) the service calls
+:meth:`~repro.cluster.event_queue.EventQueue.request_stop_check`, so a
+draining run tests "is all work done?" only after those events.
 """
 
 from __future__ import annotations
@@ -377,19 +381,27 @@ class VisualizationService:
         self._dispatch(assignments)
 
     def _dispatch(self, assignments) -> None:
-        self._tasks_inflight += len(assignments)
-        dispatch = self.cluster.dispatch
+        """Enqueue each assignment's task on its node's FIFO queue."""
+        inflight = self._tasks_inflight + len(assignments)
+        self._tasks_inflight = inflight
+        nodes = self._nodes
         guard = self._dispatch_guard
         if guard is None:
-            for assignment in assignments:
-                dispatch(assignment.task, assignment.node)
+            for task, k in assignments:
+                nodes[k].enqueue(task)
         else:
             for assignment in assignments:
                 # An absorbed task stays counted in flight — the head
                 # node believes the (silently dead) node is executing
                 # it, and the count is reconciled at crash detection.
                 if not guard(assignment):
-                    dispatch(assignment.task, assignment.node)
+                    nodes[assignment.node].enqueue(assignment.task)
+        if not inflight:
+            # Every scheduler invocation ends here, as do the paths that
+            # take tasks out of flight without completing them (crash
+            # orphans, requeues): a policy that places nothing can leave
+            # the service idle.
+            self._events.request_stop_check()
 
     def requeue_tasks(self, tasks: List[RenderTask], *, reason: str) -> None:
         """Re-place recovered tasks through the scheduler's policy.
@@ -434,15 +446,22 @@ class VisualizationService:
     def _on_task_finish(self, node: RenderNode, task: RenderTask) -> None:
         now = self._events._now
         self._correct_completion(task, node.node_id, now)
-        self._tasks_inflight -= 1
+        inflight = self._tasks_inflight - 1
+        self._tasks_inflight = inflight
+        if not inflight:
+            # The last in-flight task finished: a drain may be over.
+            self._events.request_stop_check()
         job = task.job
         left = job.tasks_left - 1
         job.tasks_left = left
         if left:
             return
+        # The job's one pass over its tasks feeds both compositing and
+        # the collector's JobRecord.
+        summary = job.completion_summary()
         # The compositing thread assembles the final image after the last
         # render; it extends job latency but frees the render thread.
-        group_nodes = job.group_nodes()
+        group_nodes = summary[0]
         group = len(group_nodes)
         composite = self._composite_memo_get(group)
         if composite is None:
@@ -454,7 +473,7 @@ class VisualizationService:
             # exchange's duration (sort-last compositing is collective).
             nodes[k].composite_seconds += composite
         self.jobs_completed += 1
-        self.collector.on_job_complete(job)
+        self.collector.on_job_complete(job, summary)
         if self._m_completed is not None:
             self._m_completed[job.job_type].inc()
             self._m_latency[job.job_type].observe(job.finish_time - job.arrival_time)

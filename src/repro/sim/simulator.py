@@ -497,21 +497,24 @@ def _run(
         # Streamed runs count ``processed`` live so grid ticks and the
         # stall watchdog read exact event counts mid-run; unstreamed
         # runs keep the batched fast path.
-        events.run(until=horizon, live_count=stream is not None)
+        live_count = stream is not None
+        events.run(until=horizon, live_count=live_count)
         drained = not has_pending()
         if drain and not drained:
+            # The drain ends right after the event that finishes the
+            # last piece of work.  The service requests the stop test
+            # wherever in-flight work reaches zero, so the loop tests
+            # ``has_pending`` only there instead of after every event.
             limit = (
                 None
                 if config.max_drain_time is None
                 else horizon + config.max_drain_time
             )
-            while has_pending():
-                next_time = events.peek_time()
-                if next_time is None:
-                    break
-                if limit is not None and next_time > limit:
-                    break
-                events.step()
+            events.run(
+                until=limit,
+                live_count=live_count,
+                stop=lambda: not has_pending(),
+            )
             drained = not has_pending()
     finally:
         wall_seconds = _time.perf_counter() - wall_t0

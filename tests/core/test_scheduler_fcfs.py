@@ -1,12 +1,21 @@
 """Tests for the FCFS scheduler family."""
 
+import dataclasses
+import hashlib
+from collections import Counter
+
 import pytest
 
 from repro.core.chunks import Dataset, UniformDecomposition
 from repro.core.fcfs import FCFSLScheduler, FCFSScheduler, FCFSUScheduler
 from repro.core.job import JobType
 from repro.core.scheduler_base import Trigger
+from repro.core.tables import SchedulerTables
+from repro.obs.audit import AuditConfig
+from repro.sim.run_config import RunConfig
+from repro.sim.simulator import run_simulation
 from repro.util.units import GiB, MiB
+from repro.workload.scenarios import make_scenario
 
 from tests.conftest import MiniHarness, assignments_by_chunk
 
@@ -129,3 +138,61 @@ class TestFCFSU:
         job = harness.job(Dataset("half", 512 * MiB))
         with pytest.raises(ValueError, match="one task per node"):
             sched.schedule([job], harness.ctx)
+
+
+class TestAuditReasonCodes:
+    """FCFSL/FCFSU compute reason codes only for the audit log.
+
+    The digests pin each audited decision's job, task, node and reason
+    as recorded when the codes were computed for every run.  The cold
+    start (no prewarm) makes both codes of each policy occur.
+    """
+
+    CASES = {
+        "FCFSL": (
+            2,
+            0.05,
+            {"min-estimate": 40, "cache-hit": 3684},
+            "b417ec3ceb82d4dc9aeb51d1885f64f229315962ec88f6fa242a485d5a5e660a",
+        ),
+        "FCFSU": (
+            3,
+            0.01,
+            {"fallback": 512, "cache-hit": 25344},
+            "8f2a39fe1fc4e0c2356c0969f64970e748427ec9403cf1fa1a3074881c0783d6",
+        ),
+    }
+
+    @staticmethod
+    def _scenario(number, scale):
+        return dataclasses.replace(
+            make_scenario(number, scale=scale), prewarm=False
+        )
+
+    @pytest.mark.parametrize("scheduler", sorted(CASES))
+    def test_audited_reasons_unchanged(self, scheduler):
+        number, scale, counts, expected = self.CASES[scheduler]
+        result = run_simulation(
+            self._scenario(number, scale),
+            scheduler,
+            RunConfig(audit=AuditConfig(capacity=None)),
+        )
+        records = result.audit.records
+        assert dict(Counter(r.reason for r in records)) == counts
+        digest = hashlib.sha256()
+        for r in records:
+            digest.update(
+                f"{r.user}/{r.action}/{r.sequence}/{r.task_index}:"
+                f"{r.node}:{r.reason}\n".encode()
+            )
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("scheduler", sorted(CASES))
+    def test_unaudited_runs_skip_the_cache_probe(self, scheduler, monkeypatch):
+        def probe(*_args):
+            raise AssertionError("is_cached probed on an unaudited run")
+
+        monkeypatch.setattr(SchedulerTables, "is_cached", probe)
+        number, scale, _, _ = self.CASES[scheduler]
+        result = run_simulation(self._scenario(number, scale), scheduler)
+        assert result.jobs_completed > 0

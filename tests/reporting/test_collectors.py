@@ -69,7 +69,7 @@ class TestCollector:
         collector = SimulationCollector()
         job = finished_job()
         collector.on_submit(job)
-        collector.on_job_complete(job)
+        collector.on_job_complete(job, job.completion_summary())
         (rec,) = collector.records
         assert rec.cache_hits == 1
         assert rec.task_count == 2
@@ -96,8 +96,8 @@ class TestCollector:
         collector = SimulationCollector()
         a = finished_job(JobType.INTERACTIVE)
         b = finished_job(JobType.BATCH)
-        collector.on_job_complete(a)
-        collector.on_job_complete(b)
+        collector.on_job_complete(a, a.completion_summary())
+        collector.on_job_complete(b, b.completion_summary())
         assert len(collector.interactive_records()) == 1
         assert len(collector.batch_records()) == 1
         assert collector.jobs_completed == 2
