@@ -1,10 +1,10 @@
-"""Discrete-event simulation core: clock + binary-heap event queue.
+"""Discrete-event simulation core: clock + two-container event queue.
 
 The whole cluster simulation is driven by one :class:`EventQueue`.  Events
-are ``(time, priority, seq, callback, args)`` tuples on a binary heap;
-``seq`` is a monotonically increasing tie-breaker so that events scheduled
-at the same instant fire in scheduling order (stable FIFO within a
-timestamp), which keeps simulations deterministic.
+are ``(time, priority, seq, callback, args)`` tuples; ``seq`` is a
+monotonically increasing tie-breaker so that events scheduled at the same
+instant fire in scheduling order (stable FIFO within a timestamp), which
+keeps simulations deterministic.
 
 Design notes (per the HPC guides: measure, keep the hot loop lean):
 the queue stores plain tuples rather than event objects, and the run loop
@@ -12,28 +12,39 @@ avoids attribute lookups in its body.  One simulated task costs exactly
 one event, so Scenario-4-sized runs (hundreds of thousands of tasks)
 remain tractable in pure Python.
 
-Bulk work goes through :meth:`EventQueue.schedule_many`: a pre-built
-batch (e.g. every arrival of a workload trace) is validated, appended,
-and the heap restored with one C-level ``heapify`` instead of one
-``heappush`` per event.  Because events are totally ordered by
-``(time, priority, seq)`` — ``seq`` is unique — the pop order is
-independent of the heap's internal layout, so ``heapify`` is
-execution-order-equivalent to repeated ``schedule`` calls.
+Pending events live in two containers:
+
+* ``_heap``, a binary heap of the work the simulation schedules for
+  itself while it runs (task completions, scheduling cycles, sampler
+  ticks, fault events) -- O(nodes) entries, fed by :meth:`schedule` and
+  by the render nodes' direct completion pushes;
+* ``_ahead``, a deque of pre-built events in sorted order, fed only by
+  :meth:`schedule_many` -- in practice the whole arrival trace, which
+  the simulator preloads.
+
+Every consumer takes the smaller of the two heads by full tuple
+comparison.  Events are totally ordered by ``(time, priority, seq)`` and
+``seq`` is unique, so the comparison never reaches the callback and the
+pop order is exactly the order one heap holding everything would give.
+Keeping the trace out of the heap is what keeps each completion's push
+and pop at O(log nodes) rather than O(log requests).
 
 Event times must be finite: ``NaN`` compares false against everything,
 so a NaN time would slip past a naive ``time < now`` guard and corrupt
-the heap invariant (every sift comparison involving it is false),
-silently reordering the run.  Both scheduling entry points reject
-non-finite times/delays with :class:`SimulationError`.
+the ordering (every comparison involving it is false), silently
+reordering the run.  Both scheduling entry points reject non-finite
+times/delays with :class:`SimulationError`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 EventCallback = Callable[..., None]
+Event = Tuple[float, int, int, EventCallback, tuple]
 
 _INF = float("inf")
 
@@ -56,10 +67,11 @@ class EventQueue:
     caught loudly than silently reordered).
     """
 
-    __slots__ = ("_heap", "_seq", "_now", "_processed", "_stop_check")
+    __slots__ = ("_heap", "_ahead", "_seq", "_now", "_processed", "_stop_check")
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._heap: List[Tuple[float, int, int, EventCallback, tuple]] = []
+        self._heap: List[Event] = []
+        self._ahead: Deque[Event] = deque()
         self._seq = itertools.count()
         self._now = float(start_time)
         self._processed = 0
@@ -78,7 +90,10 @@ class EventQueue:
         return self._processed
 
     def __len__(self) -> int:
-        return len(self._heap)
+        # Safe to call from another thread mid-run (the stall watchdog):
+        # each ``len`` is atomic, so the sum may be one event stale but
+        # never raises.
+        return len(self._heap) + len(self._ahead)
 
     # -- scheduling ----------------------------------------------------------
 
@@ -134,12 +149,18 @@ class EventQueue:
 
         Execution-order-equivalent to calling :meth:`schedule` once per
         triple in iteration order (same validation, same FIFO
-        tie-breaking), but heap maintenance is amortized: a bulk batch
-        is appended and the heap rebuilt with a single C-level
-        ``heapify`` — O(n + k) instead of O(k log n) — which is how the
-        simulator preloads a whole workload trace.  Small batches
-        relative to the pending heap fall back to per-event pushes
-        (rebuilding would cost more than it saves).
+        tie-breaking), but the batch never enters the heap: it is merged
+        into the sorted run ``_ahead``, which the consumers read beside
+        the heap.  This is how the simulator preloads a whole workload
+        trace.
+
+        One batch shares one priority and takes increasing ``seq``
+        values, so it is already sorted when its times never decrease
+        (a generated trace always is).  That is detected inside the
+        validation loop; only an out-of-order batch is sorted.  A batch
+        that starts at or after the end of the pending run is appended;
+        otherwise the two sorted runs are merged, in place, so the
+        deque's identity never changes under a running loop.
 
         The batch is atomic: if any time is non-finite or in the past,
         nothing is scheduled.
@@ -149,34 +170,48 @@ class EventQueue:
         """
         now = self._now
         seq = self._seq
-        batch: List[Tuple[float, int, int, EventCallback, tuple]] = []
+        batch: List[Event] = []
         append = batch.append
+        last = now
+        in_order = True
         for time, callback, args in events:
-            if not (now <= time < _INF):
-                raise self._bad_time(time)
+            # ``last >= now`` always, so passing this guard also passes
+            # the scheduling guard; failing it is either a bad time or
+            # the first sign that the batch needs a sort.
+            if not (last <= time < _INF):
+                if not (now <= time < _INF):
+                    raise self._bad_time(time)
+                in_order = False
+            last = time
             append((time, priority, next(seq), callback, args))
         if not batch:
             return 0
-        heap = self._heap
-        if len(batch) >= (len(heap) >> 1):
-            heap.extend(batch)
-            heapq.heapify(heap)
+        if not in_order:
+            batch.sort()
+        ahead = self._ahead
+        if ahead and batch[0] < ahead[-1]:
+            merged = list(heapq.merge(ahead, batch))
+            ahead.clear()
+            ahead.extend(merged)
         else:
-            push = heapq.heappush
-            for item in batch:
-                push(heap, item)
+            ahead.extend(batch)
         return len(batch)
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> bool:
         """Execute the next event.  Returns False if the queue is empty."""
-        if not self._heap:
+        heap = self._heap
+        ahead = self._ahead
+        if ahead and (not heap or ahead[0] < heap[0]):
+            item = ahead.popleft()
+        elif heap:
+            item = heapq.heappop(heap)
+        else:
             return False
-        time, _prio, _seq, callback, args = heapq.heappop(self._heap)
-        self._now = time
+        self._now = item[0]
         self._processed += 1
-        callback(*args)
+        item[3](*item[4])
         return True
 
     def request_stop_check(self) -> None:
@@ -223,8 +258,14 @@ class EventQueue:
         Returns:
             The number of events executed by this call.
         """
+        # Each iteration takes the smaller of the two heads (see the
+        # module docstring).  Callbacks may push onto the heap or merge
+        # into ``ahead``; both containers keep their identity, so the
+        # locals below stay valid.
         heap = self._heap
+        ahead = self._ahead
         pop = heapq.heappop
+        popleft = ahead.popleft
         executed = 0
         until_t = _INF if until is None else until
         self._stop_check = False
@@ -234,13 +275,20 @@ class EventQueue:
             # loop serves all argument combinations — a caller paying a
             # per-event write is past micro-specialization anyway.
             budget = _INF if max_events is None else max_events
-            while heap and executed < budget:
-                item = heap[0]
-                t = item[0]
-                if t > until_t:
+            while executed < budget:
+                if ahead and (not heap or ahead[0] < heap[0]):
+                    item = ahead[0]
+                    if item[0] > until_t:
+                        break
+                    popleft()
+                elif heap:
+                    item = heap[0]
+                    if item[0] > until_t:
+                        break
+                    pop(heap)
+                else:
                     break
-                pop(heap)
-                self._now = t
+                self._now = item[0]
                 executed += 1
                 self._processed += 1
                 item[3](*item[4])
@@ -260,29 +308,52 @@ class EventQueue:
             if max_events is None and stop is None:
                 if until is None:
                     # Hot path: full drain, no horizon comparison; the
-                    # heap-top peek is folded into the pop.
-                    while heap:
-                        item = pop(heap)
+                    # head peek is folded into the pop.
+                    while True:
+                        if ahead and (not heap or ahead[0] < heap[0]):
+                            item = popleft()
+                        elif heap:
+                            item = pop(heap)
+                        else:
+                            break
                         self._now = item[0]
                         executed += 1
                         item[3](*item[4])
                 else:
                     # Drain-to-timestamp: pop everything due at or
                     # before ``until`` (one peek + one pop per event).
-                    while heap and heap[0][0] <= until_t:
-                        item = pop(heap)
+                    while True:
+                        if ahead and (not heap or ahead[0] < heap[0]):
+                            item = ahead[0]
+                            if item[0] > until_t:
+                                break
+                            popleft()
+                        elif heap:
+                            item = heap[0]
+                            if item[0] > until_t:
+                                break
+                            pop(heap)
+                        else:
+                            break
                         self._now = item[0]
                         executed += 1
                         item[3](*item[4])
             else:
                 budget = _INF if max_events is None else max_events
-                while heap and executed < budget:
-                    item = heap[0]
-                    t = item[0]
-                    if t > until_t:
+                while executed < budget:
+                    if ahead and (not heap or ahead[0] < heap[0]):
+                        item = ahead[0]
+                        if item[0] > until_t:
+                            break
+                        popleft()
+                    elif heap:
+                        item = heap[0]
+                        if item[0] > until_t:
+                            break
+                        pop(heap)
+                    else:
                         break
-                    pop(heap)
-                    self._now = t
+                    self._now = item[0]
                     executed += 1
                     item[3](*item[4])
                     if self._stop_check:
@@ -298,17 +369,28 @@ class EventQueue:
         self, until: Optional[float], stop: Optional[Callable[[], bool]]
     ) -> None:
         """Advance the clock to ``until`` once nothing at or before it is left."""
-        if (
-            until is not None
-            and stop is None
-            and self._now < until
-            and (not self._heap or self._heap[0][0] > until)
-        ):
-            self._now = until
+        if until is not None and stop is None and self._now < until:
+            next_time = self.peek_time()
+            if next_time is None or next_time > until:
+                self._now = until
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None when empty."""
-        return self._heap[0][0] if self._heap else None
+        """Time of the next pending event, or None when empty.
+
+        Safe to call from another thread while a run loop pops (the
+        stall watchdog does): each container's head is read once, and a
+        container that empties between the check and the read counts
+        as empty instead of raising.
+        """
+        next_time = None
+        for container in (self._heap, self._ahead):
+            try:
+                head_time = container[0][0]
+            except IndexError:
+                continue
+            if next_time is None or head_time < next_time:
+                next_time = head_time
+        return next_time
 
 
 __all__ = [

@@ -467,8 +467,9 @@ def _run(
         frontend.submit_request if frontend is not None else service.submit_request
     )
     datasets = {d.name: d for d in scenario.trace.datasets}
-    # Bulk-load the whole trace: one heapify beats one heappush per
-    # arrival (Scenario 2 at full scale preloads ~20k requests).
+    # Bulk-load the whole trace into the queue's sorted arrival run, so
+    # the event heap only ever holds self-scheduled work (Scenario 2 at
+    # full scale preloads ~20k requests).
     events.schedule_many(
         (
             (request.time, submit, (request, datasets[request.dataset]))

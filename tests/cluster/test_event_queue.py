@@ -1,5 +1,9 @@
 """Tests for the discrete-event core."""
 
+import heapq
+import itertools
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +12,7 @@ from repro.cluster.event_queue import (
     PRIORITY_ARRIVAL,
     PRIORITY_COMPLETION,
     PRIORITY_CYCLE,
+    PRIORITY_DEFAULT,
     EventQueue,
     SimulationError,
 )
@@ -276,11 +281,11 @@ class TestScheduleMany:
     )
     @settings(max_examples=200, deadline=None)
     def test_property_ordering_equivalence(self, times, split):
-        """Bulk heapify and per-event heappush fire identically.
+        """A bulk batch and per-event schedules fire identically.
 
         Events are totally ordered by ``(time, priority, seq)`` with a
-        unique seq, so the heap's internal layout never affects pop
-        order — ``schedule_many`` (extend + heapify) must be
+        unique seq, so which container holds an event never affects pop
+        order — ``schedule_many`` (merge into the sorted run) must be
         execution-order-equivalent to a loop of ``schedule`` calls,
         including FIFO ties, regardless of how the batch splits against
         pre-existing events.
@@ -346,3 +351,275 @@ class TestDrainToTimestamp:
         q.run(until=1.5)
         assert fired == ["spawn", "child"]
         assert q.now == 1.5
+
+
+class TestTwoContainers:
+    """``len`` and ``peek_time`` over the heap and the sorted arrival run.
+
+    The stall watchdog reads both from its own thread while the run loop
+    pops, so they must never raise, whichever container holds what.
+    """
+
+    def test_empty(self):
+        q = EventQueue()
+        assert len(q) == 0
+        assert q.peek_time() is None
+
+    def test_run_only(self):
+        q = EventQueue()
+        q.schedule_many([(2.0, lambda: None, ()), (3.0, lambda: None, ())])
+        assert len(q._heap) == 0
+        assert len(q) == 2
+        assert q.peek_time() == 2.0
+
+    def test_heap_only(self):
+        q = EventQueue()
+        q.schedule(4.0, lambda: None)
+        q.schedule(1.5, lambda: None)
+        assert len(q._ahead) == 0
+        assert len(q) == 2
+        assert q.peek_time() == 1.5
+
+    @pytest.mark.parametrize("heap_time, run_time", [(1.0, 2.0), (2.0, 1.0)])
+    def test_both(self, heap_time, run_time):
+        q = EventQueue()
+        q.schedule(heap_time, lambda: None)
+        q.schedule_many([(run_time, lambda: None, ())])
+        assert len(q) == 2
+        assert q.peek_time() == min(heap_time, run_time)
+
+    def test_both_equal_time_ties_fire_by_priority_then_seq(self):
+        q = EventQueue()
+        fired = []
+        q.schedule_many(
+            [(1.0, fired.append, ("arrival-a",)), (1.0, fired.append, ("arrival-b",))],
+            priority=PRIORITY_ARRIVAL,
+        )
+        q.schedule(1.0, fired.append, "cycle", priority=PRIORITY_CYCLE)
+        q.schedule(1.0, fired.append, "completion", priority=PRIORITY_COMPLETION)
+        q.schedule(1.0, fired.append, "default", priority=PRIORITY_DEFAULT)
+        assert len(q) == 5
+        assert q.peek_time() == 1.0
+        q.run()
+        # ARRIVAL == DEFAULT, so those three fall to scheduling order.
+        assert fired == ["completion", "arrival-a", "arrival-b", "default", "cycle"]
+        assert len(q) == 0
+        assert q.peek_time() is None
+
+    def test_peek_survives_a_run_emptied_under_it(self):
+        """A container that empties between its truth test and its read
+        (another thread popped it) counts as empty instead of raising."""
+
+        class _Vanishing(deque):
+            def __bool__(self):
+                return True
+
+        q = EventQueue()
+        q.schedule(5.0, lambda: None)
+        q._ahead = _Vanishing()
+        assert q.peek_time() == 5.0
+        assert len(q) == 1
+        q._heap.clear()
+        assert q.peek_time() is None
+
+    def test_unsorted_batch_is_sorted_and_merged(self):
+        q = EventQueue()
+        fired = []
+        q.schedule_many([(1.0, fired.append, (1,)), (4.0, fired.append, (4,))])
+        ahead = q._ahead
+        q.schedule_many(
+            [(3.0, fired.append, (3,)), (0.5, fired.append, (0.5,)), (4.0, fired.append, ("4b",))]
+        )
+        assert q._ahead is ahead  # merged in place
+        assert len(q._heap) == 0
+        q.run()
+        assert fired == [0.5, 1, 3, 4, "4b"]
+
+
+class _HeapModel:
+    """Reference queue: every event on one ``heapq`` heap.
+
+    The documented semantics of :class:`EventQueue` written as plainly
+    as possible; the two-container queue must match it call for call.
+    """
+
+    def __init__(self):
+        self._heap = []
+        self._seq = itertools.count()
+        self.now = 0.0
+        self.processed = 0
+        self._stop_check = False
+
+    def __len__(self):
+        return len(self._heap)
+
+    def peek_time(self):
+        return self._heap[0][0] if self._heap else None
+
+    def schedule(self, time, callback, *args, priority=PRIORITY_DEFAULT):
+        assert self.now <= time
+        heapq.heappush(self._heap, (time, priority, next(self._seq), callback, args))
+
+    def schedule_many(self, events, *, priority=PRIORITY_DEFAULT):
+        count = 0
+        for time, callback, args in events:
+            self.schedule(time, callback, *args, priority=priority)
+            count += 1
+        return count
+
+    def request_stop_check(self):
+        self._stop_check = True
+
+    def step(self):
+        if not self._heap:
+            return False
+        time, _prio, _seq, callback, args = heapq.heappop(self._heap)
+        self.now = time
+        self.processed += 1
+        callback(*args)
+        return True
+
+    def run(self, until=None, *, max_events=None, live_count=False, stop=None):
+        until_t = float("inf") if until is None else until
+        budget = float("inf") if max_events is None else max_events
+        executed = 0
+        self._stop_check = False
+        while self._heap and executed < budget and self._heap[0][0] <= until_t:
+            self.step()
+            executed += 1
+            if self._stop_check:
+                self._stop_check = False
+                if stop is not None and stop():
+                    break
+        if (
+            until is not None
+            and stop is None
+            and self.now < until
+            and (not self._heap or self._heap[0][0] > until)
+        ):
+            self.now = until
+        return executed
+
+
+_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+_PRIORITIES = st.sampled_from(
+    [PRIORITY_COMPLETION, PRIORITY_ARRIVAL, PRIORITY_DEFAULT, PRIORITY_CYCLE]
+)
+#: What a fired event does besides logging itself.
+_ACTIONS = st.one_of(
+    st.none(),
+    st.tuples(st.just("schedule"), _DELAYS, _PRIORITIES),
+    st.tuples(st.just("many"), st.lists(_DELAYS, max_size=4), _PRIORITIES),
+    st.tuples(st.just("push"), _DELAYS),
+    st.just(("stop",)),
+)
+_SCHEDULE_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS, _PRIORITIES, _ACTIONS),
+    st.tuples(
+        st.just("many"),
+        st.lists(st.tuples(_DELAYS, _ACTIONS), max_size=8),
+        _PRIORITIES,
+        st.booleans(),  # sort the batch by time first
+    ),
+)
+_RUN_OPS = st.one_of(
+    st.just(("step",)),
+    st.tuples(
+        st.just("run"),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 3.0])),  # until - now
+        st.one_of(st.none(), st.integers(0, 6)),  # max_events
+        st.booleans(),  # live_count
+        st.one_of(st.none(), st.integers(1, 5)),  # stop after this many more
+    ),
+)
+_PROGRAMS = st.lists(st.one_of(_SCHEDULE_OPS, _RUN_OPS), max_size=16)
+
+
+def _execute(queue, program):
+    """Apply ``program`` to ``queue``; return what was observable after
+    each operation."""
+    log = []
+
+    def make(label, action):
+        def fire():
+            log.append(label)
+            if action is None:
+                return
+            kind, now = action[0], queue.now
+            if kind == "schedule":
+                queue.schedule(
+                    now + action[1], log.append, label + ("s",), priority=action[2]
+                )
+            elif kind == "many":
+                queue.schedule_many(
+                    (
+                        (now + delay, log.append, (label + ("m", k),))
+                        for k, delay in enumerate(action[1])
+                    ),
+                    priority=action[2],
+                )
+            elif kind == "push":
+                # The render nodes' direct completion push.
+                heapq.heappush(
+                    queue._heap,
+                    (
+                        now + action[1],
+                        PRIORITY_COMPLETION,
+                        next(queue._seq),
+                        log.append,
+                        (label + ("p",),),
+                    ),
+                )
+            else:
+                queue.request_stop_check()
+
+        return fire
+
+    observed = []
+    for i, op in enumerate(program):
+        kind, now = op[0], queue.now
+        if kind == "schedule":
+            _, delay, priority, action = op
+            result = queue.schedule(now + delay, make((i,), action), priority=priority)
+        elif kind == "many":
+            _, entries, priority, in_order = op
+            if in_order:
+                entries = sorted(entries, key=lambda entry: entry[0])
+            result = queue.schedule_many(
+                (
+                    (now + delay, make((i, k), action), ())
+                    for k, (delay, action) in enumerate(entries)
+                ),
+                priority=priority,
+            )
+        elif kind == "step":
+            result = queue.step()
+        else:
+            _, until_offset, max_events, live_count, stop_after = op
+            stop = None
+            if stop_after is not None:
+                target = len(log) + stop_after
+                stop = lambda target=target: len(log) >= target  # noqa: E731
+            result = queue.run(
+                None if until_offset is None else now + until_offset,
+                max_events=max_events,
+                live_count=live_count,
+                stop=stop,
+            )
+        observed.append(
+            (i, result, list(log), queue.processed, queue.now, len(queue), queue.peek_time())
+        )
+    return observed
+
+
+class TestDifferentialAgainstHeapModel:
+    @given(program=_PROGRAMS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_single_heap_reference(self, program):
+        """Firing order, counters, clock, ``len`` and ``peek_time`` agree
+        with the one-heap reference after every call, on every ``run``
+        path and ``step``, with batches (sorted or not), equal-time ties
+        across priorities, and callbacks that schedule, merge a batch or
+        push onto the heap mid-run."""
+        program = program + [("run", None, None, False, None)]  # drain
+        assert _execute(EventQueue(), program) == _execute(_HeapModel(), program)

@@ -85,14 +85,15 @@ def run_with_service(scenario: Scenario, scheduler_name: str):
         jobs.append(job)
         service.submit(job)
 
-    for request in scenario.trace.requests:
-        events.schedule(
-            request.time,
-            submit,
-            request,
-            datasets[request.dataset],
-            priority=PRIORITY_ARRIVAL,
-        )
+    # Preload the trace the way ``run_simulation`` does, so the
+    # invariants hold over the bulk arrival path.
+    events.schedule_many(
+        (
+            (request.time, submit, (request, datasets[request.dataset]))
+            for request in scenario.trace.requests
+        ),
+        priority=PRIORITY_ARRIVAL,
+    )
     service.start()
     events.run()  # to quiescence (drain)
     return service, jobs

@@ -316,6 +316,28 @@ class TestStallWatchdog:
         assert first["inflight"] == 2
         assert first["queue_depth"] == 5
 
+    def test_dump_counts_pending_arrivals(self, tmp_path):
+        """Preloaded arrivals sit beside the heap; the stall record's
+        queue length and next event time must cover both."""
+        from repro.cluster.event_queue import PRIORITY_ARRIVAL, EventQueue
+
+        events = EventQueue()
+        events.schedule(3.0, lambda: None)
+        events.schedule_many(
+            [(2.5, lambda: None, ()), (4.0, lambda: None, ())],
+            priority=PRIORITY_ARRIVAL,
+        )
+        writer = _StreamWriter(tmp_path / "stall.ndjson")
+        watchdog = StallWatchdog(
+            events, self._FrozenService(), writer, timeout=60.0
+        )
+        watchdog._dump(events.processed, 61.0)
+        writer.close()
+        (record,) = read_stream(tmp_path / "stall.ndjson")
+        assert record["type"] == "stall"
+        assert record["queue_len"] == 3
+        assert record["next_event_time"] == 2.5
+
     def test_watchdog_quiet_while_progressing(self, tmp_path):
         """A run that keeps draining events never trips the watchdog."""
         result = _run(tmp_path, stall_timeout=30.0)
