@@ -101,6 +101,12 @@ class Cluster:
         second listener appears.  ``prepend`` puts the callback ahead of
         the existing listeners — the fault outlier detector uses this to
         read pending-estimate state before the service consumes it.
+
+        Any listener may read ``task.job`` of the task it is given: the
+        service releases a completed job's back-references (sets
+        ``task.job = None``) only when the next job completes.  A
+        listener that keeps tasks for later must capture their jobs
+        itself.
         """
         listeners = self._task_finish_listeners
         if prepend:

@@ -102,6 +102,11 @@ class RenderTask:
     Mutable timing fields are filled in by the simulator as the task moves
     through the system (cf. Definition 1 of the paper):
 
+    * ``job`` — the owning job.  The service sets it to ``None`` after
+      the job completes (when the next job completes, or at run end),
+      breaking the job ↔ task reference cycle so finished jobs are
+      freed by refcount; code that reads it later must capture the job
+      while the task is in flight,
     * ``node`` — rendering node the task was assigned to,
     * ``assign_time`` — when the scheduler placed the task (recorded
       only on audited runs; ``None`` otherwise),
@@ -135,18 +140,21 @@ class RenderTask:
         self.cache_hit = None
 
     @property
-    def job_type(self) -> JobType:
-        """The owning job's type (interactive or batch)."""
-        return self.job.job_type
+    def job_type(self) -> Optional[JobType]:
+        """The owning job's type; ``None`` once the job was released."""
+        job = self.job
+        return None if job is None else job.job_type
 
     @property
     def done(self) -> bool:
         """True once the task has a finish time."""
         return self.finish_time is not None
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
+        job = self.job
         return (
-            f"RenderTask(job={self.job.job_id}, index={self.index}, "
+            f"RenderTask(job={None if job is None else job.job_id}, "
+            f"index={self.index}, "
             f"chunk={self.chunk.key}, node={self.node})"
         )
 

@@ -350,6 +350,9 @@ class AuditLog:
         except KeyError:
             totals[reason] = 1
         task.assign_time = now
+        # The job rides in the entry: the service releases ``task.job``
+        # after the job completes, which can precede materialization.
+        job = task.job
         if self._snapshot:
             # C-level copies of the mutable state, plus one probe of the
             # time-varying I/O memo.  Everything else a record needs
@@ -361,6 +364,7 @@ class AuditLog:
                 now,
                 self.invocations,
                 task,
+                job,
                 node,
                 reason,
                 tuple(replicas) if replicas else (),
@@ -368,11 +372,13 @@ class AuditLog:
                 io_get(chunk)
                 if io_get is not None
                 else self._estimate_components(
-                    chunk, task.job.composite_group_size
+                    chunk, job.composite_group_size
                 ),
             )
         else:
-            entry = (now, self.invocations, task, node, reason, None, None, None)
+            entry = (
+                now, self.invocations, task, job, node, reason, None, None, None
+            )
         if self._stream is None:
             self._ring_append(entry)
             self._pending = True
@@ -437,8 +443,7 @@ class AuditLog:
         and a missing I/O probe means the decision-time value was the
         contention-free storage estimate — recomputable exactly.
         """
-        now, cycle, task, node, reason, replicas, available, est = entry
-        job = task.job
+        now, cycle, task, job, node, reason, replicas, available, est = entry
         chunk = task.chunk
         candidates: Tuple[CandidateState, ...] = ()
         if replicas is not None:
@@ -652,8 +657,8 @@ class AuditLog:
     def __getstate__(self) -> Dict[str, Any]:
         """Pickle support: materialize the ring, strip live handles.
 
-        Deferred entries hold task references (and through them the
-        whole job graph); building the flat :class:`DecisionRecord`\\ s
+        Deferred entries hold task and job references (and through them
+        the whole job graph); building the flat :class:`DecisionRecord`\\ s
         first keeps the pickled payload small and the log usable on the
         other side of a sweep pool.
         """

@@ -1,10 +1,12 @@
 """Measurement collection during a simulation run.
 
 The collector converts completed :class:`~repro.core.job.RenderJob`
-objects into compact :class:`JobRecord` rows (so job/task objects can be
-garbage-collected in long runs) and accumulates the counters behind
-Table III: data-reuse hit rate and the wall-clock cost of the scheduling
-procedure itself.
+objects into compact :class:`JobRecord` rows and accumulates the
+counters behind Table III: data-reuse hit rate and the wall-clock cost
+of the scheduling procedure itself.  It keeps no reference to the job,
+so once the service releases the job's task back-references at
+completion the job and its tasks are freed by refcount; a run's live
+heap then tracks its in-flight work, not the trace.
 """
 
 from __future__ import annotations

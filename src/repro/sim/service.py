@@ -133,6 +133,9 @@ class VisualizationService:
         self._cycle_armed = False
         self._window_generation = 0
         self._completion_listeners: List = []
+        #: The last completed job, whose tasks still point back at it
+        #: until :meth:`release_completed` runs.
+        self._unreleased: Optional[RenderJob] = None
         self.jobs_submitted = 0
         self.jobs_completed = 0
 
@@ -481,6 +484,27 @@ class VisualizationService:
             self._trace_completion(job, now, composite, group_nodes)
         for listener in self._completion_listeners:
             listener(job)
+        self.release_completed()
+        self._unreleased = job
+
+    def release_completed(self) -> None:
+        """Break the job ↔ task reference cycle of the last completed job.
+
+        ``RenderJob.tasks`` and ``RenderTask.job`` point at each other,
+        so a finished job would wait for the cyclic GC, which the
+        simulator pauses for the whole run.  Setting each task's ``job``
+        to ``None`` lets refcounting free the pair as soon as its last
+        holder lets go.  A job is released when the *next* job completes
+        (and the simulator calls this once when the run ends): code
+        around the completion call that finished the job, such as a
+        listener or a profiling wrapper, still sees ``task.job``, and at
+        most one completed job is ever left unreleased.
+        """
+        job = self._unreleased
+        if job is not None:
+            self._unreleased = None
+            for task in job.tasks:
+                task.job = None
 
     def _trace_completion(
         self, job: RenderJob, now: float, composite: float, group_nodes: List[int]

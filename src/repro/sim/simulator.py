@@ -467,19 +467,6 @@ def _run(
         frontend.submit_request if frontend is not None else service.submit_request
     )
     datasets = {d.name: d for d in scenario.trace.datasets}
-    # Bulk-load the whole trace into the queue's sorted arrival run, so
-    # the event heap only ever holds self-scheduled work (Scenario 2 at
-    # full scale preloads ~20k requests).
-    events.schedule_many(
-        (
-            (request.time, submit, (request, datasets[request.dataset]))
-            for request in scenario.trace.requests
-        ),
-        priority=PRIORITY_ARRIVAL,
-    )
-    service.start()
-    if frontend is not None:
-        frontend.start()
 
     def has_pending() -> bool:
         if service.has_work():
@@ -487,14 +474,31 @@ def _run(
         return frontend is not None and frontend.waiting_count > 0
 
     horizon = scenario.trace.duration
-    # The event loop allocates heavily (events, tasks, assignments) but
-    # creates no cycles it needs collected mid-run; generational GC
-    # sweeps over the live simulation graph are pure overhead, so the
-    # collector is paused for the loop (restored even on error).
+    # The cyclic GC is paused for the whole run: preload, loop and drain.
+    # The service releases completed jobs' task back-references, so
+    # finished work is freed by refcount and a drained run leaves no
+    # cyclic garbage behind; generational sweeps over the live
+    # simulation graph would be pure overhead.  The ``finally`` restores
+    # the GC and releases the run's watchdog thread and file handles
+    # even when a policy or listener raises.
     gc_was_enabled = gc.isenabled()
     gc.disable()
-    wall_t0 = _time.perf_counter()
+    stream_report = None
     try:
+        # Bulk-load the whole trace into the queue's sorted arrival run,
+        # so the event heap only ever holds self-scheduled work (Scenario
+        # 2 at full scale preloads ~20k requests).
+        events.schedule_many(
+            (
+                (request.time, submit, (request, datasets[request.dataset]))
+                for request in scenario.trace.requests
+            ),
+            priority=PRIORITY_ARRIVAL,
+        )
+        service.start()
+        if frontend is not None:
+            frontend.start()
+        wall_t0 = _time.perf_counter()
         # Streamed runs count ``processed`` live so grid ticks and the
         # stall watchdog read exact event counts mid-run; unstreamed
         # runs keep the batched fast path.
@@ -517,20 +521,21 @@ def _run(
                 stop=lambda: not has_pending(),
             )
             drained = not has_pending()
-    finally:
         wall_seconds = _time.perf_counter() - wall_t0
+        service.release_completed()
+    finally:
         if gc_was_enabled:
             gc.enable()
+        if stream is not None:
+            # Stop the watchdog, write the summary record, and drop the
+            # file handle so the result stays picklable across sweep
+            # workers.
+            stream_report = stream.close()
+        if audit_log is not None:
+            # Flush and drop the JSONL stream handle so the log (and the
+            # result carrying it) stays picklable across sweep workers.
+            audit_log.close()
 
-    stream_report = None
-    if stream is not None:
-        # Stop the watchdog, write the summary record, and drop the file
-        # handle so the result stays picklable across sweep workers.
-        stream_report = stream.close()
-    if audit_log is not None:
-        # Flush and drop the JSONL stream handle so the log (and the
-        # result carrying it) stays picklable across sweep workers.
-        audit_log.close()
     return SimulationResult(
         scenario_name=scenario.name,
         scheduler_name=scheduler.name,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import threading
 from typing import List, Optional, Tuple
 
 import pytest
@@ -21,6 +23,29 @@ def _fresh_job_ids():
     """Keep job ids deterministic per test."""
     reset_job_ids()
     yield
+
+
+@pytest.fixture(autouse=True)
+def _process_hygiene():
+    """Fail a test that leaves process-global run state behind.
+
+    The simulator pauses the cyclic GC for a run and a streamed run
+    starts a stall-watchdog thread; both must be undone however the run
+    ends, or every later test silently runs with different memory
+    behaviour or a stray thread polling a dead queue.
+    """
+    yield
+    leaks = []
+    if not gc.isenabled():
+        gc.enable()
+        leaks.append("the cyclic GC was left disabled")
+    watchdogs = [
+        t for t in threading.enumerate() if t.name == "repro-stall-watchdog"
+    ]
+    if watchdogs:
+        leaks.append(f"{len(watchdogs)} repro-stall-watchdog thread(s) alive")
+    if leaks:
+        pytest.fail("; ".join(leaks))
 
 
 # ---------------------------------------------------------------------------

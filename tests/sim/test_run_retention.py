@@ -1,0 +1,187 @@
+"""A run's live heap tracks its in-flight work, not the trace.
+
+``RenderJob.tasks`` and ``RenderTask.job`` point at each other, so a job
+and its tasks form a reference cycle that only the cyclic GC can free —
+and the simulator pauses the cyclic GC for the whole run.  The service
+therefore releases every task's ``job`` back-reference once the job has
+completed (when the next job completes, and once more at run end).
+These tests pause the GC themselves and count the
+``RenderJob`` / ``RenderTask`` instances that survive a run: with the
+release in place only unfinished jobs (and whatever an observer keeps
+on purpose) are left.
+"""
+
+import gc
+import hashlib
+import json
+from contextlib import contextmanager
+
+import pytest
+
+from repro.core.job import RenderJob, RenderTask
+from repro.faults.plan import FaultPlan
+from repro.obs.audit import AuditConfig
+from repro.frontend.config import FrontendConfig
+from repro.sim.run_config import RunConfig
+from repro.sim.simulator import run_simulation
+from repro.workload.scenarios import make_scenario
+
+
+def _live():
+    """Every ``RenderJob`` and ``RenderTask`` the GC can see."""
+    jobs, tasks = [], []
+    for obj in gc.get_objects():
+        cls = type(obj)
+        if cls is RenderJob:
+            jobs.append(obj)
+        elif cls is RenderTask:
+            tasks.append(obj)
+    return jobs, tasks
+
+
+@contextmanager
+def _gc_paused():
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def retained_after(scenario, scheduler, config):
+    """Run with the GC paused; return the result and the jobs/tasks the
+    run left alive (anything alive beforehand is excluded)."""
+    with _gc_paused():
+        jobs_before, tasks_before = _live()
+        seen_jobs = {id(j) for j in jobs_before}
+        seen_tasks = {id(t) for t in tasks_before}
+        del jobs_before, tasks_before
+        result = run_simulation(scenario, scheduler, config)
+        jobs, tasks = _live()
+        jobs = [j for j in jobs if id(j) not in seen_jobs]
+        tasks = [t for t in tasks if id(t) not in seen_tasks]
+    return result, jobs, tasks
+
+
+def _storm_config(scenario):
+    return RunConfig(
+        drain=True,
+        faults=FaultPlan.storm(
+            5,
+            node_count=scenario.system.node_count,
+            duration=scenario.trace.duration,
+        ),
+    )
+
+
+DRAINED = {
+    "s1-ours": (lambda: make_scenario(1, scale=0.05), "OURS", None),
+    "s3-fcfsu": (lambda: make_scenario(3, scale=0.01), "FCFSU", None),
+    "s2-ours-healed-storm": (
+        lambda: make_scenario(2, scale=0.05),
+        "OURS",
+        _storm_config,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAINED))
+def test_drained_run_retains_no_jobs_or_tasks(name):
+    build, scheduler, make_config = DRAINED[name]
+    scenario = build()
+    config = (
+        make_config(scenario) if make_config is not None else RunConfig(drain=True)
+    )
+    result, jobs, tasks = retained_after(scenario, scheduler, config)
+    assert result.drained
+    assert result.jobs_completed == result.jobs_submitted > 0
+    assert (len(jobs), len(tasks)) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig(),
+        RunConfig(
+            frontend=FrontendConfig.protective(max_sessions=8, queue_limit=32)
+        ),
+    ],
+    ids=["horizon", "frontend"],
+)
+def test_bounded_run_retains_only_unfinished_jobs(config):
+    scenario = make_scenario(2, scale=0.05, load=2.5)
+    result, jobs, tasks = retained_after(scenario, "OURS", config)
+    unfinished = result.jobs_submitted - result.jobs_completed
+    assert unfinished > 0, "the run must end with work in flight"
+    assert len(jobs) == unfinished
+    assert all(job.finish_time is None for job in jobs)
+    # Every surviving task belongs to a surviving job.
+    assert len(tasks) == sum(len(job.tasks) for job in jobs)
+
+
+def test_audited_run_keeps_every_job_by_design():
+    """The causal collector keeps completed jobs for critical paths."""
+    scenario = make_scenario(2, scale=0.05)
+    result, jobs, _ = retained_after(
+        scenario, "OURS", RunConfig(drain=True, audit=True)
+    )
+    assert result.jobs_completed == result.jobs_submitted > 0
+    assert len(jobs) == result.jobs_submitted
+
+
+# ---------------------------------------------------------------------------
+# Back-reference contract: readers of ``task.job`` still see the job.  The
+# constants were recorded before the release existed.
+# ---------------------------------------------------------------------------
+
+
+def test_audit_records_materialized_after_the_run_are_unchanged():
+    """Deferred audit entries carry their job, so records built after
+    every job completed (and released its tasks) match the originals."""
+    result = run_simulation(
+        make_scenario(2, scale=0.05),
+        "OURS",
+        RunConfig(drain=True, audit=AuditConfig(capacity=None)),
+    )
+    assert result.jobs_completed == result.jobs_submitted
+    digest = hashlib.sha256()
+    for record in result.audit.records:
+        digest.update(json.dumps(record.to_dict(), sort_keys=True).encode())
+        digest.update(b"\n")
+    assert result.audit.total_recorded == 3724
+    assert digest.hexdigest() == (
+        "139335481b73f345333d413ce9e90d2f69f724a75641b6dac17b5d87e8f1788e"
+    )
+
+
+@pytest.mark.parametrize(
+    "number,scheduler,scale,expected",
+    [
+        (
+            2,
+            "OURS",
+            0.05,
+            "4b987986d600d86bd9a429db7e10d2bf218c236a8cd7f3ed91e96942fbd05639",
+        ),
+        (
+            3,
+            "FCFSU",
+            0.01,
+            "8435faf8d33e5fd999e6ebb9778f58e70165afbf8ff96804569c3662b8eab341",
+        ),
+    ],
+)
+def test_recorded_trace_is_unchanged(number, scheduler, scale, expected):
+    """The assignment recorder reads ``task.job`` on every job's last
+    task; it still records the trace it recorded before the release."""
+    result = run_simulation(
+        make_scenario(number, scale=scale),
+        scheduler,
+        RunConfig(record_assignments=True),
+    )
+    assert len(result.assignment_trace) == result.tasks_executed
+    assert result.assignment_trace_hash() == expected
+

@@ -60,6 +60,53 @@ class TestImmediateScheduling:
         assert stats.total_seconds > 0
 
 
+class TestJobRelease:
+    """A completed job's tasks drop their ``job`` back-reference.
+
+    The release of a job happens when the next job completes (or on an
+    explicit ``release_completed()``), so everything around the
+    completion call that finished the job still sees ``task.job``.
+    """
+
+    def run_jobs(self, count, *, prepend=False):
+        service = make_service(FCFSScheduler())
+        seen = []
+        service.cluster.add_task_finish_listener(
+            lambda node, task: seen.append(task.job), prepend=prepend
+        )
+        jobs = [
+            RenderJob(JobType.INTERACTIVE, Dataset("ds", GiB), 0.0)
+            for _ in range(count)
+        ]
+        for job in jobs:
+            service.submit(job)
+        service.cluster.events.run()
+        return service, jobs, seen
+
+    def test_next_completion_releases_the_previous_job(self):
+        service, (first, second), _ = self.run_jobs(2)
+        assert first.is_complete and second.is_complete
+        assert all(task.job is None for task in first.tasks)
+        assert all(task.job is second for task in second.tasks)
+        service.release_completed()
+        assert all(task.job is None for task in second.tasks)
+        # The job keeps its tasks: record-building views still work.
+        assert second.task_count == 4
+        assert second.group_nodes() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("prepend", [True, False])
+    def test_listeners_see_the_job_on_its_last_task(self, prepend):
+        _, jobs, seen = self.run_jobs(2, prepend=prepend)
+        assert seen == [jobs[0]] * 4 + [jobs[1]] * 4
+
+    def test_released_task_repr_and_job_type(self):
+        service, (job,), _ = self.run_jobs(1)
+        service.release_completed()
+        task = job.tasks[0]
+        assert task.job_type is None
+        assert repr(task).startswith("RenderTask(job=None, index=0,")
+
+
 class TestCycleScheduling:
     def test_jobs_buffered_until_cycle(self):
         service = make_service(OursScheduler(cycle=0.015))

@@ -1,10 +1,18 @@
 """Tests for the top-level simulation runner."""
 
+import gc
+import io
+import json
+import threading
+
 import pytest
 
 from repro.cluster.storage import StorageSpec
 from repro.core.chunks import dataset_suite
+from repro.core.ours import OursScheduler
 from repro.faults import FaultPlan
+from repro.obs.audit import AuditConfig
+from repro.obs.stream import StreamConfig
 from repro.sim.config import system_linux8
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import compare_schedulers, run_simulation
@@ -127,3 +135,50 @@ class TestNodeFailureInjection:
         config = RunConfig(faults=FaultPlan.from_node_failures([(0.5, 99)]))
         with pytest.raises(ValueError, match="fault plan references node"):
             run_simulation(tiny_scenario(duration=1.0), "OURS", config=config)
+
+
+class _RaisingScheduler(OursScheduler):
+    """OURS that raises on its ``fail_at``-th invocation."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def schedule(self, jobs, ctx):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("policy failure")
+        return super().schedule(jobs, ctx)
+
+
+class TestRunThatRaises:
+    """A run that raises mid-loop releases everything it started."""
+
+    def test_watchdog_stopped_and_files_closed(self, tmp_path):
+        stream_path = tmp_path / "run.ndjson"
+        audit_path = tmp_path / "audit.jsonl"
+        config = RunConfig(
+            stream=StreamConfig(path=stream_path, stall_timeout=1.0),
+            audit=AuditConfig(jsonl_path=audit_path),
+        )
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="policy failure") as excinfo:
+            run_simulation(tiny_scenario(), _RaisingScheduler(fail_at=20), config)
+        assert gc.isenabled()
+        assert not [
+            t for t in threading.enumerate() if t.name == "repro-stall-watchdog"
+        ]
+        # The traceback keeps the run's frames (and the file objects they
+        # reach) alive, so an unclosed handle would still be found here.
+        paths = {str(stream_path), str(audit_path)}
+        handles = [
+            obj
+            for obj in gc.get_objects()
+            if isinstance(obj, io.TextIOWrapper) and obj.name in paths
+        ]
+        assert handles, "the stream writer keeps its (closed) handle"
+        assert all(h.closed for h in handles)
+        records = [json.loads(line) for line in stream_path.read_text().splitlines()]
+        assert records[-1]["type"] == "summary"
+        assert excinfo.traceback
