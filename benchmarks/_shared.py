@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -91,6 +92,48 @@ def summaries_for(
 ) -> List[SchedulerSummary]:
     """Summary rows for a set of schedulers on one scenario."""
     return [run_cached(number, s).summary() for s in schedulers]
+
+
+def interleaved_rounds(
+    configs: Dict[str, dict], rounds: int, measure
+) -> List[Dict[str, dict]]:
+    """``rounds`` round-robin passes of ``measure(**kwargs)`` per config.
+
+    Interleaving makes slow machine-load drift hit every configuration
+    of a round roughly equally, so per-round ratios pair like with like.
+    """
+    return [
+        {name: measure(**kwargs) for name, kwargs in configs.items()}
+        for _ in range(rounds)
+    ]
+
+
+def best_of(
+    rounds: List[Dict[str, dict]], key: str = "events_per_sec"
+) -> Dict[str, dict]:
+    """Each configuration's sample with the highest ``key`` over all rounds."""
+    return {
+        name: max((r[name] for r in rounds), key=lambda sample: sample[key])
+        for name in rounds[0]
+    }
+
+
+def paired_ratio(
+    rounds: List[Dict[str, dict]],
+    name: str,
+    reference: str,
+    key: str = "events_per_sec",
+) -> float:
+    """Median over rounds of ``name``'s ``key`` divided by ``reference``'s.
+
+    Each ratio compares two runs from the same round, so a slow stretch
+    of the machine cancels out instead of landing on one side, and the
+    median drops a round spoiled by a burst in one run.  A ratio of two
+    best-of-N rates lets each side pick its luckiest round separately.
+    """
+    return statistics.median(
+        r[name][key] / r[reference][key] for r in rounds
+    )
 
 
 def emit_report(name: str, text: str) -> Path:

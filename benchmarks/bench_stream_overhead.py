@@ -3,8 +3,9 @@
 The telemetry stream must be a pure observer: streamed runs stay
 bit-identical to unstreamed ones and cost at most 10 % of wall clock.
 This bench measures the event-processing rate with and without a
-stream attached (interleaved, best of N, CPU-time rates like
-``bench_tracer_overhead.py``), asserts the identity and the bound, and
+stream attached (interleaved rounds, CPU-time rates, the ratio the
+median of per-round paired ratios, like ``bench_tracer_overhead.py``),
+asserts the identity and the bound, and
 then pins the *deterministic* anomaly-detection leaves: the seeded
 fault storm localized online at >= 3/4 with zero false positives, and
 a fault-free run raising no alarm at all.  Everything lands in
@@ -21,7 +22,14 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from benchmarks._shared import bench_scale, emit_json, emit_report
+from benchmarks._shared import (
+    bench_scale,
+    best_of,
+    emit_json,
+    emit_report,
+    interleaved_rounds,
+    paired_ratio,
+)
 from repro.faults import FaultPlan
 from repro.obs.anomaly import score_anomalies
 from repro.obs.stream import StreamConfig
@@ -33,7 +41,10 @@ from repro.workload.scenarios import scenario_1
 # noise, so smoke-scale overrides (CI's REPRO_BENCH_SCALE=0.05) are
 # floored; larger overrides still apply.
 SCALE = max(bench_scale(0.25), 0.25)
-ROUNDS = 5
+# Every overhead ratio is a median over rounds; one run at this scale
+# takes ~0.1 s, so its rate carries scheduler noise of the same order as
+# the overheads being bounded.
+ROUNDS = 9
 
 #: Fixed scale for the anomaly leaves — the smallest at which every
 #: storm fault has a signal window (see module docstring).
@@ -75,27 +86,18 @@ def _measure_once(tmp_dir, streamed: bool) -> Dict[str, float]:
 def test_stream_overhead(benchmark, tmp_path):
     """Measure streaming cost, pin identity and the anomaly leaves."""
 
-    def run_all():
-        # Interleave the two configs round-robin (best of N each) so
-        # machine-load drift hits both roughly equally instead of
-        # skewing whichever block ran last.
-        best: Dict[str, Dict[str, float]] = {}
-        for _ in range(ROUNDS):
-            for name, streamed in (("unstreamed", False), ("streamed", True)):
-                sample = _measure_once(tmp_path, streamed)
-                if (
-                    name not in best
-                    or sample["events_per_sec"]
-                    > best[name]["events_per_sec"]
-                ):
-                    best[name] = sample
-        return best
-
-    rates = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    ratio = (
-        rates["streamed"]["events_per_sec"]
-        / rates["unstreamed"]["events_per_sec"]
+    configs = {
+        "unstreamed": dict(tmp_dir=tmp_path, streamed=False),
+        "streamed": dict(tmp_dir=tmp_path, streamed=True),
+    }
+    rounds = benchmark.pedantic(
+        interleaved_rounds,
+        args=(configs, ROUNDS, _measure_once),
+        rounds=1,
+        iterations=1,
     )
+    rates = best_of(rounds)
+    ratio = paired_ratio(rounds, "streamed", "unstreamed")
     bit_identical = (
         rates["streamed"]["trace_hash"] == rates["unstreamed"]["trace_hash"]
     )
@@ -157,7 +159,7 @@ def test_stream_overhead(benchmark, tmp_path):
 
     lines = [
         f"stream overhead — scenario 1, OURS, best of {ROUNDS} "
-        f"(scale {SCALE})",
+        f"(scale {SCALE}); ratio is the median of per-round paired ratios",
         "",
     ]
     for name, r in rates.items():

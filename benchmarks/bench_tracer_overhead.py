@@ -5,8 +5,8 @@ and skip instrumentation with one identity check — and cheap enough
 when on that traced runs stay practical.  This bench measures the
 simulator's event-processing rate five ways (untraced, ``NullTracer``,
 full ``Tracer`` + counter sampling, metrics registry + window sampler,
-decision audit log) on Scenario 1 and emits the numbers both as a text
-report and as machine-readable
+decision audit log) on Scenario 1, in interleaved rounds, and emits
+the numbers both as a text report and as machine-readable
 ``benchmarks/results/BENCH_tracer.json`` for regression tracking.  The
 audit sample also carries the log's deterministic decision counters, so
 the regression gate pins the decision stream itself, not just its cost.
@@ -18,7 +18,14 @@ import json
 import time
 from typing import Dict
 
-from benchmarks._shared import RESULTS_DIR, bench_scale, emit_report
+from benchmarks._shared import (
+    RESULTS_DIR,
+    bench_scale,
+    best_of,
+    emit_report,
+    interleaved_rounds,
+    paired_ratio,
+)
 from repro.obs.audit import AuditConfig
 from repro.obs.tracer import NullTracer, Tracer
 from repro.sim.run_config import RunConfig
@@ -29,7 +36,10 @@ from repro.workload.scenarios import scenario_1
 # noise, so smoke-scale overrides (CI's REPRO_BENCH_SCALE=0.05) are
 # floored; larger overrides still apply.
 SCALE = max(bench_scale(0.25), 0.25)
-ROUNDS = 5
+# Every overhead ratio is a median over rounds; one run at this scale
+# takes ~0.1 s, so its rate carries scheduler noise of the same order as
+# the overheads being bounded.
+ROUNDS = 9
 
 
 def _measure_once(
@@ -85,35 +95,19 @@ _CONFIGS = {
 def test_tracer_overhead(benchmark):
     """Measure and persist the disabled/null/full tracing rates."""
 
-    def run_all():
-        # Rounds are interleaved across configurations (round-robin, best
-        # of N per config) so slow machine-load drift hits every config
-        # roughly equally instead of skewing whichever block ran last —
-        # the ratios below divide one config's rate by another's.
-        best: Dict[str, Dict[str, float]] = {}
-        for _ in range(ROUNDS):
-            for name, kwargs in _CONFIGS.items():
-                sample = _measure_once(**kwargs)
-                if (
-                    name not in best
-                    or sample["events_per_sec"]
-                    > best[name]["events_per_sec"]
-                ):
-                    best[name] = sample
-        return best
-
-    rates = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    base = rates["untraced"]["events_per_sec"]
-    null_ratio = rates["null_tracer"]["events_per_sec"] / base
-    full_ratio = rates["full_tracer"]["events_per_sec"] / base
-    metrics_ratio = (
-        rates["metrics_registry"]["events_per_sec"]
-        / rates["null_tracer"]["events_per_sec"]
+    rounds = benchmark.pedantic(
+        interleaved_rounds,
+        args=(_CONFIGS, ROUNDS, _measure_once),
+        rounds=1,
+        iterations=1,
     )
-    audit_ratio = (
-        rates["audit"]["events_per_sec"]
-        / rates["null_tracer"]["events_per_sec"]
-    )
+    # The report keeps each config's best round; every ratio is the
+    # median of the per-round paired ratios.
+    rates = best_of(rounds)
+    null_ratio = paired_ratio(rounds, "null_tracer", "untraced")
+    full_ratio = paired_ratio(rounds, "full_tracer", "untraced")
+    metrics_ratio = paired_ratio(rounds, "metrics_registry", "null_tracer")
+    audit_ratio = paired_ratio(rounds, "audit", "null_tracer")
 
     payload = {
         "bench": "tracer_overhead",
@@ -132,7 +126,8 @@ def test_tracer_overhead(benchmark):
     out.write_text(json.dumps(payload, indent=2) + "\n")
 
     lines = ["tracer overhead — scenario 1, OURS, best of "
-             f"{ROUNDS} (scale {SCALE})", ""]
+             f"{ROUNDS} (scale {SCALE}); ratios are medians of "
+             "per-round paired ratios", ""]
     for name, r in rates.items():
         lines.append(
             f"{name:>12}: {r['events_per_sec']:>12,.0f} events/s "

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple, Union
 from repro.core.scheduler_base import Scheduler
 from repro.frontend.config import FrontendConfig
 from repro.sim.run_config import RunConfig
-from repro.sim.simulator import SimulationResult, run_simulation
+from repro.sim.simulator import run_simulation
 from repro.workload.scenarios import Scenario
 from repro.workload.trace import WorkloadTrace
 from repro.federation.config import FederationConfig
@@ -133,21 +133,6 @@ def build_shards(
     return plan, routing, pairs
 
 
-def _run_shard(
-    scenario: Scenario, scheduler: str, config: RunConfig
-) -> SimulationResult:
-    """Worker body for one shard run.
-
-    Module-level so it is picklable for :class:`ProcessPoolExecutor`;
-    detaches the timeline sampler's service reference (a cycle through
-    the whole cluster) before the result crosses the process boundary.
-    """
-    result = run_simulation(scenario, scheduler, config=config)
-    if result.timeline_samples is not None:
-        result.timeline_samples._service = None
-    return result
-
-
 def run_federation(
     scenario: Scenario,
     scheduler: Union[str, Scheduler] = "OURS",
@@ -179,13 +164,13 @@ def run_federation(
             max_workers=min(config.workers, config.shards)
         ) as pool:
             futures = [
-                pool.submit(_run_shard, shard_scenario, scheduler_name, cfg)
+                pool.submit(run_simulation, shard_scenario, scheduler_name, cfg)
                 for shard_scenario, cfg in pairs
             ]
             results = [f.result() for f in futures]
     else:
         results = [
-            _run_shard(shard_scenario, scheduler_name, cfg)
+            run_simulation(shard_scenario, scheduler_name, cfg)
             for shard_scenario, cfg in pairs
         ]
     return FederatedResult(

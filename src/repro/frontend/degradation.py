@@ -1,7 +1,7 @@
 """SLO-driven graceful degradation: the quality-ladder controller.
 
-The controller rides the event queue (exactly like
-:class:`~repro.obs.metrics.MetricsSampler`) and, each tick, converts the
+The controller keeps its own tick on the event queue (not on the
+:class:`~repro.obs.probe.Probe`: its tick decides admission) and converts the
 delivered per-session framerate of the last interval into the SLO burn
 rate of :mod:`repro.obs.slo` (``(target - fps) / target``).  Sustained
 burn above ``step_down_burn`` walks every interactive session one rung
@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.job import JobType
 from repro.frontend.config import DegradeConfig, QualityLevel
+from repro.obs.metrics import default_window_interval
 from repro.obs.slo import SLObjective, fps_burn_rate
 
 
@@ -122,7 +123,7 @@ class DegradationController:
         self._horizon = horizon
         interval = self.config.sample_interval
         if interval is None:
-            interval = 0.5 if horizon is None else max(horizon / 64.0, 1e-3)
+            interval = 0.5 if horizon is None else default_window_interval(horizon)
         self._interval = interval
         service.cluster.events.schedule(0.0, self._tick)
 

@@ -1,15 +1,16 @@
 """repro.obs — structured tracing, metrics, SLOs & decision audit.
 
-The subsystem has ten pieces:
+The subsystem has eleven pieces:
 
 * :mod:`repro.obs.tracer` — a lightweight virtual-time tracer (nested
   spans, instant events, counter samples) plus a zero-cost
   :class:`NullTracer` for disabled runs;
 * :mod:`repro.obs.chrome` — export to Chrome trace-event JSON, viewable
   in Perfetto / ``chrome://tracing``;
+* :mod:`repro.obs.probe` — the one sampling clock every periodic
+  observer (counters, metric windows, stream, timeline) is a sink of;
 * :mod:`repro.obs.counters` — built-in pressure counters (queue depth,
-  busy nodes, cache occupancy, in-flight I/O) sampled on the event
-  queue;
+  busy nodes, cache occupancy, in-flight I/O) sampled by the probe;
 * :mod:`repro.obs.profile` — aggregated per-node time breakdown
   (io / render / composite / idle fractions);
 * :mod:`repro.obs.metrics` — a virtual-time metrics registry (counters,
@@ -25,7 +26,7 @@ The subsystem has ten pieces:
   composite phases, plus the two-run divergence diff behind the
   ``repro explain`` CLI verb;
 * :mod:`repro.obs.stream` — the live telemetry bus: schema-versioned
-  NDJSON snapshots on the absolute sampler grid *while the run
+  NDJSON snapshots on the probe's absolute grid *while the run
   executes*, wall-clock progress/ETA checkpoints, and a stall watchdog
   (the ``--stream`` flag and the ``repro watch`` verb);
 * :mod:`repro.obs.anomaly` — online anomaly detection over the

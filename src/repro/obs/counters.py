@@ -6,9 +6,8 @@ chunk cache sits, how many bytes of I/O are in flight.  These are the
 curves behind the paper's narrative — FCFS drowning the file server,
 OURS keeping caches warm and queues short.
 
-:class:`CounterSampler` rides the event queue at a fixed interval
-(exactly like :class:`~repro.reporting.timeline.TimelineSampler`) and
-emits one counter sample per track per tick into a
+:class:`CounterSampler` is a :class:`~repro.obs.probe.Probe` sink: it
+turns each tick's snapshot into one counter sample per track in a
 :class:`~repro.obs.tracer.Tracer`.  Standard track names are module
 constants so tests and consumers don't hard-code strings.
 """
@@ -17,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.obs.probe import Sink, Snapshot
 from repro.obs.tracer import PID_HEAD, Tracer, pid_for_node
 from repro.util.validation import check_positive
 
@@ -43,14 +43,14 @@ STANDARD_TRACKS = (TRACK_QUEUE, TRACK_BUSY_NODES, TRACK_IO_INFLIGHT)
 PER_NODE_TRACKS = (TRACK_CACHE,)
 
 
-class CounterSampler:
+class CounterSampler(Sink):
     """Samples service/cluster pressure counters into a tracer.
 
     Args:
         tracer: Destination for counter events.
         interval: Simulated seconds between samples.
-        horizon: Optional stop time; the sampler also stops at full
-            quiescence so it never keeps a finished simulation alive.
+        horizon: Optional stop time for :meth:`attach`'s probe, which
+            also stops at quiescence.
         per_node_cache: Emit one ``cache bytes`` track per rendering
             node (on the node's own pid).  Disable for very large
             clusters where p tracks per tick would dominate the trace.
@@ -70,66 +70,34 @@ class CounterSampler:
         self.horizon = horizon
         self.per_node_cache = per_node_cache
         self.samples_taken = 0
-        self._service = None
-        self._start = 0.0
 
-    def attach(self, service) -> "CounterSampler":
-        """Start sampling ``service`` (call before running events)."""
-        self._service = service
-        events = service.cluster.events
-        self._start = events.now
-        self.samples_taken = 0
-        events.schedule(self._start, self._tick)
-        return self
-
-    def _tick(self) -> None:
-        service = self._service
-        cluster = service.cluster
-        tracer = self.tracer
-        now = cluster.events.now
-        tracer.counter(
+    def _tick(self, snap: Snapshot) -> None:
+        counter = self.tracer.counter
+        now = snap.time
+        counter(
             PID_HEAD,
             TRACK_QUEUE,
             now,
             {
-                "queued jobs": float(len(service._pending)),
-                "deferred tasks": float(service.scheduler.pending_task_count()),
-                "node backlog": float(cluster.total_backlog()),
+                "queued jobs": float(snap.queued),
+                "deferred tasks": float(snap.deferred),
+                "node backlog": float(snap.backlog),
             },
         )
-        tracer.counter(
-            PID_HEAD,
-            TRACK_BUSY_NODES,
-            now,
-            {"busy": float(sum(1 for n in cluster.nodes if n.busy))},
-        )
-        storage = cluster.storage
-        tracer.counter(
+        counter(PID_HEAD, TRACK_BUSY_NODES, now, {"busy": float(snap.busy)})
+        counter(
             PID_HEAD,
             TRACK_IO_INFLIGHT,
             now,
             {
-                "loads": float(storage.active_loads),
-                "MiB": storage.active_bytes / 2**20,
+                "loads": float(snap.io_loads),
+                "MiB": snap.io_inflight_bytes / 2**20,
             },
         )
         if self.per_node_cache:
-            for node in cluster.nodes:
-                tracer.counter(
-                    pid_for_node(node.node_id),
-                    TRACK_CACHE,
-                    now,
-                    {"used": float(node.cache.used_bytes)},
-                )
+            for node_id, used in enumerate(snap.cache_used):
+                counter(pid_for_node(node_id), TRACK_CACHE, now, {"used": float(used)})
         self.samples_taken += 1
-        past_horizon = self.horizon is not None and now >= self.horizon
-        more_coming = service.has_work() or len(cluster.events) > 0
-        if more_coming and not past_horizon:
-            # Absolute-grid scheduling: sample k fires at exactly
-            # ``start + k*interval`` (no accumulated float drift).
-            cluster.events.schedule(
-                self._start + self.samples_taken * self.interval, self._tick
-            )
 
 
 def default_counter_interval(horizon: float, *, samples: int = 256) -> float:

@@ -13,10 +13,10 @@ continuously-measured quantities behind the paper's evaluation
   extraction (job latency, scheduler invocation cost);
 * :class:`MetricsRegistry` — the namespace all of the above live in,
   with Prometheus-style text exposition and structured JSONL export;
-* :class:`MetricsSampler` — rides the event queue at a fixed interval
-  (exactly like :class:`~repro.obs.counters.CounterSampler`) and turns
-  counter deltas into per-window :class:`MetricWindow` rows: delivered
-  fps, latency quantiles, cache hit rate, I/O bytes per interval;
+* :class:`MetricsSampler` — a :class:`~repro.obs.probe.Probe` sink
+  that turns each tick's window deltas into :class:`MetricWindow` rows:
+  delivered fps, latency quantiles, cache hit rate, I/O bytes per
+  interval;
 * :class:`RunMetrics` — the bundle attached to
   :class:`~repro.sim.simulator.SimulationResult` as ``.metrics``.
 
@@ -47,8 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.cost_model import percentile
-from repro.core.job import JobType
+from repro.obs.probe import MetricWindow, Sink, Snapshot
 from repro.util.validation import check_positive
 
 #: Label sets are stored canonically as sorted ``(key, value)`` tuples.
@@ -392,60 +391,17 @@ class MetricsRegistry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricWindow:
-    """Aggregates over one sampling interval of simulated time."""
-
-    start: float
-    end: float
-    jobs_completed: int
-    interactive_completed: int
-    batch_completed: int
-    fps: float
-    latency_p50: float
-    latency_p95: float
-    latency_p99: float
-    cache_hits: int
-    cache_misses: int
-    hit_rate: float
-    io_bytes: int
-
-    @property
-    def duration(self) -> float:
-        """Window length in simulated seconds."""
-        return self.end - self.start
-
-    def to_event(self) -> Dict[str, Any]:
-        """JSONL event payload for this window."""
-        return {
-            "type": "window",
-            "start": self.start,
-            "end": self.end,
-            "jobs_completed": self.jobs_completed,
-            "interactive_completed": self.interactive_completed,
-            "batch_completed": self.batch_completed,
-            "fps": self.fps,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "latency_p99": self.latency_p99,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
-            "io_bytes": self.io_bytes,
-        }
-
-
 def default_window_interval(horizon: float, *, windows: int = 64) -> float:
     """A window length giving ~``windows`` intervals over ``horizon``."""
     return max(horizon / max(windows, 1), 1e-3)
 
 
-class MetricsSampler:
-    """Turns cumulative service/cluster state into per-window rows.
+class MetricsSampler(Sink):
+    """Turns the probe's snapshots into per-window rows and gauges.
 
-    Rides the event queue at a fixed interval; each tick closes one
-    :class:`MetricWindow` from the deltas since the previous tick
-    (completions, latencies, cache hits, I/O bytes) and refreshes the
+    A :class:`~repro.obs.probe.Probe` sink: each tick keeps the
+    snapshot's :class:`MetricWindow` (completions, latencies, cache
+    hits, I/O bytes since the previous tick) and refreshes the
     registry's pressure gauges.  Latency quantiles are computed exactly
     from the jobs completed inside the window (the registry's latency
     histogram keeps the whole-run distribution).
@@ -463,14 +419,6 @@ class MetricsSampler:
         self.interval = interval
         self.horizon = horizon
         self.windows: List[MetricWindow] = []
-        self._service = None
-        self._start = 0.0
-        self._ticks = 0
-        self._last_time = 0.0
-        self._last_records = 0
-        self._last_hits = 0
-        self._last_misses = 0
-        self._last_io_bytes = 0
         self._g_queue = registry.gauge(
             "repro_queue_depth", "jobs queued at the head node"
         )
@@ -481,71 +429,12 @@ class MetricsSampler:
             "repro_cache_used_bytes", "bytes resident across node chunk caches"
         )
 
-    def attach(self, service) -> "MetricsSampler":
-        """Start sampling ``service`` (call before running events)."""
-        self._service = service
-        events = service.cluster.events
-        self._start = events.now
-        self._ticks = 0
-        events.schedule(self._start, self._tick)
-        return self
-
-    def _tick(self) -> None:
-        service = self._service
-        cluster = service.cluster
-        now = cluster.events.now
-        records = service.collector.records
-        hits = sum(n.cache_hits for n in cluster.nodes)
-        misses = sum(n.cache_misses for n in cluster.nodes)
-        io_bytes = cluster.storage.total_bytes
-
-        if now > self._last_time:
-            fresh = records[self._last_records :]
-            latencies = sorted(r.latency for r in fresh)
-            interactive = sum(
-                1 for r in fresh if r.job_type is JobType.INTERACTIVE
-            )
-            d_hits = hits - self._last_hits
-            d_misses = misses - self._last_misses
-            d_tasks = d_hits + d_misses
-            duration = now - self._last_time
-            self.windows.append(
-                MetricWindow(
-                    start=self._last_time,
-                    end=now,
-                    jobs_completed=len(fresh),
-                    interactive_completed=interactive,
-                    batch_completed=len(fresh) - interactive,
-                    fps=interactive / duration,
-                    latency_p50=percentile(latencies, 50),
-                    latency_p95=percentile(latencies, 95),
-                    latency_p99=percentile(latencies, 99),
-                    cache_hits=d_hits,
-                    cache_misses=d_misses,
-                    hit_rate=d_hits / d_tasks if d_tasks else 0.0,
-                    io_bytes=io_bytes - self._last_io_bytes,
-                )
-            )
-        self._last_time = now
-        self._last_records = len(records)
-        self._last_hits = hits
-        self._last_misses = misses
-        self._last_io_bytes = io_bytes
-
-        self._g_queue.set(float(len(service._pending)))
-        self._g_busy.set(float(sum(1 for n in cluster.nodes if n.busy)))
-        self._g_cache.set(float(sum(n.cache.used_bytes for n in cluster.nodes)))
-
-        past_horizon = self.horizon is not None and now >= self.horizon
-        more_coming = service.has_work() or len(cluster.events) > 0
-        if more_coming and not past_horizon:
-            # Tick k lands at the absolute ``start + k*interval`` grid
-            # point; rescheduling via ``schedule_after`` would compound
-            # float error across thousands of ticks and drift off-grid.
-            self._ticks += 1
-            cluster.events.schedule(
-                self._start + self._ticks * self.interval, self._tick
-            )
+    def _tick(self, snap: Snapshot) -> None:
+        if snap.window is not None:
+            self.windows.append(snap.window)
+        self._g_queue.set(float(snap.queued))
+        self._g_busy.set(float(snap.busy))
+        self._g_cache.set(float(sum(snap.cache_used)))
 
 
 # ---------------------------------------------------------------------------

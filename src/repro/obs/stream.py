@@ -8,13 +8,12 @@ see progress, stalls, and emerging anomalies while a fleet-scale
 simulation is still executing:
 
 * :class:`StreamConfig` — where to stream and at what cadence;
-* :class:`TelemetryStream` — rides the event queue on the absolute
-  ``start + k * interval`` sampler grid (the PR-4 drift-free
-  discipline), closing one ``snapshot`` record per tick from the deltas
-  since the previous tick — the exact window arithmetic
-  :class:`~repro.obs.metrics.MetricsSampler` uses, so streamed counters
-  equal the post-hoc series at identical grid points — plus wall-clock
-  ``wall`` checkpoint records (events/s, ETA extrapolation);
+* :class:`TelemetryStream` — a :class:`~repro.obs.probe.Probe` sink
+  writing one ``snapshot`` record per tick from the probe's window
+  deltas — the same snapshot :class:`~repro.obs.metrics.MetricsSampler`
+  reads, so streamed counters equal the post-hoc series whenever the
+  two share a grid — plus wall-clock ``wall`` checkpoint records
+  (events/s, ETA extrapolation);
 * :class:`StallWatchdog` — a daemon thread that notices when *wall*
   time passes without any event draining and dumps queue-head/in-flight
   diagnostics (a ``stall`` record) so a hung run explains itself;
@@ -61,22 +60,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-from repro.core.cost_model import percentile
-from repro.core.job import JobType
+from repro.obs.metrics import default_window_interval
+from repro.obs.probe import Sink, Snapshot
 from repro.util.validation import check_positive
 
 #: NDJSON schema version stamped in every stream's ``run`` header.
 STREAM_SCHEMA = 1
 
 
-def default_stream_interval(horizon: float, *, samples: int = 64) -> float:
-    """A grid interval giving ~``samples`` snapshots over ``horizon``.
-
-    Matches :func:`repro.obs.metrics.default_window_interval` so a
-    default-cadence stream and a default-cadence metrics sampler land
-    on the same absolute grid.
-    """
-    return max(horizon / max(samples, 1), 1e-3)
+#: The default snapshot interval is the metrics window interval itself,
+#: so a default-cadence stream and metrics sampler share one probe grid.
+default_stream_interval = default_window_interval
 
 
 @dataclass(frozen=True)
@@ -363,17 +357,17 @@ class StreamReport:
         return counts
 
 
-class TelemetryStream:
+class TelemetryStream(Sink):
     """Streams one run's telemetry as NDJSON while the run executes.
 
-    Rides the event queue at a fixed interval on the absolute
-    ``start + k * interval`` grid (no accumulated float drift) — the
-    same discipline as :class:`~repro.obs.metrics.MetricsSampler`, with
-    identical window arithmetic, so the streamed counter snapshots are
-    exactly the post-hoc window series when the two grids coincide.
-    Each tick additionally checks the wall clock and, when
-    ``wall_interval`` has passed, appends a ``wall`` checkpoint with
-    events/s and the ETA extrapolation.
+    A :class:`~repro.obs.probe.Probe` sink: each tick that closes a
+    window writes one ``snapshot`` record, built from the same
+    :class:`~repro.obs.probe.Snapshot` a metrics sampler on the grid
+    reads, so the streamed counters are exactly the post-hoc window
+    series when the two share an interval.  Each tick additionally
+    checks the wall clock and, when ``wall_interval`` has passed,
+    appends a ``wall`` checkpoint with events/s and the ETA
+    extrapolation.
 
     Deterministic snapshot fields (everything under simulated time) are
     separated from wall-clock fields by construction: the anomaly
@@ -428,13 +422,6 @@ class TelemetryStream:
         self.anomalies: List = []
         self._service = None
         self._start = 0.0
-        self._ticks = 0
-        self._last_time = 0.0
-        self._last_events = 0
-        self._last_records = 0
-        self._last_hits = 0
-        self._last_misses = 0
-        self._last_io_bytes = 0
         self._wall_start = 0.0
         self._next_wall = 0.0
         self._closed = False
@@ -458,22 +445,24 @@ class TelemetryStream:
                 }
             )
 
-    def attach(self, service) -> "TelemetryStream":
-        """Start streaming ``service`` (call before running events)."""
+    def bind(self, service) -> "TelemetryStream":
+        """Start the wall clock and the stall watchdog for ``service``."""
         self._service = service
         events = service.cluster.events
         self._start = events.now
-        self._last_time = events.now
-        self._ticks = 0
         self._wall_start = _time.perf_counter()
         self._next_wall = self.config.wall_interval
-        events.schedule(self._start, self._tick)
         if self.config.stall_timeout is not None:
             self.watchdog = StallWatchdog(
                 events, service, self._writer, self.config.stall_timeout
             )
             self.watchdog.start()
         return self
+
+    def attach(self, service) -> "TelemetryStream":
+        """Start streaming ``service`` on a probe of its own."""
+        self.bind(service)
+        return super().attach(service)
 
     def close(self) -> "StreamReport":
         """Stop the watchdog, write the summary record, close the file."""
@@ -522,50 +511,31 @@ class TelemetryStream:
 
     # -- sampling ----------------------------------------------------------
 
-    def _tick(self) -> None:
-        service = self._service
-        cluster = service.cluster
-        events = cluster.events
-        now = events.now
-        records = service.collector.records
-        hits = sum(n.cache_hits for n in cluster.nodes)
-        misses = sum(n.cache_misses for n in cluster.nodes)
-        io_bytes = cluster.storage.total_bytes
-        processed = events.processed
-
-        if now > self._last_time:
-            fresh = records[self._last_records:]
-            latencies = sorted(r.latency for r in fresh)
-            interactive = sum(
-                1 for r in fresh if r.job_type is JobType.INTERACTIVE
-            )
-            d_hits = hits - self._last_hits
-            d_misses = misses - self._last_misses
-            d_tasks = d_hits + d_misses
-            duration = now - self._last_time
-            fps = interactive / duration
+    def _tick(self, snap: Snapshot) -> None:
+        window = snap.window
+        if window is not None:
             snapshot = {
                 "type": "snapshot",
-                "t": now,
-                "start": self._last_time,
-                "events": processed,
-                "d_events": processed - self._last_events,
-                "queue": service.queue_depth,
-                "outstanding": service.outstanding_jobs,
-                "inflight": service.tasks_inflight,
-                "submitted": service.jobs_submitted,
-                "completed": service.jobs_completed,
-                "jobs_completed": len(fresh),
-                "interactive_completed": interactive,
-                "fps": fps,
-                "latency_p50": percentile(latencies, 50),
-                "latency_p95": percentile(latencies, 95),
-                "latency_p99": percentile(latencies, 99),
-                "cache_hits": d_hits,
-                "cache_misses": d_misses,
-                "hit_rate": d_hits / d_tasks if d_tasks else 0.0,
-                "io_bytes": io_bytes - self._last_io_bytes,
-                "burn": self._burn(fps),
+                "t": snap.time,
+                "start": window.start,
+                "events": snap.events,
+                "d_events": snap.d_events,
+                "queue": snap.queued,
+                "outstanding": snap.outstanding,
+                "inflight": snap.inflight,
+                "submitted": snap.submitted,
+                "completed": snap.completed,
+                "jobs_completed": window.jobs_completed,
+                "interactive_completed": window.interactive_completed,
+                "fps": window.fps,
+                "latency_p50": window.latency_p50,
+                "latency_p95": window.latency_p95,
+                "latency_p99": window.latency_p99,
+                "cache_hits": window.cache_hits,
+                "cache_misses": window.cache_misses,
+                "hit_rate": window.hit_rate,
+                "io_bytes": window.io_bytes,
+                "burn": self._burn(window.fps),
                 "wall_s": _time.perf_counter() - self._wall_start,
             }
             self._writer.write(snapshot)
@@ -574,29 +544,15 @@ class TelemetryStream:
                 for anomaly in self.detector.observe(snapshot):
                     self.anomalies.append(anomaly)
                     self._writer.write(anomaly.to_dict())
-        self._last_time = now
-        self._last_events = processed
-        self._last_records = len(records)
-        self._last_hits = hits
-        self._last_misses = misses
-        self._last_io_bytes = io_bytes
 
         wall = _time.perf_counter() - self._wall_start
         if wall >= self._next_wall:
-            self._wall_checkpoint(now, processed, wall)
+            self._wall_checkpoint(snap.time, snap.events, wall)
             # Skip any checkpoints the run blew past (a slow stretch
             # should not trigger a burst of catch-up records).
             self._next_wall = (
                 math.floor(wall / self.config.wall_interval) + 1
             ) * self.config.wall_interval
-
-        past_horizon = self.horizon is not None and now >= self.horizon
-        more_coming = service.has_work() or len(events) > 0
-        if more_coming and not past_horizon:
-            # Absolute grid: tick k lands at start + k*interval exactly
-            # (the PR-4 no-drift discipline).
-            self._ticks += 1
-            events.schedule(self._start + self._ticks * self.interval, self._tick)
 
     def _burn(self, fps: float) -> float:
         """Windowed fps burn rate: target / delivered (0 = no target)."""

@@ -2,8 +2,8 @@
 
 The evaluation's aggregate numbers (mean framerate, mean latency) hide
 the *dynamics* — warm-up transients, batch-induced stalls, backlog
-growth under overload.  A :class:`TimelineSampler` rides the event
-queue at a fixed interval and records per-sample snapshots: node
+growth under overload.  A :class:`TimelineSampler` is a sink on the
+sampling :class:`~repro.obs.probe.Probe` and records per-tick rows: node
 backlog, busy nodes, jobs completed, cache hit counts.  The text
 sparkline renderer makes the series readable in a terminal report.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.obs.probe import Sink, Snapshot
 from repro.util.validation import check_positive
 
 _SPARK_CHARS = " .:-=+*#%@"
@@ -36,12 +37,12 @@ class TimelineSample:
         return self.tasks_hit + self.tasks_missed
 
 
-class TimelineSampler:
+class TimelineSampler(Sink):
     """Samples a running :class:`~repro.sim.service.VisualizationService`.
 
-    The sampler reschedules itself while the service has work (or until
-    ``horizon``), so it never keeps an otherwise-finished simulation
-    alive.
+    A :class:`~repro.obs.probe.Probe` sink: each tick appends one
+    :class:`TimelineSample`.  The probe stops at ``horizon`` or at
+    quiescence, so the sampler never keeps a finished simulation alive.
     """
 
     def __init__(self, interval: float, *, horizon: Optional[float] = None) -> None:
@@ -49,47 +50,19 @@ class TimelineSampler:
         self.interval = interval
         self.horizon = horizon
         self.samples: List[TimelineSample] = []
-        self._service = None
-        self._start = 0.0
-        self._ticks = 0
 
-    def attach(self, service) -> "TimelineSampler":
-        """Start sampling ``service`` (call before running events)."""
-        self._service = service
-        events = service.cluster.events
-        self._start = events.now
-        self._ticks = 0
-        events.schedule(self._start, self._tick)
-        return self
-
-    def _tick(self) -> None:
-        service = self._service
-        cluster = service.cluster
-        now = cluster.events.now
+    def _tick(self, snap: Snapshot) -> None:
         self.samples.append(
             TimelineSample(
-                time=now,
-                backlog_tasks=cluster.total_backlog(),
-                busy_nodes=sum(1 for n in cluster.nodes if n.busy),
-                jobs_completed=service.jobs_completed,
-                tasks_hit=sum(n.cache_hits for n in cluster.nodes),
-                tasks_missed=sum(n.cache_misses for n in cluster.nodes),
-                scheduler_pending=service.scheduler.pending_task_count(),
+                time=snap.time,
+                backlog_tasks=snap.backlog,
+                busy_nodes=snap.busy,
+                jobs_completed=snap.completed,
+                tasks_hit=snap.hits,
+                tasks_missed=snap.misses,
+                scheduler_pending=snap.deferred,
             )
         )
-        past_horizon = self.horizon is not None and now >= self.horizon
-        # Keep ticking while the service has in-flight work OR future
-        # events (e.g. request arrivals) are still queued; stop at the
-        # horizon or at full quiescence so the sampler never keeps a
-        # finished simulation alive.
-        more_coming = service.has_work() or len(cluster.events) > 0
-        if more_coming and not past_horizon:
-            # Absolute-grid scheduling: tick k fires at exactly
-            # ``start + k*interval`` (no accumulated float drift).
-            self._ticks += 1
-            cluster.events.schedule(
-                self._start + self._ticks * self.interval, self._tick
-            )
 
     # -- series accessors -----------------------------------------------------
 

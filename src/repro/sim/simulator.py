@@ -18,7 +18,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,6 +52,7 @@ from repro.obs.metrics import (
     RunMetrics,
     default_window_interval,
 )
+from repro.obs.probe import Probe
 from repro.obs.profile import ClusterProfile
 from repro.obs.tracer import PID_HEAD, Tracer, active_tracer, pid_for_node
 from repro.frontend.frontend import FrontendStats, ServiceFrontend
@@ -299,6 +300,7 @@ def _run(
     scheduler.reset()
 
     drain = config.drain
+    horizon = scenario.trace.duration
     events = EventQueue()
     cluster = scenario.system.build_cluster(
         events=events, storage_seed=config.storage_seed
@@ -343,26 +345,22 @@ def _run(
             config.frontend,
             service,
             target_framerate=scenario.target_framerate,
-            horizon=None if drain else scenario.trace.duration,
+            horizon=None if drain else horizon,
             metrics=registry,
             audit=audit_log,
         )
+    # One clock for every periodic observer; see :mod:`repro.obs.probe`.
+    probe = Probe(service, horizon=None if drain else horizon)
     metrics_sampler: Optional[MetricsSampler] = None
     if registry is not None:
         for node in cluster.nodes:
             node.set_metrics(registry)
         cluster.storage.set_metrics(registry)
-        horizon_hint = scenario.trace.duration
-        window = (
-            config.metrics_interval
-            if config.metrics_interval is not None
-            else default_window_interval(horizon_hint)
-        )
-        metrics_sampler = MetricsSampler(
-            registry, window, horizon=None if drain else horizon_hint
-        )
-        metrics_sampler.attach(service)
-    counter_sampler: Optional[CounterSampler] = None
+        window = config.metrics_interval
+        if window is None:
+            window = default_window_interval(horizon)
+        metrics_sampler = MetricsSampler(registry, window)
+        probe.add(metrics_sampler)
     if live_tracer is not None:
         live_tracer.name_process(PID_HEAD, "head node")
         for node in cluster.nodes:
@@ -372,19 +370,14 @@ def _run(
             node.set_tracer(live_tracer)
             if audit_log is not None:
                 node.set_flow_events(True)
-        horizon_hint = scenario.trace.duration
-        interval = (
-            config.counter_interval
-            if config.counter_interval is not None
-            else default_counter_interval(horizon_hint)
+        interval = config.counter_interval
+        if interval is None:
+            interval = default_counter_interval(horizon)
+        probe.add(
+            CounterSampler(
+                live_tracer, interval, per_node_cache=cluster.node_count <= 16
+            )
         )
-        counter_sampler = CounterSampler(
-            live_tracer,
-            interval,
-            horizon=None if drain else horizon_hint,
-            per_node_cache=cluster.node_count <= 16,
-        )
-        counter_sampler.attach(service)
     assignment_trace: Optional[List[AssignmentRecord]] = None
     if config.record_assignments:
         assignment_trace = []
@@ -413,9 +406,8 @@ def _run(
         service.prewarm(scenario.trace.datasets)
     sampler: Optional[TimelineSampler] = None
     if config.timeline_interval is not None:
-        horizon_hint = None if drain else scenario.trace.duration
-        sampler = TimelineSampler(config.timeline_interval, horizon=horizon_hint)
-        sampler.attach(service)
+        sampler = TimelineSampler(config.timeline_interval)
+        probe.add(sampler)
 
     fault_runtime = None
     if config.faults is not None:
@@ -435,33 +427,35 @@ def _run(
         )
         fault_runtime.arm()
 
+    # Closed however the run ends, releasing the service reference, the
+    # watchdog thread and the file handles (results must pickle).
+    closers: list = [probe]
     stream = None
     if config.stream is not None:
         # Lazy import like the fault subsystem: stream-off runs never
-        # touch the module.  The stream's grid ticks are pure observers
-        # on the event queue, so streamed runs stay bit-identical to
-        # unstreamed ones (pinned by the golden-trace tests).
-        import dataclasses as _dc
-
-        from repro.obs.stream import TelemetryStream, default_stream_interval
+        # touch the module.
+        from repro.obs.stream import TelemetryStream
 
         stream_cfg = config.stream
         if stream_cfg.interval is None:
-            stream_cfg = _dc.replace(
-                stream_cfg,
-                interval=default_stream_interval(scenario.trace.duration),
+            stream_cfg = replace(
+                stream_cfg, interval=default_window_interval(horizon)
             )
         stream = TelemetryStream(
             stream_cfg,
             scenario=scenario.name,
             scheduler=scheduler.name,
-            horizon=None if drain else scenario.trace.duration,
+            horizon=None if drain else horizon,
             target_framerate=scenario.target_framerate,
             job_namespace=config.job_namespace,
         )
         if fault_runtime is not None:
             stream.note_injections(fault_runtime.report.injections)
-        stream.attach(service)
+        probe.add(stream.bind(service))
+        closers.append(stream)
+    if audit_log is not None:
+        closers.append(audit_log)
+    probe.start()
 
     submit = (
         frontend.submit_request if frontend is not None else service.submit_request
@@ -473,17 +467,14 @@ def _run(
             return True
         return frontend is not None and frontend.waiting_count > 0
 
-    horizon = scenario.trace.duration
     # The cyclic GC is paused for the whole run: preload, loop and drain.
     # The service releases completed jobs' task back-references, so
     # finished work is freed by refcount and a drained run leaves no
     # cyclic garbage behind; generational sweeps over the live
     # simulation graph would be pure overhead.  The ``finally`` restores
-    # the GC and releases the run's watchdog thread and file handles
-    # even when a policy or listener raises.
+    # the GC and runs the closers even when a policy or listener raises.
     gc_was_enabled = gc.isenabled()
     gc.disable()
-    stream_report = None
     try:
         # Bulk-load the whole trace into the queue's sorted arrival run,
         # so the event heap only ever holds self-scheduled work (Scenario
@@ -526,15 +517,8 @@ def _run(
     finally:
         if gc_was_enabled:
             gc.enable()
-        if stream is not None:
-            # Stop the watchdog, write the summary record, and drop the
-            # file handle so the result stays picklable across sweep
-            # workers.
-            stream_report = stream.close()
-        if audit_log is not None:
-            # Flush and drop the JSONL stream handle so the log (and the
-            # result carrying it) stays picklable across sweep workers.
-            audit_log.close()
+        for closer in closers:
+            closer.close()
 
     return SimulationResult(
         scenario_name=scenario.name,
@@ -572,7 +556,7 @@ def _run(
             fault_runtime.finalize() if fault_runtime is not None else None
         ),
         wall_seconds=wall_seconds,
-        stream=stream_report,
+        stream=stream.report() if stream is not None else None,
     )
 
 

@@ -45,14 +45,9 @@ def _run_point(
 ) -> SimulationResult:
     """Worker body for one (sweep point | seed) × scheduler run.
 
-    Module-level so it is picklable for :class:`ProcessPoolExecutor`;
-    detaches the timeline sampler's service reference (a cycle through
-    the whole cluster) before the result crosses the process boundary.
+    Module-level so it is picklable for :class:`ProcessPoolExecutor`.
     """
-    result = _run(scenario_factory(point), _instantiate(scheduler), config)
-    if result.timeline_samples is not None:
-        result.timeline_samples._service = None
-    return result
+    return _run(scenario_factory(point), _instantiate(scheduler), config)
 
 
 def _run_grid(

@@ -49,6 +49,10 @@ class FakeService:
         self.collector = FakeCollector()
         self.scheduler = FakeScheduler()
         self._pending = []
+        self.queue_depth = 0
+        self.outstanding_jobs = 0
+        self.tasks_inflight = 0
+        self.jobs_submitted = 0
         self.jobs_completed = 0
 
     def has_work(self):

@@ -7,6 +7,7 @@ import pytest
 from repro.core.chunks import dataset_suite
 from repro.core.ours import OursScheduler
 from repro.sim.config import system_linux8
+from repro.sim.run_config import RunConfig
 from repro.sim.sweep import MetricStats, replicate, sweep
 from repro.util.units import GiB
 from repro.workload.actions import persistent_actions
@@ -107,6 +108,25 @@ class TestParallelWorkers:
         profile = result.result(1, "OURS").profile
         assert profile is not None
         assert len(profile.nodes) == 4
+
+    def test_parallel_results_keep_timeline_samples(self):
+        # The sampler holds no service reference, so a timeline-enabled
+        # result crosses the process boundary as it is.
+        config = RunConfig(timeline_interval=0.1)
+        serial = sweep(
+            "#actions", [1], scenario_with_actions, ["OURS"], config=config
+        )
+        parallel = sweep(
+            "#actions",
+            [1],
+            scenario_with_actions,
+            ["OURS"],
+            workers=2,
+            config=config,
+        )
+        samples = parallel.result(1, "OURS").timeline_samples.samples
+        assert samples
+        assert samples == serial.result(1, "OURS").timeline_samples.samples
 
 
 class TestMetricStats:
