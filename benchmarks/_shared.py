@@ -94,6 +94,15 @@ def summaries_for(
     return [run_cached(number, s).summary() for s in schedulers]
 
 
+#: Runs pooled into one sample by :func:`interleaved_rounds`: five runs
+#: of the overhead benches' scale take >= 0.5 s of CPU.
+REPEATS = 5
+
+#: Leaves that :func:`pooled` sums or recomputes; every other leaf must
+#: be the same in each run of a configuration.
+_TIMING_KEYS = ("wall_s", "cpu_s", "events_per_sec")
+
+
 def interleaved_rounds(
     configs: Dict[str, dict], rounds: int, measure
 ) -> List[Dict[str, dict]]:
@@ -101,11 +110,39 @@ def interleaved_rounds(
 
     Interleaving makes slow machine-load drift hit every configuration
     of a round roughly equally, so per-round ratios pair like with like.
+    A round runs the configs round-robin :data:`REPEATS` times and pools
+    each config's runs into one sample (:func:`pooled`), so a sample
+    outlasts short bursts of load while the runs it is paired with stay
+    adjacent in time.
     """
-    return [
-        {name: measure(**kwargs) for name, kwargs in configs.items()}
-        for _ in range(rounds)
-    ]
+    out: List[Dict[str, dict]] = []
+    for _ in range(rounds):
+        runs: Dict[str, List[dict]] = {name: [] for name in configs}
+        for _ in range(REPEATS):
+            for name, kwargs in configs.items():
+                runs[name].append(measure(**kwargs))
+        out.append({name: pooled(samples) for name, samples in runs.items()})
+    return out
+
+
+def pooled(samples: List[dict]) -> dict:
+    """One sample from runs of one configuration.
+
+    Wall and CPU times add up, and the rate is all events over all CPU
+    time.  Every other leaf (event and decision counts, trace hashes)
+    describes one run of a deterministic configuration, so it must be
+    the same in each run; a run that differs raises ``AssertionError``.
+    """
+    out = dict(samples[-1])
+    for key, value in out.items():
+        if key not in _TIMING_KEYS:
+            assert all(s[key] == value for s in samples), (
+                f"leaf {key!r} differs between runs of one configuration"
+            )
+    out["wall_s"] = sum(s["wall_s"] for s in samples)
+    out["cpu_s"] = sum(s["cpu_s"] for s in samples)
+    out["events_per_sec"] = sum(s["events"] for s in samples) / out["cpu_s"]
+    return out
 
 
 def best_of(

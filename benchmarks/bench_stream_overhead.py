@@ -23,6 +23,7 @@ import time
 from typing import Dict, Optional
 
 from benchmarks._shared import (
+    REPEATS,
     bench_scale,
     best_of,
     emit_json,
@@ -165,7 +166,8 @@ def test_stream_overhead(benchmark, tmp_path):
     for name, r in rates.items():
         lines.append(
             f"{name:>10}: {r['events_per_sec']:>12,.0f} events/s "
-            f"({r['events']:,.0f} events, {r['wall_s'] * 1e3:.1f} ms)"
+            f"({r['events']:,.0f} events/run, {r['wall_s'] * 1e3:.1f} ms "
+            f"for {REPEATS} runs)"
         )
     lines.append("")
     lines.append(f"streamed relative rate: {ratio:.3f} (bound: >= 0.90)")

@@ -19,6 +19,7 @@ import time
 from typing import Dict
 
 from benchmarks._shared import (
+    REPEATS,
     RESULTS_DIR,
     bench_scale,
     best_of,
@@ -131,7 +132,8 @@ def test_tracer_overhead(benchmark):
     for name, r in rates.items():
         lines.append(
             f"{name:>12}: {r['events_per_sec']:>12,.0f} events/s "
-            f"({r['events']:,.0f} events, {r['wall_s']*1e3:.1f} ms, "
+            f"({r['events']:,.0f} events/run, {r['wall_s']*1e3:.1f} ms "
+            f"for {REPEATS} runs, "
             f"{r['trace_events']:,.0f} trace events)"
         )
     lines.append("")

@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat, starmap
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.chunks import Dataset
 from repro.core.job import JobType
@@ -52,11 +55,49 @@ class UserAction:
     duration: float
     interval: float
 
+    def frame_times(
+        self,
+        *,
+        jitter: float = 0.0,
+        rng: Optional[np.random.Generator] = None,
+    ) -> np.ndarray:
+        """Arrival times of the action's open-loop frames, in frame order.
+
+        Frame ``i`` is due at ``start + i * interval`` while that time is
+        inside ``start + duration``.  Frames ``1..k-1`` then get uniform
+        jitter from one vector draw of ``k - 1`` values, which consumes
+        ``rng`` exactly as ``k - 1`` scalar draws would; the first frame
+        stays at the action start.  See :meth:`requests` for the
+        arguments.
+        """
+        check_positive("interval", self.interval)
+        if not 0.0 <= jitter < 0.5:
+            raise ValueError(f"jitter must be in [0, 0.5), got {jitter}")
+        if jitter > 0.0 and rng is None:
+            raise ValueError("jitter requires an rng")
+        # Inclusive endpoint with a float-robust count: an action of
+        # duration 60 s at one request per 30 ms issues 2001 requests
+        # (the paper's 12 006 = 6 x 2001 in Scenario 1).
+        n = int(math.floor(self.duration / self.interval + 1e-9)) + 1
+        tolerance = 1e-9 * max(1.0, abs(self.start) + self.duration)
+        times = self.start + np.arange(n) * self.interval
+        # The unjittered times never decrease, so the first frame past
+        # the end (the first frame itself is always kept) ends the action.
+        late = np.flatnonzero(times[1:] > self.start + self.duration + tolerance)
+        if late.size:
+            times = times[: late[0] + 1]
+        half = jitter * self.interval
+        if half and times.size > 1:
+            times[1:] += rng.uniform(  # type: ignore[union-attr]
+                -half, half, size=times.size - 1
+            )
+        return times
+
     def requests(
         self,
         *,
         jitter: float = 0.0,
-        rng: Optional["object"] = None,
+        rng: Optional[np.random.Generator] = None,
     ) -> List[Request]:
         """Expand the action into its open-loop request series.
 
@@ -72,35 +113,20 @@ class UserAction:
                 is an artifact, not locality.)
             rng: ``numpy.random.Generator`` used when ``jitter > 0``.
         """
-        check_positive("interval", self.interval)
-        if not 0.0 <= jitter < 0.5:
-            raise ValueError(f"jitter must be in [0, 0.5), got {jitter}")
-        if jitter > 0.0 and rng is None:
-            raise ValueError("jitter requires an rng")
-        out: List[Request] = []
-        # Inclusive endpoint with a float-robust count: an action of
-        # duration 60 s at one request per 30 ms issues 2001 requests
-        # (the paper's 12 006 = 6 x 2001 in Scenario 1).
-        n = int(math.floor(self.duration / self.interval + 1e-9)) + 1
-        tolerance = 1e-9 * max(1.0, abs(self.start) + self.duration)
-        half = jitter * self.interval
-        for i in range(n):
-            t = self.start + i * self.interval
-            if i > 0 and t > self.start + self.duration + tolerance:
-                break
-            if half and i > 0:  # keep the first frame at the action start
-                t += float(rng.uniform(-half, half))  # type: ignore[union-attr]
-            out.append(
-                Request(
-                    time=t,
-                    job_type=JobType.INTERACTIVE,
-                    dataset=self.dataset,
-                    user=self.user,
-                    action=self.action_id,
-                    sequence=i,
-                )
+        times = self.frame_times(jitter=jitter, rng=rng).tolist()
+        return list(
+            starmap(
+                Request,
+                zip(
+                    times,
+                    repeat(JobType.INTERACTIVE),
+                    repeat(self.dataset),
+                    repeat(self.user),
+                    repeat(self.action_id),
+                    range(len(times)),
+                ),
             )
-        return out
+        )
 
 
 def persistent_actions(
@@ -196,6 +222,8 @@ def poisson_action_stream(
     check_positive("duration", duration)
     check_positive("arrival_rate", arrival_rate)
     check_positive("mean_action_duration", mean_action_duration)
+    if users is not None:
+        check_positive("users", users)
     rng = make_rng(seed)
     probs = None
     if dataset_weights is not None:
@@ -219,9 +247,7 @@ def poisson_action_stream(
         raw = float(rng.exponential(mean_action_duration))
         # An action must be at least one frame long and end by the horizon.
         action_duration = min(max(raw, interval), duration - t)
-        user = (
-            first_user + (index % users) if users else first_user + index
-        )
+        user = first_user + (index if users is None else index % users)
         action = UserAction(
             action_id=action_id,
             user=user,

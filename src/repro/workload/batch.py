@@ -43,12 +43,7 @@ class BatchSubmission:
         check_positive("frames", self.frames)
         return [
             Request(
-                time=self.time,
-                job_type=JobType.BATCH,
-                dataset=self.dataset,
-                user=self.user,
-                action=self.submission_id,
-                sequence=i,
+                self.time, JobType.BATCH, self.dataset, self.user, self.submission_id, i
             )
             for i in range(self.frames)
         ]
@@ -86,12 +81,12 @@ class TimeVaryingSubmission:
             raise ValueError("a time-varying submission needs >= 1 timestep")
         return [
             Request(
-                time=self.time,
-                job_type=JobType.BATCH,
-                dataset=self.timesteps[i % len(self.timesteps)],
-                user=self.user,
-                action=self.submission_id,
-                sequence=i,
+                self.time,
+                JobType.BATCH,
+                self.timesteps[i % len(self.timesteps)],
+                self.user,
+                self.submission_id,
+                i,
             )
             for i in range(self.frames)
         ]

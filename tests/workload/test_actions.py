@@ -151,3 +151,40 @@ class TestPoissonActionStream:
             by_action.setdefault(r.action, []).append(r.sequence)
         for seqs in by_action.values():
             assert seqs == list(range(len(seqs)))
+
+
+class TestUsersValidation:
+    @pytest.mark.parametrize("users", [0, -2])
+    def test_non_positive_users_rejected(self, users):
+        with pytest.raises(ValueError, match="users"):
+            poisson_action_stream(
+                dataset_suite(2, GiB),
+                5.0,
+                arrival_rate=2.0,
+                mean_action_duration=1.0,
+                users=users,
+            )
+
+    def test_users_round_robin(self):
+        trace = poisson_action_stream(
+            dataset_suite(2, GiB),
+            10.0,
+            arrival_rate=3.0,
+            mean_action_duration=0.5,
+            users=2,
+            first_user=5,
+            seed=1,
+        )
+        assert {r.user for r in trace.requests} == {5, 6}
+
+    def test_default_is_one_user_per_action(self):
+        trace = poisson_action_stream(
+            dataset_suite(2, GiB),
+            10.0,
+            arrival_rate=3.0,
+            mean_action_duration=0.5,
+            first_user=5,
+            first_action_id=40,
+            seed=1,
+        )
+        assert all(r.user - 5 == r.action - 40 for r in trace.requests)

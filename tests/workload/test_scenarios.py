@@ -1,8 +1,14 @@
 """Tests for the Table II scenario factories."""
 
+import dataclasses
+import functools
+import pickle
+
 import pytest
 
 from repro.core.chunks import total_size
+from repro.sim.run_config import RunConfig
+from repro.sim.sweep import sweep
 from repro.util.units import GiB, TiB
 from repro.workload.scenarios import (
     Scenario,
@@ -108,3 +114,35 @@ class TestFactoryPlumbing:
 
     def test_summary_nonempty(self):
         assert "scenario1" in scenario_1(scale=0.05).summary()
+
+
+def _prebuilt(scenario, _value):
+    """Sweep factory returning a scenario built (and pickled) by the caller."""
+    return scenario
+
+
+class TestPicklingContract:
+    def test_generated_scenario_pickle_roundtrip(self):
+        scenario = make_scenario(2, scale=0.05, seed=3)
+        restored = pickle.loads(pickle.dumps(scenario))
+        assert restored.trace.requests == scenario.trace.requests
+        assert restored.trace.datasets == scenario.trace.datasets
+        first = restored.trace.requests[0]
+        assert dataclasses.is_dataclass(first)
+        assert hash(first) == hash(scenario.trace.requests[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.time = 0.0
+        assert dataclasses.replace(first, sequence=99).sequence == 99
+
+    def test_pickled_scenario_sweep_matches_serial(self):
+        """A generated trace shipped to pool workers runs identically."""
+        factory = functools.partial(_prebuilt, make_scenario(2, scale=0.05))
+        config = RunConfig(record_assignments=True)
+        schedulers = ["OURS", "FCFS"]
+        serial = sweep("v", [0], factory, schedulers, config=config)
+        pooled = sweep("v", [0], factory, schedulers, workers=2, config=config)
+        for name in schedulers:
+            assert (
+                serial.result(0, name).assignment_trace_hash()
+                == pooled.result(0, name).assignment_trace_hash()
+            )

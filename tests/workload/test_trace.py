@@ -1,6 +1,8 @@
 """Tests for workload traces."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.chunks import Dataset
 from repro.core.job import JobType
@@ -94,3 +96,118 @@ class TestMerge:
     def test_empty_merge_rejected(self):
         with pytest.raises(ValueError):
             merge_traces([])
+
+
+class TestOrdering:
+    def _sorted_with_ties(self):
+        return [
+            req(1.0, action=0, seq=0),
+            req(1.0, action=1, seq=0),
+            req(1.0, action=1, seq=1),
+            req(1.5, ds="b", jt=JobType.BATCH, action=9, seq=0),
+            req(1.5, ds="b", jt=JobType.BATCH, action=9, seq=1),
+            req(2.0, action=0, seq=1),
+        ]
+
+    def test_sorted_input_with_equal_time_ties_keeps_its_order(self):
+        requests = self._sorted_with_ties()
+        before = list(requests)
+        trace = make_trace(requests)
+        assert trace.requests is requests
+        assert all(a is b for a, b in zip(trace.requests, before))
+
+    def test_reversed_input_is_sorted(self):
+        expected = self._sorted_with_ties()
+        trace = make_trace(list(reversed(expected)))
+        assert trace.requests == expected
+
+    def test_equal_keys_keep_input_order(self):
+        """The sort is stable on (time, action, sequence)."""
+        first = req(1.0, action=3, seq=0, user=1)
+        second = req(1.0, action=3, seq=0, user=2)
+        trace = make_trace([req(2.0), second, first])
+        assert trace.requests[0] is second and trace.requests[1] is first
+
+    def test_actions_in_id_order_are_sorted_by_time(self):
+        """A generator's layout: whole actions, ids rising, times interleaved."""
+        requests = [
+            req(0.0, action=0, seq=0),
+            req(0.5, action=0, seq=1),
+            req(0.2, action=1, seq=0),
+            req(0.5, action=1, seq=1),
+        ]
+        trace = make_trace(list(requests))
+        assert trace.requests == [requests[i] for i in (0, 2, 1, 3)]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)
+            ),
+            max_size=30,
+        )
+    )
+    def test_order_equals_one_stable_keyed_sort(self, keys):
+        requests = [
+            req(t / 2, action=a, seq=s, user=i)
+            for i, (t, a, s) in enumerate(keys)
+        ]
+        expected = sorted(
+            requests, key=lambda r: (r.time, r.action, r.sequence)
+        )
+        trace = make_trace(list(requests))
+        assert all(a is b for a, b in zip(trace.requests, expected))
+
+    def test_merge_matches_a_keyed_sort_of_the_parts(self):
+        interactive = make_trace(
+            [req(0.3, action=1), req(0.1, action=0), req(0.2, action=0, seq=1)]
+        )
+        batch = make_trace(
+            [
+                req(0.2, ds="b", jt=JobType.BATCH, action=5, seq=i)
+                for i in range(3)
+            ]
+        )
+        merged = merge_traces([interactive, batch])
+        assert merged.requests == sorted(
+            interactive.requests + batch.requests,
+            key=lambda r: (r.time, r.action, r.sequence),
+        )
+        assert [(r.time, r.action) for r in merged.requests[:3]] == [
+            (0.1, 0),
+            (0.2, 0),
+            (0.2, 5),
+        ]
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), -0.5]
+    )
+    def test_bad_request_time_rejected_and_named(self, bad):
+        requests = [req(0.0), req(bad, action=4, seq=2), req(1.0)]
+        with pytest.raises(ValueError, match="finite and >= 0") as info:
+            make_trace(requests)
+        assert "action=4, sequence=2" in str(info.value)
+
+    @pytest.mark.parametrize("duration", [-1.0, float("nan")])
+    def test_bad_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            WorkloadTrace(
+                requests=[], datasets=[Dataset("a", GiB)], duration=duration
+            )
+
+    @pytest.mark.parametrize("fps", [0.0, -33.33, float("nan")])
+    def test_bad_target_framerate_rejected(self, fps):
+        with pytest.raises(ValueError, match="target_framerate"):
+            make_trace([], target_framerate=fps)
+
+    def test_unknown_dataset_named_in_request_order(self):
+        with pytest.raises(ValueError, match="unknown dataset 'y'"):
+            make_trace([req(0.0), req(0.1, ds="y"), req(0.2, ds="x")])
+
+    def test_zero_time_and_duration_accepted(self):
+        trace = WorkloadTrace(
+            requests=[req(0.0)], datasets=[Dataset("a", GiB)], duration=0.0
+        )
+        assert trace.requests[0].time == 0.0
