@@ -35,17 +35,56 @@ Examples::
     repro faults --scenario 1 --scale 0.5 --plan "crash@10:node=3,revive=20"
     repro faults --scenario 1 --scale 0.5 --storm 11 --report rca.json
     repro render --dataset supernova --ranks 6 --out supernova.ppm
+
+Contract: exit 0 on success, 1 when ``watch`` gives up on a stream
+that went quiet without its summary record, and 2 on a usage error (a
+bad flag value or combination).  A verb reports a usage error by
+raising ``ValueError``; :func:`main` alone turns it into one stderr
+line and exit 2, with nothing on stdout when the check precedes the
+run.  When one invocation makes several runs, every per-run file
+(``--stream``, ``--audit``, ``--trace``, ``--metrics``, ``--svg``)
+gets the run name inserted before its extension: ``--audit a.jsonl``
+with ``--schedulers OURS,FCFS`` writes ``a.OURS.jsonl`` and
+``a.FCFS.jsonl``, and federate's shard metrics are ``m.shard0.jsonl``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro import __version__
-from repro.core.registry import SCHEDULER_NAMES
+from repro.core.registry import SCHEDULER_NAMES, make_scheduler
+from repro.faults import FaultPlan, analyze, score
+from repro.federation import FederationConfig, run_federation
+from repro.frontend import (
+    AdmissionConfig,
+    BackpressureConfig,
+    DegradeConfig,
+    FrontendConfig,
+)
+from repro.obs import (
+    AuditConfig,
+    SLObjective,
+    SLOMonitor,
+    StreamConfig,
+    Tracer,
+    first_divergence,
+    follow_stream,
+    iter_jsonl,
+    phase_delta_table,
+    render_federation_html,
+    render_report_html,
+    render_timeline_svg,
+    score_anomalies,
+    slo_table,
+    write_chrome_trace,
+    write_report,
+)
 from repro.reporting.report import comparison_table
 from repro.render import (
     DATASET_NAMES,
@@ -261,31 +300,65 @@ def _stream_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _stream_config(args: argparse.Namespace, *, run_name: Optional[str] = None):
-    """Build the StreamConfig requested by ``--stream``.
+def _run_path(path: str, run_name: Optional[str], default_suffix: str) -> Path:
+    """The per-run file for ``path``: the run name goes before the
+    extension (``default_suffix`` when ``path`` has none); a single run
+    (``run_name=None``) writes ``path`` itself."""
+    out = Path(path)
+    if run_name is None:
+        return out
+    return out.with_name(f"{out.stem}.{run_name}{out.suffix or default_suffix}")
 
-    Returns ``None`` when streaming is off; ``run_name`` is inserted
-    before the file extension (the multi-run naming idiom shared with
-    ``--audit`` / ``--trace`` / ``--metrics``).
-    """
+
+def _stream_config(args: argparse.Namespace, *, run_name: Optional[str] = None):
+    """The StreamConfig requested by ``--stream``, or ``None`` when off."""
     if not args.stream:
         return None
-    from repro.obs import StreamConfig
+    return StreamConfig(
+        path=_run_path(args.stream, run_name, ".ndjson"),
+        stall_timeout=args.stall_timeout,
+    )
 
-    path = Path(args.stream)
-    if run_name is not None:
-        path = path.with_name(
-            f"{path.stem}.{run_name}{path.suffix or '.ndjson'}"
+
+def _scheduler_names(spec: str, counts: range, usage: str) -> List[str]:
+    """Parse a comma list of registry names (or ``all``), case-insensitively.
+
+    Rejects unknown and repeated names, and a count outside ``counts``
+    (reported as ``"{usage}, got N"``).
+    """
+    if spec.strip().lower() == "all":
+        names = list(SCHEDULER_NAMES)
+    else:
+        names = [n.strip().upper() for n in spec.split(",") if n.strip()]
+    unknown = [n for n in names if n not in SCHEDULER_NAMES]
+    if unknown:
+        raise ValueError(
+            f"unknown scheduler(s): {', '.join(unknown)}; "
+            f"valid: {', '.join(SCHEDULER_NAMES)}"
         )
-    return StreamConfig(path=path, stall_timeout=args.stall_timeout)
+    repeated = sorted({n for n in names if names.count(n) > 1}, key=names.index)
+    if repeated:
+        raise ValueError(
+            f"scheduler(s) named more than once: {', '.join(repeated)}"
+        )
+    if len(names) not in counts:
+        raise ValueError(f"{usage}, got {len(names)}")
+    return names
 
 
-def _check_stream_flags(args: argparse.Namespace) -> bool:
-    """Validate the stream flag combination; prints and returns False on error."""
-    if args.stall_timeout is not None and not args.stream:
-        print("--stall-timeout requires --stream", file=sys.stderr)
-        return False
-    return True
+def _scenario(args: argparse.Namespace, **extra):
+    """The scenario named by ``--scenario/--scale/--seed/--load``."""
+    return make_scenario(
+        args.scenario, scale=args.scale, seed=args.seed, load=args.load, **extra
+    )
+
+
+def _objectives(args: argparse.Namespace, default: Optional[str]) -> list:
+    """The ``--slo`` objectives (else ``default``, if any) at ``--slo-window``."""
+    specs = args.slo or ([default] if default else [])
+    # report has no --slo-window; its overlays use the parse default.
+    window = getattr(args, "slo_window", 1.0)
+    return [SLObjective.parse(spec, window=window) for spec in specs]
 
 
 _SLO_SPEC_HELP = (
@@ -641,13 +714,6 @@ def _parse_frontend(args: argparse.Namespace):
     """
     if not (args.admission or args.queue_limit or args.degrade):
         return None
-    from repro.frontend import (
-        AdmissionConfig,
-        BackpressureConfig,
-        DegradeConfig,
-        FrontendConfig,
-    )
-
     admission = None
     if args.admission:
         fields = {}
@@ -690,45 +756,14 @@ def _parse_frontend(args: argparse.Namespace):
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run a scenario under the requested schedulers; print comparison."""
-    names: List[str]
-    if args.schedulers.strip().lower() == "all":
-        names = list(SCHEDULER_NAMES)
-    else:
-        names = [n.strip().upper() for n in args.schedulers.split(",") if n.strip()]
-    unknown = [n for n in names if n not in SCHEDULER_NAMES]
-    if unknown:
-        print(
-            f"unknown scheduler(s): {', '.join(unknown)}; "
-            f"valid: {', '.join(SCHEDULER_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
-    objectives = []
-    if args.slo:
-        from repro.obs import SLObjective
-
-        try:
-            objectives = [
-                SLObjective.parse(spec, window=args.slo_window)
-                for spec in args.slo
-            ]
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    try:
-        frontend = _parse_frontend(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if not _check_stream_flags(args):
-        return 2
-    try:
-        scenario = make_scenario(
-            args.scenario, scale=args.scale, seed=args.seed, load=args.load
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    names = _scheduler_names(
+        args.schedulers,
+        range(1, len(SCHEDULER_NAMES) + 1),
+        "simulate needs at least one scheduler",
+    )
+    objectives = _objectives(args, None)
+    frontend = _parse_frontend(args)
+    scenario = _scenario(args)
     print(scenario.summary())
     results = []
     trace_paths = []
@@ -736,20 +771,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     audit_paths = []
     slo_reports = {name: [] for name in names}
     for name in names:
+        run_name = name if len(names) > 1 else None
         tracer = None
         if args.trace:
-            from repro.obs import Tracer
-
             tracer = Tracer()
         audit_cfg = False
         if args.audit:
-            from repro.obs import AuditConfig
-
-            audit_path = Path(args.audit)
-            if len(names) > 1:
-                audit_path = audit_path.with_name(
-                    f"{audit_path.stem}.{name}{audit_path.suffix or '.jsonl'}"
-                )
+            audit_path = _run_path(args.audit, run_name, ".jsonl")
             audit_cfg = AuditConfig(jsonl_path=audit_path)
             audit_paths.append(audit_path)
         results.append(
@@ -762,30 +790,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     metrics=bool(args.metrics),
                     frontend=frontend,
                     audit=audit_cfg,
-                    stream=_stream_config(
-                        args, run_name=name if len(names) > 1 else None
-                    ),
+                    stream=_stream_config(args, run_name=run_name),
                 ),
             )
         )
         if objectives:
-            from repro.obs import SLOMonitor
-
             slo_reports[name] = SLOMonitor(objectives).evaluate(results[-1])
         if args.metrics:
-            path = Path(args.metrics)
-            if len(names) > 1:
-                path = path.with_name(f"{path.stem}.{name}{path.suffix or '.jsonl'}")
+            path = _run_path(args.metrics, run_name, ".jsonl")
             run_metrics = results[-1].metrics
             run_metrics.write_jsonl(path, slo_reports=slo_reports[name])
             run_metrics.write_prometheus(path.with_suffix(".prom"))
             metrics_paths.append(path)
         if tracer is not None:
-            from repro.obs import write_chrome_trace
-
-            path = Path(args.trace)
-            if len(names) > 1:
-                path = path.with_name(f"{path.stem}.{name}{path.suffix or '.json'}")
+            path = _run_path(args.trace, run_name, ".json")
             write_chrome_trace(
                 path,
                 tracer,
@@ -830,8 +848,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.profile:
             print(result.profile_table(title=f"\n[{result.scheduler_name}] per-node time breakdown"))
     if objectives:
-        from repro.obs import slo_table
-
         for index, objective in enumerate(objectives):
             rows = [slo_reports[name][index] for name in names]
             print()
@@ -847,52 +863,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_federate(args: argparse.Namespace) -> int:
     """Shard one scenario across N simulators; print the merged report."""
-    from repro.federation import FederationConfig, run_federation
-    from repro.obs import SLObjective, slo_table
-
-    name = args.scheduler.strip().upper()
-    if name not in SCHEDULER_NAMES:
-        print(
-            f"unknown scheduler: {name}; valid: {', '.join(SCHEDULER_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        frontend = _parse_frontend(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if not _check_stream_flags(args):
-        return 2
+    (name,) = _scheduler_names(
+        args.scheduler, range(1, 2), "federate takes one scheduler"
+    )
     users = args.users if args.users is not None else args.shards
-    try:
-        config = FederationConfig(
-            shards=args.shards,
-            router=args.router,
-            replication=args.replication,
-            run=RunConfig(
-                drain=args.drain,
-                metrics=bool(args.metrics),
-                frontend=frontend,
-                stream=_stream_config(args),
-            ),
-            workers=args.workers,
-            frontend_scope=args.frontend_scope,
-        )
-        scenario = make_scenario(
-            args.scenario,
-            scale=args.scale,
-            seed=args.seed,
-            load=args.load,
-            users=users,
-        )
-        objectives = [
-            SLObjective.parse(spec, window=args.slo_window)
-            for spec in (args.slo or [f"fps={scenario.target_framerate:g}"])
-        ]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    config = FederationConfig(
+        shards=args.shards,
+        router=args.router,
+        replication=args.replication,
+        run=RunConfig(
+            drain=args.drain,
+            metrics=bool(args.metrics),
+            frontend=_parse_frontend(args),
+            stream=_stream_config(args),
+        ),
+        workers=args.workers,
+        frontend_scope=args.frontend_scope,
+    )
+    scenario = _scenario(args, users=users)
+    objectives = _objectives(args, f"fps={scenario.target_framerate:g}")
     print(scenario.summary())
     print(
         f"federation: {config.shards} shard(s), router={config.router}, "
@@ -917,9 +906,7 @@ def cmd_federate(args: argparse.Namespace) -> int:
             )
         merged_anomalies = result.merged_anomalies()
         if merged_anomalies:
-            from collections import Counter as _Counter
-
-            kinds = _Counter(a.kind for a in merged_anomalies)
+            kinds = Counter(a.kind for a in merged_anomalies)
             mix = ", ".join(
                 f"{kind}={count}" for kind, count in sorted(kinds.items())
             )
@@ -928,11 +915,8 @@ def cmd_federate(args: argparse.Namespace) -> int:
                 f"{len(merged_anomalies)} ({mix})"
             )
     if args.metrics:
-        base = Path(args.metrics)
         for index, shard_result in enumerate(result.shard_results):
-            path = base.with_name(
-                f"{base.stem}.shard{index}{base.suffix or '.jsonl'}"
-            )
+            path = _run_path(args.metrics, f"shard{index}", ".jsonl")
             run_metrics = shard_result.metrics
             run_metrics.write_jsonl(path)
             run_metrics.write_prometheus(path.with_suffix(".prom"))
@@ -941,8 +925,6 @@ def cmd_federate(args: argparse.Namespace) -> int:
                 f"(+ {path.with_suffix('.prom').name})"
             )
     if args.out:
-        from repro.obs import render_federation_html, write_report
-
         page = render_federation_html(result, version=__version__)
         write_report(args.out, page)
         print(f"wrote {args.out}")
@@ -951,32 +933,10 @@ def cmd_federate(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     """Diff two schedulers' decisions + phase attribution on one scenario."""
-    from repro.obs import AuditConfig, first_divergence, phase_delta_table
-
-    names = [n.strip().upper() for n in args.schedulers.split(",") if n.strip()]
-    if len(names) != 2:
-        print(
-            f"explain needs exactly two schedulers, got {len(names)}",
-            file=sys.stderr,
-        )
-        return 2
-    unknown = [n for n in names if n not in SCHEDULER_NAMES]
-    if unknown:
-        print(
-            f"unknown scheduler(s): {', '.join(unknown)}; "
-            f"valid: {', '.join(SCHEDULER_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        scenario = make_scenario(
-            args.scenario, scale=args.scale, seed=args.seed, load=args.load
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if not _check_stream_flags(args):
-        return 2
+    names = _scheduler_names(
+        args.schedulers, range(2, 3), "explain needs exactly two schedulers"
+    )
+    scenario = _scenario(args)
     print(scenario.summary())
     # The divergence diff needs the full decision stream, not a ring
     # window — run with unbounded capacity.
@@ -1052,72 +1012,30 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Render the self-contained HTML run report (optionally A/B)."""
-    from repro.obs import (
-        AuditConfig,
-        SLObjective,
-        SLOMonitor,
-        Tracer,
-        first_divergence,
-        render_report_html,
-        render_timeline_svg,
-        write_report,
+    names = _scheduler_names(
+        args.schedulers, range(1, 3), "report takes one or two schedulers"
     )
-
-    names = [n.strip().upper() for n in args.schedulers.split(",") if n.strip()]
-    if not 1 <= len(names) <= 2:
-        print(
-            f"report takes one or two schedulers, got {len(names)}",
-            file=sys.stderr,
-        )
-        return 2
-    unknown = [n for n in names if n not in SCHEDULER_NAMES]
-    if unknown:
-        print(
-            f"unknown scheduler(s): {', '.join(unknown)}; "
-            f"valid: {', '.join(SCHEDULER_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
     if args.bins < 1:
-        print(f"--bins must be >= 1, got {args.bins}", file=sys.stderr)
-        return 2
-    if not _check_stream_flags(args):
-        return 2
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
+    scenario = _scenario(args)
     plan = None
     if args.plan is not None:
-        from repro.faults import FaultPlan
-
-        try:
-            plan = FaultPlan.parse(args.plan, heal=True)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        plan = FaultPlan.parse(args.plan, heal=True)
+        plan.check_nodes(scenario.system.node_count)
+    objectives = _objectives(args, f"fps={scenario.target_framerate:g}")
     models = []
     results = []
     for name in names:
-        try:
-            scenario = make_scenario(
-                args.scenario, scale=args.scale, seed=args.seed, load=args.load
-            )
-            objectives = [
-                SLObjective.parse(spec)
-                for spec in (
-                    args.slo or [f"fps={scenario.target_framerate:g}"]
-                )
-            ]
-            config = RunConfig(
-                drain=args.drain,
-                tracer=Tracer(),
-                audit=AuditConfig(capacity=None),
-                faults=plan,
-                stream=_stream_config(
-                    args, run_name=name if len(names) > 1 else None
-                ),
-            )
-            result = run_simulation(scenario, name, config=config)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        config = RunConfig(
+            drain=args.drain,
+            tracer=Tracer(),
+            audit=AuditConfig(capacity=None),
+            faults=plan,
+            stream=_stream_config(
+                args, run_name=name if len(names) > 1 else None
+            ),
+        )
+        result = run_simulation(scenario, name, config=config)
         slo_reports = SLOMonitor(objectives).evaluate(result)
         results.append(result)
         models.append(result.timeline(slo_reports=slo_reports))
@@ -1140,11 +1058,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.svg is not None:
         div_time = divergence.a.time if divergence is not None else None
         for model in models:
-            path = Path(args.svg)
-            if len(models) > 1:
-                path = path.with_name(
-                    f"{path.stem}.{model.scheduler}{path.suffix or '.svg'}"
-                )
+            path = _run_path(
+                args.svg, model.scheduler if len(models) > 1 else None, ".svg"
+            )
             write_report(
                 str(path),
                 render_timeline_svg(
@@ -1157,54 +1073,28 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_faults(args: argparse.Namespace) -> int:
     """Inject a fault plan, print detection/recovery/RCA reports."""
-    import json
-
-    from repro.faults import FaultPlan, analyze, score
-    from repro.obs import AuditConfig, SLObjective, SLOMonitor, slo_table
-
-    name = args.scheduler.strip().upper()
-    if name not in SCHEDULER_NAMES:
-        print(
-            f"unknown scheduler: {name}; valid: {', '.join(SCHEDULER_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
+    (name,) = _scheduler_names(
+        args.scheduler, range(1, 2), "faults takes one scheduler"
+    )
     if args.plan is not None and args.storm is not None:
-        print("pass either --plan or --storm, not both", file=sys.stderr)
-        return 2
-    if not _check_stream_flags(args):
-        return 2
-    try:
-        scenario = make_scenario(
-            args.scenario, scale=args.scale, seed=args.seed, load=args.load
+        raise ValueError("pass either --plan or --storm, not both")
+    if args.rca_tolerance < 0:
+        raise ValueError(
+            f"--rca-tolerance must be >= 0, got {args.rca_tolerance:g}"
         )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    scenario = _scenario(args)
     heal = not args.no_heal
-    try:
-        if args.plan is not None:
-            plan = FaultPlan.parse(args.plan, heal=heal)
-        else:
-            plan = FaultPlan.storm(
-                args.storm if args.storm is not None else 11,
-                node_count=scenario.system.node_count,
-                duration=scenario.trace.duration,
-                heal=heal,
-            )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        objectives = [
-            SLObjective.parse(spec, window=args.slo_window)
-            for spec in (
-                args.slo or [f"fps={scenario.target_framerate:g}"]
-            )
-        ]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    if args.plan is not None:
+        plan = FaultPlan.parse(args.plan, heal=heal)
+        plan.check_nodes(scenario.system.node_count)
+    else:
+        plan = FaultPlan.storm(
+            args.storm if args.storm is not None else 11,
+            node_count=scenario.system.node_count,
+            duration=scenario.trace.duration,
+            heal=heal,
+        )
+    objectives = _objectives(args, f"fps={scenario.target_framerate:g}")
     print(scenario.summary())
     print(plan.describe())
     print()
@@ -1219,11 +1109,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         faults=plan,
         stream=_stream_config(args),
     )
-    try:
-        result = run_simulation(scenario, name, config=config)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = run_simulation(scenario, name, config=config)
     report = result.fault_report
     print(f"{name}: {report.summary()}")
     print(
@@ -1274,8 +1160,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     )
     anomaly_grade = None
     if result.stream is not None:
-        from repro.obs import score_anomalies
-
         stream_report = result.stream
         print()
         print(
@@ -1349,22 +1233,16 @@ def _watch_row(snapshot: dict, horizon: Optional[float]) -> str:
 
 def cmd_watch(args: argparse.Namespace) -> int:
     """Tail a telemetry stream file into a live terminal status table."""
-    from repro.obs import follow_stream, iter_jsonl
-
     if args.poll <= 0:
-        print(f"--poll must be > 0, got {args.poll:g}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--poll must be > 0, got {args.poll:g}")
     if args.idle_timeout <= 0:
-        print(
-            f"--idle-timeout must be > 0, got {args.idle_timeout:g}",
-            file=sys.stderr,
+        raise ValueError(
+            f"--idle-timeout must be > 0, got {args.idle_timeout:g}"
         )
-        return 2
     path = Path(args.path)
     if args.once:
         if not path.exists():
-            print(f"no stream file at {path}", file=sys.stderr)
-            return 2
+            raise ValueError(f"no stream file at {path}")
         records = iter_jsonl(path)
     else:
         records = follow_stream(
@@ -1501,8 +1379,6 @@ def cmd_animate(args: argparse.Namespace) -> int:
 
 def cmd_schedulers(_args: argparse.Namespace) -> int:
     """List the registered scheduling policies."""
-    from repro.core.registry import make_scheduler
-
     for name in SCHEDULER_NAMES:
         sched = make_scheduler(name)
         print(f"{name:<8} trigger={sched.trigger.value:<10} {type(sched).__doc__.strip().splitlines()[0]}")
@@ -1533,9 +1409,23 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code (see the module doc)."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        # Checked here, not only by StreamConfig, so that it fails
+        # before a verb prints its scenario summary.
+        stall_timeout = getattr(args, "stall_timeout", None)
+        if stall_timeout is not None:
+            if not args.stream:
+                raise ValueError("--stall-timeout requires --stream")
+            if stall_timeout <= 0:
+                raise ValueError(
+                    f"--stall-timeout must be > 0, got {stall_timeout:g}"
+                )
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

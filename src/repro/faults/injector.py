@@ -198,13 +198,7 @@ class FaultRuntime:
 
     def arm(self) -> None:
         """Schedule every planned event; install detection hooks."""
-        node_count = self.cluster.node_count
-        highest = self.plan.max_node()
-        if highest >= node_count:
-            raise ValueError(
-                f"fault plan references node {highest} "
-                f"(cluster has {node_count} nodes)"
-            )
+        self.plan.check_nodes(self.cluster.node_count)
         events = self.events
         for event in self.plan.events:
             until = getattr(event, "until", None)

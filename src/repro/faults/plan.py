@@ -272,6 +272,15 @@ class FaultPlan:
                 highest = node
         return highest
 
+    def check_nodes(self, node_count: int) -> None:
+        """Raise ``ValueError`` if an event names a node outside the cluster."""
+        highest = self.max_node()
+        if highest >= node_count:
+            raise ValueError(
+                f"fault plan references node {highest} "
+                f"(cluster has {node_count} nodes)"
+            )
+
     def describe(self) -> str:
         """One line per event, in plan order."""
         lines = []

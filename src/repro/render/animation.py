@@ -112,6 +112,7 @@ def render_animation(
     Returns:
         Aggregate statistics plus any written file paths.
     """
+    check_positive("ranks", ranks)
     cameras = path.cameras(volume.shape, width=width, height=height)
     out_dir: Optional[Path] = None
     if output_dir is not None:

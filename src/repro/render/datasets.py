@@ -153,6 +153,11 @@ def make_volume(
         )
     kwargs: Dict[str, object] = {}
     if shape is not None:
+        if any(dim < 1 for dim in shape):
+            raise ValueError(
+                f"volume shape must be >= 1 in every dimension, "
+                f"got {tuple(shape)}"
+            )
         kwargs["shape"] = shape
     if seed is not None:
         kwargs["seed"] = seed

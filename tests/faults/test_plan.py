@@ -102,6 +102,9 @@ class TestPlanModes:
         )
         assert plan.max_node() == 5
         assert FaultPlan().max_node() == -1
+        plan.check_nodes(6)
+        with pytest.raises(ValueError, match="references node 5 .* 5 nodes"):
+            plan.check_nodes(5)
 
     def test_describe_lists_every_event(self):
         plan = FaultPlan.parse(

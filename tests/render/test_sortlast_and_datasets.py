@@ -1,5 +1,7 @@
 """Tests for sort-last rendering equivalence and synthetic datasets."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,11 @@ class TestDatasets:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             make_volume("galaxy")
+
+    @pytest.mark.parametrize("shape", [(0, 0, 0), (12, 0, 12), (12, 12, -1)])
+    def test_empty_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            make_volume("supernova", shape)
 
     def test_reproducible(self):
         a = plume((12, 12, 16))

@@ -99,10 +99,6 @@ class TestCommands:
         assert "OURS" in out and "FCFS" in out
         assert "completed" in out
 
-    def test_simulate_unknown_scheduler(self, capsys):
-        assert main(["simulate", "--schedulers", "BOGUS"]) == 2
-        assert "unknown scheduler" in capsys.readouterr().err
-
     def test_simulate_overloaded_with_frontend(self, capsys):
         code = main(
             [
@@ -189,6 +185,93 @@ class TestCommands:
         assert "wrote" in capsys.readouterr().out
 
 
+# One row per usage error: (id, argv, a fragment of the stderr line).
+_USAGE_ERRORS = [
+    ("simulate-unknown-scheduler",
+     ["simulate", "--schedulers", "BOGUS"], "unknown scheduler"),
+    ("simulate-repeated-scheduler",
+     ["simulate", "--schedulers", "OURS,ours", "--audit", "a.jsonl",
+      "--metrics", "m.jsonl"], "named more than once: OURS"),
+    ("simulate-missing-scheduler",
+     ["simulate", "--schedulers", ","], "at least one scheduler, got 0"),
+    ("report-unknown-scheduler",
+     ["report", "--schedulers", "BOGUS"], "unknown scheduler"),
+    ("report-repeated-scheduler",
+     ["report", "--schedulers", "OURS,OURS", "--svg", "t.svg",
+      "--stream", "s.ndjson"], "named more than once: OURS"),
+    ("report-three-schedulers",
+     ["report", "--schedulers", "OURS,FCFS,SF"], "one or two schedulers"),
+    ("explain-one-scheduler",
+     ["explain", "--schedulers", "OURS"], "exactly two schedulers, got 1"),
+    ("explain-repeated-scheduler",
+     ["explain", "--schedulers", "FCFS,fcfs"], "named more than once"),
+    ("federate-unknown-scheduler",
+     ["federate", "--scheduler", "BOGUS"], "unknown scheduler"),
+    ("faults-unknown-scheduler",
+     ["faults", "--scheduler", "BOGUS"], "unknown scheduler"),
+    ("faults-missing-scheduler",
+     ["faults", "--scheduler", "", "--report", "rca.json"],
+     "one scheduler, got 0"),
+    ("simulate-zero-scale",
+     ["simulate", "--scale", "0", "--trace", "t.json"], "scale must be > 0"),
+    ("federate-zero-scale",
+     ["federate", "--scale", "0", "--out", "f.html"], "scale must be > 0"),
+    ("simulate-stall-timeout-without-stream",
+     ["simulate", "--stall-timeout", "5"], "--stall-timeout requires --stream"),
+    ("faults-stall-timeout-without-stream",
+     ["faults", "--stall-timeout", "5"], "--stall-timeout requires --stream"),
+    ("simulate-negative-stall-timeout",
+     ["simulate", "--stream", "p.ndjson", "--stall-timeout", "-1"],
+     "--stall-timeout must be > 0"),
+    ("report-zero-bins",
+     ["report", "--bins", "0", "--out", "r.html"], "--bins must be >= 1"),
+    ("faults-plan-and-storm",
+     ["faults", "--plan", "crash@1:node=0", "--storm", "7"],
+     "either --plan or --storm"),
+    ("faults-negative-rca-tolerance",
+     ["faults", "--rca-tolerance", "-1", "--report", "rca.json"],
+     "--rca-tolerance must be >= 0"),
+    ("faults-plan-node-out-of-range",
+     ["faults", "--plan", "crash@1:node=99", "--audit", "a.jsonl"],
+     "references node 99"),
+    ("report-plan-node-out-of-range",
+     ["report", "--plan", "crash@1:node=99", "--stream", "s.ndjson"],
+     "references node 99"),
+    ("render-zero-size",
+     ["render", "--size", "0", "--out", "x.ppm"], "(0, 0, 0)"),
+    ("render-zero-ranks",
+     ["render", "--size", "8", "--image", "8", "--ranks", "0",
+      "--out", "x.ppm"], "ranks must be > 0"),
+    ("animate-zero-frames",
+     ["animate", "--frames", "0", "--size", "8", "--image", "8",
+      "--out", "anim"], "frames must be > 0"),
+    ("animate-zero-ranks",
+     ["animate", "--ranks", "0", "--size", "8", "--image", "8",
+      "--out", "anim"], "ranks must be > 0"),
+    ("watch-zero-poll",
+     ["watch", "x.ndjson", "--poll", "0"], "--poll must be > 0"),
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [row[1:] for row in _USAGE_ERRORS],
+        ids=[row[0] for row in _USAGE_ERRORS],
+    )
+    def test_exits_2(self, argv, fragment, tmp_path, monkeypatch, capsys):
+        """A bad input exits 2 with one stderr line, before any output
+        or file is written."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert fragment in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFaultsCommand:
     def test_storm_smoke(self, capsys):
         code = main(
@@ -235,10 +318,6 @@ class TestFaultsCommand:
         assert payload["fault_report"]["jobs_lost"] == 0
         assert audit.exists() and audit.stat().st_size > 0
         capsys.readouterr()
-
-    def test_unknown_scheduler_rejected(self, capsys):
-        assert main(["faults", "--scheduler", "BOGUS"]) == 2
-        assert "unknown scheduler" in capsys.readouterr().err
 
     def test_bad_plan_rejected(self, capsys):
         assert main(["faults", "--plan", "meteor@1:node=0"]) == 2
@@ -361,10 +440,6 @@ class TestReportCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_report_unknown_scheduler(self, capsys):
-        assert main(["report", "--schedulers", "BOGUS"]) == 2
-        assert "unknown scheduler" in capsys.readouterr().err
-
     def test_report_too_many_schedulers(self, capsys):
         assert main(["report", "--schedulers", "OURS,FCFS,SF"]) == 2
         assert "one or two" in capsys.readouterr().err
@@ -411,10 +486,6 @@ class TestFederate:
         assert "federation: 2 shard(s), router=locality" in out
         assert "merged [locality/partition]:" in out
         assert "SLO report (merged)" in out
-
-    def test_unknown_scheduler_rejected(self, capsys):
-        assert main(["federate", "--scheduler", "BOGUS"]) == 2
-        assert "unknown scheduler" in capsys.readouterr().err
 
     def test_bad_shards_rejected(self, capsys):
         assert main(["federate", "--shards", "0"]) == 2
