@@ -6,12 +6,6 @@ monotonically increasing tie-breaker so that events scheduled at the same
 instant fire in scheduling order (stable FIFO within a timestamp), which
 keeps simulations deterministic.
 
-Design notes (per the HPC guides: measure, keep the hot loop lean):
-the queue stores plain tuples rather than event objects, and the run loop
-avoids attribute lookups in its body.  One simulated task costs exactly
-one event, so Scenario-4-sized runs (hundreds of thousands of tasks)
-remain tractable in pure Python.
-
 Pending events live in two containers:
 
 * ``_heap``, a binary heap of the work the simulation schedules for
@@ -22,24 +16,31 @@ Pending events live in two containers:
   :meth:`schedule_many` -- in practice the whole arrival trace, which
   the simulator preloads.
 
-Every consumer takes the smaller of the two heads by full tuple
+One loop, :meth:`EventQueue.run`, executes events (:meth:`step` is a
+one-event run).  It takes the smaller of the two heads by full tuple
 comparison.  Events are totally ordered by ``(time, priority, seq)`` and
 ``seq`` is unique, so the comparison never reaches the callback and the
 pop order is exactly the order one heap holding everything would give.
 Keeping the trace out of the heap is what keeps each completion's push
-and pop at O(log nodes) rather than O(log requests).
+and pop at O(log nodes) rather than O(log requests).  The loop counts
+:attr:`~EventQueue.processed` before each callback, so the counter is
+exact for anything that reads it mid-run (probe ticks, the stall
+watchdog's thread).  The queue stores plain tuples rather than event
+objects, and one simulated task costs exactly one event.
 
 Event times must be finite: ``NaN`` compares false against everything,
 so a NaN time would slip past a naive ``time < now`` guard and corrupt
 the ordering (every comparison involving it is false), silently
 reordering the run.  Both scheduling entry points reject non-finite
-times/delays with :class:`SimulationError`.
+times/delays, and :meth:`~EventQueue.run` a non-finite ``until``, with
+:class:`SimulationError`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import warnings
 from collections import deque
 from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
@@ -201,18 +202,7 @@ class EventQueue:
 
     def step(self) -> bool:
         """Execute the next event.  Returns False if the queue is empty."""
-        heap = self._heap
-        ahead = self._ahead
-        if ahead and (not heap or ahead[0] < heap[0]):
-            item = ahead.popleft()
-        elif heap:
-            item = heapq.heappop(heap)
-        else:
-            return False
-        self._now = item[0]
-        self._processed += 1
-        item[3](*item[4])
-        return True
+        return self.run(max_events=1) == 1
 
     def request_stop_check(self) -> None:
         """Have a ``run(stop=...)`` loop test its predicate after this event.
@@ -228,25 +218,21 @@ class EventQueue:
         until: Optional[float] = None,
         *,
         max_events: Optional[int] = None,
-        live_count: bool = False,
+        live_count: Optional[bool] = None,
         stop: Optional[Callable[[], bool]] = None,
     ) -> int:
         """Run events until the queue drains, ``until`` passes, or a budget hits.
 
         Args:
             until: If given, stop before executing any event strictly after
-                this time.  The clock advances to ``until`` only once every
-                event at or before ``until`` has executed; a ``max_events``
-                stop with earlier events still pending leaves the clock at
-                the last executed event, so a resumed ``run`` (or ``step``)
-                can never move time backwards.
-            max_events: Optional safety budget on the number of events.
-            live_count: Settle :attr:`processed` on every iteration
-                instead of once per call, so observers that read the
-                counter *mid-run* (telemetry-stream ticks, the stall
-                watchdog thread) see exact values.  Costs one slot
-                write per event; leave off when nothing reads the
-                counter mid-run.
+                this time; must be finite.  The clock advances to ``until``
+                only once every event at or before ``until`` has executed;
+                a ``max_events`` stop with earlier events still pending
+                leaves the clock at the last executed event, so a resumed
+                ``run`` (or ``step``) can never move time backwards.
+            max_events: Optional budget on the number of events (>= 0).
+            live_count: Deprecated, no effect: :attr:`processed` is
+                exact at every callback.  Passing it warns.
             stop: Optional predicate ending the run early.  It is tested
                 only after events that called :meth:`request_stop_check`
                 (each event pays one flag read), and the run returns
@@ -256,8 +242,23 @@ class EventQueue:
                 ends at its last completion, not at the cutoff).
 
         Returns:
-            The number of events executed by this call.
+            The number of events executed by this call.  A NaN or
+            infinite ``until`` raises :class:`SimulationError`, a
+            negative ``max_events`` :class:`ValueError`.
         """
+        if live_count is not None:
+            warnings.warn(
+                "EventQueue.run(live_count=...) is deprecated and has no "
+                "effect: processed is always exact; drop the argument",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+        if until is not None and not -_INF < until < _INF:
+            raise SimulationError(f"cannot run until non-finite time {until!r}")
+        if max_events is not None and not max_events >= 0:
+            raise ValueError(f"max_events must be >= 0, got {max_events!r}")
+        until_t = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         # Each iteration takes the smaller of the two heads (see the
         # module docstring).  Callbacks may push onto the heap or merge
         # into ``ahead``; both containers keep their identity, so the
@@ -267,112 +268,34 @@ class EventQueue:
         pop = heapq.heappop
         popleft = ahead.popleft
         executed = 0
-        until_t = _INF if until is None else until
         self._stop_check = False
-        if live_count:
-            # Live path: ``_processed`` is exact at every callback (and
-            # for other threads), like ``step``.  The general bounded
-            # loop serves all argument combinations — a caller paying a
-            # per-event write is past micro-specialization anyway.
-            budget = _INF if max_events is None else max_events
-            while executed < budget:
-                if ahead and (not heap or ahead[0] < heap[0]):
-                    item = ahead[0]
-                    if item[0] > until_t:
-                        break
-                    popleft()
-                elif heap:
-                    item = heap[0]
-                    if item[0] > until_t:
-                        break
-                    pop(heap)
-                else:
+        while executed < budget:
+            if ahead and (not heap or ahead[0] < heap[0]):
+                item = ahead[0]
+                if item[0] > until_t:
                     break
-                self._now = item[0]
-                executed += 1
-                self._processed += 1
-                item[3](*item[4])
-                if self._stop_check:
-                    self._stop_check = False
-                    if stop is not None and stop():
-                        break
-            self._settle_clock(until, stop)
-            return executed
-        # ``_processed`` is batched on this path: callbacks observe
-        # ``now`` (written every iteration — they depend on it) but
-        # nothing reads the processed counter mid-run, so it is settled
-        # once per call, in a ``finally`` so a raising callback still
-        # counts its predecessors.  Mid-run readers must pass
-        # ``live_count=True`` instead.
-        try:
-            if max_events is None and stop is None:
-                if until is None:
-                    # Hot path: full drain, no horizon comparison; the
-                    # head peek is folded into the pop.
-                    while True:
-                        if ahead and (not heap or ahead[0] < heap[0]):
-                            item = popleft()
-                        elif heap:
-                            item = pop(heap)
-                        else:
-                            break
-                        self._now = item[0]
-                        executed += 1
-                        item[3](*item[4])
-                else:
-                    # Drain-to-timestamp: pop everything due at or
-                    # before ``until`` (one peek + one pop per event).
-                    while True:
-                        if ahead and (not heap or ahead[0] < heap[0]):
-                            item = ahead[0]
-                            if item[0] > until_t:
-                                break
-                            popleft()
-                        elif heap:
-                            item = heap[0]
-                            if item[0] > until_t:
-                                break
-                            pop(heap)
-                        else:
-                            break
-                        self._now = item[0]
-                        executed += 1
-                        item[3](*item[4])
+                popleft()
+            elif heap:
+                item = heap[0]
+                if item[0] > until_t:
+                    break
+                pop(heap)
             else:
-                budget = _INF if max_events is None else max_events
-                while executed < budget:
-                    if ahead and (not heap or ahead[0] < heap[0]):
-                        item = ahead[0]
-                        if item[0] > until_t:
-                            break
-                        popleft()
-                    elif heap:
-                        item = heap[0]
-                        if item[0] > until_t:
-                            break
-                        pop(heap)
-                    else:
-                        break
-                    self._now = item[0]
-                    executed += 1
-                    item[3](*item[4])
-                    if self._stop_check:
-                        self._stop_check = False
-                        if stop is not None and stop():
-                            break
-        finally:
-            self._processed += executed
-        self._settle_clock(until, stop)
-        return executed
-
-    def _settle_clock(
-        self, until: Optional[float], stop: Optional[Callable[[], bool]]
-    ) -> None:
-        """Advance the clock to ``until`` once nothing at or before it is left."""
+                break
+            self._now = item[0]
+            executed += 1
+            self._processed += 1
+            item[3](*item[4])
+            if self._stop_check:
+                self._stop_check = False
+                if stop is not None and stop():
+                    break
+        # Advance the clock to ``until`` once nothing at or before it is left.
         if until is not None and stop is None and self._now < until:
             next_time = self.peek_time()
             if next_time is None or next_time > until:
                 self._now = until
+        return executed
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None when empty.

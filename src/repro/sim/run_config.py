@@ -13,6 +13,7 @@ widening every call site.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -28,6 +29,9 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class RunConfig:
     """Everything about *how* to run a scenario (not *what* to run).
+
+    Construction rejects a ``max_drain_time`` that is not finite and
+    >= 0 and a sampling interval that is not finite and > 0.
 
     Attributes:
         drain: Keep simulating past the trace horizon until all
@@ -104,6 +108,17 @@ class RunConfig:
     faults: Optional["FaultPlan"] = None
     stream: Optional["StreamConfig"] = None
     job_namespace: int = 0
+
+    def __post_init__(self) -> None:
+        drain_time = self.max_drain_time
+        if drain_time is not None and not 0 <= drain_time < math.inf:
+            raise ValueError(
+                f"max_drain_time must be finite and >= 0, got {drain_time!r}"
+            )
+        for name in ("timeline_interval", "counter_interval", "metrics_interval"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     def replace(self, **changes) -> "RunConfig":
         """A copy with the given fields changed."""

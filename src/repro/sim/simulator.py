@@ -490,11 +490,7 @@ def _run(
         if frontend is not None:
             frontend.start()
         wall_t0 = _time.perf_counter()
-        # Streamed runs count ``processed`` live so grid ticks and the
-        # stall watchdog read exact event counts mid-run; unstreamed
-        # runs keep the batched fast path.
-        live_count = stream is not None
-        events.run(until=horizon, live_count=live_count)
+        events.run(until=horizon)
         drained = not has_pending()
         if drain and not drained:
             # The drain ends right after the event that finishes the
@@ -506,11 +502,7 @@ def _run(
                 if config.max_drain_time is None
                 else horizon + config.max_drain_time
             )
-            events.run(
-                until=limit,
-                live_count=live_count,
-                stop=lambda: not has_pending(),
-            )
+            events.run(until=limit, stop=lambda: not has_pending())
             drained = not has_pending()
         wall_seconds = _time.perf_counter() - wall_t0
         service.release_completed()

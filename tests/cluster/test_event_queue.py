@@ -111,6 +111,29 @@ class TestRun:
     def test_step_empty_returns_false(self):
         assert EventQueue().step() is False
 
+    def test_negative_max_events_rejected(self):
+        q = EventQueue()
+        q.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="max_events must be >= 0, got -1"):
+            q.run(max_events=-1)
+        assert len(q) == 1 and q.processed == 0
+        assert q.run(max_events=0) == 0 and len(q) == 1
+
+    def test_live_count_is_deprecated_and_changes_nothing(self):
+        def build():
+            q, log = EventQueue(), []
+            for i in range(5):
+                q.schedule(float(i), lambda i=i: log.append((i, q.processed)))
+            return q, log
+
+        q, log = build()
+        with pytest.warns(DeprecationWarning, match="live_count"):
+            executed = q.run(until=2.5, live_count=True)
+        ref, ref_log = build()
+        assert executed == ref.run(until=2.5) == 3
+        assert log == ref_log == [(0, 1), (1, 2), (2, 3)]
+        assert (q.processed, q.now, len(q)) == (ref.processed, ref.now, len(ref))
+
     def test_processed_counter(self):
         q = EventQueue()
         for i in range(4):
@@ -230,6 +253,17 @@ class TestNonFiniteRejection:
         q.run()
         with pytest.raises(SimulationError):
             q.schedule_many([(0.5, lambda: None, ())])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_run_rejects_non_finite_until(self, bad):
+        # NaN would run every queued event (it compares false); inf
+        # would leave ``now == inf`` and make every later schedule fail.
+        q = EventQueue()
+        q.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match=f"non-finite time {bad!r}"):
+            q.run(until=bad)
+        assert (q.processed, q.now, len(q)) == (0, 0.0, 1)
+        q.schedule_after(1.0, lambda: None)
 
     def test_past_time_message_unchanged(self):
         q = EventQueue()
@@ -479,7 +513,7 @@ class _HeapModel:
         callback(*args)
         return True
 
-    def run(self, until=None, *, max_events=None, live_count=False, stop=None):
+    def run(self, until=None, *, max_events=None, stop=None):
         until_t = float("inf") if until is None else until
         budget = float("inf") if max_events is None else max_events
         executed = 0
@@ -528,7 +562,6 @@ _RUN_OPS = st.one_of(
         st.just("run"),
         st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 3.0])),  # until - now
         st.one_of(st.none(), st.integers(0, 6)),  # max_events
-        st.booleans(),  # live_count
         st.one_of(st.none(), st.integers(1, 5)),  # stop after this many more
     ),
 )
@@ -537,23 +570,27 @@ _PROGRAMS = st.lists(st.one_of(_SCHEDULE_OPS, _RUN_OPS), max_size=16)
 
 def _execute(queue, program):
     """Apply ``program`` to ``queue``; return what was observable after
-    each operation."""
+    each operation.  Every fired event logs its label with the
+    ``processed`` count it sees, so the counter must be exact mid-run."""
     log = []
+
+    def note(label):
+        log.append((label, queue.processed))
 
     def make(label, action):
         def fire():
-            log.append(label)
+            note(label)
             if action is None:
                 return
             kind, now = action[0], queue.now
             if kind == "schedule":
                 queue.schedule(
-                    now + action[1], log.append, label + ("s",), priority=action[2]
+                    now + action[1], note, label + ("s",), priority=action[2]
                 )
             elif kind == "many":
                 queue.schedule_many(
                     (
-                        (now + delay, log.append, (label + ("m", k),))
+                        (now + delay, note, (label + ("m", k),))
                         for k, delay in enumerate(action[1])
                     ),
                     priority=action[2],
@@ -566,7 +603,7 @@ def _execute(queue, program):
                         now + action[1],
                         PRIORITY_COMPLETION,
                         next(queue._seq),
-                        log.append,
+                        note,
                         (label + ("p",),),
                     ),
                 )
@@ -595,7 +632,7 @@ def _execute(queue, program):
         elif kind == "step":
             result = queue.step()
         else:
-            _, until_offset, max_events, live_count, stop_after = op
+            _, until_offset, max_events, stop_after = op
             stop = None
             if stop_after is not None:
                 target = len(log) + stop_after
@@ -603,7 +640,6 @@ def _execute(queue, program):
             result = queue.run(
                 None if until_offset is None else now + until_offset,
                 max_events=max_events,
-                live_count=live_count,
                 stop=stop,
             )
         observed.append(
@@ -614,12 +650,15 @@ def _execute(queue, program):
 
 class TestDifferentialAgainstHeapModel:
     @given(program=_PROGRAMS)
-    @settings(max_examples=400, deadline=None)
+    # 400 examples in tier-1; the ``deep`` profile (tests/conftest.py)
+    # raises the count.
+    @settings(max_examples=max(400, settings().max_examples), deadline=None)
     def test_matches_single_heap_reference(self, program):
-        """Firing order, counters, clock, ``len`` and ``peek_time`` agree
-        with the one-heap reference after every call, on every ``run``
-        path and ``step``, with batches (sorted or not), equal-time ties
-        across priorities, and callbacks that schedule, merge a batch or
-        push onto the heap mid-run."""
-        program = program + [("run", None, None, False, None)]  # drain
+        """Firing order, the ``processed`` count each callback sees,
+        counters, clock, ``len`` and ``peek_time`` agree with the
+        one-heap reference after every call, for ``run`` with every
+        argument combination and ``step``, with batches (sorted or
+        not), equal-time ties across priorities, and callbacks that
+        schedule, merge a batch or push onto the heap mid-run."""
+        program = program + [("run", None, None, None)]  # drain
         assert _execute(EventQueue(), program) == _execute(_HeapModel(), program)

@@ -7,6 +7,7 @@ import threading
 from typing import List, Optional, Tuple
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.costs import CostParameters
@@ -16,6 +17,10 @@ from repro.core.job import JobType, RenderJob, reset_job_ids
 from repro.core.scheduler_base import SchedulerContext
 from repro.core.tables import SchedulerTables
 from repro.util.units import GiB, MiB
+
+#: ``--hypothesis-profile=deep`` raises the example count of the tests
+#: that read it (the event-queue differential test) far past tier-1's.
+settings.register_profile("deep", max_examples=10_000)
 
 
 @pytest.fixture(autouse=True)

@@ -20,7 +20,8 @@ import json
 
 import pytest
 
-from repro.cluster.event_queue import EventQueue
+from repro.cluster.event_queue import PRIORITY_ARRIVAL, EventQueue
+from repro.core.registry import make_scheduler
 from repro.faults.plan import FaultPlan
 from repro.frontend.config import FrontendConfig
 from repro.obs.counters import CounterSampler
@@ -29,7 +30,7 @@ from repro.obs.metrics import (
     MetricsSampler,
     default_window_interval,
 )
-from repro.obs.probe import Probe
+from repro.obs.probe import Probe, Sink
 from repro.obs.stream import (
     StreamConfig,
     TelemetryStream,
@@ -39,6 +40,7 @@ from repro.obs.stream import (
 from repro.obs.tracer import Tracer
 from repro.reporting.timeline import TimelineSampler
 from repro.sim.run_config import RunConfig
+from repro.sim.service import VisualizationService
 from repro.sim.simulator import run_simulation
 from repro.workload.scenarios import scenario_1, scenario_2
 from tests.sim.test_simulator import tiny_scenario
@@ -325,3 +327,57 @@ class TestProbe:
             r for r in read_stream(tmp_path / "s.ndjson") if r["type"] == "snapshot"
         ]
         assert [r["t"] for r in snapshots] == [0.25, 0.5, 0.75, 1.0]
+
+
+class _CountSink(Sink):
+    """Records each snapshot's event counts beside the queue's own."""
+
+    def __init__(self, interval, events):
+        self.interval = interval
+        self.events = events
+        self.rows = []
+
+    def _tick(self, snapshot):
+        self.rows.append((snapshot.events, snapshot.d_events, self.events.processed))
+
+
+def test_hand_driven_run_reports_exact_event_counts(tmp_path):
+    """A service driven by a plain ``events.run(until=...)``, not by
+    ``run_simulation``, still gives its observers exact event counts:
+    the queue counts ``processed`` before every callback on every run."""
+    scenario = scenario_1(scale=0.05)
+    events = EventQueue()
+    cluster = scenario.system.build_cluster(events=events)
+    service = VisualizationService(
+        cluster, make_scheduler("OURS"), scenario.system.chunk_max
+    )
+    datasets = {d.name: d for d in scenario.trace.datasets}
+    events.schedule_many(
+        (
+            (r.time, service.submit_request, (r, datasets[r.dataset]))
+            for r in scenario.trace.requests
+        ),
+        priority=PRIORITY_ARRIVAL,
+    )
+    horizon = scenario.trace.duration
+    sink = _CountSink(horizon / 16, events)
+    Probe(service, horizon=horizon).add(sink).start()
+    stream = TelemetryStream(
+        StreamConfig(tmp_path / "s.ndjson", interval=horizon / 16), horizon=horizon
+    ).attach(service)
+    service.start()
+    try:
+        events.run(until=horizon)
+    finally:
+        stream.close()
+    assert len(sink.rows) == 17
+    for seen, _, processed in sink.rows:
+        assert seen == processed
+    assert sum(d for _, d, _ in sink.rows) == sink.rows[-1][0] > 0
+    assert sink.rows[-1][0] <= events.processed
+    counts = [
+        r["events"]
+        for r in read_stream(tmp_path / "s.ndjson")
+        if r["type"] == "snapshot"
+    ]
+    assert counts and counts[0] > 0 and counts == sorted(counts)

@@ -101,7 +101,7 @@ class TestStreamedRun:
         assert result.stream.records_written == len(records)
 
     def test_snapshot_counters_are_live(self, tmp_path):
-        """Event counts advance mid-run (the live_count queue path)."""
+        """Event counts advance mid-run: ``processed`` is always exact."""
         result = _run(tmp_path)
         events = [
             r["events"] for r in read_stream(tmp_path / "run.ndjson")

@@ -151,7 +151,9 @@ class TestStopPredicate:
             return log[-1] >= 2
 
         q = self._queue(log, requests={1, 4})
-        executed = q.run(stop=stop, live_count=live_count)
+        # live_count is deprecated and must not change the stop semantics.
+        with pytest.warns(DeprecationWarning, match="live_count"):
+            executed = q.run(stop=stop, live_count=live_count)
         # Event 2 satisfies the predicate but did not ask for a test;
         # event 4 did, so the run ends right after it.
         assert tested == [1, 4]

@@ -1,6 +1,8 @@
-"""Tests for RunConfig and the removed pre-1.1 keyword spelling."""
+"""Tests for RunConfig, its validation, and the removed pre-1.1 keyword
+spelling."""
 
 import pickle
+import re
 import warnings
 
 import pytest
@@ -10,6 +12,8 @@ from repro.sim.run_config import RunConfig
 from repro.sim.simulator import run_simulation
 from repro.sim.sweep import replicate, sweep
 from repro.workload.scenarios import make_scenario
+
+INF, NAN = float("inf"), float("nan")
 
 
 def scenario_factory(seed):
@@ -28,6 +32,36 @@ class TestRunConfig:
         config = RunConfig(frontend=FrontendConfig.protective())
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_drain_time", -1.0, "max_drain_time must be finite and >= 0, got -1.0"),
+            ("max_drain_time", NAN, "max_drain_time must be finite and >= 0, got nan"),
+            ("max_drain_time", INF, "max_drain_time must be finite and >= 0, got inf"),
+            ("timeline_interval", INF, "timeline_interval must be finite and > 0, got inf"),
+            ("timeline_interval", 0.0, "timeline_interval must be finite and > 0, got 0.0"),
+            ("counter_interval", -0.5, "counter_interval must be finite and > 0, got -0.5"),
+            ("counter_interval", NAN, "counter_interval must be finite and > 0, got nan"),
+            ("metrics_interval", 0.0, "metrics_interval must be finite and > 0, got 0.0"),
+            ("metrics_interval", INF, "metrics_interval must be finite and > 0, got inf"),
+        ],
+    )
+    def test_rejects_bad_drain_time_and_intervals(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(**{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig().replace(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        config = RunConfig(
+            drain=True,
+            max_drain_time=0.0,
+            timeline_interval=1e-3,
+            counter_interval=0.5,
+            metrics_interval=2.0,
+        )
+        assert config.max_drain_time == 0.0
 
 
 class TestDeprecatedSpelling:
