@@ -82,7 +82,6 @@ class RenderNode:
         "io_factor",
         "_tracer",
         "_flows",
-        "_metrics",
         "_pid",
         "_slot_of",
         "_free_slots",
@@ -151,7 +150,6 @@ class RenderNode:
         # observability (None → zero-cost: one identity check per task)
         self._tracer = None
         self._flows = False
-        self._metrics = None
         self._pid = 0
         self._slot_of: dict = {}
         self._free_slots: list = []
@@ -241,33 +239,31 @@ class RenderNode:
         self._flows = bool(enabled)
 
     def set_metrics(self, registry) -> None:
-        """Publish this node's task/cache/I/O counters into ``registry``.
+        """Expose this node's task/cache/I/O counts through ``registry``.
 
-        The bound counters are cluster aggregates (all nodes increment
-        the same series) — per-node breakdowns stay the tracer's job.
-        Pass ``None`` to detach (the hot path then pays one identity
-        check, like a detached tracer).
+        Registers readers of the node's own statistics; the series are
+        cluster aggregates (every node's reader adds to the same one) —
+        per-node breakdowns stay the tracer's job.  Tasks count when
+        they begin, like :attr:`cache_hits` and :attr:`cache_misses`.
+        ``None`` registers nothing.
         """
         if registry is None:
-            self._metrics = None
             return
-        self._metrics = (
-            registry.counter(
-                "repro_tasks_executed", "render tasks begun executing"
-            ),
-            registry.counter(
-                "repro_cache_hits", "tasks whose chunk was memory-resident"
-            ),
-            registry.counter(
-                "repro_cache_misses", "tasks that paid a storage load"
-            ),
-            registry.counter(
-                "repro_io_seconds", "simulated seconds spent loading chunks"
-            ),
-            registry.counter(
-                "repro_io_timeouts", "chunk loads abandoned at the I/O deadline"
-            ),
-        )
+        registry.counter(
+            "repro_tasks_executed", "render tasks begun executing"
+        ).read_from(lambda: self.cache_hits + self.cache_misses)
+        registry.counter(
+            "repro_cache_hits", "tasks whose chunk was memory-resident"
+        ).read_from(lambda: self.cache_hits)
+        registry.counter(
+            "repro_cache_misses", "tasks that paid a storage load"
+        ).read_from(lambda: self.cache_misses)
+        registry.counter(
+            "repro_io_seconds", "simulated seconds spent loading chunks"
+        ).read_from(lambda: self.io_seconds)
+        registry.counter(
+            "repro_io_timeouts", "chunk loads abandoned at the I/O deadline"
+        ).read_from(lambda: self.io_timeouts)
 
     def _on_cache_event(self, kind: str, chunk) -> None:
         """Cache observer: emit insert/evict instants.
@@ -369,8 +365,6 @@ class RenderNode:
         ):
             self._storage.end_load(chunk.size)
             self.io_timeouts += 1
-            if self._metrics is not None:
-                self._metrics[4].inc()
             delay = spec.timeout + spec.backoff * (2.0 ** attempt)
             self._events.schedule(
                 now + delay,
@@ -404,7 +398,6 @@ class RenderNode:
         """
         now = self._events._now
         chunk = task.chunk
-        hit = task.cache_hit
         upload_time = self._vram.access(chunk) if self._vram is not None else 0.0
         cost = self._cost
         render_time = self._render_memo_get(
@@ -435,20 +428,10 @@ class RenderNode:
         task_io = waited + io_time
         task.io_time = task_io
         self.io_seconds += task_io
-        metrics = self._metrics
-        if metrics is not None:
-            m_tasks, m_hits, m_misses, m_io, _ = metrics
-            m_tasks.inc()
-            if hit:
-                m_hits.inc()
-            else:
-                m_misses.inc()
-                m_io.inc(task_io)
         exec_time = io_time + upload_time + render_time
-        tracer = self._tracer
-        if tracer is not None:
+        if self._tracer is not None:
             self._trace_execution(
-                task, now, hit, io_time, upload_time, render_time
+                task, now, task.cache_hit, io_time, upload_time, render_time
             )
         finish = now + exec_time
         if not (now <= finish < _INF):

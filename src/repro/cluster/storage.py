@@ -93,18 +93,18 @@ class StorageModel:
         self._active_bytes = 0
         self._total_loads = 0
         self._total_bytes = 0
-        self._metrics = None
         self._rng: np.random.Generator = make_rng(seed)
 
     def set_metrics(self, registry) -> None:
-        """Publish load/byte counters into ``registry`` (``None`` detaches)."""
+        """Expose the load/byte totals through ``registry`` (``None``: no-op)."""
         if registry is None:
-            self._metrics = None
             return
-        self._metrics = (
-            registry.counter("repro_io_loads", "chunk loads started"),
-            registry.counter("repro_io_bytes", "bytes requested from storage"),
+        registry.counter("repro_io_loads", "chunk loads started").read_from(
+            lambda: self._total_loads
         )
+        registry.counter(
+            "repro_io_bytes", "bytes requested from storage"
+        ).read_from(lambda: self._total_bytes)
 
     # -- inspection --------------------------------------------------------
 
@@ -163,10 +163,6 @@ class StorageModel:
         self._active_bytes += nbytes
         self._total_loads += 1
         self._total_bytes += nbytes
-        if self._metrics is not None:
-            m_loads, m_bytes = self._metrics
-            m_loads.inc()
-            m_bytes.inc(nbytes)
         bw = self.effective_bandwidth(self._active_loads)
         duration = self.spec.latency + nbytes / bw
         if self.spec.jitter:

@@ -100,20 +100,20 @@ class AdmissionController:
         self.rejected_rate = 0
         self.rejected_sessions = 0
         self.records: List[AdmissionRecord] = []
-        self._m_admitted = self._m_rejected = None
         if metrics is not None:
-            self._m_admitted = metrics.counter(
+            metrics.counter(
                 "repro_frontend_admitted",
                 "requests admitted by the frontend",
-            )
-            self._m_rejected = {
-                d: metrics.counter(
+            ).read_from(lambda: self.admitted)
+            for decision, count in (
+                (Decision.REJECT_RATE, lambda: self.rejected_rate),
+                (Decision.REJECT_SESSIONS, lambda: self.rejected_sessions),
+            ):
+                metrics.counter(
                     "repro_frontend_rejected",
                     "requests rejected by admission control",
-                    labels={"reason": d.value},
-                )
-                for d in (Decision.REJECT_RATE, Decision.REJECT_SESSIONS)
-            }
+                    labels={"reason": decision.value},
+                ).read_from(count)
 
     # -- inspection --------------------------------------------------------
 
@@ -146,8 +146,6 @@ class AdmissionController:
         decision = self._classify(request, now)
         if decision.admitted:
             self.admitted += 1
-            if self._m_admitted is not None:
-                self._m_admitted.inc()
             return decision
         if decision is Decision.REJECT_RATE:
             self.rejected_rate += 1
@@ -157,8 +155,6 @@ class AdmissionController:
             self.records.append(
                 AdmissionRecord(now, request.user, request.action, decision)
             )
-        if self._m_rejected is not None:
-            self._m_rejected[decision].inc()
         return decision
 
     def _classify(self, request: Request, now: float) -> Decision:

@@ -6,7 +6,7 @@ many jobs may be inside the service at once (head-node queue, scheduler
 backlog, and in-flight tasks all count — ``outstanding_jobs`` is the
 Little's-law quantity that actually bounds waiting time) and applies a
 configurable overflow policy to the excess.  Queue depth, deferral, and
-shed counts are published to the metrics registry so the overload is
+shed counts are exposed through the metrics registry so the overload is
 visible, not silent.
 """
 
@@ -48,24 +48,24 @@ class BoundedQueue:
         self.shed_oldest = 0
         self.shed_newest = 0
         self.max_wait_depth = 0
-        self._m_wait = self._m_shed = self._m_deferred = None
         if metrics is not None:
-            self._m_wait = metrics.gauge(
+            metrics.gauge(
                 "repro_frontend_wait_depth",
                 "requests parked in the frontend wait queue",
-            )
-            self._m_deferred = metrics.counter(
+            ).read_from(lambda: len(self._waiting))
+            metrics.counter(
                 "repro_frontend_deferred",
                 "requests deferred by backpressure",
-            )
-            self._m_shed = {
-                kind: metrics.counter(
+            ).read_from(lambda: self.deferred)
+            for which, count in (
+                ("oldest", lambda: self.shed_oldest),
+                ("newest", lambda: self.shed_newest),
+            ):
+                metrics.counter(
                     "repro_frontend_shed",
                     "requests shed by the bounded queue",
-                    labels={"which": kind},
-                )
-                for kind in ("oldest", "newest")
-            }
+                    labels={"which": which},
+                ).read_from(count)
 
     # -- inspection --------------------------------------------------------
 
@@ -93,25 +93,17 @@ class BoundedQueue:
         limit = self.config.queue_limit
         if policy is QueuePolicy.SHED_NEWEST and len(self._waiting) >= limit:
             self.shed_newest += 1
-            if self._m_shed is not None:
-                self._m_shed["newest"].inc()
             return
         self._waiting.append((request, dataset))
         self.deferred += 1
-        if self._m_deferred is not None:
-            self._m_deferred.inc()
         if policy is QueuePolicy.SHED_OLDEST:
             while len(self._waiting) > limit:
                 self._waiting.popleft()
                 self.shed_oldest += 1
-                if self._m_shed is not None:
-                    self._m_shed["oldest"].inc()
         elif policy is QueuePolicy.DEGRADE and self._on_overflow is not None:
             self._on_overflow()
         if len(self._waiting) > self.max_wait_depth:
             self.max_wait_depth = len(self._waiting)
-        if self._m_wait is not None:
-            self._m_wait.set(float(len(self._waiting)))
 
     # -- completion-side ---------------------------------------------------
 
@@ -122,8 +114,6 @@ class BoundedQueue:
             request, dataset = self._waiting.popleft()
             released += 1
             self._forward(request, dataset)
-        if released and self._m_wait is not None:
-            self._m_wait.set(float(len(self._waiting)))
         return released
 
     def flush(self) -> List[Tuple[Request, object]]:

@@ -75,16 +75,15 @@ class DegradationController:
             )
             for lv in config.ladder
         )
-        self._m_level = self._m_dropped = None
         if metrics is not None:
-            self._m_level = metrics.gauge(
+            metrics.gauge(
                 "repro_frontend_quality_level",
                 "current quality-ladder rung (0 = full quality)",
-            )
-            self._m_dropped = metrics.counter(
+            ).read_from(lambda: self.level_index)
+            metrics.counter(
                 "repro_frontend_frames_dropped",
                 "interactive frames withheld by degradation",
-            )
+            ).read_from(lambda: self.frames_dropped)
 
     # -- state -------------------------------------------------------------
 
@@ -111,8 +110,6 @@ class DegradationController:
         keep = int((sequence + 1) * f) > int(sequence * f)
         if not keep:
             self.frames_dropped += 1
-            if self._m_dropped is not None:
-                self._m_dropped.inc()
         return keep
 
     # -- sampling ----------------------------------------------------------
@@ -208,8 +205,6 @@ class DegradationController:
         self.changes.append(
             QualityChange(now, target, level.name, reason, burn)
         )
-        if self._m_level is not None:
-            self._m_level.set(float(target))
 
 
 __all__ = ["QualityChange", "DegradationController"]

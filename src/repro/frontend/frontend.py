@@ -93,7 +93,7 @@ class ServiceFrontend:
         horizon: Trace duration; bounds the controller's sampling loop
             in non-drain runs.
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            when given, every gate publishes its counters/gauges.
+            when given, every gate exposes its counters/gauges.
         audit: Optional :class:`~repro.obs.audit.AuditLog`; when given,
             entry-gate refusals (admission rejects, thinned frames) are
             recorded as ``shed`` decisions.

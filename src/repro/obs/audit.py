@@ -212,18 +212,25 @@ def snapshot_candidates(
     one render/I-O pricing per decision.
     """
     chunk = task.chunk
-    available = tables.available
-    replicas = tables.cached_nodes(chunk)
     hit_est, cold_est = tables.estimate_components(
         chunk, task.job.composite_group_size
     )
+    return _candidates(
+        chosen, tables.min_available_node(), tables.available,
+        tables.cached_nodes(chunk), hit_est, cold_est, max_candidates,
+    )
+
+
+def _candidates(
+    chosen, min_node, available, replicas, hit_est, cold_est, max_candidates
+) -> Tuple[CandidateState, ...]:
+    """Chosen node, min-available node, then sorted replicas up to the cap."""
     cached = chosen in replicas
     out = [
         CandidateState(
             chosen, available[chosen], cached, hit_est if cached else cold_est
         )
     ]
-    min_node = tables.min_available_node()
     if min_node != chosen:
         cached = min_node in replicas
         out.append(
@@ -234,12 +241,11 @@ def snapshot_candidates(
                 hit_est if cached else cold_est,
             )
         )
-    if replicas:
-        for k in sorted(replicas):
-            if len(out) >= max_candidates:
-                break
-            if k != chosen and k != min_node:
-                out.append(CandidateState(k, available[k], True, hit_est))
+    for k in sorted(replicas):
+        if len(out) >= max_candidates:
+            break
+        if k != chosen and k != min_node:
+            out.append(CandidateState(k, available[k], True, hit_est))
     return tuple(out)
 
 
@@ -458,33 +464,10 @@ class AuditLog:
                     est if est is not None else self._m_storage_est(chunk.size)
                 )
                 cold_est = io_est + hit_est
-            min_node = available.index(min(available))
-            chosen_cached = node in replicas
-            out = [
-                CandidateState(
-                    node,
-                    available[node],
-                    chosen_cached,
-                    hit_est if chosen_cached else cold_est,
-                )
-            ]
-            if min_node != node:
-                min_cached = min_node in replicas
-                out.append(
-                    CandidateState(
-                        min_node,
-                        available[min_node],
-                        min_cached,
-                        hit_est if min_cached else cold_est,
-                    )
-                )
-            max_candidates = self.config.max_candidates
-            for k in sorted(replicas):
-                if len(out) >= max_candidates:
-                    break
-                if k != node and k != min_node:
-                    out.append(CandidateState(k, available[k], True, hit_est))
-            candidates = tuple(out)
+            candidates = _candidates(
+                node, available.index(min(available)), available, replicas,
+                hit_est, cold_est, self.config.max_candidates,
+            )
         return DecisionRecord(
             now,
             cycle,

@@ -20,12 +20,12 @@ continuously-measured quantities behind the paper's evaluation
 * :class:`RunMetrics` — the bundle attached to
   :class:`~repro.sim.simulator.SimulationResult` as ``.metrics``.
 
-Disabled runs pay nothing: instrumentation sites hold ``None`` and
-guard with one identity check, the same discipline the tracer uses.
-When enabled, publishing is bound-attribute counter increments — the
-enabled-registry overhead is bounded by the tracer-overhead bench
-(``benchmarks/bench_tracer_overhead.py``) at <= 10% versus a
-:class:`~repro.obs.tracer.NullTracer` run.
+Counters and gauges read, histograms observe: the built-in counters
+and gauges register readers (:meth:`Counter.read_from`) of the counts
+the nodes, storage, collector and frontend already keep, so the hot
+paths make no registry calls; only job latency and scheduler cost are
+observed where they are measured.  A closing run freezes the readers
+(:meth:`MetricsRegistry.close`), so results pickle without the cluster.
 
 Typical use::
 
@@ -45,7 +45,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.probe import MetricWindow, Sink, Snapshot
 from repro.util.validation import check_positive
@@ -79,46 +79,73 @@ def _label_suffix(labels: LabelKey) -> str:
     return "{" + inner + "}"
 
 
-class Counter:
-    """A monotonic total.  Negative increments are a protocol error."""
+class _ReadThrough:
+    """A scalar metric: a stored number plus the sum of live readers.
 
-    kind = "counter"
-    __slots__ = ("name", "labels", "value")
+    Several producers (one per node) can read into one series.
+    """
+
+    __slots__ = ("name", "labels", "_value", "_readers")
 
     def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
         self.labels = labels
-        self.value = 0.0
+        self._value = 0.0
+        self._readers: List[Callable[[], float]] = []
+
+    @property
+    def value(self) -> float:
+        """The current value (the stored number plus every reader)."""
+        if not self._readers:
+            return self._value
+        return self._value + sum(read() for read in self._readers)
+
+    def read_from(self, reader: Callable[[], float]) -> None:
+        """Add ``reader()`` to :attr:`value` until the metric is frozen."""
+        self._readers.append(reader)
+
+    def freeze(self) -> None:
+        """Store the current value and drop the readers."""
+        self._value = self.value
+        self._readers = []
+
+
+class Counter(_ReadThrough):
+    """A monotonic total.  Negative increments are a protocol error."""
+
+    kind = "counter"
+    __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (>= 0) to the total."""
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease ({amount})")
-        self.value += amount
+        self._value += amount
 
 
-class Gauge:
+class Gauge(_ReadThrough):
     """A level that can move in both directions."""
 
     kind = "gauge"
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ()
 
-    def __init__(self, name: str, labels: LabelKey = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
+    def read_from(self, reader: Callable[[], float]) -> None:
+        """Read the level from ``reader()``; a stored level restarts at 0."""
+        if not self._readers:
+            self._value = 0.0
+        self._readers.append(reader)
 
     def set(self, value: float) -> None:
         """Set the current level."""
-        self.value = float(value)
+        self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         """Move the level up by ``amount``."""
-        self.value += amount
+        self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:
         """Move the level down by ``amount``."""
-        self.value -= amount
+        self._value -= amount
 
 
 def log_buckets(
@@ -240,9 +267,9 @@ class MetricsRegistry:
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: the first
     call defines the metric (and, for histograms, its buckets), later
-    calls return the same object — so publishers can bind metric
-    references once and increment bound attributes on the hot path.
-    Registering the same name as two different kinds is an error.
+    calls return the same object — so every node can register its
+    reader on the one cluster-wide series.  Registering the same name
+    as two different kinds is an error.
     """
 
     def __init__(self) -> None:
@@ -295,6 +322,12 @@ class MetricsRegistry:
         return self._get(  # type: ignore[return-value]
             Histogram, name, help, labels, bounds=bounds
         )
+
+    def close(self) -> None:
+        """Freeze every counter and gauge (readers dropped; reusable)."""
+        for metric in self._metrics.values():
+            if not isinstance(metric, Histogram):
+                metric.freeze()
 
     # -- inspection --------------------------------------------------------
 

@@ -105,7 +105,8 @@ class SimulationCollector:
     def __init__(self) -> None:
         self.records: List[JobRecord] = []
         self.scheduling = SchedulingCostStats()
-        self.jobs_submitted = 0
+        #: Jobs that entered the head node's queue, per job type.
+        self.submitted_by_type: Dict[JobType, int] = dict.fromkeys(JobType, 0)
         self.tasks_hit = 0
         self.tasks_missed = 0
         #: Per interactive action: [issued count, first issue, last issue].
@@ -117,7 +118,7 @@ class SimulationCollector:
 
     def on_submit(self, job: RenderJob) -> None:
         """Record a job entering the head node's queue."""
-        self.jobs_submitted += 1
+        self.submitted_by_type[job.job_type] += 1
         if job.job_type is JobType.INTERACTIVE:
             entry = self.action_issues.get(job.action)
             if entry is None:
@@ -168,6 +169,11 @@ class SimulationCollector:
         )
 
     # -- derived -------------------------------------------------------------
+
+    @property
+    def jobs_submitted(self) -> int:
+        """Jobs that entered the head node's queue."""
+        return sum(self.submitted_by_type.values())
 
     @property
     def jobs_completed(self) -> int:

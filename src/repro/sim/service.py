@@ -52,10 +52,11 @@ class VisualizationService:
             compositing span per job; it is also shared with policies
             via ``ctx.tracer``.
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`.
-            When given, the service publishes job submission/completion
-            counters, job-latency histograms, and scheduler-cost
-            histograms into it; it is also shared with policies via
-            ``ctx.metrics``.  ``None`` (default) costs nothing.
+            When given, the service exposes the collector's job
+            submission/completion and placement counts through it and
+            observes job-latency and scheduler-cost histograms into it;
+            it is also shared with policies via ``ctx.metrics``.
+            ``None`` (default) costs nothing.
         audit: Optional :class:`~repro.obs.audit.AuditLog`.  When
             given, every placement routed through ``ctx.assign``
             records a decision entry, and (if a tracer is also active)
@@ -101,6 +102,7 @@ class VisualizationService:
         # timeline; they need both the timeline (tracer) and the causal
         # bookkeeping (audit) to mean anything.
         self._flows = self.tracer is not None and audit is not None
+        self.collector = collector if collector is not None else SimulationCollector()
         self._bind_metrics()
         self.ctx = SchedulerContext(
             cluster,
@@ -110,7 +112,6 @@ class VisualizationService:
             metrics=self.metrics,
             audit=self.audit,
         )
-        self.collector = collector if collector is not None else SimulationCollector()
         cluster.add_task_finish_listener(self._on_task_finish)
         # Completion-path bindings (one lookup per task otherwise).
         self._correct_completion = self.tables.correct_completion
@@ -136,33 +137,29 @@ class VisualizationService:
         #: The last completed job, whose tasks still point back at it
         #: until :meth:`release_completed` runs.
         self._unreleased: Optional[RenderJob] = None
-        self.jobs_submitted = 0
-        self.jobs_completed = 0
 
     def _bind_metrics(self) -> None:
-        """Resolve registry metrics once so hot paths touch bound objects."""
+        """Register the collector's counts and bind the two histograms."""
         registry = self.metrics
         if registry is None:
-            self._m_submitted = self._m_completed = self._m_latency = None
-            self._m_sched_cost = self._m_assignments = None
+            self._latency_histograms = self._sched_cost_histogram = None
             return
-        self._m_submitted = {
-            t: registry.counter(
+        collector = self.collector
+        submitted = collector.submitted_by_type
+        records = collector.records
+        for t in JobType:
+            registry.counter(
                 "repro_jobs_submitted",
                 "rendering jobs accepted by the head node",
                 labels={"type": t.value},
-            )
-            for t in JobType
-        }
-        self._m_completed = {
-            t: registry.counter(
+            ).read_from(lambda t=t: submitted[t])
+        for t in JobType:
+            registry.counter(
                 "repro_jobs_completed",
                 "rendering jobs completed (compositing included)",
                 labels={"type": t.value},
-            )
-            for t in JobType
-        }
-        self._m_latency = {
+            ).read_from(lambda t=t: sum(1 for r in records if r.job_type is t))
+        self._latency_histograms = {
             t: registry.histogram(
                 "repro_job_latency_seconds",
                 "Definition-3 job latency (JF - JI)",
@@ -170,16 +167,18 @@ class VisualizationService:
             )
             for t in JobType
         }
-        self._m_sched_cost = registry.histogram(
+        labels = {"scheduler": self.scheduler.name}
+        self._sched_cost_histogram = registry.histogram(
             "repro_sched_cost_seconds",
             "wall-clock cost of one scheduler invocation (Table III)",
-            labels={"scheduler": self.scheduler.name},
+            labels=labels,
         )
-        self._m_assignments = registry.counter(
+        scheduling = collector.scheduling
+        registry.counter(
             "repro_sched_assignments",
             "task placements produced by the scheduler",
-            labels={"scheduler": self.scheduler.name},
-        )
+            labels=labels,
+        ).read_from(lambda: scheduling.tasks_assigned)
 
     def add_completion_listener(self, callback) -> None:
         """Register ``callback(job)`` to fire on every job completion.
@@ -277,10 +276,7 @@ class VisualizationService:
 
     def submit(self, job: RenderJob) -> None:
         """Queue a rendering job according to the scheduler's trigger."""
-        self.jobs_submitted += 1
         self.collector.on_submit(job)
-        if self._m_submitted is not None:
-            self._m_submitted[job.job_type].inc()
         if self.tracer is not None:
             self.tracer.instant(
                 PID_HEAD,
@@ -364,9 +360,8 @@ class VisualizationService:
         elapsed = _time.perf_counter() - t0
         assignments = self.ctx.take_assignments()
         self.collector.scheduling.record(elapsed, len(jobs), len(assignments))
-        if self._m_sched_cost is not None and (jobs or assignments):
-            self._m_sched_cost.observe(elapsed)
-            self._m_assignments.inc(len(assignments))
+        if self._sched_cost_histogram is not None and (jobs or assignments):
+            self._sched_cost_histogram.observe(elapsed)
         if self.tracer is not None and (jobs or assignments):
             # One span per scheduler invocation.  The span starts at the
             # invocation's virtual instant; its duration is the measured
@@ -475,11 +470,11 @@ class VisualizationService:
             # Each participant's compositing thread works for the
             # exchange's duration (sort-last compositing is collective).
             nodes[k].composite_seconds += composite
-        self.jobs_completed += 1
         self.collector.on_job_complete(job, summary)
-        if self._m_completed is not None:
-            self._m_completed[job.job_type].inc()
-            self._m_latency[job.job_type].observe(job.finish_time - job.arrival_time)
+        if self._latency_histograms is not None:
+            self._latency_histograms[job.job_type].observe(
+                job.finish_time - job.arrival_time
+            )
         if self.tracer is not None:
             self._trace_completion(job, now, composite, group_nodes)
         for listener in self._completion_listeners:
@@ -546,9 +541,20 @@ class VisualizationService:
     # -- state ---------------------------------------------------------------
 
     @property
+    def jobs_submitted(self) -> int:
+        """Jobs that entered the head node's queue (the collector's count)."""
+        return self.collector.jobs_submitted
+
+    @property
+    def jobs_completed(self) -> int:
+        """Jobs completed, compositing included (the collector's count)."""
+        return self.collector.jobs_completed
+
+    @property
     def outstanding_jobs(self) -> int:
         """Jobs submitted but not yet completed (queued, deferred, running)."""
-        return self.jobs_submitted - self.jobs_completed
+        collector = self.collector
+        return sum(collector.submitted_by_type.values()) - len(collector.records)
 
     @property
     def queue_depth(self) -> int:

@@ -306,13 +306,12 @@ def _run(
         events=events, storage_seed=config.storage_seed
     )
     live_tracer = active_tracer(config.tracer)
+    # An explicit registry counts even while empty (``len() == 0``).
     registry: Optional[MetricsRegistry] = None
-    if config.metrics:
-        registry = (
-            config.metrics
-            if isinstance(config.metrics, MetricsRegistry)
-            else MetricsRegistry()
-        )
+    if isinstance(config.metrics, MetricsRegistry):
+        registry = config.metrics
+    elif config.metrics:
+        registry = MetricsRegistry()
     audit_log: Optional[AuditLog] = None
     causal: Optional[CausalCollector] = None
     if config.audit:
@@ -455,6 +454,10 @@ def _run(
         closers.append(stream)
     if audit_log is not None:
         closers.append(audit_log)
+    if registry is not None:
+        # Counters and gauges read the run's live objects; freezing them
+        # keeps the result picklable and lets the cluster go.
+        closers.append(registry)
     probe.start()
 
     submit = (

@@ -40,6 +40,52 @@ class TestCounterGauge:
         assert g.value == 3.0
 
 
+class TestReadThrough:
+    def test_counter_reads_its_sources_live(self):
+        counts = {"a": 1, "b": 2}
+        c = Counter("tasks")
+        c.read_from(lambda: counts["a"])
+        c.read_from(lambda: counts["b"])
+        assert c.value == 3.0
+        counts["a"] = 10
+        assert c.value == 12.0
+        assert isinstance(c.value, float)
+
+    def test_freeze_keeps_the_value_and_drops_the_readers(self):
+        counts = [5]
+        c = Counter("tasks")
+        c.read_from(lambda: counts[0])
+        c.freeze()
+        counts[0] = 99
+        assert c.value == 5.0
+        # A new source adds to the frozen total, like a second run.
+        c.read_from(lambda: 2)
+        assert c.value == 7.0
+
+    def test_gauge_level_restarts_with_a_new_source(self):
+        g = Gauge("depth")
+        g.read_from(lambda: 4)
+        g.freeze()
+        assert g.value == 4.0
+        g.read_from(lambda: 1)
+        assert g.value == 1.0
+
+    def test_closed_registry_pickles_with_live_values(self):
+        import pickle
+
+        reg = MetricsRegistry()
+        state = {"hits": 3}
+        reg.counter("repro_hits", "hits").read_from(lambda: state["hits"])
+        reg.gauge("repro_level").read_from(lambda: 2)
+        reg.histogram("repro_lat").observe(0.5)
+        before = reg.to_prometheus()
+        reg.close()
+        state["hits"] = 100
+        clone = pickle.loads(pickle.dumps(reg))
+        assert clone.to_prometheus() == before
+        assert clone.value("repro_hits") == 3.0
+
+
 class TestLogBuckets:
     def test_bounds_are_increasing_and_span_range(self):
         bounds = log_buckets(lowest=1e-3, highest=10.0, per_decade=4)
