@@ -18,39 +18,39 @@ import pytest
 
 from benchmarks._shared import bench_scale, emit_report
 from repro.reporting.report import sweep_table
-from repro.sim.simulator import run_simulation
+from repro.sim.sweep import sweep
 from repro.util.units import GiB, MiB
 from repro.workload.scenarios import scenario_1
 
 CHUNK_SIZES_MIB = [64, 128, 256, 512, 1024]
 SCALE = bench_scale(0.5)
 
-_RESULTS: dict = {}
+
+def chunk_scenario(chunk_mib: int):
+    """Scenario 1 with ``Chkmax = chunk_mib`` MiB."""
+    sc = scenario_1(scale=SCALE)
+    return replace(
+        sc, system=sc.system.with_overrides(chunk_max=chunk_mib * MiB)
+    )
 
 
-def _run(chunk_mib: int):
-    if chunk_mib not in _RESULTS:
-        sc = scenario_1(scale=SCALE)
-        sc = replace(
-            sc, system=sc.system.with_overrides(chunk_max=chunk_mib * MiB)
-        )
-        _RESULTS[chunk_mib] = run_simulation(sc, "OURS")
-    return _RESULTS[chunk_mib]
+@pytest.fixture(scope="module")
+def runs():
+    """The Chkmax sweep under OURS, freed when the module ends."""
+    result = sweep("Chkmax (MiB)", CHUNK_SIZES_MIB, chunk_scenario, ["OURS"])
+    yield result
+    result.results.clear()
 
 
-@pytest.mark.parametrize("chunk_mib", CHUNK_SIZES_MIB)
-def test_ablation_chunk_point(benchmark, chunk_mib):
-    result = benchmark.pedantic(_run, args=(chunk_mib,), rounds=1, iterations=1)
-    assert result.jobs_completed > 0
+def test_ablation_chunk_report(benchmark, runs):
+    for result in runs.results.values():
+        assert result.jobs_completed > 0
 
-
-def test_ablation_chunk_report(benchmark):
     def build():
+        ours = [runs.result(c, "OURS") for c in CHUNK_SIZES_MIB]
         return {
-            "fps": [_run(c).interactive_fps for c in CHUNK_SIZES_MIB],
-            "latency (s)": [
-                _run(c).interactive_latency.mean for c in CHUNK_SIZES_MIB
-            ],
+            "fps": [r.interactive_fps for r in ours],
+            "latency (s)": [r.interactive_latency.mean for r in ours],
             "tasks/job": [
                 float(2 * GiB // (c * MiB)) for c in CHUNK_SIZES_MIB
             ],

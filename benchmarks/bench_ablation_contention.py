@@ -13,63 +13,61 @@ hurt disproportionately by contention.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
+from itertools import product
 
 import pytest
 
 from benchmarks._shared import bench_scale, emit_report
 from repro.cluster.storage import StorageSpec
 from repro.reporting.report import sweep_table
-from repro.sim.simulator import run_simulation
+from repro.sim.run_config import RunConfig
+from repro.sim.simulator import run_many
 from repro.util.units import MiB
 from repro.workload.scenarios import scenario_1
 
 SCALE = bench_scale(1.0)
 
-_RESULTS: dict = {}
 
-
-def _run(scheduler: str, shared: bool):
-    key = (scheduler, shared)
-    if key not in _RESULTS:
-        sc = scenario_1(scale=SCALE)
-        storage = StorageSpec(
-            bandwidth=100 * MiB,
-            latency=0.010,
-            shared_bandwidth=400 * MiB if shared else None,
-        )
-        sc = replace(
-            sc,
-            system=sc.system.with_overrides(storage=storage),
-            prewarm=False,  # cold start: loads happen during the run
-        )
-        _RESULTS[key] = run_simulation(sc, scheduler)
-    return _RESULTS[key]
-
-
-@pytest.mark.parametrize("scheduler", ["OURS", "FCFS"])
-@pytest.mark.parametrize("shared", [False, True])
-def test_contention_point(benchmark, scheduler, shared):
-    result = benchmark.pedantic(
-        _run, args=(scheduler, shared), rounds=1, iterations=1
+def contention_scenario(shared: bool):
+    """Cold-start Scenario 1 on local disks or one shared server."""
+    sc = scenario_1(scale=SCALE)
+    storage = StorageSpec(
+        bandwidth=100 * MiB,
+        latency=0.010,
+        shared_bandwidth=400 * MiB if shared else None,
     )
-    assert result.jobs_submitted > 0
+    return replace(
+        sc,
+        system=sc.system.with_overrides(storage=storage),
+        prewarm=False,  # cold start: loads happen during the run
+    )
 
 
-def test_contention_report(benchmark):
+@pytest.fixture(scope="module")
+def runs():
+    """Result per (scheduler, shared), freed when the module ends."""
+    grid = list(product(["OURS", "FCFS"], [False, True]))
+    results = run_many(
+        (partial(contention_scenario, shared), scheduler, RunConfig())
+        for scheduler, shared in grid
+    )
+    by_point = dict(zip(grid, results))
+    yield by_point
+    by_point.clear()
+
+
+def test_contention_report(benchmark, runs):
+    for result in runs.values():
+        assert result.jobs_submitted > 0
+
     def build():
+        ours = [runs[("OURS", shared)] for shared in (False, True)]
+        fcfs = [runs[("FCFS", shared)] for shared in (False, True)]
         return {
-            "OURS fps": [
-                _run("OURS", False).interactive_fps,
-                _run("OURS", True).interactive_fps,
-            ],
-            "FCFS fps": [
-                _run("FCFS", False).interactive_fps,
-                _run("FCFS", True).interactive_fps,
-            ],
-            "FCFS loads": [
-                float(_run("FCFS", False).tasks_missed),
-                float(_run("FCFS", True).tasks_missed),
-            ],
+            "OURS fps": [r.interactive_fps for r in ours],
+            "FCFS fps": [r.interactive_fps for r in fcfs],
+            "FCFS loads": [float(r.tasks_missed) for r in fcfs],
         }
 
     series = benchmark.pedantic(build, rounds=1, iterations=1)
@@ -97,4 +95,7 @@ def test_contention_report(benchmark):
     assert series["OURS fps"][0] > 5 * series["FCFS fps"][0]
     assert series["OURS fps"][1] > 5 * series["FCFS fps"][1]
     # FCFS keeps re-loading data; OURS pays each chunk once.
-    assert _run("FCFS", False).tasks_missed > 1.5 * _run("OURS", False).tasks_missed
+    assert (
+        runs[("FCFS", False)].tasks_missed
+        > 1.5 * runs[("OURS", False)].tasks_missed
+    )

@@ -12,45 +12,42 @@ Scenario 2 under OURS with ω from 2 ms to 120 ms:
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from benchmarks._shared import bench_scale, emit_report
 from repro.core.ours import OursScheduler
 from repro.reporting.report import sweep_table
-from repro.sim.simulator import run_simulation
+from repro.sim.run_config import RunConfig
+from repro.sim.simulator import run_many
 from repro.workload.scenarios import scenario_2
 
 CYCLES_MS = [2, 5, 15, 45, 120]
 SCALE = bench_scale(0.5)
 
-_RESULTS: dict = {}
-_SCENARIO = None
+
+@pytest.fixture(scope="module")
+def runs():
+    """Results in ``CYCLES_MS`` order, freed when the module ends."""
+    scenario = scenario_2(scale=SCALE)
+    results = run_many(
+        (scenario, partial(OursScheduler, cycle=c / 1000.0), RunConfig())
+        for c in CYCLES_MS
+    )
+    yield results
+    results.clear()
 
 
-def _run(cycle_ms: int):
-    global _SCENARIO
-    if _SCENARIO is None:
-        _SCENARIO = scenario_2(scale=SCALE)
-    if cycle_ms not in _RESULTS:
-        scheduler = OursScheduler(cycle=cycle_ms / 1000.0)
-        _RESULTS[cycle_ms] = run_simulation(_SCENARIO, scheduler)
-    return _RESULTS[cycle_ms]
+def test_ablation_cycle_report(benchmark, runs):
+    for result in runs:
+        assert result.jobs_completed > 0
 
-
-@pytest.mark.parametrize("cycle_ms", CYCLES_MS)
-def test_ablation_cycle_point(benchmark, cycle_ms):
-    result = benchmark.pedantic(_run, args=(cycle_ms,), rounds=1, iterations=1)
-    assert result.jobs_completed > 0
-
-
-def test_ablation_cycle_report(benchmark):
     def build():
         return {
-            "fps": [_run(c).interactive_fps for c in CYCLES_MS],
-            "latency (s)": [
-                _run(c).interactive_latency.mean for c in CYCLES_MS
-            ],
-            "cost (us/job)": [_run(c).sched_cost_us for c in CYCLES_MS],
+            "fps": [r.interactive_fps for r in runs],
+            "latency (s)": [r.interactive_latency.mean for r in runs],
+            "cost (us/job)": [r.sched_cost_us for r in runs],
         }
 
     series = benchmark.pedantic(build, rounds=1, iterations=1)

@@ -17,7 +17,7 @@ from benchmarks._shared import bench_scale, emit_report
 from repro.faults import FaultPlan
 from repro.reporting.report import sweep_table
 from repro.sim.run_config import RunConfig
-from repro.sim.simulator import run_simulation
+from repro.sim.simulator import run_many
 from repro.workload.scenarios import scenario_1
 
 SCALE = bench_scale(0.5)
@@ -25,45 +25,24 @@ CRASHES = {0: [], 1: [(10.0 * SCALE, 3)], 2: [(10.0 * SCALE, 3), (18.0 * SCALE, 
 
 
 @pytest.fixture(scope="module")
-def results_cache():
-    """Module-scoped result memo — dropped when the module finishes, so
-    repeated bench sessions in one process don't accumulate results."""
-    cache: dict = {}
-    yield cache
-    cache.clear()
+def runs():
+    """Results in crash-count order, freed when the module ends."""
+    scenario = scenario_1(scale=SCALE)
+    plans = [FaultPlan.from_node_failures(CRASHES[c]) for c in sorted(CRASHES)]
+    results = run_many((scenario, "OURS", RunConfig(faults=p)) for p in plans)
+    yield results
+    results.clear()
 
 
-def _run(crashes: int, cache: dict):
-    if crashes not in cache:
-        cache[crashes] = run_simulation(
-            scenario_1(scale=SCALE),
-            "OURS",
-            config=RunConfig(
-                faults=FaultPlan.from_node_failures(CRASHES[crashes])
-            ),
-        )
-    return cache[crashes]
-
-
-@pytest.mark.parametrize("crashes", sorted(CRASHES))
-def test_failure_point(benchmark, crashes, results_cache):
-    result = benchmark.pedantic(
-        _run, args=(crashes, results_cache), rounds=1, iterations=1
-    )
-    assert result.jobs_submitted > 0
-
-
-def test_failure_report(benchmark, results_cache):
-    def _run_c(c):
-        return _run(c, results_cache)
+def test_failure_report(benchmark, runs):
+    for result in runs:
+        assert result.jobs_submitted > 0
 
     def build():
         return {
-            "fps": [_run_c(c).interactive_fps for c in sorted(CRASHES)],
-            "latency (s)": [
-                _run_c(c).interactive_latency.mean for c in sorted(CRASHES)
-            ],
-            "hit rate %": [100 * _run_c(c).hit_rate for c in sorted(CRASHES)],
+            "fps": [r.interactive_fps for r in runs],
+            "latency (s)": [r.interactive_latency.mean for r in runs],
+            "hit rate %": [100 * r.hit_rate for r in runs],
         }
 
     series = benchmark.pedantic(build, rounds=1, iterations=1)
@@ -89,6 +68,5 @@ def test_failure_report(benchmark, results_cache):
     # Monotone degradation, never collapse-to-zero.
     assert fps[0] > fps[1] > fps[2] > 1.0
     # Every crash run still completed a substantial share of its jobs.
-    for c in sorted(CRASHES):
-        result = _run_c(c)
+    for result in runs:
         assert result.jobs_completed > 0.25 * result.jobs_submitted

@@ -18,40 +18,39 @@ import pytest
 
 from benchmarks._shared import bench_scale, emit_report
 from repro.reporting.report import sweep_table
-from repro.sim.simulator import run_simulation
+from repro.sim.sweep import sweep
 from repro.workload.scenarios import scenario_4
 
 SCALE = bench_scale(0.1)
 GPU_COUNTS = [1, 2]
 
-_RESULTS: dict = {}
+
+def gpu_scenario(gpus: int):
+    """Scenario 4 with ``gpus`` rendering pipelines per node."""
+    sc = scenario_4(scale=SCALE)
+    if gpus != 1:
+        sc = replace(sc, system=sc.system.with_overrides(gpus_per_node=gpus))
+    return sc
 
 
-def _run(gpus: int):
-    if gpus not in _RESULTS:
-        sc = scenario_4(scale=SCALE)
-        if gpus != 1:
-            sc = replace(sc, system=sc.system.with_overrides(gpus_per_node=gpus))
-        _RESULTS[gpus] = run_simulation(sc, "OURS")
-    return _RESULTS[gpus]
+@pytest.fixture(scope="module")
+def runs():
+    """The GPU-count sweep under OURS, freed when the module ends."""
+    result = sweep("GPUs per node", GPU_COUNTS, gpu_scenario, ["OURS"])
+    yield result
+    result.results.clear()
 
 
-@pytest.mark.parametrize("gpus", GPU_COUNTS)
-def test_multigpu_point(benchmark, gpus):
-    result = benchmark.pedantic(_run, args=(gpus,), rounds=1, iterations=1)
-    assert result.jobs_submitted > 0
+def test_multigpu_report(benchmark, runs):
+    for result in runs.results.values():
+        assert result.jobs_submitted > 0
 
-
-def test_multigpu_report(benchmark):
     def build():
+        ours = [runs.result(g, "OURS") for g in GPU_COUNTS]
         return {
-            "fps": [_run(g).interactive_fps for g in GPU_COUNTS],
-            "latency (s)": [
-                _run(g).interactive_latency.mean for g in GPU_COUNTS
-            ],
-            "utilization %": [
-                100 * _run(g).mean_node_utilization for g in GPU_COUNTS
-            ],
+            "fps": [r.interactive_fps for r in ours],
+            "latency (s)": [r.interactive_latency.mean for r in ours],
+            "utilization %": [100 * r.mean_node_utilization for r in ours],
         }
 
     series = benchmark.pedantic(build, rounds=1, iterations=1)

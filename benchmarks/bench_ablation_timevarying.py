@@ -17,7 +17,8 @@ from benchmarks._shared import bench_scale, emit_report
 from repro.core.chunks import dataset_suite
 from repro.reporting.report import comparison_table
 from repro.sim.config import system_linux8
-from repro.sim.simulator import run_simulation
+from repro.sim.run_config import RunConfig
+from repro.sim.simulator import run_many
 from repro.util.units import GiB
 from repro.workload.actions import persistent_actions
 from repro.workload.batch import time_varying_batch_stream
@@ -27,48 +28,41 @@ from repro.workload.trace import merge_traces
 DURATION = 40.0 * bench_scale(1.0)
 SCHEDULERS = ["OURS", "FCFSL", "FCFS"]
 
-_RESULTS: dict = {}
-_SCENARIO = None
-
 
 def tv_scenario() -> Scenario:
-    global _SCENARIO
-    if _SCENARIO is None:
-        hot = dataset_suite(4, 2 * GiB)  # interactive working set: 8 GB
-        series = dataset_suite(8, 2 * GiB, prefix="ts")  # timesteps: 16 GB
-        interactive = persistent_actions(
-            hot, DURATION, target_framerate=100.0 / 3.0, seed=21, name="tv-i"
-        )
-        batch = time_varying_batch_stream(
-            series,
-            DURATION,
-            submission_rate=0.25,
-            frames_per_submission=16,  # two loops over the series
-            seed=22,
-        )
-        _SCENARIO = Scenario(
-            name="time-varying",
-            system=system_linux8(),
-            trace=merge_traces([interactive, batch], name="time-varying"),
-        )
-    return _SCENARIO
+    hot = dataset_suite(4, 2 * GiB)  # interactive working set: 8 GB
+    series = dataset_suite(8, 2 * GiB, prefix="ts")  # timesteps: 16 GB
+    interactive = persistent_actions(
+        hot, DURATION, target_framerate=100.0 / 3.0, seed=21, name="tv-i"
+    )
+    batch = time_varying_batch_stream(
+        series,
+        DURATION,
+        submission_rate=0.25,
+        frames_per_submission=16,  # two loops over the series
+        seed=22,
+    )
+    return Scenario(
+        name="time-varying",
+        system=system_linux8(),
+        trace=merge_traces([interactive, batch], name="time-varying"),
+    )
 
 
-def _run(name: str):
-    if name not in _RESULTS:
-        _RESULTS[name] = run_simulation(tv_scenario(), name)
-    return _RESULTS[name]
+@pytest.fixture(scope="module")
+def runs():
+    """Results in ``SCHEDULERS`` order, freed when the module ends."""
+    scenario = tv_scenario()
+    results = run_many((scenario, s, RunConfig()) for s in SCHEDULERS)
+    yield results
+    results.clear()
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_timevarying_run(benchmark, scheduler):
-    result = benchmark.pedantic(_run, args=(scheduler,), rounds=1, iterations=1)
-    assert result.jobs_submitted > 0
-
-
-def test_timevarying_report(benchmark):
+def test_timevarying_report(benchmark, runs):
+    for result in runs:
+        assert result.jobs_submitted > 0
     summaries = benchmark.pedantic(
-        lambda: [_run(s).summary() for s in SCHEDULERS], rounds=1, iterations=1
+        lambda: [r.summary() for r in runs], rounds=1, iterations=1
     )
     by_name = {s.scheduler: s for s in summaries}
     text = comparison_table(

@@ -15,39 +15,39 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from benchmarks._shared import bench_scale, emit_report
 from repro.reporting.report import sweep_table
-from repro.sim.simulator import run_simulation
+from repro.sim.sweep import sweep
 from repro.workload.scenarios import scenario_1
 
 SCALE = bench_scale(0.5)
 
-_RESULTS: dict = {}
+
+def vram_scenario(model_vram: bool):
+    """Scenario 1, with the explicit VRAM model when ``model_vram``."""
+    sc = scenario_1(scale=SCALE)
+    if model_vram:
+        sc = replace(sc, system=sc.system.with_overrides(model_vram=True))
+    return sc
 
 
-def _run(model_vram: bool):
-    if model_vram not in _RESULTS:
-        sc = scenario_1(scale=SCALE)
-        if model_vram:
-            sc = replace(sc, system=sc.system.with_overrides(model_vram=True))
-        _RESULTS[model_vram] = run_simulation(sc, "OURS")
-    return _RESULTS[model_vram]
+@pytest.fixture(scope="module")
+def runs():
+    """OURS without and with VRAM modeling, freed when the module ends."""
+    result = sweep("model VRAM", [False, True], vram_scenario, ["OURS"])
+    yield result
+    result.results.clear()
 
 
-def test_ablation_vram_off(benchmark):
-    result = benchmark.pedantic(_run, args=(False,), rounds=1, iterations=1)
-    assert result.jobs_completed > 0
+def test_ablation_vram_report(benchmark, runs):
+    off = runs.result(False, "OURS")
+    on = runs.result(True, "OURS")
+    assert off.jobs_completed > 0
+    assert on.jobs_completed > 0
 
-
-def test_ablation_vram_on(benchmark):
-    result = benchmark.pedantic(_run, args=(True,), rounds=1, iterations=1)
-    assert result.jobs_completed > 0
-
-
-def test_ablation_vram_report(benchmark):
     def build():
-        off = _run(False)
-        on = _run(True)
         return {
             "paper model (VRAM folded)": [
                 off.interactive_fps,
@@ -73,7 +73,6 @@ def test_ablation_vram_report(benchmark):
         ),
         fmt="{:>12.3f}",
     )
-    on = _run(True)
     text += (
         "\ninterpretation: with 1 GiB VRAM per GTX 285 and ~3 chunks "
         "concentrated per node by OURS, host->VRAM re-uploads throttle "
@@ -82,7 +81,6 @@ def test_ablation_vram_report(benchmark):
     )
     emit_report("ablation_vram", text)
 
-    off = _run(False)
     assert on.interactive_fps < off.interactive_fps
     # Main-memory behaviour itself is unchanged.
     assert abs(on.hit_rate - off.hit_rate) < 0.01

@@ -21,7 +21,7 @@ from repro.faults import FaultPlan, analyze, score
 from repro.obs import AuditConfig
 from repro.obs.slo import SLObjective, SLOMonitor
 from repro.sim.run_config import RunConfig
-from repro.sim.simulator import run_simulation
+from repro.sim.simulator import run_many
 from repro.workload.scenarios import make_scenario
 
 SCALE = bench_scale(0.5)
@@ -38,31 +38,26 @@ def _mode_name(scheduler: str, heal: bool) -> str:
 
 
 @pytest.fixture(scope="module")
-def results_cache():
-    cache: dict = {}
-    yield cache
-    cache.clear()
-
-
-def _run(scheduler: str, heal: bool, cache: dict):
-    key = (scheduler, heal)
-    if key not in cache:
-        scenario = make_scenario(1, scale=SCALE)
-        plan = FaultPlan.storm(
+def runs():
+    """``(scenario, plan, result)`` per mode, freed when the module ends."""
+    scenario = make_scenario(1, scale=SCALE)
+    plans = [
+        FaultPlan.storm(
             STORM_SEED,
             node_count=scenario.system.node_count,
             duration=scenario.trace.duration,
             heal=heal,
         )
-        result = run_simulation(
-            scenario,
-            scheduler,
-            config=RunConfig(
-                drain=True, audit=AuditConfig(capacity=None), faults=plan
-            ),
-        )
-        cache[key] = (scenario, plan, result)
-    return cache[key]
+        for _, heal in MODES
+    ]
+    audit = AuditConfig(capacity=None)
+    results = run_many(
+        (scenario, scheduler, RunConfig(drain=True, audit=audit, faults=plan))
+        for (scheduler, _), plan in zip(MODES, plans)
+    )
+    by_mode = {m: (scenario, p, r) for m, p, r in zip(MODES, plans, results)}
+    yield by_mode
+    by_mode.clear()
 
 
 def _row(scenario, plan, result, *, with_rca: bool) -> dict:
@@ -98,24 +93,18 @@ def _row(scenario, plan, result, *, with_rca: bool) -> dict:
     return row
 
 
-@pytest.mark.parametrize("scheduler,heal", MODES)
-def test_faults_run(benchmark, scheduler, heal, results_cache):
-    _, _, result = benchmark.pedantic(
-        _run, args=(scheduler, heal, results_cache), rounds=1, iterations=1
-    )
-    assert result.fault_report is not None
-    assert result.fault_report.events_injected == 4
+def test_faults_report(benchmark, runs):
+    for _, _, result in runs.values():
+        assert result.fault_report is not None
+        assert result.fault_report.events_injected == 4
 
-
-def test_faults_report(benchmark, results_cache):
     def build():
-        rows = {}
-        for scheduler, heal in MODES:
-            scenario, plan, result = _run(scheduler, heal, results_cache)
-            rows[_mode_name(scheduler, heal)] = _row(
-                scenario, plan, result, with_rca=heal
+        return {
+            _mode_name(scheduler, heal): _row(
+                *runs[(scheduler, heal)], with_rca=heal
             )
-        return rows
+            for scheduler, heal in MODES
+        }
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
 

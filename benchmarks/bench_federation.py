@@ -37,19 +37,21 @@ POINTS = [
     ("locality-4", 4, "locality"),
 ]
 
-_RESULTS: dict = {}
 
-
-def _run(label: str):
-    if label not in _RESULTS:
-        (_, shards, router) = next(p for p in POINTS if p[0] == label)
-        scenario = make_scenario(2, scale=SCALE, users=shards)
-        _RESULTS[label] = run_federation(
-            scenario,
+@pytest.fixture(scope="module")
+def runs():
+    """Merged result per point label, freed when the module ends; each
+    :func:`run_federation` runs its shards as one ``run_many`` call."""
+    results = {
+        label: run_federation(
+            make_scenario(2, scale=SCALE, users=shards),
             SCHEDULER,
             FederationConfig(shards=shards, router=router),
         )
-    return _RESULTS[label]
+        for label, shards, router in POINTS
+    }
+    yield results
+    results.clear()
 
 
 def _row(result) -> dict:
@@ -72,15 +74,12 @@ def _row(result) -> dict:
     }
 
 
-@pytest.mark.parametrize("label", [p[0] for p in POINTS])
-def test_federation_run(benchmark, label):
-    result = benchmark.pedantic(_run, args=(label,), rounds=1, iterations=1)
-    assert result.jobs_submitted > 0
+def test_federation_report(benchmark, runs):
+    for result in runs.values():
+        assert result.jobs_submitted > 0
 
-
-def test_federation_report(benchmark):
     def build():
-        return {label: _row(_run(label)) for label, _, _ in POINTS}
+        return {label: _row(runs[label]) for label, _, _ in POINTS}
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
     delta = rows["locality-2"]["hit_rate"] - rows["hash-2"]["hit_rate"]

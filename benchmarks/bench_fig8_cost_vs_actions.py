@@ -16,9 +16,8 @@ import pytest
 
 from benchmarks._shared import bench_scale, emit_report
 from repro.core.chunks import dataset_suite
-from repro.reporting.report import sweep_table
 from repro.sim.config import system_anl
-from repro.sim.simulator import run_simulation
+from repro.sim.sweep import sweep
 from repro.util.units import GiB
 from repro.workload.actions import persistent_actions
 from repro.workload.scenarios import Scenario
@@ -26,8 +25,6 @@ from repro.workload.scenarios import Scenario
 ACTION_COUNTS = [8, 16, 32, 64, 128]
 SCHEDULERS = ["OURS", "FCFSL", "FCFSU"]
 DURATION = 10.0 * bench_scale(1.0)
-
-_RESULTS: dict = {}
 
 
 def fig8_scenario(actions: int) -> Scenario:
@@ -47,35 +44,22 @@ def fig8_scenario(actions: int) -> Scenario:
     return Scenario(name=f"fig8-a{actions}", system=system, trace=trace)
 
 
-def _run(actions: int, scheduler: str):
-    key = (actions, scheduler)
-    if key not in _RESULTS:
-        _RESULTS[key] = run_simulation(fig8_scenario(actions), scheduler)
-    return _RESULTS[key]
+@pytest.fixture(scope="module")
+def runs():
+    """The action-count x scheduler grid, freed when the module ends."""
+    result = sweep("# user actions", ACTION_COUNTS, fig8_scenario, SCHEDULERS)
+    yield result
+    result.results.clear()
 
 
-@pytest.mark.parametrize("actions", ACTION_COUNTS)
-def test_fig8_point(benchmark, actions):
-    def run_point():
-        return {s: _run(actions, s) for s in SCHEDULERS}
-
-    results = benchmark.pedantic(run_point, rounds=1, iterations=1)
-    for r in results.values():
+def test_fig8_report(benchmark, runs):
+    for r in runs.results.values():
         assert r.jobs_completed > 0
-
-
-def test_fig8_report(benchmark):
-    def build():
-        return {
-            s: [_run(a, s).sched_cost_us for a in ACTION_COUNTS]
-            for s in SCHEDULERS
-        }
-
-    series = benchmark.pedantic(build, rounds=1, iterations=1)
-    text = sweep_table(
-        "# user actions",
-        ACTION_COUNTS,
-        series,
+    series = benchmark.pedantic(
+        runs.series, args=(lambda r: r.sched_cost_us,), rounds=1, iterations=1
+    )
+    text = runs.table(
+        lambda r: r.sched_cost_us,
         title=(
             "Fig. 8 — per-job scheduling cost (us) vs simultaneous user "
             "actions (32 ANL nodes, 16x4GB datasets)"

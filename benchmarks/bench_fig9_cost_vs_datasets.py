@@ -14,13 +14,17 @@ batch jobs while growing the number of datasets in use.  Three panels:
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from benchmarks._shared import bench_scale, emit_report
 from repro.core.chunks import dataset_suite
+from repro.core.ours import OursScheduler
 from repro.reporting.report import sweep_table
 from repro.sim.config import system_anl
-from repro.sim.simulator import run_simulation
+from repro.sim.run_config import RunConfig
+from repro.sim.simulator import run_many
 from repro.util.units import GiB
 from repro.workload.actions import persistent_actions
 from repro.workload.batch import poisson_batch_stream
@@ -30,8 +34,6 @@ from repro.workload.trace import merge_traces
 DATASET_COUNTS = [8, 16, 32, 64, 128]
 DURATION = 10.0 * bench_scale(1.0)
 INTERACTIVE_ACTIONS = 4  # ~4 concurrent 33 fps actions fit 16 nodes
-
-_RESULTS: dict = {}
 
 
 def fig9_scenario(n_datasets: int) -> Scenario:
@@ -66,48 +68,45 @@ def fig9_scenario(n_datasets: int) -> Scenario:
     return Scenario(name=f"fig9-d{n_datasets}", system=system, trace=trace)
 
 
-_SCHEDULERS: dict = {}
+@pytest.fixture(scope="module")
+def runs():
+    """``(result, scheduler)`` per (dataset count, early exit), freed
+    when the module ends.  The runs are serial, so each scheduler
+    instance is the one that ran and its sort counters are the run's."""
+    schedulers = {
+        (d, early_exit): OursScheduler(early_exit=early_exit)
+        for early_exit in (False, True)
+        for d in DATASET_COUNTS
+    }
+    results = run_many(
+        (partial(fig9_scenario, d), scheduler, RunConfig())
+        for (d, _), scheduler in schedulers.items()
+    )
+    pairs = dict(zip(schedulers, zip(results, schedulers.values())))
+    yield pairs
+    pairs.clear()
 
 
-def _run(n_datasets: int, early_exit: bool = False):
-    key = (n_datasets, early_exit)
-    if key not in _RESULTS:
-        from repro.core.ours import OursScheduler
+def test_fig9_report(benchmark, runs):
+    for result, _ in runs.values():
+        assert result.jobs_completed > 0
 
-        scheduler = OursScheduler(early_exit=early_exit)
-        _RESULTS[key] = run_simulation(fig9_scenario(n_datasets), scheduler)
-        _SCHEDULERS[key] = scheduler
-    return _RESULTS[key]
-
-
-@pytest.mark.parametrize("n_datasets", DATASET_COUNTS)
-def test_fig9_point(benchmark, n_datasets):
-    result = benchmark.pedantic(_run, args=(n_datasets,), rounds=1, iterations=1)
-    assert result.jobs_completed > 0
-
-
-def test_fig9_report(benchmark):
     def build():
+        plain = [runs[(d, False)][0] for d in DATASET_COUNTS]
         return {
-            "cost (us/job)": [_run(d).sched_cost_us for d in DATASET_COUNTS],
+            "cost (us/job)": [r.sched_cost_us for r in plain],
             "cost-earlyexit": [
-                _run(d, early_exit=True).sched_cost_us for d in DATASET_COUNTS
+                runs[(d, True)][0].sched_cost_us for d in DATASET_COUNTS
             ],
-            "fps": [_run(d).interactive_fps for d in DATASET_COUNTS],
-            "latency (s)": [
-                _run(d).interactive_latency.mean for d in DATASET_COUNTS
-            ],
+            "fps": [r.interactive_fps for r in plain],
+            "latency (s)": [r.interactive_latency.mean for r in plain],
         }
 
     series = benchmark.pedantic(build, rounds=1, iterations=1)
-    sort_work = {
-        "sortwork/cyc": [
-            _SCHEDULERS[(d, False)].backlog_chunks_sorted
-            / max(_SCHEDULERS[(d, False)].cycles_run, 1)
-            for d in DATASET_COUNTS
-        ]
-    }
-    series.update(sort_work)
+    sorters = [runs[(d, False)][1] for d in DATASET_COUNTS]
+    series["sortwork/cyc"] = [
+        s.backlog_chunks_sorted / max(s.cycles_run, 1) for s in sorters
+    ]
     text = sweep_table(
         "# datasets",
         DATASET_COUNTS,

@@ -15,13 +15,16 @@ time inside the objective with the frontend than without it.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import product
+
 import pytest
 
 from benchmarks._shared import bench_scale, emit_json, emit_report
 from repro.frontend import FrontendConfig
 from repro.obs.slo import SLObjective, SLOMonitor
 from repro.sim.run_config import RunConfig
-from repro.sim.simulator import run_simulation
+from repro.sim.simulator import run_many
 from repro.workload.scenarios import make_scenario
 
 SCALE = bench_scale(0.5)
@@ -39,19 +42,22 @@ PROTECTED = FrontendConfig.protective(max_sessions=8, queue_limit=32)
 #: worst outcome, not a missing sample).
 OBJECTIVE = SLObjective(kind="latency", target=0.25, quantile=99.0)
 
-_RESULTS: dict = {}
 
-
-def _run(scheduler: str, mode: str):
-    key = (scheduler, mode)
-    if key not in _RESULTS:
-        frontend = PROTECTED if mode == "protected" else None
-        _RESULTS[key] = run_simulation(
-            make_scenario(2, scale=SCALE, load=LOAD),
+@pytest.fixture(scope="module")
+def runs():
+    """Result per (scheduler, mode), freed when the module ends."""
+    grid = list(product(SCHEDULERS, MODES))
+    results = run_many(
+        (
+            partial(make_scenario, 2, scale=SCALE, load=LOAD),
             scheduler,
-            config=RunConfig(frontend=frontend),
+            RunConfig(frontend=PROTECTED if mode == "protected" else None),
         )
-    return _RESULTS[key]
+        for scheduler, mode in grid
+    )
+    by_point = dict(zip(grid, results))
+    yield by_point
+    by_point.clear()
 
 
 def _compliance(result) -> float:
@@ -79,19 +85,13 @@ def _row(result) -> dict:
     return out
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-@pytest.mark.parametrize("mode", MODES)
-def test_overload_run(benchmark, scheduler, mode):
-    result = benchmark.pedantic(
-        _run, args=(scheduler, mode), rounds=1, iterations=1
-    )
-    assert result.jobs_submitted > 0
+def test_overload_report(benchmark, runs):
+    for result in runs.values():
+        assert result.jobs_submitted > 0
 
-
-def test_overload_report(benchmark):
     def build():
         return {
-            s: {m: _row(_run(s, m)) for m in MODES} for s in SCHEDULERS
+            s: {m: _row(runs[(s, m)]) for m in MODES} for s in SCHEDULERS
         }
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)

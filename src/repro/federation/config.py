@@ -54,10 +54,11 @@ class FederationConfig:
         run: The per-shard :class:`~repro.sim.RunConfig`.  Its
             ``job_namespace`` is overridden per shard (shard ``k`` runs
             in namespace ``k``) so merged job ids never collide.
-        workers: Process-pool width for running shards.  ``1`` (serial)
-            and ``N`` produce bit-identical
-            :class:`~repro.federation.FederatedResult`\\ s — the same
-            parity discipline as ``sweep(workers=N)``.
+        workers: Process-pool width for running shards, handed to
+            :func:`~repro.sim.simulator.run_many` (the same pool
+            ``sweep(workers=N)`` uses).  ``1`` (serial) and ``N``
+            produce bit-identical
+            :class:`~repro.federation.FederatedResult`\\ s.
         frontend_scope: How ``run.frontend`` caps apply when a frontend
             is configured: ``"shard"`` applies them per shard,
             ``"global"`` treats them as fleet-wide totals and divides

@@ -2,10 +2,10 @@
 
 :func:`run_federation` is the first layer *above* the simulator: it
 splits one scenario into N per-shard scenarios (router + replication
-plan), runs each shard as an ordinary independent simulation — serially
-or on a process pool, reusing the ``workers=N`` discipline sweeps
-established — and merges the per-shard results deterministically into
-one :class:`~repro.federation.FederatedResult`.
+plan), runs the shards as independent simulations through
+:func:`~repro.sim.simulator.run_many` — serially or on its process
+pool, ``workers=N`` — and merges the per-shard results
+deterministically into one :class:`~repro.federation.FederatedResult`.
 
 The split is exact, not sampled: every request of the input trace
 lands on exactly one shard (its user's shard), so fleet totals
@@ -17,14 +17,13 @@ golden-trace tests pin.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace as dc_replace
 from typing import List, Optional, Tuple, Union
 
 from repro.core.scheduler_base import Scheduler
 from repro.frontend.config import FrontendConfig
 from repro.sim.run_config import RunConfig
-from repro.sim.simulator import run_simulation
+from repro.sim.simulator import run_many
 from repro.workload.scenarios import Scenario
 from repro.workload.trace import WorkloadTrace
 from repro.federation.config import FederationConfig
@@ -159,20 +158,10 @@ def run_federation(
         scheduler if isinstance(scheduler, str) else scheduler.name
     )
     plan, routing, pairs = build_shards(scenario, config)
-    if config.workers > 1 and config.shards > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(config.workers, config.shards)
-        ) as pool:
-            futures = [
-                pool.submit(run_simulation, shard_scenario, scheduler_name, cfg)
-                for shard_scenario, cfg in pairs
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            run_simulation(shard_scenario, scheduler_name, cfg)
-            for shard_scenario, cfg in pairs
-        ]
+    results = run_many(
+        [(shard, scheduler_name, cfg) for shard, cfg in pairs],
+        workers=config.workers,
+    )
     return FederatedResult(
         scenario_name=scenario.name,
         scheduler_name=scheduler_name,

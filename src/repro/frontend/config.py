@@ -2,7 +2,7 @@
 
 Everything here is a frozen dataclass so a :class:`FrontendConfig` can
 ride inside :class:`~repro.sim.run_config.RunConfig` across process
-boundaries (the ``workers=N`` sweep path) and key result caches.
+boundaries (the ``run_many`` process pool) and key result caches.
 
 The three sub-policies are independently optional:
 

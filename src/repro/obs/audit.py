@@ -625,8 +625,8 @@ class AuditLog:
         Drops the per-run table bindings and closes the streaming JSONL
         handle.  Deferred records stay deferred — they materialize on
         first read, or in :meth:`__getstate__` when the log is pickled
-        onto a ``workers=N`` sweep pool — so an audited run that nobody
-        inspects never pays for building them.
+        back from the ``run_many`` process pool — so an audited run
+        that nobody inspects never pays for building them.
         """
         self._tables = None
         self._replicas_get = None

@@ -491,7 +491,7 @@ class TelemetryStream(Sink):
         )
         self._writer.close()
         # Break the reference cycle through the service/cluster so the
-        # result stays picklable across sweep/federation workers.
+        # result stays picklable across the run_many process pool.
         self._service = None
         return self.report()
 

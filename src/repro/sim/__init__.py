@@ -3,7 +3,12 @@
 from repro.sim.config import SystemConfig, system_anl, system_linux8
 from repro.sim.run_config import RunConfig
 from repro.sim.service import VisualizationService
-from repro.sim.simulator import SimulationResult, compare_schedulers, run_simulation
+from repro.sim.simulator import (
+    SimulationResult,
+    compare_schedulers,
+    run_many,
+    run_simulation,
+)
 from repro.sim.sweep import (
     MetricStats,
     ReplicationResult,
@@ -21,6 +26,7 @@ __all__ = [
     "SimulationResult",
     "compare_schedulers",
     "run_simulation",
+    "run_many",
     "MetricStats",
     "ReplicationResult",
     "SweepResult",

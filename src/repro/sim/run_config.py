@@ -3,9 +3,10 @@
 :class:`RunConfig` holds every option of
 :func:`~repro.sim.simulator.run_simulation` (drain control, storage
 seed, observability toggles, fault plan, ...) in one frozen, picklable
-object.  That one object is what :func:`~repro.sim.sweep.sweep` and
-:func:`~repro.sim.sweep.replicate` ship across process-pool boundaries,
-what benches persist next to their numbers, and where new run-scoped
+object.  That one object is the third element of every
+:func:`~repro.sim.simulator.run_many` point — what sweeps, replication,
+federation shards and benches ship across its process pool — what
+benches persist next to their numbers, and where new run-scoped
 features (like the overload-management ``frontend``) land without
 widening every call site.
 """

@@ -9,8 +9,9 @@ Run options travel in one :class:`~repro.sim.run_config.RunConfig`::
 
     result = run_simulation(scenario, "OURS", config=RunConfig(drain=True))
 
-:func:`compare_schedulers` runs the same scenario under several policies
-— the shape of Figs. 4-7.
+:func:`run_many` is the one way to run many independent simulations,
+serially or on a process pool; :func:`compare_schedulers` uses it to
+run the same scenario under several policies — the shape of Figs. 4-7.
 """
 
 from __future__ import annotations
@@ -18,8 +19,19 @@ from __future__ import annotations
 import gc
 import hashlib
 import time as _time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultReport
@@ -555,6 +567,51 @@ def _run(
     )
 
 
+#: One independent run of :func:`run_many`.  The scenario is a
+#: :class:`Scenario` or a zero-arg builder; the scheduler is a registry
+#: name, an instance, or a zero-arg factory.
+RunPoint = Tuple[
+    Union[Scenario, Callable[[], Scenario]],
+    Union[str, Scheduler, Callable[[], Scheduler]],
+    RunConfig,
+]
+
+
+def _run_point(point: RunPoint) -> SimulationResult:
+    """Build one point's scenario and scheduler and run them (picklable)."""
+    scenario, scheduler, config = point
+    if not isinstance(scenario, Scenario):
+        scenario = scenario()
+    if not isinstance(scheduler, (str, Scheduler)):
+        scheduler = scheduler()
+    return run_simulation(scenario, scheduler, config)
+
+
+def run_many(
+    points: Iterable[RunPoint], *, workers: int = 1
+) -> List[SimulationResult]:
+    """Run independent simulations; results come back in input order.
+
+    ``workers=1`` runs the points one after another in this process.
+    ``workers > 1`` runs them on a process pool of
+    ``min(workers, len(points))`` processes; every point (builders,
+    schedulers, configs) must then be picklable — module-level
+    functions, :func:`functools.partial` of them, registry names and
+    instances are; lambdas and closures are not.  Each run is
+    deterministic, so both paths return the same results.
+
+    Raises:
+        ValueError: For ``workers < 1``.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    points = list(points)
+    if workers == 1 or not points:
+        return [_run_point(point) for point in points]
+    with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
+        return list(pool.map(_run_point, points))
+
+
 def compare_schedulers(
     scenario: Scenario,
     schedulers: Sequence[Union[str, Scheduler]],
@@ -571,13 +628,14 @@ def compare_schedulers(
     """
     if config is None:
         config = RunConfig(drain=drain, max_drain_time=max_drain_time)
-    return [_run(scenario, sched, config) for sched in schedulers]
+    return run_many((scenario, sched, config) for sched in schedulers)
 
 
 __all__ = [
     "RunConfig",
     "SimulationResult",
     "run_simulation",
+    "run_many",
     "compare_schedulers",
     "hash_assignment_trace",
 ]

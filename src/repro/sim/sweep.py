@@ -5,75 +5,44 @@ simulation, tabulate metrics), and rigorous comparisons need
 replication over workload seeds.  This module packages both patterns so
 benches, examples, and downstream studies don't re-implement the loop.
 
-Both :func:`sweep` and :func:`replicate` accept an opt-in ``workers=N``
-to fan the independent runs out over a process pool.  Results are
-keyed deterministically — ``(value, scheduler)`` for sweeps, seed order
-for replication — so the parallel path returns exactly what the serial
-path would (the simulator itself is deterministic).  Parallel execution
-requires the scenario factory, schedulers, and the
-:class:`~repro.sim.run_config.RunConfig` to be picklable (module-level
-functions, registry names, and a frontend-bearing ``RunConfig`` are;
-lambdas and closures are not).
+Both build their ``(scenario, scheduler, RunConfig)`` points and hand
+them to :func:`~repro.sim.simulator.run_many`, the one multi-run path:
+an opt-in ``workers=N`` fans the independent runs out over its process
+pool.  Results are keyed deterministically — ``(value, scheduler)`` for
+sweeps, seed order for replication — so the parallel path returns
+exactly what the serial path would (the simulator itself is
+deterministic).  Parallel execution requires the scenario factory,
+schedulers, and the :class:`~repro.sim.run_config.RunConfig` to be
+picklable (module-level functions, registry names, and a
+frontend-bearing ``RunConfig`` are; lambdas and closures are not).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.core.registry import make_scheduler
 from repro.core.scheduler_base import Scheduler
 from repro.reporting.report import sweep_table
 from repro.sim.run_config import RunConfig
-from repro.sim.simulator import SimulationResult, _run
+from repro.sim.simulator import SimulationResult, run_many
 from repro.workload.scenarios import Scenario
 
 ScenarioFactory = Callable[..., Scenario]
-SchedulerLike = Union[str, Callable[[], Scheduler]]
+SchedulerLike = Union[str, Scheduler, Callable[[], Scheduler]]
 
 
-def _instantiate(scheduler: SchedulerLike) -> Union[str, Scheduler]:
-    return scheduler() if callable(scheduler) else scheduler
-
-
-def _run_point(
-    scenario_factory: Callable,
-    point,
-    scheduler: SchedulerLike,
-    config: RunConfig,
-) -> SimulationResult:
-    """Worker body for one (sweep point | seed) × scheduler run.
-
-    Module-level so it is picklable for :class:`ProcessPoolExecutor`.
-    """
-    return _run(scenario_factory(point), _instantiate(scheduler), config)
-
-
-def _run_grid(
-    scenario_factory: Callable,
-    points: Sequence,
-    schedulers: Sequence[SchedulerLike],
-    workers: Optional[int],
-    config: RunConfig,
-) -> List[SimulationResult]:
-    """Run every (point, scheduler) pair, serially or on a process pool.
-
-    Results come back in grid order (points outer, schedulers inner)
-    either way, so callers key them identically on both paths.
-    """
-    pairs = [(point, sched) for point in points for sched in schedulers]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_point, scenario_factory, point, sched, config)
-                for point, sched in pairs
-            ]
-            return [f.result() for f in futures]
-    return [
-        _run_point(scenario_factory, point, sched, config)
-        for point, sched in pairs
-    ]
+def _scheduler_name(scheduler: SchedulerLike) -> str:
+    """The name a run under ``scheduler`` reports, without running it."""
+    if isinstance(scheduler, str):
+        return make_scheduler(scheduler).name
+    if isinstance(scheduler, Scheduler):
+        return scheduler.name
+    return scheduler().name
 
 
 @dataclass
@@ -126,32 +95,43 @@ def sweep(
         parameter: Display name of the swept knob.
         values: Sweep points (passed to the factory).
         scenario_factory: Builds the scenario for one sweep point.
-        schedulers: Registry names or zero-arg factories.
+        schedulers: Registry names, instances or zero-arg factories.
         workers: Fan the independent runs out over a process pool of
             this size (``None``/``1`` = serial).  Requires picklable
             factory/schedulers/config; results are identical to the
             serial path.
         config: :class:`~repro.sim.run_config.RunConfig` applied to
             every run of the sweep (``None`` = all defaults).
+
+    Raises:
+        ValueError: Before any run, for no values or schedulers, a
+            repeated value, two schedulers that report the same name
+            (their runs would share a result key), or ``workers < 1``.
     """
     if not values:
         raise ValueError("sweep needs at least one value")
     if not schedulers:
         raise ValueError("sweep needs at least one scheduler")
+    names = [_scheduler_name(s) for s in schedulers]
+    # Runs under one (value, scheduler) key would overwrite each other.
+    for what, keys in (("values", list(values)), ("scheduler names", names)):
+        if len(set(keys)) < len(keys):
+            raise ValueError(f"sweep {what} repeat: {keys}")
     run_config = config if config is not None else RunConfig()
-    out = SweepResult(parameter=parameter, values=list(values), schedulers=[])
-    names: List[str] = []
-    grid = _run_grid(scenario_factory, values, schedulers, workers, run_config)
-    index = 0
-    for value in values:
-        for _scheduler in schedulers:
-            result = grid[index]
-            index += 1
-            out.results[(value, result.scheduler_name)] = result
-            if result.scheduler_name not in names:
-                names.append(result.scheduler_name)
-    out.schedulers = names
-    return out
+    results = run_many(
+        [
+            (partial(scenario_factory, value), scheduler, run_config)
+            for value in values
+            for scheduler in schedulers
+        ],
+        workers=1 if workers is None else workers,
+    )
+    return SweepResult(
+        parameter=parameter,
+        values=list(values),
+        schedulers=names,
+        results=dict(zip(product(values, names), results)),
+    )
 
 
 @dataclass(frozen=True)
@@ -225,10 +205,17 @@ def replicate(
     if not seeds:
         raise ValueError("replicate needs at least one seed")
     run_config = config if config is not None else RunConfig()
-    results = _run_grid(scenario_factory, seeds, [scheduler], workers, run_config)
-    name: Optional[str] = results[-1].scheduler_name if results else None
+    results = run_many(
+        [
+            (partial(scenario_factory, seed), scheduler, run_config)
+            for seed in seeds
+        ],
+        workers=1 if workers is None else workers,
+    )
     return ReplicationResult(
-        scheduler=name or "?", seeds=list(seeds), results=results
+        scheduler=results[-1].scheduler_name,
+        seeds=list(seeds),
+        results=results,
     )
 
 

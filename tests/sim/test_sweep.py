@@ -65,6 +65,40 @@ class TestSweep:
             sweep("x", [], scenario_with_actions, ["OURS"])
         with pytest.raises(ValueError):
             sweep("x", [1], scenario_with_actions, [])
+        # Two runs under one (value, scheduler) key would overwrite
+        # each other's result.
+        with pytest.raises(ValueError, match="scheduler names repeat"):
+            sweep(
+                "x",
+                [1],
+                scenario_with_actions,
+                [
+                    functools.partial(OursScheduler, cycle=0.002),
+                    functools.partial(OursScheduler, cycle=0.1),
+                ],
+            )
+        with pytest.raises(ValueError, match="scheduler names repeat"):
+            sweep("x", [1], scenario_with_actions, ["OURS", "ours"])
+        with pytest.raises(ValueError, match="values repeat"):
+            sweep("x", [1, 2, 1], scenario_with_actions, ["OURS"])
+
+    def test_validation_runs_nothing(self):
+        calls = []
+
+        def factory(value):
+            calls.append(value)
+            return scenario_with_actions(value)
+
+        with pytest.raises(ValueError):
+            sweep("x", [1, 1], factory, ["OURS"])
+        with pytest.raises(ValueError):
+            sweep("x", [1], factory, ["OURS"], workers=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sweep("x", [1], scenario_with_actions, ["OURS"], workers=workers)
 
 
 class TestParallelWorkers:
@@ -172,3 +206,13 @@ class TestReplicate:
     def test_validation(self):
         with pytest.raises(ValueError):
             replicate(lambda s: scenario_with_actions(1, s), "OURS", seeds=[])
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            replicate(
+                functools.partial(scenario_with_actions, 1),
+                "OURS",
+                seeds=[0],
+                workers=workers,
+            )
