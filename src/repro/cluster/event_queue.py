@@ -68,7 +68,9 @@ class EventQueue:
     caught loudly than silently reordered).
     """
 
-    __slots__ = ("_heap", "_ahead", "_seq", "_now", "_processed", "_stop_check")
+    __slots__ = (
+        "_heap", "_ahead", "_seq", "_now", "_processed", "_stop_check", "_periodic"
+    )
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._heap: List[Event] = []
@@ -77,6 +79,9 @@ class EventQueue:
         self._now = float(start_time)
         self._processed = 0
         self._stop_check = False
+        #: Periodic ticks on the queue (probe grids, the frontend's
+        #: degradation controller); see :mod:`repro.obs.probe`.
+        self._periodic = 0
 
     # -- clock -------------------------------------------------------------
 

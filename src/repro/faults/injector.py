@@ -159,30 +159,21 @@ class FaultReport:
 class FaultRuntime:
     """Arms one :class:`FaultPlan` on a live simulation."""
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        events,
-        cluster,
-        service,
-        *,
-        tracer=None,
-        audit=None,
-    ) -> None:
+    def __init__(self, plan: FaultPlan, service) -> None:
         self.plan = plan
-        self.events = events
-        self.cluster = cluster
         self.service = service
-        self.tracer = tracer
-        self.audit = audit
+        self.cluster = service.cluster
+        self.events = service.cluster.events
+        self.tracer = service.tracer
+        self.audit = service.audit
         self.report = FaultReport(self_healing=plan.self_healing)
         self.monitor: Optional[HealthMonitor] = None
         self.engine: Optional[RecoveryEngine] = None
         if plan.detection is not None:
-            self.monitor = HealthMonitor(plan.detection, cluster.node_count)
+            self.monitor = HealthMonitor(plan.detection, self.cluster.node_count)
             if plan.recovery is not None:
                 self.engine = RecoveryEngine(
-                    plan.recovery, service, audit=audit, tracer=tracer
+                    plan.recovery, service, audit=self.audit, tracer=self.tracer
                 )
         #: Tasks stranded on a crashed-but-undetected node (its orphans
         #: plus placements absorbed by the dispatch guard).

@@ -1,7 +1,8 @@
 """SLO-driven graceful degradation: the quality-ladder controller.
 
 The controller keeps its own tick on the event queue (not on the
-:class:`~repro.obs.probe.Probe`: its tick decides admission) and converts the
+:class:`~repro.obs.probe.Probe`: its tick decides admission; it stops
+by the probe's quiescence rule) and converts the
 delivered per-session framerate of the last interval into the SLO burn
 rate of :mod:`repro.obs.slo` (``(target - fps) / target``).  Sustained
 burn above ``step_down_burn`` walks every interactive session one rung
@@ -21,6 +22,7 @@ from typing import List, Optional, Tuple
 from repro.core.job import JobType
 from repro.frontend.config import DegradeConfig, QualityLevel
 from repro.obs.metrics import default_window_interval
+from repro.obs.probe import _keeps_ticking
 from repro.obs.slo import SLObjective, fps_burn_rate
 
 
@@ -122,7 +124,9 @@ class DegradationController:
         if interval is None:
             interval = 0.5 if horizon is None else default_window_interval(horizon)
         self._interval = interval
-        service.cluster.events.schedule(0.0, self._tick)
+        events = service.cluster.events
+        events.schedule(0.0, self._tick)
+        events._periodic += 1
 
     def _delivered_burns(self, now: float) -> Optional[Tuple[float, float]]:
         """Burn vs the current rung and vs the rung above, or ``None``.
@@ -179,9 +183,7 @@ class DegradationController:
             else:
                 self._hot = 0
                 self._cool = 0
-        past_horizon = self._horizon is not None and now >= self._horizon
-        more_coming = service.has_work() or len(service.cluster.events) > 0
-        if more_coming and not past_horizon:
+        if _keeps_ticking(service, self._horizon):
             service.cluster.events.schedule_after(self._interval, self._tick)
 
     # -- ladder moves ------------------------------------------------------

@@ -11,11 +11,12 @@ an observed run is bit-identical to an unobserved one.
   per tick, tick ``k`` at exactly ``start + k * interval`` (computed
   from the tick index, so ticks accumulate no float drift).  Window
   state is kept per grid.
-* **Quiescence.**  A grid stops after the tick that reaches the
-  horizon, or after a tick that finds the service without work and
-  nothing queued but the probe's own ticks.  Other grids' ticks never
-  count as pending work, so no observer's output depends on which
-  other observers are attached.
+* **Quiescence.**  Every periodic clock (each grid, and the frontend's
+  degradation controller) keeps one rule, :func:`_keeps_ticking`: it
+  stops after the tick that reaches the horizon, or after a tick that
+  finds the service without work and nothing queued but periodic
+  ticks.  No clock counts another's ticks as pending work, so no
+  observer's output depends on which other clocks are running.
 """
 
 from __future__ import annotations
@@ -88,6 +89,22 @@ class Snapshot:
     window: Optional[MetricWindow]
 
 
+def _keeps_ticking(service, horizon: Optional[float]) -> bool:
+    """Whether a periodic clock queues its next tick (asked in each tick).
+
+    The asking tick is off the queue but still counted in the queue's
+    ``_periodic``, so ``len(events) >= _periodic`` means something other
+    than periodic ticks is queued.  A clock that stops leaves the count.
+    """
+    events = service.cluster.events
+    if (horizon is None or events.now < horizon) and (
+        service.has_work() or len(events) >= events._periodic
+    ):
+        return True
+    events._periodic -= 1
+    return False
+
+
 class Sink:
     """Base of the probe's sinks: an ``interval`` and a ``_tick``.
 
@@ -98,9 +115,12 @@ class Sink:
     interval: float
     horizon: Optional[float] = None
 
-    def attach(self, service):
-        """Start sampling ``service`` on a probe of its own."""
-        Probe(service, horizon=self.horizon).add(self).start()
+    def attach(self, service, probe: Optional["Probe"] = None):
+        """Sample ``service`` on ``probe``, or on a started probe of its own."""
+        if probe is None:
+            Probe(service, horizon=self.horizon).add(self).start()
+        else:
+            probe.add(self)
         return self
 
 
@@ -135,8 +155,6 @@ class Probe:
         self.horizon = horizon
         self._grids: Dict[float, _Grid] = {}
         self._start = 0.0
-        #: Grids still ticking, i.e. the probe's events on the queue.
-        self._live = 0
 
     def add(self, sink) -> "Probe":
         """Register ``sink`` on the grid for ``sink.interval`` (before start)."""
@@ -153,7 +171,7 @@ class Probe:
         for grid in self._grids.values():
             grid.time = self._start
             events.schedule(self._start, self._tick, grid)
-        self._live = len(self._grids)
+        events._periodic += len(self._grids)
         return self
 
     def close(self) -> None:
@@ -167,17 +185,11 @@ class Probe:
         snapshot = self._snapshot(grid)
         for sink in grid.sinks:
             sink._tick(snapshot)  # looked up per call; see Sink
-        events = service.cluster.events
-        past_horizon = self.horizon is not None and snapshot.time >= self.horizon
-        # This tick is off the queue, so the other live grids account
-        # for ``_live - 1`` queued events; anything more is real work.
-        if not past_horizon and (service.has_work() or len(events) >= self._live):
+        if _keeps_ticking(service, self.horizon):
             grid.ticks += 1
-            events.schedule(
+            service.cluster.events.schedule(
                 self._start + grid.ticks * grid.interval, self._tick, grid
             )
-        else:
-            self._live -= 1
 
     def _snapshot(self, grid: _Grid) -> Snapshot:
         service = self.service

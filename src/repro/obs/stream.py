@@ -445,8 +445,11 @@ class TelemetryStream(Sink):
                 }
             )
 
-    def bind(self, service) -> "TelemetryStream":
-        """Start the wall clock and the stall watchdog for ``service``."""
+    def attach(self, service, probe=None) -> "TelemetryStream":
+        """Start the wall clock and stall watchdog, then sample ``service``.
+
+        Samples on ``probe`` when given, else on a started probe of its own.
+        """
         self._service = service
         events = service.cluster.events
         self._start = events.now
@@ -457,12 +460,7 @@ class TelemetryStream(Sink):
                 events, service, self._writer, self.config.stall_timeout
             )
             self.watchdog.start()
-        return self
-
-    def attach(self, service) -> "TelemetryStream":
-        """Start streaming ``service`` on a probe of its own."""
-        self.bind(service)
-        return super().attach(service)
+        return super().attach(service, probe)
 
     def close(self) -> "StreamReport":
         """Stop the watchdog, write the summary record, close the file."""

@@ -9,6 +9,17 @@ Run options travel in one :class:`~repro.sim.run_config.RunConfig`::
 
     result = run_simulation(scenario, "OURS", config=RunConfig(drain=True))
 
+A run is a core plus ``_PARTS``, an ordered tuple with one generator
+function per optional feature.  The core builds the queue, cluster,
+service and probe, preloads the arrivals, runs, drains and builds the
+result.  A part returns at once when its feature is off.  Its code up
+to the first ``yield`` runs before the service is built (it may set the
+tracer, registry or audit log the service takes); up to the second it
+wires the feature in and registers closers, which close in reverse,
+probe first, however the run ends; the rest supplies its result fields.
+The order is a contract: it fixes event-queue sequence numbers, probe
+grid order, listener order and metric registration order.
+
 :func:`run_many` is the one way to run many independent simulations,
 serially or on a process pool; :func:`compare_schedulers` uses it to
 run the same scenario under several policies — the shape of Figs. 4-7.
@@ -301,213 +312,275 @@ def run_simulation(
     return _run(scenario, scheduler, config)
 
 
+class _Run:
+    """One run's shared state: what the core builds and the parts extend."""
+
+    def __init__(self, scenario: Scenario, scheduler: Scheduler, config: RunConfig):
+        self.scenario = scenario
+        self.scheduler = scheduler
+        self.config = config
+        self.horizon = scenario.trace.duration
+        #: Where periodic clocks stop; drained runs tick to quiescence.
+        self.stop_at = None if config.drain else self.horizon
+        self.events = EventQueue()
+        self.cluster = scenario.system.build_cluster(
+            events=self.events, storage_seed=config.storage_seed
+        )
+        self.tracer = self.registry = self.audit = self.faults = None
+        self.closers: list = []
+        self.fields: dict = {}
+
+
+def _audit(run: _Run):
+    config = run.config.audit
+    if not config:
+        return
+    run.audit = AuditLog(
+        config if isinstance(config, AuditConfig) else AuditConfig(),
+        scheduler=run.scheduler.name,
+        scenario=run.scenario.name,
+    )
+    causal = CausalCollector()
+    yield
+    # A per-job completion listener, not a per-task cluster listener:
+    # the cluster keeps its single-listener task-finish fast path and
+    # the collector fires once per job, after finish_time is set.
+    run.service.add_completion_listener(causal.on_job_complete)
+    run.closers.append(run.audit)
+    yield
+    run.fields.update(audit=run.audit, critical_paths=causal.analysis())
+
+
+def _frontend(run: _Run):
+    if run.config.frontend is None:
+        return
+    yield
+    frontend = ServiceFrontend(
+        run.config.frontend,
+        run.service,
+        target_framerate=run.scenario.target_framerate,
+        horizon=run.stop_at,
+        metrics=run.registry,
+        audit=run.audit,
+    )
+    run.submit = frontend.submit_request
+    run.starts.append(frontend.start)
+    run.pending.append(lambda: frontend.waiting_count > 0)
+    yield
+    run.fields["frontend"] = frontend.stats()
+
+
+def _metrics(run: _Run):
+    registry = run.config.metrics
+    # An explicit registry counts even while empty (``len() == 0``).
+    if not isinstance(registry, MetricsRegistry):
+        if not registry:
+            return
+        registry = MetricsRegistry()
+    run.registry = registry
+    yield
+    for node in run.cluster.nodes:
+        node.set_metrics(registry)
+    run.cluster.storage.set_metrics(registry)
+    window = run.config.metrics_interval or default_window_interval(run.horizon)
+    sampler = MetricsSampler(registry, window)
+    run.probe.add(sampler)
+    # Counters and gauges read the run's live objects; freezing them
+    # keeps the result picklable and lets the cluster go.
+    run.closers.append(registry)
+    yield
+    run.fields["metrics"] = RunMetrics(
+        registry=registry,
+        windows=sampler.windows,
+        scenario=run.scenario.name,
+        scheduler=run.scheduler.name,
+    )
+
+
+def _tracer(run: _Run):
+    tracer = run.tracer = active_tracer(run.config.tracer)
+    if tracer is None:
+        return
+    yield
+    tracer.name_process(PID_HEAD, "head node")
+    for node in run.cluster.nodes:
+        tracer.name_process(pid_for_node(node.node_id), f"render node {node.node_id}")
+        node.set_tracer(tracer)
+        if run.audit is not None:
+            node.set_flow_events(True)
+    interval = run.config.counter_interval or default_counter_interval(run.horizon)
+    run.probe.add(
+        CounterSampler(tracer, interval, per_node_cache=run.cluster.node_count <= 16)
+    )
+    run.fields["tracer"] = tracer
+
+
+def _assignments(run: _Run):
+    if not run.config.record_assignments:
+        return
+    yield
+    trace: List[AssignmentRecord] = []
+    record = trace.append
+
+    def _record_assignment(node, task) -> None:
+        job = task.job
+        record(
+            (
+                job.user,
+                job.action,
+                job.sequence,
+                task.index,
+                task.chunk.dataset,
+                task.chunk.index,
+                node.node_id,
+                task.start_time,
+                task.finish_time,
+                task.io_time,
+                bool(task.cache_hit),
+            )
+        )
+
+    run.cluster.add_task_finish_listener(_record_assignment)
+    run.fields["assignment_trace"] = trace
+
+
+def _prewarm(run: _Run):
+    if not run.scenario.prewarm:
+        return
+    yield
+    run.service.prewarm(run.scenario.trace.datasets)
+
+
+def _timeline(run: _Run):
+    if run.config.timeline_interval is None:
+        return
+    yield
+    sampler = run.fields["timeline_samples"] = TimelineSampler(
+        run.config.timeline_interval
+    )
+    run.probe.add(sampler)
+
+
+def _faults(run: _Run):
+    if run.config.faults is None:
+        return
+    yield
+    # Lazy import: fault-free runs never touch the subsystem.
+    from repro.faults.injector import FaultRuntime
+
+    run.faults = FaultRuntime(run.config.faults, run.service)
+    run.faults.arm()
+    yield
+    run.fields["fault_report"] = run.faults.finalize()
+
+
+def _stream(run: _Run):
+    config = run.config.stream
+    if config is None:
+        return
+    yield
+    # Lazy import like the fault subsystem's.
+    from repro.obs.stream import TelemetryStream
+
+    interval = config.interval or default_window_interval(run.horizon)
+    stream = TelemetryStream(
+        replace(config, interval=interval),
+        scenario=run.scenario.name,
+        scheduler=run.scheduler.name,
+        horizon=run.stop_at,
+        target_framerate=run.scenario.target_framerate,
+        job_namespace=run.config.job_namespace,
+    )
+    if run.faults is not None:
+        stream.note_injections(run.faults.report.injections)
+    stream.attach(run.service, run.probe)
+    run.closers.append(stream)
+    yield
+    run.fields["stream"] = stream.report()
+
+
+#: Every optional run feature, in attach order; see the module docstring.
+_PARTS = (
+    _audit,  # the decision audit log and the causal critical paths
+    _frontend,  # admission, backpressure and degradation
+    _metrics,  # the metrics registry and its window sampler
+    _tracer,  # the virtual-time tracer and its counter tracks
+    _assignments,  # the per-task trace the golden hashes digest
+    _prewarm,  # the paper's test run: caches loaded before time starts
+    _timeline,  # cluster-dynamics samples for the timeline plots
+    _faults,  # the fault plan, with its detection and recovery
+    _stream,  # live NDJSON telemetry and its stall watchdog
+)
+
+
+def _advance(parts) -> None:
+    """Run every part to its next ``yield`` (or its end)."""
+    for part in parts:
+        next(part, None)
+
+
 def _run(
     scenario: Scenario,
     scheduler: Union[str, Scheduler],
     config: RunConfig,
 ) -> SimulationResult:
-    """The actual run loop; ``config`` is fully resolved here."""
+    """The core run: service, probe and one loop, with the parts attached."""
     if isinstance(scheduler, str):
         scheduler = make_scheduler(scheduler)
     scheduler.reset()
-
-    drain = config.drain
-    horizon = scenario.trace.duration
-    events = EventQueue()
-    cluster = scenario.system.build_cluster(
-        events=events, storage_seed=config.storage_seed
-    )
-    live_tracer = active_tracer(config.tracer)
-    # An explicit registry counts even while empty (``len() == 0``).
-    registry: Optional[MetricsRegistry] = None
-    if isinstance(config.metrics, MetricsRegistry):
-        registry = config.metrics
-    elif config.metrics:
-        registry = MetricsRegistry()
-    audit_log: Optional[AuditLog] = None
-    causal: Optional[CausalCollector] = None
-    if config.audit:
-        audit_cfg = (
-            config.audit
-            if isinstance(config.audit, AuditConfig)
-            else AuditConfig()
-        )
-        audit_log = AuditLog(
-            audit_cfg, scheduler=scheduler.name, scenario=scenario.name
-        )
-        causal = CausalCollector()
-    service = VisualizationService(
+    run = _Run(scenario, scheduler, config)
+    events, cluster, horizon = run.events, run.cluster, run.horizon
+    parts = [part(run) for part in _PARTS]
+    _advance(parts)
+    service = run.service = VisualizationService(
         cluster,
         scheduler,
         scenario.system.chunk_max,
-        tracer=live_tracer,
-        metrics=registry,
-        audit=audit_log,
+        tracer=run.tracer,
+        metrics=run.registry,
+        audit=run.audit,
         job_ids=JobIdAllocator(config.job_namespace),
     )
-    if causal is not None:
-        # A per-job completion listener, not a per-task cluster listener:
-        # the cluster keeps its single-listener task-finish fast path and
-        # the collector fires once per job, after finish_time is set.
-        service.add_completion_listener(causal.on_job_complete)
-    frontend: Optional[ServiceFrontend] = None
-    if config.frontend is not None:
-        frontend = ServiceFrontend(
-            config.frontend,
-            service,
-            target_framerate=scenario.target_framerate,
-            horizon=None if drain else horizon,
-            metrics=registry,
-            audit=audit_log,
-        )
     # One clock for every periodic observer; see :mod:`repro.obs.probe`.
-    probe = Probe(service, horizon=None if drain else horizon)
-    metrics_sampler: Optional[MetricsSampler] = None
-    if registry is not None:
-        for node in cluster.nodes:
-            node.set_metrics(registry)
-        cluster.storage.set_metrics(registry)
-        window = config.metrics_interval
-        if window is None:
-            window = default_window_interval(horizon)
-        metrics_sampler = MetricsSampler(registry, window)
-        probe.add(metrics_sampler)
-    if live_tracer is not None:
-        live_tracer.name_process(PID_HEAD, "head node")
-        for node in cluster.nodes:
-            live_tracer.name_process(
-                pid_for_node(node.node_id), f"render node {node.node_id}"
-            )
-            node.set_tracer(live_tracer)
-            if audit_log is not None:
-                node.set_flow_events(True)
-        interval = config.counter_interval
-        if interval is None:
-            interval = default_counter_interval(horizon)
-        probe.add(
-            CounterSampler(
-                live_tracer, interval, per_node_cache=cluster.node_count <= 16
-            )
-        )
-    assignment_trace: Optional[List[AssignmentRecord]] = None
-    if config.record_assignments:
-        assignment_trace = []
-        record = assignment_trace.append
-
-        def _record_assignment(node, task) -> None:
-            job = task.job
-            record(
-                (
-                    job.user,
-                    job.action,
-                    job.sequence,
-                    task.index,
-                    task.chunk.dataset,
-                    task.chunk.index,
-                    node.node_id,
-                    task.start_time,
-                    task.finish_time,
-                    task.io_time,
-                    bool(task.cache_hit),
-                )
-            )
-
-        cluster.add_task_finish_listener(_record_assignment)
-    if scenario.prewarm:
-        service.prewarm(scenario.trace.datasets)
-    sampler: Optional[TimelineSampler] = None
-    if config.timeline_interval is not None:
-        sampler = TimelineSampler(config.timeline_interval)
-        probe.add(sampler)
-
-    fault_runtime = None
-    if config.faults is not None:
-        # Lazy import: fault-free runs never touch the subsystem.  The
-        # runtime schedules every planned event here — the exact event-
-        # queue position the legacy node_failures hook used, so vanilla
-        # crash plans stay bit-identical to the deprecated spelling.
-        from repro.faults.injector import FaultRuntime
-
-        fault_runtime = FaultRuntime(
-            config.faults,
-            events,
-            cluster,
-            service,
-            tracer=live_tracer,
-            audit=audit_log,
-        )
-        fault_runtime.arm()
-
-    # Closed however the run ends, releasing the service reference, the
-    # watchdog thread and the file handles (results must pickle).
-    closers: list = [probe]
-    stream = None
-    if config.stream is not None:
-        # Lazy import like the fault subsystem: stream-off runs never
-        # touch the module.
-        from repro.obs.stream import TelemetryStream
-
-        stream_cfg = config.stream
-        if stream_cfg.interval is None:
-            stream_cfg = replace(
-                stream_cfg, interval=default_window_interval(horizon)
-            )
-        stream = TelemetryStream(
-            stream_cfg,
-            scenario=scenario.name,
-            scheduler=scheduler.name,
-            horizon=None if drain else horizon,
-            target_framerate=scenario.target_framerate,
-            job_namespace=config.job_namespace,
-        )
-        if fault_runtime is not None:
-            stream.note_injections(fault_runtime.report.injections)
-        probe.add(stream.bind(service))
-        closers.append(stream)
-    if audit_log is not None:
-        closers.append(audit_log)
-    if registry is not None:
-        # Counters and gauges read the run's live objects; freezing them
-        # keeps the result picklable and lets the cluster go.
-        closers.append(registry)
-    probe.start()
-
-    submit = (
-        frontend.submit_request if frontend is not None else service.submit_request
-    )
+    probe = run.probe = Probe(service, horizon=run.stop_at)
+    run.submit = service.submit_request
+    run.starts = [service.start]
+    run.pending = [service.has_work]
     datasets = {d.name: d for d in scenario.trace.datasets}
 
     def has_pending() -> bool:
-        if service.has_work():
-            return True
-        return frontend is not None and frontend.waiting_count > 0
+        return any(pending() for pending in run.pending)
 
     # The cyclic GC is paused for the whole run: preload, loop and drain.
     # The service releases completed jobs' task back-references, so
     # finished work is freed by refcount and a drained run leaves no
     # cyclic garbage behind; generational sweeps over the live
     # simulation graph would be pure overhead.  The ``finally`` restores
-    # the GC and runs the closers even when a policy or listener raises.
+    # the GC and closes what the parts registered (releasing the
+    # service, the watchdog thread and file handles: results must
+    # pickle), even when a part, a policy or a listener raises.
     gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
+        _advance(parts)
+        run.closers.append(probe)
+        probe.start()
+        gc.disable()
         # Bulk-load the whole trace into the queue's sorted arrival run,
         # so the event heap only ever holds self-scheduled work (Scenario
         # 2 at full scale preloads ~20k requests).
         events.schedule_many(
             (
-                (request.time, submit, (request, datasets[request.dataset]))
+                (request.time, run.submit, (request, datasets[request.dataset]))
                 for request in scenario.trace.requests
             ),
             priority=PRIORITY_ARRIVAL,
         )
-        service.start()
-        if frontend is not None:
-            frontend.start()
+        for start in run.starts:
+            start()
         wall_t0 = _time.perf_counter()
         events.run(until=horizon)
         drained = not has_pending()
-        if drain and not drained:
+        if config.drain and not drained:
             # The drain ends right after the event that finishes the
             # last piece of work.  The service requests the stop test
             # wherever in-flight work reaches zero, so the loop tests
@@ -524,9 +597,11 @@ def _run(
     finally:
         if gc_was_enabled:
             gc.enable()
-        for closer in closers:
+        for closer in reversed(run.closers):
             closer.close()
+    _advance(parts)
 
+    now = max(events.now, 1e-9)
     return SimulationResult(
         scenario_name=scenario.name,
         scheduler_name=scheduler.name,
@@ -537,33 +612,14 @@ def _run(
         jobs_completed=service.jobs_completed,
         simulated_time=events.now,
         events_processed=events.processed,
-        mean_node_utilization=cluster.mean_utilization(max(events.now, 1e-9)),
+        mean_node_utilization=cluster.mean_utilization(now),
         drained=drained,
         tasks_executed=sum(n.tasks_executed for n in cluster.nodes),
         tasks_hit=sum(n.cache_hits for n in cluster.nodes),
         tasks_missed=sum(n.cache_misses for n in cluster.nodes),
-        timeline_samples=sampler,
-        profile=ClusterProfile.from_cluster(cluster, max(events.now, 1e-9)),
-        tracer=live_tracer,
-        metrics=(
-            RunMetrics(
-                registry=registry,
-                windows=metrics_sampler.windows if metrics_sampler else [],
-                scenario=scenario.name,
-                scheduler=scheduler.name,
-            )
-            if registry is not None
-            else None
-        ),
-        frontend=frontend.stats() if frontend is not None else None,
-        assignment_trace=assignment_trace,
-        audit=audit_log,
-        critical_paths=causal.analysis() if causal is not None else None,
-        fault_report=(
-            fault_runtime.finalize() if fault_runtime is not None else None
-        ),
+        profile=ClusterProfile.from_cluster(cluster, now),
         wall_seconds=wall_seconds,
-        stream=stream.report() if stream is not None else None,
+        **run.fields,
     )
 
 

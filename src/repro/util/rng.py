@@ -44,18 +44,4 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
     return [np.random.default_rng(child) for child in seq.spawn(n)]
 
 
-def stable_hash32(*parts: object) -> int:
-    """A deterministic 32-bit hash of the reprs of ``parts``.
-
-    Unlike builtin ``hash`` this is stable across processes (no
-    ``PYTHONHASHSEED`` dependence), so it can derive per-entity seeds.
-    """
-    acc = 2166136261  # FNV-1a offset basis
-    for part in parts:
-        for byte in repr(part).encode("utf-8"):
-            acc ^= byte
-            acc = (acc * 16777619) & 0xFFFFFFFF
-    return acc
-
-
-__all__ = ["SeedLike", "make_rng", "spawn_rngs", "stable_hash32"]
+__all__ = ["SeedLike", "make_rng", "spawn_rngs"]

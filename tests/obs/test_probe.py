@@ -10,7 +10,9 @@ The early-quiet case is the discriminating one: a 2 s horizon whose
 requests all arrive before 0.5 s.  When every sampler tested
 quiescence as "the service has work or *any* event is queued", the
 samplers kept each other alive, and a metrics-only run closed 16
-windows while metrics plus a timeline closed 64.
+windows while metrics plus a timeline closed 64.  The frontend's
+degradation controller did the same with the probe until both clocks
+shared one rule.
 """
 
 import dataclasses
@@ -132,13 +134,29 @@ def test_each_observer_matches_its_solo_run(name, observers, solo, tmp_path):
 
 
 def test_early_quiet_stops_when_the_service_does(tmp_path):
-    result, outputs = _outputs(early_quiet(), OBSERVERS, tmp_path)
+    _check_early_quiet(tmp_path)
+
+
+def test_early_quiet_stops_behind_a_frontend_too(tmp_path):
+    """The frontend's degradation controller ticks on its own clock but
+    by the same quiescence rule, so it and the probe no longer keep each
+    other alive to the horizon (that closed 64 windows here)."""
+    _check_early_quiet(tmp_path, frontend=FrontendConfig.protective())
+
+
+def _check_early_quiet(tmp_path, **extra):
+    result, outputs = _outputs(
+        early_quiet(), OBSERVERS, tmp_path, record_assignments=True, **extra
+    )
     assert len(outputs["metrics"]) == 16
     assert outputs["metrics"][-1]["end"] < 0.6
     queue_depth = [c for c in outputs["counters"] if c[2] == "queue depth"]
     assert len(queue_depth) == 65
     # The schedule itself never depended on the observers.
     assert result.jobs_completed == 32
+    assert result.assignment_trace_hash() == (
+        "1a87efa36627ed949b54d6234a72ac340ae2a602e62ce2a375c7b5783dd5cecc"
+    )
 
 
 # ---------------------------------------------------------------------------

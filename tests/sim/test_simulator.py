@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import pickle
 import threading
 
 import pytest
@@ -11,8 +12,11 @@ from repro.cluster.storage import StorageSpec
 from repro.core.chunks import dataset_suite
 from repro.core.ours import OursScheduler
 from repro.faults import FaultPlan
+from repro.frontend.config import FrontendConfig
 from repro.obs.audit import AuditConfig
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import StreamConfig
+from repro.obs.tracer import Tracer
 from repro.sim.config import system_linux8
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import compare_schedulers, run_simulation
@@ -182,3 +186,47 @@ class TestRunThatRaises:
         records = [json.loads(line) for line in stream_path.read_text().splitlines()]
         assert records[-1]["type"] == "summary"
         assert excinfo.traceback
+
+    def test_every_part_on_still_closes_everything(self, tmp_path):
+        """Faults, frontend, metrics, tracer, timeline and assignments
+        join the stream and audit: every registered closer still runs."""
+        stream_path = tmp_path / "run.ndjson"
+        audit_path = tmp_path / "audit.jsonl"
+        scenario = tiny_scenario()
+        registry = MetricsRegistry()
+        config = RunConfig(
+            stream=StreamConfig(path=stream_path, stall_timeout=1.0),
+            audit=AuditConfig(jsonl_path=audit_path),
+            faults=FaultPlan.storm(
+                3,
+                node_count=scenario.system.node_count,
+                duration=scenario.trace.duration,
+            ),
+            frontend=FrontendConfig.protective(),
+            metrics=registry,
+            tracer=Tracer(),
+            timeline_interval=0.1,
+            record_assignments=True,
+        )
+        with pytest.raises(RuntimeError, match="policy failure") as excinfo:
+            run_simulation(scenario, _RaisingScheduler(fail_at=20), config)
+        assert gc.isenabled()
+        assert not [
+            t for t in threading.enumerate() if t.name == "repro-stall-watchdog"
+        ]
+        core = next(entry for entry in excinfo.traceback if entry.name == "_run")
+        assert core.locals["probe"].service is None
+        # Frozen: no reader closures over the cluster are left to pickle.
+        pickle.dumps(registry)
+        records = [json.loads(line) for line in stream_path.read_text().splitlines()]
+        assert records[-1]["type"] == "summary"
+        # An unclosed audit log would keep its handle open and reachable
+        # from the traceback; a closed one drops it.
+        assert audit_path.read_text()
+        assert not [
+            obj
+            for obj in gc.get_objects()
+            if isinstance(obj, io.TextIOWrapper)
+            and obj.name == str(audit_path)
+            and not obj.closed
+        ]

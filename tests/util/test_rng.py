@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import make_rng, spawn_rngs, stable_hash32
+from repro.util.rng import make_rng, spawn_rngs
 
 
 class TestMakeRng:
@@ -42,15 +42,3 @@ class TestSpawnRngs:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-
-
-class TestStableHash:
-    def test_deterministic(self):
-        assert stable_hash32("a", 1) == stable_hash32("a", 1)
-
-    def test_distinct(self):
-        assert stable_hash32("a") != stable_hash32("b")
-
-    def test_range(self):
-        h = stable_hash32("anything", 123, (4, 5))
-        assert 0 <= h < 2**32
