@@ -110,6 +110,10 @@ class RenderTask:
     * ``node`` — rendering node the task was assigned to,
     * ``assign_time`` — when the scheduler placed the task (recorded
       only on audited runs; ``None`` otherwise),
+    * ``est`` — the head node's predicted execution time, set by
+      ``SchedulerTables.record_assignment`` and meaningful from
+      placement until the completion correction or a cancellation
+      clears it (a crash leaves it stale: re-placement overwrites it),
     * ``start_time`` — ``TS(i,j,k)``, when the node began executing it,
     * ``finish_time`` — ``TF(i,j,k) = TS + TExec``,
     * ``io_time`` — the ``t_io`` component actually paid (0 on cache hit),
@@ -122,6 +126,7 @@ class RenderTask:
         "chunk",
         "node",
         "assign_time",
+        "est",
         "start_time",
         "finish_time",
         "io_time",
@@ -134,6 +139,7 @@ class RenderTask:
         self.chunk = chunk
         self.node = None
         self.assign_time = None
+        self.est = None
         self.start_time = None
         self.finish_time = None
         self.io_time = 0.0

@@ -35,7 +35,11 @@ per second, so the table operations are designed to be cheap:
   invalidated per chunk when a measurement or replica set changes;
 * the OURS batch backlog keeps chunks bucketed by replica count
   incrementally (:class:`ReplicaBucketIndex`) instead of re-sorting the
-  whole backlog every scheduling cycle.
+  whole backlog every scheduling cycle;
+* each in-flight task's predicted execution time, which the completion
+  correction needs, is kept on the task (``RenderTask.est``) rather
+  than in a per-task table: a queued task costs one slot, and no table
+  grows with the task backlog and then stays at its high-water size.
 """
 
 from __future__ import annotations
@@ -226,6 +230,13 @@ class ReplicaBucketIndex:
 class SchedulerTables:
     """``Available`` + ``Cache`` + ``Estimate`` with prediction correction.
 
+    The tables hold per-node and per-chunk state only.  The prediction
+    each placed task is corrected against lives on the task itself
+    (``RenderTask.est``): :meth:`record_assignment` sets it, and
+    :meth:`correct_completion` and :meth:`cancel_assignment` clear it, so
+    no task is reachable from the tables and their size does not follow
+    the backlog.
+
     Args:
         node_count: Number of rendering nodes ``p``.
         memory_quota: Per-node main-memory budget (bytes) — sizes the
@@ -245,7 +256,6 @@ class SchedulerTables:
         "_io_estimate",
         "_estimate_memo",
         "last_interactive_assign",
-        "_pending_est",
         "_pending_per_node",
         "alive",
         "quarantined",
@@ -291,8 +301,6 @@ class SchedulerTables:
         self._estimate_memo: Dict[Chunk, Dict[int, float]] = {}
         #: Last time an interactive task was assigned to each node.
         self.last_interactive_assign: List[float] = [-float("inf")] * node_count
-        #: Predicted execution time of each in-flight task (for correction).
-        self._pending_est: Dict[RenderTask, float] = {}
         self._pending_per_node: List[int] = [0] * node_count
         #: Liveness mask (paper §VI-D: failed nodes become unavailable).
         self.alive: List[bool] = [True] * node_count
@@ -437,7 +445,7 @@ class SchedulerTables:
         if t < now:
             t = now
         self.available[node] = t + est / self.executors_per_node
-        self._pending_est[task] = est
+        task.est = est
         self._pending_per_node[node] += 1
         if job.job_type is JobType.INTERACTIVE:
             self.last_interactive_assign[node] = now
@@ -498,7 +506,7 @@ class SchedulerTables:
         ``node``'s queue before starting, so its pending estimate must
         not feed a later completion correction there.
         """
-        self._pending_est.pop(task, None)
+        task.est = None
         if self._pending_per_node[node] > 0:
             self._pending_per_node[node] -= 1
 
@@ -534,7 +542,8 @@ class SchedulerTables:
           reset exactly to ``now`` when the node has nothing pending.
         * ``Estimate`` is updated to the measured I/O time on a miss.
         """
-        est = self._pending_est.pop(task, None)
+        est = task.est
+        task.est = None
         pending = self._pending_per_node
         left = pending[node] - 1
         quarantined = self.quarantined[node]

@@ -421,13 +421,14 @@ class FaultRuntime:
     # -- detection: outliers ----------------------------------------------
 
     def _on_task_finish(self, node, task) -> None:
-        """Prepended task-finish listener: runs before the service pops
-        the pending estimate, so the prediction is still available."""
+        """Prepended task-finish listener: runs before the service's
+        completion correction clears ``task.est``, so the prediction is
+        still available."""
         node_id = node.node_id
         monitor = self.monitor
         if monitor.health[node_id] is NodeHealth.DEGRADED:
             return
-        estimate = self.service.tables._pending_est.get(task)
+        estimate = task.est
         if estimate is None or task.start_time is None:
             return
         # Surprise miss: the head node predicted a cache hit when it

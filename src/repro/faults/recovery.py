@@ -101,8 +101,6 @@ class RecoveryEngine:
         tables.mark_node_failed(node)
         if not self.config.requeue:
             tasks = []
-        for task in tasks:
-            tables._pending_est.pop(task, None)
         if self.audit is not None:
             # Bookkeeping row naming the *crashed* node (the re-placement
             # rows below carry the surviving destination nodes).
@@ -205,7 +203,7 @@ class RecoveryEngine:
         node_obj = cluster.nodes[node]
         mirror = tables.mirrors[node]
         for task in list(node_obj._running) + list(node_obj.queue):
-            est = tables._pending_est.get(task)
+            est = task.est
             if est is None or task.chunk in mirror:
                 continue
             render = tables.cost.render_time(
@@ -213,7 +211,7 @@ class RecoveryEngine:
             )
             if est == render:
                 new_est = tables.io_estimate(task.chunk) + render
-                tables._pending_est[task] = new_est
+                task.est = new_est
                 # Propagate the correction into Available (§VI-D table
                 # maintenance): the node is about to spend the backlog
                 # on reloads, and placement should know.

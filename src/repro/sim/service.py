@@ -430,10 +430,6 @@ class VisualizationService:
         self.tables.mark_node_failed(node_id)
         # The orphans never finished; re-dispatching counts them again.
         self._tasks_inflight -= len(orphans)
-        for task in orphans:
-            # Their old predictions are void; fresh ones are recorded at
-            # re-assignment.
-            self.tables._pending_est.pop(task, None)
         if orphans:
             self.scheduler.reschedule(orphans, self.ctx)
             self._dispatch(self.ctx.take_assignments())

@@ -186,3 +186,54 @@ class TestCompletionCorrection:
         t1.cache_hit, t1.io_time = False, actual - 0.01
         harness.tables.correct_completion(t1, 0, now=actual)
         assert harness.tables.available[0] == pytest.approx(e1 + e2 + 1.0)
+
+
+class TestPredictionSlot:
+    """Each placed task carries its own prediction (``RenderTask.est``)
+    from placement until its completion correction, cancellation or
+    crash; the tables keep no per-task state."""
+
+    def test_slot_holds_record_assignment_result(
+        self, harness: MiniHarness, dataset_1g: Dataset
+    ):
+        t = harness.ctx.decompose(harness.job(dataset_1g))[0]
+        assert t.est is None
+        est = harness.tables.record_assignment(t, 1, now=0.0)
+        assert t.est == est
+
+    def test_placing_again_overwrites_slot(
+        self, harness: MiniHarness, dataset_1g: Dataset
+    ):
+        t = harness.ctx.decompose(harness.job(dataset_1g))[0]
+        cold = harness.tables.record_assignment(t, 0, now=0.0)
+        warm = harness.tables.record_assignment(t, 0, now=0.0)
+        assert warm < cold
+        assert t.est == warm
+
+    def test_completion_reads_and_clears_slot(
+        self, harness: MiniHarness, dataset_1g: Dataset
+    ):
+        """The correction uses the slot's value: with two tasks pending,
+        Available moves by (actual - t.est) and the slot is emptied."""
+        j1, j2 = harness.job(dataset_1g), harness.job(dataset_1g)
+        t1 = harness.ctx.decompose(j1)[0]
+        t2 = harness.ctx.decompose(j2)[0]
+        e1 = harness.tables.record_assignment(t1, 0, now=0.0)
+        e2 = harness.tables.record_assignment(t2, 0, now=0.0)
+        t1.est = e1 - 0.5  # as if a rewarm had revised the prediction
+        actual = e1 + 1.0
+        t1.start_time, t1.finish_time = 0.0, actual
+        t1.cache_hit, t1.io_time = False, actual - 0.01
+        harness.tables.correct_completion(t1, 0, now=actual)
+        assert t1.est is None
+        assert t2.est == e2
+        assert harness.tables.available[0] == pytest.approx(e1 + e2 + 1.5)
+
+    def test_cancel_clears_slot(
+        self, harness: MiniHarness, dataset_1g: Dataset
+    ):
+        t = harness.ctx.decompose(harness.job(dataset_1g))[0]
+        harness.tables.record_assignment(t, 2, now=0.0)
+        harness.tables.cancel_assignment(t, 2)
+        assert t.est is None
+        assert harness.tables._pending_per_node[2] == 0

@@ -11,15 +11,18 @@ release in place only unfinished jobs (and whatever an observer keeps
 on purpose) are left.
 """
 
+import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 from contextlib import contextmanager
 
 import pytest
 
 from repro.core.job import RenderJob, RenderTask
-from repro.faults.plan import FaultPlan
+from repro.core.tables import SchedulerTables
+from repro.faults.plan import FaultPlan, RecoveryConfig
 from repro.obs.audit import AuditConfig
 from repro.frontend.config import FrontendConfig
 from repro.sim.run_config import RunConfig
@@ -185,3 +188,68 @@ def test_recorded_trace_is_unchanged(number, scheduler, scale, expected):
     assert len(result.assignment_trace) == result.tasks_executed
     assert result.assignment_trace_hash() == expected
 
+
+# ---------------------------------------------------------------------------
+# The head node's tables hold no task.  Each in-flight prediction lives on
+# its task (``RenderTask.est``), so a task stranded by a lost job or left
+# unfinished at the horizon is not kept alive by the tables.
+# ---------------------------------------------------------------------------
+
+
+def _tasks_held_by(tables):
+    """``RenderTask`` objects in the tables' slots, one referent level down."""
+    held = 0
+    for name in SchedulerTables.__slots__:
+        value = getattr(tables, name, None)
+        for obj in [value, *gc.get_referents(value)]:
+            if type(obj) is RenderTask:
+                held += 1
+    return held
+
+
+def _no_requeue_crash():
+    return dataclasses.replace(
+        FaultPlan.parse("crash@1:node=0"), recovery=RecoveryConfig(requeue=False)
+    )
+
+
+TASK_FREE_TABLES = {
+    # Overloaded at the horizon: thousands of tasks still queued.
+    "s3-fcfsu-horizon": (lambda: make_scenario(3, scale=0.01), "FCFSU", None),
+    # The crashed node's tasks are never requeued, so their jobs are lost.
+    "s1-ours-crash-no-requeue": (
+        lambda: make_scenario(1, scale=0.05),
+        "OURS",
+        _no_requeue_crash,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TASK_FREE_TABLES))
+def test_tables_hold_no_task_mid_run_or_after(name, monkeypatch):
+    build, scheduler, make_plan = TASK_FREE_TABLES[name]
+    built = []
+    init = SchedulerTables.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    samples = []  # (tasks in flight, tasks held) every 500th completion
+    correct = SchedulerTables.correct_completion
+    completions = itertools.count(1)
+
+    def sampling_correct(self, task, node, now):
+        correct(self, task, node, now)
+        if next(completions) % 500 == 0:
+            samples.append((sum(self._pending_per_node), _tasks_held_by(self)))
+
+    monkeypatch.setattr(SchedulerTables, "__init__", recording_init)
+    monkeypatch.setattr(SchedulerTables, "correct_completion", sampling_correct)
+    config = RunConfig(faults=make_plan() if make_plan is not None else None)
+    result = run_simulation(build(), scheduler, config)
+    assert result.jobs_completed < result.jobs_submitted
+    (tables,) = built
+    assert any(in_flight > 0 for in_flight, _ in samples)
+    assert [held for _, held in samples] == [0] * len(samples)
+    assert _tasks_held_by(tables) == 0
