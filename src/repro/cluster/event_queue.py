@@ -12,9 +12,9 @@ Pending events live in two containers:
   itself while it runs (task completions, scheduling cycles, sampler
   ticks, fault events) -- O(nodes) entries, fed by :meth:`schedule` and
   by the render nodes' direct completion pushes;
-* ``_ahead``, a deque of pre-built events in sorted order, fed only by
-  :meth:`schedule_many` -- in practice the whole arrival trace, which
-  the simulator preloads.
+* ``_ahead``, a deque of pre-built events in sorted order, fed by
+  :meth:`schedule_many` and by :meth:`feed`, through which the
+  simulator streams the arrival trace in chunks of :data:`FEED_CHUNK`.
 
 One loop, :meth:`EventQueue.run`, executes events (:meth:`step` is a
 one-event run).  It takes the smaller of the two heads by full tuple
@@ -27,6 +27,15 @@ and pop at O(log nodes) rather than O(log requests).  The loop counts
 exact for anything that reads it mid-run (probe ticks, the stall
 watchdog's thread).  The queue stores plain tuples rather than event
 objects, and one simulated task costs exactly one event.
+
+A feed holds at most :data:`FEED_CHUNK` built events at a time, so the
+queue of a long trace does not grow with it.  It reserves its whole
+block of ``seq`` values when it starts, so each event it builds later
+is the tuple :meth:`schedule_many` would have built at that moment; the
+pop order is the order a full preload gives, ties with heap events
+included.  The loop refills ``_ahead`` when the pop that empties it
+takes a fed event, without an event of its own, and ``len()`` counts
+the events not yet built.
 
 Event times must be finite: ``NaN`` compares false against everything,
 so a NaN time would slip past a naive ``time < now`` guard and corrupt
@@ -42,7 +51,7 @@ import heapq
 import itertools
 import warnings
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Iterable, Iterator, List, Optional, Tuple
 
 EventCallback = Callable[..., None]
 Event = Tuple[float, int, int, EventCallback, tuple]
@@ -54,6 +63,9 @@ PRIORITY_COMPLETION = 0  # task/IO completions observed before new decisions
 PRIORITY_ARRIVAL = 1  # job arrivals
 PRIORITY_CYCLE = 2  # scheduling cycles run after arrivals at the same tick
 PRIORITY_DEFAULT = 1
+
+#: Most events a :meth:`EventQueue.feed` holds built at one time.
+FEED_CHUNK = 2048
 
 
 class SimulationError(RuntimeError):
@@ -69,7 +81,8 @@ class EventQueue:
     """
 
     __slots__ = (
-        "_heap", "_ahead", "_seq", "_now", "_processed", "_stop_check", "_periodic"
+        "_heap", "_ahead", "_seq", "_now", "_processed", "_stop_check",
+        "_periodic", "_feed", "_unfed", "_feed_seq", "_feed_time",
     )
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -82,6 +95,12 @@ class EventQueue:
         #: Periodic ticks on the queue (probe grids, the frontend's
         #: degradation controller); see :mod:`repro.obs.probe`.
         self._periodic = 0
+        #: The pending :meth:`feed`: its source, the events not yet
+        #: built, the next reserved ``seq`` and the last time built.
+        self._feed: Optional[Iterator[Tuple[float, EventCallback, tuple]]] = None
+        self._unfed = 0
+        self._feed_seq = 0
+        self._feed_time = 0.0
 
     # -- clock -------------------------------------------------------------
 
@@ -99,7 +118,7 @@ class EventQueue:
         # Safe to call from another thread mid-run (the stall watchdog):
         # each ``len`` is atomic, so the sum may be one event stale but
         # never raises.
-        return len(self._heap) + len(self._ahead)
+        return len(self._heap) + len(self._ahead) + self._unfed
 
     # -- scheduling ----------------------------------------------------------
 
@@ -157,8 +176,8 @@ class EventQueue:
         triple in iteration order (same validation, same FIFO
         tie-breaking), but the batch never enters the heap: it is merged
         into the sorted run ``_ahead``, which the consumers read beside
-        the heap.  This is how the simulator preloads a whole workload
-        trace.
+        the heap.  :meth:`feed` is the lazy form the simulator uses for
+        a workload trace.
 
         One batch shares one priority and takes increasing ``seq``
         values, so it is already sorted when its times never decrease
@@ -169,7 +188,8 @@ class EventQueue:
         deque's identity never changes under a running loop.
 
         The batch is atomic: if any time is non-finite or in the past,
-        nothing is scheduled.
+        nothing is scheduled.  A pending :meth:`feed` is built in full
+        first, so the merge sees every event that precedes the batch.
 
         Returns:
             The number of events scheduled.
@@ -194,6 +214,8 @@ class EventQueue:
             return 0
         if not in_order:
             batch.sort()
+        if self._unfed:
+            self._refill(self._unfed)
         ahead = self._ahead
         if ahead and batch[0] < ahead[-1]:
             merged = list(heapq.merge(ahead, batch))
@@ -202,6 +224,71 @@ class EventQueue:
         else:
             ahead.extend(batch)
         return len(batch)
+
+    def feed(
+        self,
+        events: Iterable[Tuple[float, EventCallback, tuple]],
+        count: int,
+    ) -> None:
+        """Schedule ``count`` ``(time, callback, args)`` arrivals lazily.
+
+        Pop-order-equivalent to ``schedule_many(events,
+        priority=PRIORITY_ARRIVAL)`` on an in-order batch, but at most
+        :data:`FEED_CHUNK` events are built at a time: the first chunk
+        now, each next one when the run loop pops the last built event.  The whole block of ``count``
+        sequence numbers is reserved now, so events scheduled later
+        order after these at equal ``(time, priority)``, as they would
+        after a full preload.
+
+        ``events`` must yield exactly ``count`` events with finite
+        times that never decrease, the first not before now.  It is
+        read while the run goes on, so a fault is found at the chunk
+        that holds it and raises :class:`SimulationError` there.  One
+        feed may be pending at a time, and ``_ahead`` must be empty
+        when it starts.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count!r}")
+        if not count:
+            return
+        if self._unfed or self._ahead:
+            raise SimulationError("feed needs an empty sorted run")
+        seq = self._seq
+        self._feed_seq = next(seq)
+        # Advance the shared counter past the block (C-level; the render
+        # nodes hold the same counter object).
+        deque(itertools.islice(seq, count - 1), maxlen=0)
+        self._feed = iter(events)
+        self._unfed = count
+        self._feed_time = self._now
+        self._refill(FEED_CHUNK)
+
+    def _refill(self, limit: int) -> None:
+        """Build up to ``limit`` more fed events onto ``_ahead``."""
+        wanted = min(limit, self._unfed)
+        seq = self._feed_seq
+        last = self._feed_time
+        append = self._ahead.append
+        for time, callback, args in itertools.islice(self._feed, wanted):
+            if not (last <= time < _INF):
+                raise SimulationError(
+                    f"fed event at t={time!r} after t={last!r}: a feed must "
+                    f"be finite and never decrease"
+                )
+            last = time
+            append((time, PRIORITY_ARRIVAL, seq, callback, args))
+            seq += 1
+        built = seq - self._feed_seq
+        self._unfed -= built
+        self._feed_seq = seq
+        self._feed_time = last
+        if built < wanted:
+            missing = self._unfed
+            self._feed = None
+            self._unfed = 0
+            raise SimulationError(f"feed ended {missing} events short")
+        if not self._unfed:
+            self._feed = None
 
     # -- execution ---------------------------------------------------------
 
@@ -280,6 +367,8 @@ class EventQueue:
                 if item[0] > until_t:
                     break
                 popleft()
+                if not ahead and self._unfed:
+                    self._refill(FEED_CHUNK)
             elif heap:
                 item = heap[0]
                 if item[0] > until_t:
@@ -324,6 +413,7 @@ class EventQueue:
 __all__ = [
     "EventQueue",
     "EventCallback",
+    "FEED_CHUNK",
     "SimulationError",
     "PRIORITY_COMPLETION",
     "PRIORITY_ARRIVAL",

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.frontend.frontend import FrontendStats
 from repro.reporting.analysis import SchedulerSummary, summarize
-from repro.reporting.collectors import JobRecord
+from repro.reporting.collectors import JobRecords
 from repro.sim.simulator import SimulationResult
 from repro.federation.config import FederationConfig
 from repro.federation.replication import ReplicationPlan
@@ -117,12 +117,10 @@ class FederatedResult:
         return self.config.shards
 
     @property
-    def records(self) -> List[JobRecord]:
-        """All shards' completed-job records, in shard order."""
-        out: List[JobRecord] = []
-        for result in self.shard_results:
-            out.extend(result.records)
-        return out
+    def records(self) -> JobRecords:
+        """All shards' completed-job records, in shard order (merged
+        column-wise; see :meth:`JobRecords.joined`)."""
+        return JobRecords.joined(r.records for r in self.shard_results)
 
     @property
     def jobs_submitted(self) -> int:

@@ -144,7 +144,7 @@ class AdmissionController:
     def decide(self, request: Request, now: float) -> Decision:
         """Admit or reject one request, updating all accounting."""
         decision = self._classify(request, now)
-        if decision.admitted:
+        if decision is Decision.ADMIT:
             self.admitted += 1
             return decision
         if decision is Decision.REJECT_RATE:

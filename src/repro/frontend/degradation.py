@@ -64,7 +64,7 @@ class DegradationController:
         self._horizon: Optional[float] = None
         self._interval = 0.0
         self._last_time = 0.0
-        self._last_records = 0
+        self._last_interactive = 0
         self._hot = 0
         self._cool = 0
         # Per-rung fps objectives so burn comes from repro.obs.slo with
@@ -139,11 +139,9 @@ class DegradationController:
         duration = now - self._last_time
         if duration <= 0.0:
             return None
-        records = service.collector.records
-        completed = sum(
-            1
-            for r in records[self._last_records :]
-            if r.job_type is JobType.INTERACTIVE
+        completed = (
+            service.collector.completed_by_type[JobType.INTERACTIVE]
+            - self._last_interactive
         )
         active = sum(
             1
@@ -164,7 +162,9 @@ class DegradationController:
         now = service.cluster.now
         burns = self._delivered_burns(now)
         self._last_time = now
-        self._last_records = len(service.collector.records)
+        self._last_interactive = service.collector.completed_by_type[
+            JobType.INTERACTIVE
+        ]
         if burns is not None:
             burn, burn_above = burns
             cfg = self.config

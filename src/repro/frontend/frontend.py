@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.core.job import JobType
-from repro.frontend.admission import AdmissionController
+from repro.frontend.admission import AdmissionController, Decision
 from repro.frontend.backpressure import BoundedQueue
 from repro.frontend.config import FrontendConfig
 from repro.frontend.degradation import DegradationController, QualityChange
@@ -111,6 +111,7 @@ class ServiceFrontend:
     ) -> None:
         self.config = config
         self.service = service
+        self._events = service.cluster.events
         self.audit = audit
         self._horizon = horizon
         self.requests_seen = 0
@@ -163,9 +164,9 @@ class ServiceFrontend:
     def submit_request(self, request: Request, dataset: object) -> None:
         """The listener-thread entry point (replaces the service's)."""
         self.requests_seen += 1
-        now = self.service.cluster.now
+        now = self._events.now
         if self.admission is not None:
-            if not self.admission.decide(request, now).admitted:
+            if self.admission.decide(request, now) is not Decision.ADMIT:
                 if self.audit is not None:
                     self.audit.record_shed(now, request)
                 return

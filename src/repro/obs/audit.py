@@ -249,6 +249,24 @@ def _candidates(
     return tuple(out)
 
 
+def _shed_record(now: float, cycle: int, request) -> DecisionRecord:
+    """The record of a request the frontend refused (no task, no node)."""
+    return DecisionRecord(
+        now,
+        cycle,
+        request.user,
+        request.action,
+        request.sequence,
+        request.job_type.value,
+        -1,
+        request.dataset,
+        -1,
+        -1,
+        REASON_SHED,
+        (),
+    )
+
+
 class AuditLog:
     """Bounded ring buffer of :class:`DecisionRecord` + flight recorder.
 
@@ -265,10 +283,11 @@ class AuditLog:
     in a flat entry and defers building the :class:`DecisionRecord`
     until the log is first read — everything else a record needs (job
     identity, chunk, the min-available node, the pure render/storage
-    estimates) is recomputable from the capture later.  The streaming
-    flight recorder materializes immediately (the write dominates
-    anyway), and records evicted from the ring before anyone read them
-    are never built at all.
+    estimates) is recomputable from the capture later.
+    :meth:`record_shed` defers the same way, keeping only the refused
+    request and the clock.  The streaming flight recorder materializes
+    immediately (the write dominates anyway), and records evicted from
+    the ring before anyone read them are never built at all.
 
     Attributes:
         invocations: Scheduler invocations seen (``begin_invocation``).
@@ -449,6 +468,8 @@ class AuditLog:
         and a missing I/O probe means the decision-time value was the
         contention-free storage estimate — recomputable exactly.
         """
+        if len(entry) == 3:
+            return _shed_record(*entry)
         now, cycle, task, job, node, reason, replicas, available, est = entry
         chunk = task.chunk
         candidates: Tuple[CandidateState, ...] = ()
@@ -509,25 +530,18 @@ class AuditLog:
 
         ``request`` is a :class:`~repro.workload.trace.Request`; the
         record carries ``node = -1`` / ``task_index = -1`` since no task
-        ever existed.
+        ever existed.  Like an assignment, the record is deferred: the
+        ring holds ``(now, cycle, request)`` until the log is read, so
+        the shed records a storm evicts are never built.
         """
         self.shed_count += 1
-        self._append(
-            DecisionRecord(
-                now,
-                self.invocations,
-                request.user,
-                request.action,
-                request.sequence,
-                request.job_type.value,
-                -1,
-                request.dataset,
-                -1,
-                -1,
-                REASON_SHED,
-                (),
-            )
-        )
+        if self._stream is not None:
+            self._append(_shed_record(now, self.invocations, request))
+            return
+        self._ring_append((now, self.invocations, request))
+        self._pending = True
+        totals = self.reason_totals
+        totals[REASON_SHED] = totals.get(REASON_SHED, 0) + 1
 
     def record_recovery(self, now: float, reason: str, node: int) -> None:
         """Audit a non-placement recovery action (quarantine, rewarm).

@@ -151,8 +151,12 @@ class Probe:
     """
 
     def __init__(self, service, *, horizon: Optional[float] = None) -> None:
+        # Imported here: ``repro.reporting`` imports this module's sinks.
+        from repro.reporting.collectors import JobRecords
+
         self.service = service
         self.horizon = horizon
+        self._columns = JobRecords.of
         self._grids: Dict[float, _Grid] = {}
         self._start = 0.0
 
@@ -204,23 +208,20 @@ class Probe:
             misses += node.cache_misses
             busy += node.busy
             cache_used.append(node.cache.used_bytes)
-        records = service.collector.records
+        records = self._columns(service.collector.records)
         io_total = storage.total_bytes
         window = None
         if now > grid.time:
-            fresh = records[grid.records:]
-            latencies = sorted(r.latency for r in fresh)
-            interactive = sum(
-                1 for r in fresh if r.job_type is JobType.INTERACTIVE
-            )
+            latencies = sorted(records.latencies(grid.records))
+            interactive = records.count_of(JobType.INTERACTIVE, grid.records)
             d_hits = hits - grid.hits
             d_misses = misses - grid.misses
             window = MetricWindow(
                 start=grid.time,
                 end=now,
-                jobs_completed=len(fresh),
+                jobs_completed=len(latencies),
                 interactive_completed=interactive,
-                batch_completed=len(fresh) - interactive,
+                batch_completed=len(latencies) - interactive,
                 fps=interactive / (now - grid.time),
                 latency_p50=percentile(latencies, 50),
                 latency_p95=percentile(latencies, 95),

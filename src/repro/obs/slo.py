@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.job import JobType
+from repro.reporting.collectors import JobRecords
 from repro.util.validation import check_positive
 
 
@@ -267,11 +268,11 @@ class SLOMonitor:
         """Per action: owning user + sorted (finish, latency) pairs."""
         users: Dict[int, int] = {}
         series: Dict[int, List[Tuple[float, float]]] = defaultdict(list)
-        for r in result.collector.records:
-            if r.job_type is not JobType.INTERACTIVE:
-                continue
-            users[r.action] = r.user
-            series[r.action].append((r.finish, r.latency))
+        for action, user, finish, arrival in JobRecords.of(
+            result.collector.records
+        ).where(JobType.INTERACTIVE, "action", "user", "finish", "arrival"):
+            users[action] = user
+            series[action].append((finish, finish - arrival))
         out: Dict[int, Tuple[int, List[Tuple[float, float]]]] = {}
         for action, (_count, _first, _last) in result.collector.action_issues.items():
             completions = sorted(series.get(action, []))

@@ -6,6 +6,11 @@ Implements the quantities plotted in the paper's evaluation:
 * interactive/batch latency statistics (Definition 3),
 * batch mean working time (``JExec``, Definition 2),
 * per-scheduler summary rows for the Fig. 4-7 style reports.
+
+Every function reads the record columns of
+:class:`~repro.reporting.collectors.JobRecords`; a plain sequence of
+:class:`~repro.reporting.collectors.JobRecord` rows is turned into
+columns once, at the function boundary.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.cost_model import framerate, mean, percentile
 from repro.core.job import JobType
-from repro.reporting.collectors import JobRecord
+from repro.reporting.collectors import JobRecord, JobRecords
 
 
 def framerates_by_action(records: Sequence[JobRecord]) -> Dict[int, float]:
@@ -27,9 +32,10 @@ def framerates_by_action(records: Sequence[JobRecord]) -> Dict[int, float]:
     delivered to that user).
     """
     finishes: Dict[int, List[float]] = defaultdict(list)
-    for r in records:
-        if r.job_type is JobType.INTERACTIVE:
-            finishes[r.action].append(r.finish)
+    for action, finish in JobRecords.of(records).where(
+        JobType.INTERACTIVE, "action", "finish"
+    ):
+        finishes[action].append(finish)
     return {
         action: framerate(sorted(times)) for action, times in finishes.items()
     }
@@ -62,9 +68,8 @@ def delivered_framerates_by_action(
         frame_interval: The request interval (1 / target framerate).
     """
     completed: Dict[int, int] = defaultdict(int)
-    for r in records:
-        if r.job_type is JobType.INTERACTIVE:
-            completed[r.action] += 1
+    for (action,) in JobRecords.of(records).where(JobType.INTERACTIVE, "action"):
+        completed[action] += 1
     out: Dict[int, float] = {}
     for action, (_issued, first, last) in action_issues.items():
         span = (last - first) + frame_interval
@@ -108,12 +113,16 @@ class LatencyStats:
         )
 
 
+def _latencies(records: JobRecords, job_type: JobType) -> List[float]:
+    """Definition-3 latencies of ``job_type``'s rows, in row order."""
+    return [f - a for f, a in records.where(job_type, "finish", "arrival")]
+
+
 def latency_stats(
     records: Sequence[JobRecord], job_type: JobType
 ) -> LatencyStats:
     """Latency summary for one job class."""
-    lats = [r.latency for r in records if r.job_type is job_type]
-    return LatencyStats.of(lats)
+    return LatencyStats.of(_latencies(JobRecords.of(records), job_type))
 
 
 def batch_working_time(records: Sequence[JobRecord]) -> float:
@@ -121,8 +130,8 @@ def batch_working_time(records: Sequence[JobRecord]) -> float:
 
     Shorter working time indicates higher batch throughput.
     """
-    execs = [r.execution for r in records if r.job_type is JobType.BATCH]
-    return mean(execs)
+    rows = JobRecords.of(records).where(JobType.BATCH, "finish", "start")
+    return mean([f - s for f, s in rows])
 
 
 @dataclass(frozen=True)
@@ -170,21 +179,21 @@ def summarize(
     With ``action_issues`` (from the collector) the framerate is the
     delivered form; without it, Definition 4 over completions.
     """
-    interactive = [r for r in records if r.job_type is JobType.INTERACTIVE]
-    batch = [r for r in records if r.job_type is JobType.BATCH]
+    records = JobRecords.of(records)
     if action_issues is not None:
         fps = mean_delivered_framerate(records, action_issues, frame_interval)
     else:
         fps = mean_interactive_framerate(records)
-    interactive_latencies = [r.latency for r in interactive]
+    interactive_latencies = _latencies(records, JobType.INTERACTIVE)
+    batch_latencies = _latencies(records, JobType.BATCH)
     return SchedulerSummary(
         scheduler=scheduler,
         interactive_fps=fps,
         interactive_latency=mean(interactive_latencies),
-        batch_latency=mean([r.latency for r in batch]),
+        batch_latency=mean(batch_latencies),
         batch_working_time=batch_working_time(records),
-        interactive_completed=len(interactive),
-        batch_completed=len(batch),
+        interactive_completed=len(interactive_latencies),
+        batch_completed=len(batch_latencies),
         hit_rate=hit_rate,
         sched_cost_us=sched_cost_us,
         interactive_p99=percentile(interactive_latencies, 99),

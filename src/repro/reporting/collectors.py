@@ -1,18 +1,33 @@
 """Measurement collection during a simulation run.
 
-The collector converts completed :class:`~repro.core.job.RenderJob`
-objects into compact :class:`JobRecord` rows and accumulates the
-counters behind Table III: data-reuse hit rate and the wall-clock cost
-of the scheduling procedure itself.  It keeps no reference to the job,
-so once the service releases the job's task back-references at
-completion the job and its tasks are freed by refcount; a run's live
-heap then tracks its in-flight work, not the trace.
+The collector appends each completed :class:`~repro.core.job.RenderJob`
+to :class:`JobRecords`, one typed :mod:`array` per :class:`JobRecord`
+field, and accumulates the counters behind Table III: data-reuse hit
+rate and the wall-clock cost of the scheduling procedure itself.  It
+keeps no reference to the job, so once the service releases the job's
+task back-references at completion the job and its tasks are freed by
+refcount.  A completed job costs one row of machine numbers (about 90
+bytes) instead of a 13-field tuple and its boxed floats, so the records
+of a long trace stay small; readers that only need a column (the
+analysis functions, the probe's windows) never build a row.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from functools import partial
+from itertools import compress
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Tuple,
+    Union,
+)
 
 from repro.core.job import JobType, RenderJob
 
@@ -22,8 +37,8 @@ class JobRecord(NamedTuple):
 
     Times follow the paper's definitions: ``arrival`` is ``JI``,
     ``start`` is ``JS``, ``finish`` is ``JF`` (compositing included).
-    A named tuple: rows are immutable and cheap — one is allocated per
-    completed job, simulation-runs deep in the hot path.
+    A run stores its rows column-wise in :class:`JobRecords`, which
+    builds each row on access.
     """
 
     job_id: int
@@ -56,11 +71,221 @@ class JobRecord(NamedTuple):
         return self.task_count - self.cache_hits
 
 
-#: Direct tuple allocation for JobRecord rows: the generated namedtuple
-#: ``__new__`` is a Python-level frame per call, and one row is built per
-#: completed job.  ``tuple.__new__(JobRecord, ...)`` builds the identical
-#: object C-level (fields passed positionally, in declaration order).
-_job_record_new = tuple.__new__
+#: Builds a :class:`JobRecord` from a tuple of its fields C-level; the
+#: generated namedtuple ``__new__`` is a Python frame per row.
+_make_row = partial(tuple.__new__, JobRecord)
+
+#: Job types by their code in :attr:`JobRecords.type_code`; a type's
+#: code is ``_JOB_TYPES.index(job_type)``.  (Not an enum-keyed dict: an
+#: enum member's hash is a Python-level call, paid on every probe.)
+_JOB_TYPES: Tuple[JobType, ...] = tuple(JobType)
+
+#: ``(column, array typecode)`` in :class:`JobRecord` field order.  The
+#: categorical fields are stored as codes: ``type_code`` indexes
+#: :class:`JobType` in declaration order, ``dataset_code`` the
+#: records' ``dataset_names``.  Doubles and 64-bit integers round-trip
+#: exactly, so a row built from the columns equals the row appended.
+_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("job_id", "q"),
+    ("type_code", "B"),
+    ("dataset_code", "i"),
+    ("user", "q"),
+    ("action", "q"),
+    ("sequence", "q"),
+    ("arrival", "d"),
+    ("start", "d"),
+    ("finish", "d"),
+    ("task_count", "i"),
+    ("cache_hits", "i"),
+    ("io_seconds", "d"),
+    ("group_size", "i"),
+)
+
+
+class JobRecords(_SequenceABC):
+    """Completed-job records, stored column-wise.
+
+    A read-only sequence of :class:`JobRecord`: ``len``, indexing
+    (negative too), slicing (a ``list`` of rows) and iteration build
+    identical rows on access, and it compares equal to any sequence of
+    the same rows, a ``list`` included.  Readers that need only some
+    fields read the columns directly — the typed arrays named in
+    ``_COLUMNS`` — or use :meth:`count_of`, :meth:`latencies` and
+    :meth:`where`.  Only the collector appends, and
+    :meth:`extend` merges whole record sets.
+    """
+
+    __slots__ = tuple(name for name, _ in _COLUMNS) + (
+        "dataset_names",
+        "_dataset_codes",
+    )
+
+    def __init__(self) -> None:
+        for name, typecode in _COLUMNS:
+            setattr(self, name, array(typecode))
+        #: Dataset names by their code in ``dataset_code``.
+        self.dataset_names: List[str] = []
+        self._dataset_codes: Dict[str, int] = {}
+
+    @classmethod
+    def of(cls, records: Iterable[JobRecord]) -> "JobRecords":
+        """``records`` as columns: itself if it already is, else a copy.
+
+        The analysis functions and the in-run readers call this at
+        their boundary, so a plain ``list`` of rows (tests, merged
+        federation results) takes the same column path as a run's own
+        records.
+        """
+        if isinstance(records, cls):
+            return records
+        out = cls()
+        for r in records:
+            out._append(r[0], _JOB_TYPES.index(r[1]), *r[2:])
+        return out
+
+    @classmethod
+    def joined(cls, parts: Iterable["JobRecords"]) -> "JobRecords":
+        """The rows of ``parts`` in order, merged column by column.
+
+        Each part's dataset codes are remapped onto the merged
+        ``dataset_names``; no row is built.
+        """
+        out = cls()
+        names, codes = out.dataset_names, out._dataset_codes
+        for part in parts:
+            remap = []
+            for name in part.dataset_names:
+                code = codes.setdefault(name, len(names))
+                if code == len(names):
+                    names.append(name)
+                remap.append(code)
+            for name, _ in _COLUMNS:
+                column = getattr(part, name)
+                if name == "dataset_code" and remap != list(range(len(remap))):
+                    column = map(remap.__getitem__, column)
+                getattr(out, name).extend(column)
+        return out
+
+    def _append(
+        self,
+        job_id: int,
+        type_code: int,
+        dataset: str,
+        user: int,
+        action: int,
+        sequence: int,
+        arrival: float,
+        start: float,
+        finish: float,
+        task_count: int,
+        cache_hits: int,
+        io_seconds: float,
+        group_size: int,
+    ) -> None:
+        """Append one row, its job type as a code (the collector's write path)."""
+        code = self._dataset_codes.get(dataset)
+        if code is None:
+            code = self._dataset_codes[dataset] = len(self.dataset_names)
+            self.dataset_names.append(dataset)
+        self.job_id.append(job_id)
+        self.type_code.append(type_code)
+        self.dataset_code.append(code)
+        self.user.append(user)
+        self.action.append(action)
+        self.sequence.append(sequence)
+        self.arrival.append(arrival)
+        self.start.append(start)
+        self.finish.append(finish)
+        self.task_count.append(task_count)
+        self.cache_hits.append(cache_hits)
+        self.io_seconds.append(io_seconds)
+        self.group_size.append(group_size)
+
+    # -- column readers ------------------------------------------------------
+
+    def count_of(self, job_type: JobType, first: int = 0) -> int:
+        """Rows of ``job_type`` from row ``first`` on."""
+        codes = self.type_code[first:] if first else self.type_code
+        return codes.count(_JOB_TYPES.index(job_type))
+
+    def latencies(self, first: int = 0) -> List[float]:
+        """Definition-3 latency (:attr:`JobRecord.latency`) per row from
+        row ``first`` on, in row order."""
+        finish, arrival = self.finish, self.arrival
+        if first:
+            finish, arrival = finish[first:], arrival[first:]
+        return [f - a for f, a in zip(finish, arrival)]
+
+    def where(self, job_type: JobType, *columns: str) -> Iterator[tuple]:
+        """The named columns' values of each ``job_type`` row, in row order."""
+        code = _JOB_TYPES.index(job_type)
+        return compress(
+            zip(*(getattr(self, name) for name in columns)),
+            [c == code for c in self.type_code],
+        )
+
+    # -- the sequence --------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.job_id)
+
+    def _row(self, i: int) -> JobRecord:
+        return _make_row(
+            (
+                self.job_id[i],
+                _JOB_TYPES[self.type_code[i]],
+                self.dataset_names[self.dataset_code[i]],
+                self.user[i],
+                self.action[i],
+                self.sequence[i],
+                self.arrival[i],
+                self.start[i],
+                self.finish[i],
+                self.task_count[i],
+                self.cache_hits[i],
+                self.io_seconds[i],
+                self.group_size[i],
+            )
+        )
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[JobRecord, List[JobRecord]]:
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(len(self))[index]]
+        return self._row(range(len(self))[index])
+
+    def __iter__(self) -> Iterator[JobRecord]:
+        return map(
+            _make_row,
+            zip(
+                self.job_id,
+                map(_JOB_TYPES.__getitem__, self.type_code),
+                map(self.dataset_names.__getitem__, self.dataset_code),
+                self.user,
+                self.action,
+                self.sequence,
+                self.arrival,
+                self.start,
+                self.finish,
+                self.task_count,
+                self.cache_hits,
+                self.io_seconds,
+                self.group_size,
+            ),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _SequenceABC) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # equal to a list: unhashable
+
+    def __repr__(self) -> str:
+        return f"<JobRecords: {len(self)} rows>"
 
 
 @dataclass
@@ -103,10 +328,12 @@ class SimulationCollector:
     """Accumulates job records and run-level counters."""
 
     def __init__(self) -> None:
-        self.records: List[JobRecord] = []
+        self.records = JobRecords()
         self.scheduling = SchedulingCostStats()
         #: Jobs that entered the head node's queue, per job type.
         self.submitted_by_type: Dict[JobType, int] = dict.fromkeys(JobType, 0)
+        #: Jobs with a recorded completion, per job type.
+        self.completed_by_type: Dict[JobType, int] = dict.fromkeys(JobType, 0)
         self.tasks_hit = 0
         self.tasks_missed = 0
         #: Per interactive action: [issued count, first issue, last issue].
@@ -137,7 +364,7 @@ class SimulationCollector:
     def on_job_complete(
         self, job: RenderJob, summary: Tuple[List[int], float, int, float]
     ) -> None:
-        """Convert a completed job into a :class:`JobRecord`.
+        """Append a completed job's :class:`JobRecord` row to the columns.
 
         ``summary`` is the job's
         :meth:`~repro.core.job.RenderJob.completion_summary`, computed
@@ -147,25 +374,21 @@ class SimulationCollector:
         task_count = len(job.tasks)
         self.tasks_hit += hits
         self.tasks_missed += task_count - hits
-        self.records.append(
-            _job_record_new(
-                JobRecord,
-                (
-                    job.job_id,
-                    job.job_type,
-                    job.dataset.name,
-                    job.user,
-                    job.action,
-                    job.sequence,
-                    job.arrival_time,
-                    start,
-                    job.finish_time,
-                    task_count,
-                    hits,
-                    io_total,
-                    len(group_nodes),
-                ),
-            )
+        self.completed_by_type[job.job_type] += 1
+        self.records._append(
+            job.job_id,
+            _JOB_TYPES.index(job.job_type),
+            job.dataset.name,
+            job.user,
+            job.action,
+            job.sequence,
+            job.arrival_time,
+            start,
+            job.finish_time,
+            task_count,
+            hits,
+            io_total,
+            len(group_nodes),
         )
 
     # -- derived -------------------------------------------------------------
@@ -195,4 +418,9 @@ class SimulationCollector:
         return [r for r in self.records if r.job_type is JobType.BATCH]
 
 
-__all__ = ["JobRecord", "SchedulingCostStats", "SimulationCollector"]
+__all__ = [
+    "JobRecord",
+    "JobRecords",
+    "SchedulingCostStats",
+    "SimulationCollector",
+]

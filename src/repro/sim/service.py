@@ -146,7 +146,7 @@ class VisualizationService:
             return
         collector = self.collector
         submitted = collector.submitted_by_type
-        records = collector.records
+        completed = collector.completed_by_type
         for t in JobType:
             registry.counter(
                 "repro_jobs_submitted",
@@ -158,7 +158,7 @@ class VisualizationService:
                 "repro_jobs_completed",
                 "rendering jobs completed (compositing included)",
                 labels={"type": t.value},
-            ).read_from(lambda t=t: sum(1 for r in records if r.job_type is t))
+            ).read_from(lambda t=t: completed[t])
         self._latency_histograms = {
             t: registry.histogram(
                 "repro_job_latency_seconds",

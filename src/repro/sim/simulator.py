@@ -11,12 +11,13 @@ Run options travel in one :class:`~repro.sim.run_config.RunConfig`::
 
 A run is a core plus ``_PARTS``, an ordered tuple with one generator
 function per optional feature.  The core builds the queue, cluster,
-service and probe, preloads the arrivals, runs, drains and builds the
-result.  A part returns at once when its feature is off.  Its code up
-to the first ``yield`` runs before the service is built (it may set the
-tracer, registry or audit log the service takes); up to the second it
-wires the feature in and registers closers, which close in reverse,
-probe first, however the run ends; the rest supplies its result fields.
+service and probe, feeds the arrivals to the queue in bounded chunks,
+runs, drains and builds the result.  A part returns at once when its
+feature is off.  Its code up to the first ``yield`` runs before the
+service is built (it may set the tracer, registry or audit log the
+service takes); up to the second it wires the feature in and registers
+closers, which close in reverse, probe first, however the run ends; the
+rest supplies its result fields.
 The order is a contract: it fixes event-queue sequence numbers, probe
 grid order, listener order and metric registration order.
 
@@ -49,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.stream import StreamReport
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.event_queue import PRIORITY_ARRIVAL, EventQueue
+from repro.cluster.event_queue import EventQueue
 from repro.core.cost_model import mean
 from repro.core.job import JobIdAllocator, JobType
 from repro.core.registry import make_scheduler
@@ -64,7 +65,7 @@ from repro.reporting.analysis import (
     mean_interactive_framerate,
     summarize,
 )
-from repro.reporting.collectors import JobRecord, SimulationCollector
+from repro.reporting.collectors import JobRecords, SimulationCollector
 from repro.reporting.timeline import TimelineSampler
 from repro.obs.audit import AuditConfig, AuditLog
 from repro.obs.causal import CausalCollector, CriticalPathAnalysis
@@ -168,8 +169,8 @@ class SimulationResult:
     # -- job records -----------------------------------------------------------
 
     @property
-    def records(self) -> List[JobRecord]:
-        """All completed-job records."""
+    def records(self) -> JobRecords:
+        """All completed-job records (a read-only, column-wise sequence)."""
         return self.collector.records
 
     @property
@@ -551,7 +552,7 @@ def _run(
     def has_pending() -> bool:
         return any(pending() for pending in run.pending)
 
-    # The cyclic GC is paused for the whole run: preload, loop and drain.
+    # The cyclic GC is paused for the whole run: feed, loop and drain.
     # The service releases completed jobs' task back-references, so
     # finished work is freed by refcount and a drained run leaves no
     # cyclic garbage behind; generational sweeps over the live
@@ -565,15 +566,17 @@ def _run(
         run.closers.append(probe)
         probe.start()
         gc.disable()
-        # Bulk-load the whole trace into the queue's sorted arrival run,
-        # so the event heap only ever holds self-scheduled work (Scenario
-        # 2 at full scale preloads ~20k requests).
-        events.schedule_many(
+        # Stream the trace into the queue's sorted arrival run, a chunk
+        # at a time, so the event heap only ever holds self-scheduled
+        # work and the queue holds a bounded slice of the trace.
+        requests = scenario.trace.requests
+        submit = run.submit
+        events.feed(
             (
-                (request.time, run.submit, (request, datasets[request.dataset]))
-                for request in scenario.trace.requests
+                (request.time, submit, (request, datasets[request.dataset]))
+                for request in requests
             ),
-            priority=PRIORITY_ARRIVAL,
+            len(requests),
         )
         for start in run.starts:
             start()

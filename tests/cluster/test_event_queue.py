@@ -3,12 +3,15 @@
 import heapq
 import itertools
 from collections import deque
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import event_queue
 from repro.cluster.event_queue import (
+    FEED_CHUNK,
     PRIORITY_ARRIVAL,
     PRIORITY_COMPLETION,
     PRIORITY_CYCLE,
@@ -468,6 +471,155 @@ class TestTwoContainers:
         assert len(q._heap) == 0
         q.run()
         assert fired == [0.5, 1, 3, 4, "4b"]
+
+
+def _arrivals(times, follow):
+    """``(time, callback, args)`` arrivals; arrival ``i`` schedules a
+    follow-up ``follow[i % len(follow)]`` seconds later (``None``: none)."""
+    return [
+        (t, "arrival", (("a", i), follow[i % len(follow)] if follow else None))
+        for i, t in enumerate(times)
+    ]
+
+
+def _fire_all(arrivals, heap_events, *, feed, chunk):
+    """Run ``arrivals`` fed (or preloaded) beside ``heap_events``.
+
+    Returns each fired label with the ``processed``, ``len`` and
+    ``peek_time`` its callback saw, and the largest sorted run seen.
+    """
+    queue = EventQueue()
+    log = []
+    widest = [0]
+
+    def fire(label, delay):
+        log.append((label, queue.processed, len(queue), queue.peek_time()))
+        widest[0] = max(widest[0], len(queue._ahead))
+        if delay is not None:
+            # PRIORITY_DEFAULT == PRIORITY_ARRIVAL: ties with later
+            # arrivals fall to seq, which the feed reserved up front.
+            queue.schedule(queue.now + delay, fire, label + ("f",), None)
+
+    for k, (time, priority) in enumerate(heap_events):
+        queue.schedule(time, fire, ("h", k), None, priority=priority)
+    events = ((t, fire, args) for t, _, args in arrivals)
+    with patch.object(event_queue, "FEED_CHUNK", chunk):
+        if feed:
+            queue.feed(events, len(arrivals))
+        else:
+            queue.schedule_many(events, priority=PRIORITY_ARRIVAL)
+        log.append(("start", len(queue), queue.peek_time()))
+        widest[0] = max(widest[0], len(queue._ahead))
+        queue.run()
+    return log, queue.now, queue.processed, len(queue), widest[0]
+
+
+class TestFeed:
+    """:meth:`EventQueue.feed` pops exactly like a full preload."""
+
+    _TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+
+    @given(
+        times=st.lists(_TIMES, max_size=30).map(sorted),
+        heap_events=st.lists(
+            st.tuples(
+                _TIMES,
+                st.sampled_from(
+                    [PRIORITY_COMPLETION, PRIORITY_DEFAULT, PRIORITY_CYCLE]
+                ),
+            ),
+            max_size=6,
+        ),
+        follow=st.lists(
+            st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0])), max_size=4
+        ),
+        chunk=st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pop_order_equals_a_full_preload(self, times, heap_events, follow, chunk):
+        """Same firing order, ``processed``, ``len`` and ``peek_time`` at
+        every callback, with equal-``(time, priority)`` ties between
+        arrivals and heap events scheduled before and during the run;
+        the fed run never holds more than ``chunk`` built arrivals."""
+        arrivals = _arrivals(times, follow)
+        fed = _fire_all(arrivals, heap_events, feed=True, chunk=chunk)
+        preloaded = _fire_all(arrivals, heap_events, feed=False, chunk=chunk)
+        assert fed[:4] == preloaded[:4]
+        assert fed[4] <= chunk
+        assert fed[2] == len(times) + len(heap_events) + sum(
+            1 for _, _, (_, delay) in arrivals if delay is not None
+        )
+
+    def test_empty_source(self):
+        q = EventQueue()
+        q.feed(iter(()), 0)
+        assert len(q) == 0 and q.peek_time() is None
+        assert q.run() == 0
+        q.schedule(1.0, lambda: None)
+        q.feed([], 0)  # an empty feed needs no empty run
+        assert q.run() == 1
+
+    def test_len_counts_unbuilt_events(self):
+        q = EventQueue()
+        q.feed(((float(i), lambda: None, ()) for i in range(2 * FEED_CHUNK + 1)),
+               2 * FEED_CHUNK + 1)
+        assert len(q._ahead) == FEED_CHUNK
+        assert len(q) == 2 * FEED_CHUNK + 1
+        assert q.peek_time() == 0.0
+        q.run(max_events=FEED_CHUNK)
+        assert len(q._ahead) == FEED_CHUNK  # refilled by the emptying pop
+        assert len(q) == FEED_CHUNK + 1
+        assert q.peek_time() == float(FEED_CHUNK)
+        assert q.run() == FEED_CHUNK + 1
+        assert len(q) == 0 and q._feed is None
+
+    def test_seq_block_is_reserved_up_front(self):
+        q = EventQueue()
+        fired = []
+        q.feed([(1.0, fired.append, ("a1",)), (1.0, fired.append, ("a2",))], 2)
+        # Scheduled after the feed: orders after both arrivals at t=1.
+        q.schedule(1.0, fired.append, "h")
+        with patch.object(event_queue, "FEED_CHUNK", 1):
+            q.run()
+        assert fired == ["a1", "a2", "h"]
+
+    def test_schedule_many_builds_the_rest_of_a_feed_first(self):
+        q = EventQueue()
+        fired = []
+        with patch.object(event_queue, "FEED_CHUNK", 1):
+            q.feed([(t, fired.append, (t,)) for t in (1.0, 2.0, 3.0)], 3)
+            q.schedule_many([(2.5, fired.append, ("b",))])
+            assert q._feed is None and len(q) == 4
+            q.run()
+        assert fired == [1.0, 2.0, "b", 3.0]
+
+    def test_out_of_order_source_raises_at_its_chunk(self):
+        q = EventQueue()
+        with patch.object(event_queue, "FEED_CHUNK", 2):
+            q.feed([(t, lambda: None, ()) for t in (1.0, 2.0, 0.5)], 3)
+            with pytest.raises(SimulationError, match="never decrease"):
+                q.run()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_time_raises(self, bad):
+        with pytest.raises(SimulationError):
+            EventQueue().feed([(bad, lambda: None, ())], 1)
+
+    def test_short_source_raises(self):
+        with pytest.raises(SimulationError, match="1 events short"):
+            EventQueue().feed([(1.0, lambda: None, ())], 2)
+
+    def test_needs_an_empty_sorted_run(self):
+        q = EventQueue()
+        q.schedule_many([(1.0, lambda: None, ())])
+        with pytest.raises(SimulationError):
+            q.feed([(2.0, lambda: None, ())], 1)
+        q = EventQueue()
+        q.feed([(1.0, lambda: None, ()), (2.0, lambda: None, ())], 2)
+        with pytest.raises(SimulationError):
+            q.feed([(2.0, lambda: None, ())], 1)
+        with pytest.raises(ValueError):
+            EventQueue().feed([], -1)
 
 
 class _HeapModel:

@@ -12,7 +12,7 @@ from repro.frontend.degradation import DegradationController
 
 class FakeCollector:
     def __init__(self):
-        self.records = []
+        self.completed_by_type = dict.fromkeys(JobType, 0)
         self.action_issues = {}
 
 
@@ -28,10 +28,7 @@ class FakeService:
 
     def deliver(self, frames, *, now, action=0):
         """Record ``frames`` interactive completions and an active span."""
-        for _ in range(frames):
-            self.collector.records.append(
-                SimpleNamespace(job_type=JobType.INTERACTIVE)
-            )
+        self.collector.completed_by_type[JobType.INTERACTIVE] += frames
         self.collector.action_issues[action] = [float(frames), 0.0, now]
 
 

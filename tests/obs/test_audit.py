@@ -1,5 +1,6 @@
 """Decision audit log: ring semantics, reason codes, flight recorder."""
 
+import hashlib
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from repro.obs.audit import (
     AuditLog,
     snapshot_candidates,
 )
+from repro.frontend.config import FrontendConfig
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import run_simulation
 from repro.workload.scenarios import make_scenario
@@ -208,6 +210,38 @@ class TestShed:
         assert (rec.user, rec.action, rec.sequence) == (4, 2, 9)
         assert log.shed_count == 1
         assert log.reason_counts() == {REASON_SHED: 1}
+
+
+    def test_deferred_sheds_match_the_eager_flight_recorder(self, tmp_path):
+        """A shed-heavy run: the ring (sheds held as deferred entries)
+        materializes to the records the flight recorder builds eagerly,
+        and the recorder's file is the one built before sheds deferred."""
+        scenario = make_scenario(2, scale=0.05, load=2.5)
+        frontend = FrontendConfig.protective(max_sessions=8, queue_limit=32)
+
+        def audit(config):
+            config = RunConfig(frontend=frontend, audit=config)
+            return run_simulation(scenario, "OURS", config).audit
+
+        path = tmp_path / "flight.jsonl"
+        deferred = audit(AuditConfig(capacity=256))
+        eager = audit(AuditConfig(capacity=256, jsonl_path=path))
+        assert deferred.shed_count == eager.shed_count == 981
+        assert list(deferred.reason_totals.items()) == list(
+            eager.reason_totals.items()
+        )
+        assert deferred.dropped == eager.dropped > 0
+        ring = list(deferred.records)
+        assert REASON_SHED in {r.reason for r in ring}
+        assert ring == list(eager.records)
+        lines = path.read_text().splitlines()
+        assert len(lines) == eager.total_recorded == 2998
+        assert [json.loads(line) for line in lines[-256:]] == [
+            json.loads(json.dumps(r.to_dict())) for r in ring
+        ]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4e00bd22b478d166b712833dafbf0808871224a4e21067b87d97abb30e0d8453"
+        )
 
 
 class TestSnapshot:

@@ -300,6 +300,25 @@ class TestSimulationIntegration:
         misses = reg.value("repro_cache_misses")
         assert hits + misses == reg.value("repro_tasks_executed")
 
+    def test_completed_counters_equal_the_rows_per_type(self):
+        """The reader is the collector's per-type count (no record scan);
+        the frozen registry keeps the value through a pickle."""
+        import pickle
+
+        from repro.core.job import JobType
+        from repro.workload.scenarios import scenario_2
+
+        result = run_simulation(
+            scenario_2(scale=0.05), "OURS", config=RunConfig(metrics=True)
+        )
+        reg = result.metrics.registry
+        clone = pickle.loads(pickle.dumps(reg))
+        for t in JobType:
+            rows = sum(1 for r in result.records if r.job_type is t)
+            assert rows > 0
+            assert reg.value("repro_jobs_completed", {"type": t.value}) == rows
+            assert clone.value("repro_jobs_completed", {"type": t.value}) == rows
+
     def test_windows_cover_the_run(self, run):
         windows = run.metrics.windows
         assert windows

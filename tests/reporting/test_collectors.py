@@ -1,11 +1,14 @@
 """Tests for measurement collection."""
 
+import pickle
+
 import pytest
 
 from repro.core.chunks import ChunkedDecomposition, Dataset
 from repro.core.job import JobType, RenderJob
 from repro.reporting.collectors import (
     JobRecord,
+    JobRecords,
     SchedulingCostStats,
     SimulationCollector,
 )
@@ -104,3 +107,128 @@ class TestCollector:
 
     def test_hit_rate_empty(self):
         assert SimulationCollector().hit_rate == 0.0
+
+
+def old_row(job):
+    """The row the collector built before it stored columns."""
+    group_nodes, start, hits, io_total = job.completion_summary()
+    return JobRecord(
+        job.job_id,
+        job.job_type,
+        job.dataset.name,
+        job.user,
+        job.action,
+        job.sequence,
+        job.arrival_time,
+        start,
+        job.finish_time,
+        len(job.tasks),
+        hits,
+        io_total,
+        len(group_nodes),
+    )
+
+
+@pytest.fixture
+def collected():
+    """A collector fed mixed jobs over two datasets, and their old rows."""
+    collector = SimulationCollector()
+    rows = []
+    for i in range(7):
+        job_type = JobType.BATCH if i % 3 == 0 else JobType.INTERACTIVE
+        job = finished_job(job_type, action=i % 2, arrival=0.1 * i + 1 / 3)
+        if i % 2:
+            job.dataset = Dataset("other", GiB)
+        job.user, job.sequence = i + 100, -i
+        collector.on_submit(job)
+        collector.on_job_complete(job, job.completion_summary())
+        rows.append(old_row(job))
+    return collector, rows
+
+
+class TestJobRecords:
+    def test_rows_equal_the_old_tuples(self, collected):
+        collector, rows = collected
+        records = collector.records
+        assert isinstance(records, JobRecords)
+        assert len(records) == len(rows) == 7
+        for i, row in enumerate(rows):
+            got = records[i]
+            assert type(got) is JobRecord
+            assert got == row
+            assert got.job_type is row.job_type
+            assert [type(v) for v in got] == [type(v) for v in row]
+        assert list(records) == rows
+        assert records.dataset_names == ["ds", "other"]
+
+    def test_negative_index_and_slices(self, collected):
+        records, rows = collected[0].records, collected[1]
+        assert records[-1] == rows[-1]
+        assert records[-7] == rows[0]
+        for index in (8, -8):
+            with pytest.raises(IndexError):
+                records[index]
+        for cut in (slice(2, None), slice(None, -2), slice(None, None, 3),
+                    slice(5, 1, -1), slice(9, 12)):
+            assert records[cut] == rows[cut]
+            assert type(records[cut]) is list
+
+    def test_equal_to_a_list_both_ways(self, collected):
+        records, rows = collected[0].records, collected[1]
+        assert records == rows
+        assert rows == records
+        assert records == tuple(rows)
+        assert records != rows[:-1]
+        assert records != rows[::-1]
+        assert JobRecords.of(rows) == records
+        assert JobRecords() == []
+        assert records != "not records"
+
+    def test_read_only(self, collected):
+        records = collected[0].records
+        assert not hasattr(records, "append")
+        with pytest.raises(TypeError):
+            records[0] = records[1]
+        with pytest.raises(TypeError):
+            hash(records)
+
+    def test_pickles(self, collected):
+        records, rows = collected[0].records, collected[1]
+        clone = pickle.loads(pickle.dumps(records))
+        assert type(clone) is JobRecords
+        assert clone == rows
+        collector = pickle.loads(pickle.dumps(collected[0]))
+        assert collector.records == rows
+
+    def test_column_readers_match_the_rows(self, collected):
+        records, rows = collected[0].records, collected[1]
+        for job_type in JobType:
+            typed = [r for r in rows if r.job_type is job_type]
+            assert records.count_of(job_type) == len(typed)
+            assert records.count_of(job_type, 4) == sum(
+                r.job_type is job_type for r in rows[4:]
+            )
+            assert list(records.where(job_type, "action", "finish")) == [
+                (r.action, r.finish) for r in typed
+            ]
+        assert records.latencies() == [r.latency for r in rows]
+        assert records.latencies(3) == [r.latency for r in rows[3:]]
+        assert JobRecords.of(records) is records
+
+    def test_joined_concatenates_and_remaps_datasets(self, collected):
+        records, rows = collected[0].records, collected[1]
+        tail = JobRecords.of(rows[1:])
+        assert tail.dataset_names == ["other", "ds"]
+        merged = JobRecords.joined([records, JobRecords(), tail])
+        assert merged == rows + rows[1:]
+        assert merged.dataset_names == ["ds", "other"]
+        assert [type(v) for v in merged[-1]] == [type(v) for v in rows[-1]]
+        assert JobRecords.joined([]) == []
+
+
+def test_completed_counts_per_type_match_the_rows(collected):
+    collector, rows = collected
+    for job_type in JobType:
+        typed = sum(r.job_type is job_type for r in rows)
+        assert collector.completed_by_type[job_type] == typed
+        assert collector.submitted_by_type[job_type] == typed

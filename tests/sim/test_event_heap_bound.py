@@ -1,8 +1,7 @@
 """The event heap holds self-scheduled work only, never the arrival trace.
 
-The simulator preloads a scenario's whole arrival trace through
-``EventQueue.schedule_many``, which keeps it in a sorted run beside the
-heap.  What is left on the heap is work the simulation schedules for
+The simulator feeds a scenario's arrival trace through
+``EventQueue.feed``, which keeps it in a sorted run beside the heap.  What is left on the heap is work the simulation schedules for
 itself: one completion per running task plus a few cycle/tick events.
 So its size at any completion is bounded by the cluster's concurrency,
 however many requests the trace holds.  A count, not a timing: if the

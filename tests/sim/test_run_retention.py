@@ -253,3 +253,39 @@ def test_tables_hold_no_task_mid_run_or_after(name, monkeypatch):
     assert any(in_flight > 0 for in_flight, _ in samples)
     assert [held for _, held in samples] == [0] * len(samples)
     assert _tasks_held_by(tables) == 0
+
+
+# ---------------------------------------------------------------------------
+# The arrival feed: the queue holds a bounded slice of the trace.  The
+# simulator feeds arrivals ``FEED_CHUNK`` at a time instead of building an
+# event per request up front.
+# ---------------------------------------------------------------------------
+
+
+def test_queue_holds_at_most_one_chunk_of_arrivals(monkeypatch):
+    from repro.cluster.event_queue import FEED_CHUNK
+    from repro.sim.service import VisualizationService
+
+    scenario = make_scenario(1, scale=0.25)
+    requests = len(scenario.trace.requests)
+    assert requests > FEED_CHUNK, "the trace must need more than one chunk"
+    built, unbuilt = [], []  # sorted-run size and len() at each arrival
+    submit = VisualizationService.submit_request
+
+    def sampling_submit(self, request, dataset):
+        events = self.cluster.events
+        built.append(len(events._ahead))
+        unbuilt.append(len(events) - len(events._heap) - len(events._ahead))
+        submit(self, request, dataset)
+
+    monkeypatch.setattr(VisualizationService, "submit_request", sampling_submit)
+    result = run_simulation(scenario, "OURS", RunConfig(drain=True))
+    assert result.drained and result.jobs_completed == requests
+    assert len(built) == requests
+    assert max(built) <= FEED_CHUNK
+    # len() counted every arrival not yet built, so it shrank by one per
+    # arrival whichever container held it.
+    assert unbuilt[0] == requests - FEED_CHUNK
+    assert [b + u for b, u in zip(built, unbuilt)] == list(
+        range(requests - 1, -1, -1)
+    )

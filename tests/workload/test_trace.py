@@ -1,5 +1,9 @@
 """Tests for workload traces."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,6 +76,44 @@ class TestSerialization:
         assert restored.duration == trace.duration
         assert restored.requests == trace.requests
         assert restored.datasets == trace.datasets
+
+
+class TestRequestSlots:
+    """One request per arrival lives for the whole run: no ``__dict__``."""
+
+    def test_no_instance_dict_and_still_frozen(self):
+        r = req(0.5, action=3, seq=7, user=2)
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.time = 1.0
+        with pytest.raises((AttributeError, TypeError)):
+            r.extra = 1
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        r = req(0.5, jt=JobType.BATCH, action=3, seq=7, user=2)
+        clone = pickle.loads(pickle.dumps(r, protocol=protocol))
+        assert type(clone) is Request
+        assert clone == r and hash(clone) == hash(r)
+        assert clone.job_type is JobType.BATCH
+        assert copy.deepcopy(r) == r
+        assert dataclasses.replace(r, user=5) == req(
+            0.5, jt=JobType.BATCH, action=3, seq=7, user=5
+        )
+
+    def test_json_text_unchanged(self):
+        trace = make_trace(
+            [req(0.5, action=3, seq=7, user=2), req(1.0, ds="b", jt=JobType.BATCH)],
+            name="t",
+        )
+        text = trace.to_json()
+        assert text == (
+            '{"name": "t", "duration": 10.0, "target_framerate": 33.33, '
+            '"datasets": [{"name": "a", "size": 1073741824}, '
+            '{"name": "b", "size": 1073741824}], "requests": '
+            '[[0.5, "interactive", "a", 2, 3, 7], [1.0, "batch", "b", 0, 0, 0]]}'
+        )
+        assert WorkloadTrace.from_json(text).to_json() == text
 
 
 class TestMerge:

@@ -1,121 +1,167 @@
 """Memory probe: where the traced heap peaks during one simulation run.
 
-Runs one (scenario, scheduler, scale, drain) point with ``tracemalloc``
-on, samples the traced memory every 4,000 task completions (from a
-wrapper around ``RenderNode._finish``), keeps a snapshot at the largest
-sample, and prints the traced peak and the ten largest allocation sites
-of that snapshot, by source line::
+Runs one simulation with ``tracemalloc`` on and samples the traced
+memory once right after the arrival feed starts (wrapping
+``EventQueue.feed``) and then every 4,000 task completions (wrapping
+``RenderNode._finish``).  It keeps a snapshot at the largest sample and
+prints the traced peak, the post-feed sample and the ten largest
+allocation sites of that snapshot, by source line.
 
-    python tools/mempeak.py --scenario 3 --scheduler FCFSU --scale 0.065 \\
-        --seed 3 --requests 4000 --drain
+Either replay one end-to-end benchmark workload with its exact inputs,
+built by the benchmark's own ``workloads.build`` (frontend, fault storm
+and observers included)::
 
-``--requests N`` keeps the first N arrivals of the generated trace
-(doubling the scale until it has more), through the end-to-end
-benchmark's own helper; the line above is its ``immediate-s3``
-workload.  ``tracemalloc`` slows the run several times over and adds
-its own bookkeeping to the resident size, so read the printed sizes
-against each other, not against ``peak_rss_mb``.
-Stdlib only; not part of CI.
+    python tools/mempeak.py --workload immediate-s3
+    python tools/mempeak.py --workload observed-storm --smoke
+
+or run one (scenario, scheduler, scale) point::
+
+    python tools/mempeak.py --scenario 2 --scheduler OURS --scale 3 --drain
+
+``tracemalloc`` slows the run several times over and adds its own
+bookkeeping to the resident size, so read the printed sizes against
+each other, not against ``peak_rss_mb``.  Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 
+from repro.cluster.event_queue import EventQueue  # noqa: E402
 from repro.cluster.node import RenderNode  # noqa: E402
 from repro.sim.run_config import RunConfig  # noqa: E402
 from repro.sim.simulator import run_simulation  # noqa: E402
 from repro.workload.scenarios import make_scenario  # noqa: E402
-from workloads import _first_requests  # noqa: E402
+from workloads import WORKLOADS, build  # noqa: E402
 
 MiB = 1024 * 1024
 SAMPLE_EVERY = 4000  # task completions between samples
 TOP_SITES = 10
 
 
-def _scenario(args):
-    if args.requests is None:
-        return make_scenario(
-            args.scenario, scale=args.scale, seed=args.seed, load=args.load
-        )
-    return _first_requests(
-        args.scenario, args.scale, args.seed, args.load, args.requests
-    )
+class _Sampler:
+    """The largest traced-memory sample, with its snapshot."""
+
+    def __init__(self) -> None:
+        self.bytes = -1
+        self.label = ""
+        self.snapshot = None
+
+    def sample(self, label: str) -> int:
+        current = tracemalloc.get_traced_memory()[0]
+        if current > self.bytes:
+            self.bytes = current
+            self.label = label
+            self.snapshot = tracemalloc.take_snapshot()
+        return current
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--scenario", type=int, default=2, help="Table II scenario 1-4"
-    )
-    parser.add_argument("--scheduler", default="OURS")
-    parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=None, help="trace seed")
-    parser.add_argument("--load", type=float, default=1.0)
-    parser.add_argument(
-        "--requests", type=int, default=None, help="keep the first N arrivals"
-    )
-    parser.add_argument("--drain", action="store_true", help="run until idle")
-    args = parser.parse_args(argv)
-
-    tracemalloc.start()
-    scenario = _scenario(args)
-    best = {"bytes": -1, "completions": 0, "time": 0.0, "snapshot": None}
+def _probe(scenario, scheduler: str, config: RunConfig, title: str) -> int:
+    """Run once under ``tracemalloc`` and print where the heap peaked."""
+    best = _Sampler()
+    after_feed = None
     completions = 0
+    feed = EventQueue.feed
     finish = RenderNode._finish
+
+    def sampling_feed(queue, *args, **kwargs):
+        nonlocal after_feed
+        feed(queue, *args, **kwargs)
+        after_feed = best.sample("right after the arrival feed started")
 
     def sampling_finish(node, task):
         nonlocal completions
         finish(node, task)
         completions += 1
-        if completions % SAMPLE_EVERY:
-            return
-        current = tracemalloc.get_traced_memory()[0]
-        if current > best["bytes"]:
-            best.update(
-                bytes=current,
-                completions=completions,
-                time=task.finish_time,
-                snapshot=tracemalloc.take_snapshot(),
-            )
+        if completions % SAMPLE_EVERY == 0:
+            best.sample(f"completion {completions} (t={task.finish_time:.3f} s)")
 
+    EventQueue.feed = sampling_feed
     RenderNode._finish = sampling_finish
     try:
-        result = run_simulation(
-            scenario, args.scheduler, RunConfig(drain=args.drain)
-        )
+        result = run_simulation(scenario, scheduler, config)
     finally:
+        EventQueue.feed = feed
         RenderNode._finish = finish
     peak = tracemalloc.get_traced_memory()[1]
-    snapshot = best["snapshot"]
-    tracemalloc.stop()
 
     print(
-        f"scenario {args.scenario} {args.scheduler} scale {args.scale}: "
-        f"{result.jobs_completed}/{result.jobs_submitted} jobs, "
+        f"{title}: {result.jobs_completed}/{result.jobs_submitted} jobs, "
         f"{completions} task completions"
     )
     print(f"traced peak: {peak / MiB:.1f} MiB")
-    if snapshot is None:
-        print(f"no sample taken (fewer than {SAMPLE_EVERY} completions)")
+    if after_feed is not None:
+        print(f"after the feed started: {after_feed / MiB:.1f} MiB")
+    if best.snapshot is None:
+        print("no sample taken (empty trace and no completion)")
         return 0
-    print(
-        f"sampled maximum: {best['bytes'] / MiB:.1f} MiB at completion "
-        f"{best['completions']} (t={best['time']:.3f} s); top sites:"
-    )
-    for stat in snapshot.statistics("lineno")[:TOP_SITES]:
+    print(f"sampled maximum: {best.bytes / MiB:.1f} MiB {best.label}; top sites:")
+    for stat in best.snapshot.statistics("lineno")[:TOP_SITES]:
         frame = stat.traceback[0]
         print(
             f"  {stat.size / MiB:8.2f} MiB {stat.count:>9} blocks  "
             f"{frame.filename}:{frame.lineno}"
         )
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--workload",
+        choices=sorted(WORKLOADS),
+        help="replay this end-to-end benchmark workload's inputs",
+    )
+    parser.add_argument(
+        "--smoke", action="store_true", help="the workload at its smoke size"
+    )
+    parser.add_argument(
+        "--seed", type=int, default=None, help="trace seed (the storm's for "
+        "observed-storm)"
+    )
+    parser.add_argument(
+        "--scenario", type=int, default=2, help="Table II scenario 1-4"
+    )
+    parser.add_argument("--scheduler", default="OURS")
+    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--load", type=float, default=1.0)
+    parser.add_argument("--drain", action="store_true", help="run until idle")
+    args = parser.parse_args(argv)
+    if args.smoke and args.workload is None:
+        parser.error("--smoke needs --workload")
+
+    tracemalloc.start()
+    try:
+        if args.workload is None:
+            scenario = make_scenario(
+                args.scenario, scale=args.scale, seed=args.seed, load=args.load
+            )
+            return _probe(
+                scenario,
+                args.scheduler,
+                RunConfig(drain=args.drain),
+                f"scenario {args.scenario} {args.scheduler} scale {args.scale}",
+            )
+        workload = WORKLOADS[args.workload]
+        with tempfile.TemporaryDirectory() as out_dir:
+            inputs = build(
+                workload, args.seed, smoke=args.smoke, out_dir=Path(out_dir)
+            )
+            return _probe(
+                inputs.scenario,
+                workload.scheduler,
+                inputs.config,
+                f"{workload.name}{' (smoke)' if args.smoke else ''}",
+            )
+    finally:
+        tracemalloc.stop()
 
 
 if __name__ == "__main__":
