@@ -10,11 +10,11 @@ Pending events live in two containers:
 
 * ``_heap``, a binary heap of the work the simulation schedules for
   itself while it runs (task completions, scheduling cycles, sampler
-  ticks, fault events) -- O(nodes) entries, fed by :meth:`schedule` and
-  by the render nodes' direct completion pushes;
-* ``_ahead``, a deque of pre-built events in sorted order, fed by
-  :meth:`schedule_many` and by :meth:`feed`, through which the
-  simulator streams the arrival trace in chunks of :data:`FEED_CHUNK`.
+  ticks, fault events) -- O(nodes) entries, fed by :meth:`schedule`,
+  :meth:`schedule_many` and the render nodes' direct completion pushes;
+* ``_ahead``, a deque of fed arrivals in sorted order, written only by
+  :meth:`feed`, through which the simulator streams the arrival trace
+  in chunks of :data:`FEED_CHUNK`.
 
 One loop, :meth:`EventQueue.run`, executes events (:meth:`step` is a
 one-event run).  It takes the smaller of the two heads by full tuple
@@ -22,7 +22,12 @@ comparison.  Events are totally ordered by ``(time, priority, seq)`` and
 ``seq`` is unique, so the comparison never reaches the callback and the
 pop order is exactly the order one heap holding everything would give.
 Keeping the trace out of the heap is what keeps each completion's push
-and pop at O(log nodes) rather than O(log requests).  The loop counts
+and pop at O(log nodes) rather than O(log requests).  Measured against
+one heap holding everything, on a 2-core VM: pushing each arrival onto
+the heap took the pinned event loop of the ``observed-storm`` e2e
+workload from 0.80 s to 0.91 s and ``paper-s2`` from 1.23 s to 1.28 s
+(min of 6 runs), and pushing them in 2,048-event chunks cost 19% and
+15% ``run_s`` on ``observed-storm`` and ``backlog-s4``.  The loop counts
 :attr:`~EventQueue.processed` before each callback, so the counter is
 exact for anything that reads it mid-run (probe ticks, the stall
 watchdog's thread).  The queue stores plain tuples rather than event
@@ -31,8 +36,8 @@ objects, and one simulated task costs exactly one event.
 A feed holds at most :data:`FEED_CHUNK` built events at a time, so the
 queue of a long trace does not grow with it.  It reserves its whole
 block of ``seq`` values when it starts, so each event it builds later
-is the tuple :meth:`schedule_many` would have built at that moment; the
-pop order is the order a full preload gives, ties with heap events
+is the tuple :meth:`schedule` would have built for it then; the pop
+order is the order a full preload gives, ties with heap events
 included.  The loop refills ``_ahead`` when the pop that empties it
 takes a fed event, without an event of its own, and ``len()`` counts
 the events not yet built.
@@ -174,55 +179,22 @@ class EventQueue:
 
         Execution-order-equivalent to calling :meth:`schedule` once per
         triple in iteration order (same validation, same FIFO
-        tie-breaking), but the batch never enters the heap: it is merged
-        into the sorted run ``_ahead``, which the consumers read beside
-        the heap.  :meth:`feed` is the lazy form the simulator uses for
-        a workload trace.
-
-        One batch shares one priority and takes increasing ``seq``
-        values, so it is already sorted when its times never decrease
-        (a generated trace always is).  That is detected inside the
-        validation loop; only an out-of-order batch is sorted.  A batch
-        that starts at or after the end of the pending run is appended;
-        otherwise the two sorted runs are merged, in place, so the
-        deque's identity never changes under a running loop.
-
-        The batch is atomic: if any time is non-finite or in the past,
-        nothing is scheduled.  A pending :meth:`feed` is built in full
-        first, so the merge sees every event that precedes the batch.
+        tie-breaking); every event goes onto the heap.  The batch is
+        atomic: if any time is non-finite or in the past, nothing is
+        scheduled.
 
         Returns:
             The number of events scheduled.
         """
         now = self._now
+        batch = list(events)
+        for time, _, _ in batch:
+            if not (now <= time < _INF):
+                raise self._bad_time(time)
+        heap = self._heap
         seq = self._seq
-        batch: List[Event] = []
-        append = batch.append
-        last = now
-        in_order = True
-        for time, callback, args in events:
-            # ``last >= now`` always, so passing this guard also passes
-            # the scheduling guard; failing it is either a bad time or
-            # the first sign that the batch needs a sort.
-            if not (last <= time < _INF):
-                if not (now <= time < _INF):
-                    raise self._bad_time(time)
-                in_order = False
-            last = time
-            append((time, priority, next(seq), callback, args))
-        if not batch:
-            return 0
-        if not in_order:
-            batch.sort()
-        if self._unfed:
-            self._refill(self._unfed)
-        ahead = self._ahead
-        if ahead and batch[0] < ahead[-1]:
-            merged = list(heapq.merge(ahead, batch))
-            ahead.clear()
-            ahead.extend(merged)
-        else:
-            ahead.extend(batch)
+        for time, callback, args in batch:
+            heapq.heappush(heap, (time, priority, next(seq), callback, args))
         return len(batch)
 
     def feed(
@@ -233,9 +205,10 @@ class EventQueue:
         """Schedule ``count`` ``(time, callback, args)`` arrivals lazily.
 
         Pop-order-equivalent to ``schedule_many(events,
-        priority=PRIORITY_ARRIVAL)`` on an in-order batch, but at most
-        :data:`FEED_CHUNK` events are built at a time: the first chunk
-        now, each next one when the run loop pops the last built event.  The whole block of ``count``
+        priority=PRIORITY_ARRIVAL)``, but the events go onto the sorted
+        run ``_ahead`` instead of the heap, at most :data:`FEED_CHUNK`
+        at a time: the first chunk now, each next one when the run loop
+        pops the last built event.  The whole block of ``count``
         sequence numbers is reserved now, so events scheduled later
         order after these at equal ``(time, priority)``, as they would
         after a full preload.
@@ -244,15 +217,14 @@ class EventQueue:
         times that never decrease, the first not before now.  It is
         read while the run goes on, so a fault is found at the chunk
         that holds it and raises :class:`SimulationError` there.  One
-        feed may be pending at a time, and ``_ahead`` must be empty
-        when it starts.
+        feed at a time: a feed is pending until its last event pops.
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count!r}")
         if not count:
             return
         if self._unfed or self._ahead:
-            raise SimulationError("feed needs an empty sorted run")
+            raise SimulationError("one feed at a time: a feed is pending")
         seq = self._seq
         self._feed_seq = next(seq)
         # Advance the shared counter past the block (C-level; the render
@@ -261,11 +233,11 @@ class EventQueue:
         self._feed = iter(events)
         self._unfed = count
         self._feed_time = self._now
-        self._refill(FEED_CHUNK)
+        self._refill()
 
-    def _refill(self, limit: int) -> None:
-        """Build up to ``limit`` more fed events onto ``_ahead``."""
-        wanted = min(limit, self._unfed)
+    def _refill(self) -> None:
+        """Build up to :data:`FEED_CHUNK` more fed events onto ``_ahead``."""
+        wanted = min(FEED_CHUNK, self._unfed)
         seq = self._feed_seq
         last = self._feed_time
         append = self._ahead.append
@@ -352,9 +324,9 @@ class EventQueue:
         until_t = _INF if until is None else until
         budget = _INF if max_events is None else max_events
         # Each iteration takes the smaller of the two heads (see the
-        # module docstring).  Callbacks may push onto the heap or merge
-        # into ``ahead``; both containers keep their identity, so the
-        # locals below stay valid.
+        # module docstring).  Callbacks may push onto the heap, and the
+        # loop itself refills ``ahead``; both containers keep their
+        # identity, so the locals below stay valid.
         heap = self._heap
         ahead = self._ahead
         pop = heapq.heappop
@@ -368,7 +340,7 @@ class EventQueue:
                     break
                 popleft()
                 if not ahead and self._unfed:
-                    self._refill(FEED_CHUNK)
+                    self._refill()
             elif heap:
                 item = heap[0]
                 if item[0] > until_t:

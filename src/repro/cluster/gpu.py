@@ -108,5 +108,9 @@ class GpuMemoryModel:
         """Drop ``chunk`` from VRAM (e.g. after main-memory eviction)."""
         self._cache.evict(chunk)
 
+    def clear(self) -> None:
+        """Drop every resident chunk (the device lost its memory)."""
+        self._cache.clear()
+
 
 __all__ = ["GpuSpec", "GpuMemoryModel"]

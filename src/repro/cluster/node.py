@@ -573,10 +573,9 @@ class RenderNode:
             task.cache_hit = None
         self.cache.clear()
         if self._vram is not None:
-            # VRAM contents die with the node; a revived node starts
-            # with whatever the (now cold) model still tracks, which the
-            # first accesses repopulate.
-            pass
+            # VRAM contents die with the node: a revived node uploads
+            # every chunk again on its first access.
+            self._vram.clear()
         return orphans
 
     def revive(self) -> None:

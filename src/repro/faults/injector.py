@@ -41,7 +41,7 @@ from repro.faults.plan import (
     StorageDegrade,
     Straggler,
 )
-from repro.faults.recovery import RecoveryAction, RecoveryEngine
+from repro.faults.recovery import RecoveryAction, RecoveryEngine, trace_fault
 
 
 class Injection(NamedTuple):
@@ -288,7 +288,7 @@ class FaultRuntime:
         # The node's last successful heartbeat was (approximately) the
         # instant it died; the timeout counts from here.
         self.monitor.last_seen[event.node] = now
-        self._trace_instant("crash injected", now, event.node)
+        trace_fault(self.tracer, "crash injected", now, event.node)
         self._arm_heartbeat()
 
     def _absorb_dead_placement(self, assignment) -> bool:
@@ -328,7 +328,7 @@ class FaultRuntime:
         self.report.detections.append(
             Detection("crash", node, now, now - self._crash_time[node])
         )
-        self._trace_instant("crash detected", now, node)
+        trace_fault(self.tracer, "crash detected", now, node)
         stranded = self._stash.pop(node, [])
         if self.engine is not None:
             self.engine.requeue_crash(node, stranded, now)
@@ -359,7 +359,7 @@ class FaultRuntime:
                 tables.drop_cached(chunk, node_id)
         if self.monitor is not None:
             self.monitor.mark_recovered(node_id, now)
-        self._trace_instant("revived", now, node_id)
+        trace_fault(self.tracer, "revived", now, node_id)
 
     # -- injection: straggler / wipe / storage ----------------------------
 
@@ -368,7 +368,7 @@ class FaultRuntime:
         node.render_factor = event.render_factor
         node.io_factor = event.io_factor
         self._straggle_time.setdefault(event.node, self.events.now)
-        self._trace_instant("straggler onset", self.events.now, event.node)
+        trace_fault(self.tracer, "straggler onset", self.events.now, event.node)
 
     def _clear_straggler(self, event: Straggler) -> None:
         node = self.cluster.nodes[event.node]
@@ -392,7 +392,7 @@ class FaultRuntime:
             else:
                 cache.clear()
             self._wipe_time.setdefault(node_id, now)
-            self._trace_instant("cache wiped", now, node_id)
+            trace_fault(self.tracer, "cache wiped", now, node_id)
         # The head node's mirror is deliberately left stale: hit
         # predictions now mispredict until detection resyncs them.
 
@@ -412,7 +412,7 @@ class FaultRuntime:
                 shared * event.bandwidth_factor if shared is not None else None
             ),
         )
-        self._trace_instant("storage degraded", self.events.now, -1)
+        trace_fault(self.tracer, "storage degraded", self.events.now, -1)
 
     def _restore_storage(self) -> None:
         if self._base_spec is not None:
@@ -473,7 +473,7 @@ class FaultRuntime:
                 now - injected if injected is not None else None,
             )
         )
-        self._trace_instant("straggler detected", now, node)
+        trace_fault(self.tracer, "straggler detected", now, node)
         if self.engine is not None:
             if self.engine.quarantine(node, now):
                 self.monitor.mark_degraded(node)
@@ -490,7 +490,7 @@ class FaultRuntime:
                 now - injected if injected is not None else None,
             )
         )
-        self._trace_instant("wipe detected", now, node)
+        trace_fault(self.tracer, "wipe detected", now, node)
         if self.engine is not None:
             self.engine.rewarm(node, now)
             self.report.actions = self.engine.actions
@@ -506,19 +506,6 @@ class FaultRuntime:
         if self.engine is not None:
             report.actions = self.engine.actions
         return report
-
-    def _trace_instant(self, name: str, now: float, node: int) -> None:
-        if self.tracer is not None:
-            from repro.obs.tracer import PID_HEAD
-
-            self.tracer.instant(
-                PID_HEAD,
-                "faults",
-                name,
-                now,
-                category="service",
-                args={"node": node},
-            )
 
 
 __all__ = ["FaultReport", "FaultRuntime"]

@@ -31,6 +31,19 @@ from repro.obs.audit import (
     REASON_REWARM,
     REASON_SPECULATIVE,
 )
+from repro.obs.tracer import PID_HEAD
+
+
+def trace_fault(tracer, name: str, now: float, node: int) -> None:
+    """Mark a fault or recovery step on the head node's ``faults`` track.
+
+    No-op when the run is not traced (``tracer`` is ``None``).
+    """
+    if tracer is not None:
+        tracer.instant(
+            PID_HEAD, "faults", name, now, category="service",
+            args={"node": node},
+        )
 
 
 @dataclass(frozen=True)
@@ -75,19 +88,6 @@ class RecoveryEngine:
         #: surprise misses before then are the rebuild, not a new wipe.
         self.rewarm_until: dict = {}
 
-    def _instant(self, name: str, now: float, node: int) -> None:
-        if self.tracer is not None:
-            from repro.obs.tracer import PID_HEAD
-
-            self.tracer.instant(
-                PID_HEAD,
-                "faults",
-                name,
-                now,
-                category="service",
-                args={"node": node},
-            )
-
     # -- crash -------------------------------------------------------------
 
     def requeue_crash(self, node: int, tasks: list, now: float) -> int:
@@ -96,25 +96,21 @@ class RecoveryEngine:
 
         Returns the number of tasks re-placed.
         """
-        service = self.service
-        tables = self.tables
-        tables.mark_node_failed(node)
+        self.tables.mark_node_failed(node)
         if not self.config.requeue:
             tasks = []
         if self.audit is not None:
             # Bookkeeping row naming the *crashed* node (the re-placement
             # rows below carry the surviving destination nodes).
             self.audit.record_recovery(now, REASON_REQUEUE_CRASH, node)
-        if tasks:
-            # The stranded tasks stayed counted in flight while the head
-            # node believed the dead node was executing them; requeueing
-            # dispatches them again, so balance the count first.
-            service._tasks_inflight -= len(tasks)
-            service.requeue_tasks(tasks, reason=REASON_REQUEUE_CRASH)
+        # The stranded tasks stayed counted in flight while the head
+        # node believed the dead node was executing them; requeueing
+        # takes them out of flight before it dispatches them again.
+        self.service.requeue_tasks(tasks, reason=REASON_REQUEUE_CRASH)
         self.actions.append(
             RecoveryAction(REASON_REQUEUE_CRASH, node, now, len(tasks))
         )
-        self._instant("requeue-crash", now, node)
+        trace_fault(self.tracer, "requeue-crash", now, node)
         return len(tasks)
 
     # -- straggler ---------------------------------------------------------
@@ -139,7 +135,7 @@ class RecoveryEngine:
         if self.audit is not None:
             self.audit.record_recovery(now, REASON_QUARANTINE, node)
         self.actions.append(RecoveryAction(REASON_QUARANTINE, node, now))
-        self._instant("quarantine", now, node)
+        trace_fault(self.tracer, "quarantine", now, node)
         if self.config.speculative:
             self.speculative(node, now)
         return True
@@ -150,19 +146,16 @@ class RecoveryEngine:
         Only unstarted tasks are stolen; whatever is already executing
         finishes (slowly) where it is, so no task completes twice.
         """
-        service = self.service
-        tables = self.tables
         backlog = self.cluster.nodes[node].steal_backlog()
         if not backlog:
             return 0
         for task in backlog:
-            tables.cancel_assignment(task, node)
-        service._tasks_inflight -= len(backlog)
-        service.requeue_tasks(backlog, reason=REASON_SPECULATIVE)
+            self.tables.cancel_assignment(task, node)
+        self.service.requeue_tasks(backlog, reason=REASON_SPECULATIVE)
         self.actions.append(
             RecoveryAction(REASON_SPECULATIVE, node, now, len(backlog))
         )
-        self._instant("speculative", now, node)
+        trace_fault(self.tracer, "speculative", now, node)
         return len(backlog)
 
     # -- cache wipe --------------------------------------------------------
@@ -244,7 +237,7 @@ class RecoveryEngine:
         self.actions.append(
             RecoveryAction(REASON_REWARM, node, now, len(reload))
         )
-        self._instant("rewarm", now, node)
+        trace_fault(self.tracer, "rewarm", now, node)
         return len(reload)
 
     def _finish_rewarm(self, node: int, chunk) -> None:

@@ -311,7 +311,6 @@ class AuditLog:
         self._pending = False
         self._tables = None
         self._replicas_get = None
-        self._estimate_components = None
         self._available = None
         self._io_get = None
         # Materialization context: pure derivations (render memo, the
@@ -384,7 +383,6 @@ class AuditLog:
             # (min-available node, render estimate, membership, the
             # candidate cap) is a pure function of this capture and is
             # deferred to materialization.
-            io_get = self._io_get
             entry = (
                 now,
                 self.invocations,
@@ -394,11 +392,7 @@ class AuditLog:
                 reason,
                 tuple(replicas) if replicas else (),
                 tuple(self._available),
-                io_get(chunk)
-                if io_get is not None
-                else self._estimate_components(
-                    chunk, job.composite_group_size
-                ),
+                self._io_get(chunk),
             )
         else:
             entry = (
@@ -416,47 +410,24 @@ class AuditLog:
             # records (plus at most one torn trailing line).
             self._stream.flush()
 
-    def _bind_tables(self, tables) -> None:
+    def _bind_tables(self, tables: "SchedulerTables") -> None:
         """Resolve per-decision table accessors once per tables object.
 
-        The audit hook fires per placement, so the replica map and the
-        availability view are bound directly (one dict/list probe per
-        decision instead of a method-call chain).  Table doubles that
-        lack the :class:`~repro.core.tables.SchedulerTables` internals
-        fall back to the public interface.
+        The audit hook fires per placement, so the replica map, the
+        availability view and the I/O-estimate memo are bound directly
+        (one dict/list probe per decision instead of a method-call
+        chain).  The render cost and the contention-free storage
+        estimate are pure functions of the chunk, so materialization
+        recomputes them later; only the I/O memo is time-varying, and
+        the hot path captures that one probe.
         """
         self._tables = tables
-        replicas = getattr(tables, "_replicas", None)
-        if replicas is not None:
-            self._replicas_get = replicas.get
-        else:
-            cached_nodes = tables.cached_nodes
-            self._replicas_get = lambda chunk: cached_nodes(chunk) or None
-        self._estimate_components = tables.estimate_components
+        self._replicas_get = tables._replicas.get
         self._available = tables.available
-        # Deferred-estimate context.  The render cost and the
-        # contention-free storage estimate are pure functions of the
-        # chunk, so materialization can recompute them later; only the
-        # I/O memo is time-varying, and the hot path captures that one
-        # probe.  Doubles lacking the real internals fall back to an
-        # eager estimate_components call per decision.
-        self._m_render_get = getattr(tables, "_render_memo_get", None)
-        cost = getattr(tables, "cost", None)
-        storage = getattr(tables, "_storage", None)
-        io_memo = getattr(tables, "_io_estimate", None)
-        if (
-            io_memo is not None
-            and self._m_render_get is not None
-            and cost is not None
-            and storage is not None
-        ):
-            self._io_get = io_memo.get
-            self._m_render_time = cost.render_time
-            self._m_storage_est = storage.estimate_load_time
-        else:
-            self._io_get = None
-            self._m_render_time = None
-            self._m_storage_est = None
+        self._io_get = tables._io_estimate.get
+        self._m_render_get = tables._render_memo_get
+        self._m_render_time = tables.cost.render_time
+        self._m_storage_est = tables._storage.estimate_load_time
 
     def _record_from_entry(self, entry) -> DecisionRecord:
         """Build the full record from a deferred hot-path entry.
@@ -474,17 +445,12 @@ class AuditLog:
         chunk = task.chunk
         candidates: Tuple[CandidateState, ...] = ()
         if replicas is not None:
-            if est.__class__ is tuple:
-                hit_est, cold_est = est
-            else:
-                group = job.composite_group_size
-                hit_est = self._m_render_get((chunk.size, group))
-                if hit_est is None:
-                    hit_est = self._m_render_time(chunk.size, group)
-                io_est = (
-                    est if est is not None else self._m_storage_est(chunk.size)
-                )
-                cold_est = io_est + hit_est
+            group = job.composite_group_size
+            hit_est = self._m_render_get((chunk.size, group))
+            if hit_est is None:
+                hit_est = self._m_render_time(chunk.size, group)
+            io_est = est if est is not None else self._m_storage_est(chunk.size)
+            cold_est = io_est + hit_est
             candidates = _candidates(
                 node, available.index(min(available)), available, replicas,
                 hit_est, cold_est, self.config.max_candidates,
@@ -644,7 +610,6 @@ class AuditLog:
         """
         self._tables = None
         self._replicas_get = None
-        self._estimate_components = None
         self._available = None
         self._io_get = None
         if self._stream is not None:
@@ -665,7 +630,6 @@ class AuditLog:
             "_stream",
             "_tables",
             "_replicas_get",
-            "_estimate_components",
             "_available",
             "_io_get",
             "_m_render_get",

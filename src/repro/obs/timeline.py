@@ -397,7 +397,7 @@ def _extract_fault_overlays(
     windows: List[Window] = []
     if fault_report is None:
         return markers, windows
-    for inj in getattr(fault_report, "injections", ()):  # PR 7 export
+    for inj in fault_report.injections:
         if inj.kind == "storage" and inj.until is not None:
             windows.append(
                 Window(

@@ -34,6 +34,7 @@ from repro.core.job import JobIdAllocator, JobType, RenderJob, RenderTask
 from repro.core.scheduler_base import Scheduler, SchedulerContext, Trigger
 from repro.core.tables import SchedulerTables
 from repro.reporting.collectors import SimulationCollector
+from repro.obs.audit import REASON_FALLBACK
 from repro.obs.tracer import PID_HEAD, active_tracer, pid_for_node
 from repro.workload.trace import Request
 
@@ -402,15 +403,17 @@ class VisualizationService:
             self._events.request_stop_check()
 
     def requeue_tasks(self, tasks: List[RenderTask], *, reason: str) -> None:
-        """Re-place recovered tasks through the scheduler's policy.
+        """Take ``tasks`` out of flight and re-place them through the policy.
 
-        The fault-recovery path: callers (the recovery engine) have
-        already reconciled the tables and in-flight counts; this routes
-        the tasks back through ``reschedule`` so every re-placement is
-        audited with the given recovery reason and dispatches the
-        resulting assignments.
+        The one re-placement path of the fault layer (a crash's orphans,
+        a quarantined node's stolen backlog): callers have already
+        reconciled the tables; this routes the tasks back through
+        ``reschedule``, so every re-placement is audited with ``reason``,
+        and dispatches the resulting assignments, which count the tasks
+        in flight again.
         """
         if tasks:
+            self._tasks_inflight -= len(tasks)
             self.scheduler.reschedule(tasks, self.ctx, reason=reason)
             self._dispatch(self.ctx.take_assignments())
 
@@ -425,14 +428,9 @@ class VisualizationService:
         cached, the rest reload from the file system).  Returns the
         number of tasks recovered.
         """
-        node = self.cluster.nodes[node_id]
-        orphans = node.fail()
+        orphans = self.cluster.nodes[node_id].fail()
         self.tables.mark_node_failed(node_id)
-        # The orphans never finished; re-dispatching counts them again.
-        self._tasks_inflight -= len(orphans)
-        if orphans:
-            self.scheduler.reschedule(orphans, self.ctx)
-            self._dispatch(self.ctx.take_assignments())
+        self.requeue_tasks(orphans, reason=REASON_FALLBACK)
         return len(orphans)
 
     # -- completion ------------------------------------------------------------

@@ -105,6 +105,7 @@ class ClosedLoopUser:
             user=self.user_id,
             action=self.action_id,
             sequence=self.issued,
+            job_id=self.service.job_ids.allocate(),
         )
         self.issued += 1
         self.outstanding += 1

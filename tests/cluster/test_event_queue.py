@@ -404,8 +404,9 @@ class TestTwoContainers:
 
     def test_run_only(self):
         q = EventQueue()
-        q.schedule_many([(2.0, lambda: None, ()), (3.0, lambda: None, ())])
+        q.feed([(2.0, lambda: None, ()), (3.0, lambda: None, ())], 2)
         assert len(q._heap) == 0
+        assert len(q._ahead) == 2
         assert len(q) == 2
         assert q.peek_time() == 2.0
 
@@ -421,17 +422,19 @@ class TestTwoContainers:
     def test_both(self, heap_time, run_time):
         q = EventQueue()
         q.schedule(heap_time, lambda: None)
-        q.schedule_many([(run_time, lambda: None, ())])
+        q.feed([(run_time, lambda: None, ())], 1)
+        assert (len(q._heap), len(q._ahead)) == (1, 1)
         assert len(q) == 2
         assert q.peek_time() == min(heap_time, run_time)
 
     def test_both_equal_time_ties_fire_by_priority_then_seq(self):
         q = EventQueue()
         fired = []
-        q.schedule_many(
+        q.feed(
             [(1.0, fired.append, ("arrival-a",)), (1.0, fired.append, ("arrival-b",))],
-            priority=PRIORITY_ARRIVAL,
+            2,
         )
+        assert len(q._ahead) == 2
         q.schedule(1.0, fired.append, "cycle", priority=PRIORITY_CYCLE)
         q.schedule(1.0, fired.append, "completion", priority=PRIORITY_COMPLETION)
         q.schedule(1.0, fired.append, "default", priority=PRIORITY_DEFAULT)
@@ -459,16 +462,16 @@ class TestTwoContainers:
         q._heap.clear()
         assert q.peek_time() is None
 
-    def test_unsorted_batch_is_sorted_and_merged(self):
+    def test_schedule_many_goes_onto_the_heap(self):
+        """Only a feed writes the sorted run: an unsorted batch beside
+        one lands on the heap and still fires in time order."""
         q = EventQueue()
         fired = []
-        q.schedule_many([(1.0, fired.append, (1,)), (4.0, fired.append, (4,))])
-        ahead = q._ahead
+        q.feed([(1.0, fired.append, (1,)), (4.0, fired.append, (4,))], 2)
         q.schedule_many(
             [(3.0, fired.append, (3,)), (0.5, fired.append, (0.5,)), (4.0, fired.append, ("4b",))]
         )
-        assert q._ahead is ahead  # merged in place
-        assert len(q._heap) == 0
+        assert (len(q._heap), len(q._ahead)) == (3, 2)
         q.run()
         assert fired == [0.5, 1, 3, 4, "4b"]
 
@@ -583,13 +586,14 @@ class TestFeed:
             q.run()
         assert fired == ["a1", "a2", "h"]
 
-    def test_schedule_many_builds_the_rest_of_a_feed_first(self):
+    def test_schedule_many_leaves_a_pending_feed_alone(self):
         q = EventQueue()
         fired = []
         with patch.object(event_queue, "FEED_CHUNK", 1):
             q.feed([(t, fired.append, (t,)) for t in (1.0, 2.0, 3.0)], 3)
             q.schedule_many([(2.5, fired.append, ("b",))])
-            assert q._feed is None and len(q) == 4
+            assert q._feed is not None and len(q._ahead) == 1
+            assert len(q._heap) == 1 and len(q) == 4
             q.run()
         assert fired == [1.0, 2.0, "b", 3.0]
 
@@ -609,15 +613,22 @@ class TestFeed:
         with pytest.raises(SimulationError, match="1 events short"):
             EventQueue().feed([(1.0, lambda: None, ())], 2)
 
-    def test_needs_an_empty_sorted_run(self):
+    def test_one_feed_at_a_time(self):
         q = EventQueue()
-        q.schedule_many([(1.0, lambda: None, ())])
-        with pytest.raises(SimulationError):
+        fired = []
+        q.schedule_many([(1.0, fired.append, ("h",))])
+        q.feed([(1.0, fired.append, ("a1",)), (2.0, fired.append, ("a2",))], 2)
+        with pytest.raises(SimulationError, match="one feed at a time"):
             q.feed([(2.0, lambda: None, ())], 1)
-        q = EventQueue()
-        q.feed([(1.0, lambda: None, ()), (2.0, lambda: None, ())], 2)
-        with pytest.raises(SimulationError):
+        q.run(max_events=2)
+        # Every event built, one still pending: the feed is not over.
+        assert q._feed is None and len(q._ahead) == 1
+        with pytest.raises(SimulationError, match="one feed at a time"):
             q.feed([(2.0, lambda: None, ())], 1)
+        q.run()
+        q.feed([(3.0, fired.append, ("b",))], 1)
+        q.run()
+        assert fired == ["h", "a1", "a2", "b"]
         with pytest.raises(ValueError):
             EventQueue().feed([], -1)
 
@@ -652,6 +663,9 @@ class _HeapModel:
             self.schedule(time, callback, *args, priority=priority)
             count += 1
         return count
+
+    def feed(self, events, count):
+        assert self.schedule_many(events, priority=PRIORITY_ARRIVAL) == count
 
     def request_stop_check(self):
         self._stop_check = True
@@ -718,6 +732,14 @@ _RUN_OPS = st.one_of(
     ),
 )
 _PROGRAMS = st.lists(st.one_of(_SCHEDULE_OPS, _RUN_OPS), max_size=16)
+#: The one feed a program starts with: arrivals in time order.
+_FEED_OPS = st.tuples(
+    st.just("feed"),
+    st.lists(
+        st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]), _ACTIONS),
+        max_size=10,
+    ).map(lambda entries: sorted(entries, key=lambda entry: entry[0])),
+)
 
 
 def _execute(queue, program):
@@ -781,6 +803,13 @@ def _execute(queue, program):
                 ),
                 priority=priority,
             )
+        elif kind == "feed":
+            entries = op[1]
+            arrivals = [
+                (now + delay, make((i, k), action), ())
+                for k, (delay, action) in enumerate(entries)
+            ]
+            result = queue.feed(iter(arrivals), len(arrivals))
         elif kind == "step":
             result = queue.step()
         else:
@@ -801,16 +830,20 @@ def _execute(queue, program):
 
 
 class TestDifferentialAgainstHeapModel:
-    @given(program=_PROGRAMS)
+    @given(feed=_FEED_OPS, program=_PROGRAMS, chunk=st.integers(1, 3))
     # 400 examples in tier-1; the ``deep`` profile (tests/conftest.py)
     # raises the count.
     @settings(max_examples=max(400, settings().max_examples), deadline=None)
-    def test_matches_single_heap_reference(self, program):
+    def test_matches_single_heap_reference(self, feed, program, chunk):
         """Firing order, the ``processed`` count each callback sees,
         counters, clock, ``len`` and ``peek_time`` agree with the
         one-heap reference after every call, for ``run`` with every
         argument combination and ``step``, with batches (sorted or
-        not), equal-time ties across priorities, and callbacks that
-        schedule, merge a batch or push onto the heap mid-run."""
-        program = program + [("run", None, None, None)]  # drain
-        assert _execute(EventQueue(), program) == _execute(_HeapModel(), program)
+        not), equal-time ties across priorities, callbacks that
+        schedule, add a batch or push onto the heap mid-run, and a
+        feed at program start whose arrivals, built ``chunk`` at a
+        time, interleave with every other operation."""
+        program = [feed] + program + [("run", None, None, None)]  # drain
+        with patch.object(event_queue, "FEED_CHUNK", chunk):
+            fed = _execute(EventQueue(), program)
+        assert fed == _execute(_HeapModel(), program)

@@ -202,6 +202,30 @@ class TestVram:
         render = COST.render_time(task_b.chunk.size, 2)
         assert task_b.finish_time - task_b.start_time == pytest.approx(render)
 
+    def test_crash_clears_vram(self):
+        """A revived node re-uploads what was resident before the crash."""
+        events = EventQueue()
+        node = make_node(events, vram=True)
+        task_a = make_tasks(2)[0]
+        node.cache.insert(task_a.chunk)
+        node.enqueue(task_a)
+        events.run()
+        assert node.vram.resident(task_a.chunk)
+        node.fail()
+        node.revive()
+        assert not node.vram.resident(task_a.chunk)
+        job2 = RenderJob(JobType.INTERACTIVE, Dataset("ds", 2 * 256 * MiB), events.now)
+        task_b = job2.decompose(POLICY)[0]  # same chunk key
+        node.enqueue(task_b)
+        events.run()
+        assert task_b.cache_hit is False  # main memory died too
+        render = COST.render_time(task_b.chunk.size, 2)
+        upload = (256 * MiB) / (4 * GiB)
+        assert task_b.finish_time - task_b.start_time == pytest.approx(
+            task_b.io_time + upload + render
+        )
+        assert node.vram.uploads == 2
+
     def test_default_has_no_vram_model(self):
         events = EventQueue()
         node = make_node(events, vram=False)

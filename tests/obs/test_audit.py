@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core.chunks import Dataset
 from repro.core.job import JobType
 from repro.obs.audit import (
     REASON_CACHE_HIT,
@@ -20,50 +21,26 @@ from repro.obs.audit import (
 from repro.frontend.config import FrontendConfig
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import run_simulation
+from repro.util.units import MiB
 from repro.workload.scenarios import make_scenario
 from repro.workload.trace import Request
+from tests.conftest import MiniHarness
 
 
-class FakeChunk:
-    def __init__(self, dataset="ds", index=0):
-        self.dataset = dataset
-        self.index = index
-
-
-class FakeJob:
-    def __init__(self, user=1, action=2, sequence=3):
-        self.user = user
-        self.action = action
-        self.sequence = sequence
-        self.job_type = JobType.INTERACTIVE
-        self.composite_group_size = 1
-
-
-class FakeTask:
-    def __init__(self, index=0, job=None, chunk=None):
-        self.chunk = chunk if chunk is not None else FakeChunk()
-        self.job = job if job is not None else FakeJob()
-        self.index = index
-
-
-class FakeTables:
-    """Just enough SchedulerTables surface for the audit hooks."""
-
-    def __init__(self, available, cached=()):
-        self.available = list(available)
-        self._cached = set(cached)
-
-    def is_cached(self, chunk, node):
-        return node in self._cached
-
-    def cached_nodes(self, chunk):
-        return set(self._cached)
-
-    def min_available_node(self):
-        return min(range(len(self.available)), key=self.available.__getitem__)
-
-    def estimate_components(self, chunk, group):
-        return 1.0, 5.0  # (cached, cold)
+def stage(harness, available=(0.0, 1.0, 9.0, 9.0), cached=(), *, tasks=1,
+          user=1, action=2, sequence=3):
+    """The tasks of one interactive job over ``tasks`` 256 MiB chunks,
+    with the harness tables' Available row set to ``available`` and the
+    first chunk cached on the ``cached`` nodes."""
+    job = harness.job(
+        Dataset("ds", tasks * 256 * MiB), user=user, action=action,
+        sequence=sequence,
+    )
+    out = job.decompose(harness.decomposition)
+    harness.tables.available[:] = available
+    for node in cached:
+        harness.tables.warm(out[0].chunk, node)
+    return out
 
 
 class TestAuditConfig:
@@ -88,33 +65,32 @@ class TestAuditConfig:
 class TestReasonDerivation:
     """When the policy states no reason, one is derived from the tables."""
 
-    def record(self, tables, node, reason=None):
+    def record(self, harness, node, cached=(), reason=None):
+        (task,) = stage(harness, (5.0, 0.0, 9.0, 9.0), cached)
         log = AuditLog(AuditConfig(candidates=False))
         log.begin_invocation(0.0, 1)
-        log.record_assignment(FakeTask(), node, tables, 1.0, reason)
+        log.record_assignment(task, node, harness.tables, 1.0, reason)
         (rec,) = log.records
         return rec
 
-    def test_cached_node_is_cache_hit(self):
-        rec = self.record(FakeTables([5.0, 0.0], cached={1}), node=1)
+    def test_cached_node_is_cache_hit(self, harness):
+        rec = self.record(harness, node=1, cached={1})
         assert rec.reason == REASON_CACHE_HIT
 
-    def test_min_available_node_is_only_available(self):
-        rec = self.record(FakeTables([5.0, 0.0]), node=1)
+    def test_min_available_node_is_only_available(self, harness):
+        rec = self.record(harness, node=1)
         assert rec.reason == REASON_ONLY_AVAILABLE
 
-    def test_other_node_is_min_estimate(self):
-        rec = self.record(FakeTables([5.0, 0.0]), node=0)
+    def test_other_node_is_min_estimate(self, harness):
+        rec = self.record(harness, node=0)
         assert rec.reason == REASON_MIN_ESTIMATE
 
-    def test_explicit_reason_passes_through(self):
-        rec = self.record(
-            FakeTables([5.0, 0.0], cached={1}), node=1, reason=REASON_FALLBACK
-        )
+    def test_explicit_reason_passes_through(self, harness):
+        rec = self.record(harness, node=1, cached={1}, reason=REASON_FALLBACK)
         assert rec.reason == REASON_FALLBACK
 
-    def test_record_fields(self):
-        rec = self.record(FakeTables([5.0, 0.0], cached={1}), node=1)
+    def test_record_fields(self, harness):
+        rec = self.record(harness, node=1, cached={1})
         assert rec.time == 1.0
         assert rec.cycle == 1
         assert (rec.user, rec.action, rec.sequence) == (1, 2, 3)
@@ -123,49 +99,43 @@ class TestReasonDerivation:
 
 
 class TestRingBuffer:
-    def test_eviction_keeps_newest_and_counts_drops(self):
+    def test_eviction_keeps_newest_and_counts_drops(self, harness):
         log = AuditLog(AuditConfig(capacity=4, candidates=False))
-        tables = FakeTables([0.0, 1.0])
-        for i in range(10):
-            log.record_assignment(FakeTask(index=i), 0, tables, float(i), None)
+        for i, task in enumerate(stage(harness, tasks=10)):
+            log.record_assignment(task, 0, harness.tables, float(i), None)
         assert len(log) == 4
         assert log.total_recorded == 10
         assert log.dropped == 6
         assert [r.task_index for r in log] == [6, 7, 8, 9]
 
-    def test_reason_totals_survive_eviction(self):
+    def test_reason_totals_survive_eviction(self, harness):
         log = AuditLog(AuditConfig(capacity=2, candidates=False))
-        tables = FakeTables([0.0, 1.0])
-        for i in range(5):
-            log.record_assignment(FakeTask(index=i), 0, tables, 0.0, None)
+        for task in stage(harness, tasks=5):
+            log.record_assignment(task, 0, harness.tables, 0.0, None)
         assert log.reason_counts() == {REASON_ONLY_AVAILABLE: 5}
         assert sum(log.reason_counts().values()) == log.total_recorded
 
-    def test_decisions_for_filters_one_job(self):
+    def test_decisions_for_filters_one_job(self, harness):
         log = AuditLog(AuditConfig(candidates=False))
-        tables = FakeTables([0.0, 1.0])
-        log.record_assignment(
-            FakeTask(job=FakeJob(user=7, action=1, sequence=0)), 0, tables, 0.0, None
-        )
-        log.record_assignment(
-            FakeTask(job=FakeJob(user=8, action=1, sequence=0)), 0, tables, 0.0, None
-        )
+        for user in (7, 8):
+            (task,) = stage(harness, user=user, action=1, sequence=0)
+            log.record_assignment(task, 0, harness.tables, 0.0, None)
         assert len(log.decisions_for(7, 1, 0)) == 1
         assert log.decisions_for(9, 9, 9) == []
 
-    def test_summary_mentions_counts(self):
+    def test_summary_mentions_counts(self, harness):
         log = AuditLog(AuditConfig(candidates=False))
-        log.record_assignment(FakeTask(), 0, FakeTables([0.0]), 0.0, None)
+        (task,) = stage(harness)
+        log.record_assignment(task, 0, harness.tables, 0.0, None)
         assert "1 decisions" in log.summary()
 
 
 class TestFlightRecorder:
-    def test_jsonl_stream_sees_evicted_records(self, tmp_path):
+    def test_jsonl_stream_sees_evicted_records(self, harness, tmp_path):
         path = tmp_path / "audit.jsonl"
         log = AuditLog(AuditConfig(capacity=2, jsonl_path=path, candidates=False))
-        tables = FakeTables([0.0, 1.0])
-        for i in range(5):
-            log.record_assignment(FakeTask(index=i), 0, tables, float(i), None)
+        for i, task in enumerate(stage(harness, tasks=5)):
+            log.record_assignment(task, 0, harness.tables, float(i), None)
         log.close()
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == 5  # the ring only holds 2
@@ -177,22 +147,20 @@ class TestFlightRecorder:
         log.close()
         log.close()
 
-    def test_candidates_roundtrip_through_json(self, tmp_path):
+    def test_candidates_roundtrip_through_json(self, harness, tmp_path):
         path = tmp_path / "audit.jsonl"
         log = AuditLog(AuditConfig(jsonl_path=path))
-        log.record_assignment(
-            FakeTask(), 0, FakeTables([0.0, 1.0], cached={1}), 0.5, None
-        )
+        (task,) = stage(harness, cached={1})
+        log.record_assignment(task, 0, harness.tables, 0.5, None)
         log.close()
         (row,) = [json.loads(line) for line in path.read_text().splitlines()]
         nodes = {c["node"]: c for c in row["candidates"]}
         assert nodes[1]["cached"] is True
 
-    def test_write_jsonl_dumps_ring_only(self, tmp_path):
+    def test_write_jsonl_dumps_ring_only(self, harness, tmp_path):
         log = AuditLog(AuditConfig(capacity=2, candidates=False))
-        tables = FakeTables([0.0, 1.0])
-        for i in range(5):
-            log.record_assignment(FakeTask(index=i), 0, tables, 0.0, None)
+        for task in stage(harness, tasks=5):
+            log.record_assignment(task, 0, harness.tables, 0.0, None)
         path = log.write_jsonl(tmp_path / "ring.jsonl")
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["task_index"] for r in rows] == [3, 4]
@@ -244,24 +212,42 @@ class TestShed:
         )
 
 
+
 class TestSnapshot:
-    def test_chosen_first_then_min_available_then_replicas(self):
-        tables = FakeTables([3.0, 0.0, 2.0, 1.0], cached={2, 3})
-        cands = snapshot_candidates(tables, FakeTask(), chosen=0, max_candidates=8)
+    def test_chosen_first_then_min_available_then_replicas(self, harness):
+        (task,) = stage(harness, (3.0, 0.0, 2.0, 1.0), cached={2, 3})
+        tables = harness.tables
+        cands = snapshot_candidates(tables, task, chosen=0, max_candidates=8)
+        hit, cold = tables.estimate_components(task.chunk, task.job.composite_group_size)
+        assert hit < cold
         assert [c.node for c in cands] == [0, 1, 2, 3]
-        assert cands[0].cached is False and cands[0].estimate == 5.0
-        assert cands[2].cached is True and cands[2].estimate == 1.0
+        assert cands[0].cached is False and cands[0].estimate == cold
+        assert cands[2].cached is True and cands[2].estimate == hit
         assert cands[1].available == 0.0
 
-    def test_no_duplicates_when_chosen_is_min_available(self):
-        tables = FakeTables([0.0, 1.0], cached={0})
-        cands = snapshot_candidates(tables, FakeTask(), chosen=0, max_candidates=8)
+    def test_no_duplicates_when_chosen_is_min_available(self, harness):
+        (task,) = stage(harness, cached={0})
+        cands = snapshot_candidates(harness.tables, task, chosen=0, max_candidates=8)
         assert [c.node for c in cands] == [0]
 
     def test_max_candidates_caps_replica_fanout(self):
-        tables = FakeTables([0.0] * 10, cached=set(range(10)))
-        cands = snapshot_candidates(tables, FakeTask(), chosen=5, max_candidates=3)
+        harness = MiniHarness(node_count=10)
+        (task,) = stage(harness, [0.0] * 10, cached=range(10))
+        cands = snapshot_candidates(harness.tables, task, chosen=5, max_candidates=3)
         assert len(cands) == 3
+
+    def test_deferred_record_matches_the_snapshot(self, harness):
+        """A ring entry materialized after the tables moved on carries
+        the candidates the decision saw."""
+        (task,) = stage(harness, (3.0, 0.0, 2.0, 1.0), cached={2, 3})
+        tables = harness.tables
+        seen = snapshot_candidates(tables, task, chosen=0, max_candidates=8)
+        log = AuditLog()
+        log.record_assignment(task, 0, tables, 0.0, None)
+        tables.record_assignment(task, 0, now=0.0)
+        tables.available[:] = [9.0] * 4
+        (rec,) = log.records
+        assert rec.candidates == seen
 
 
 class TestSimulationWiring:

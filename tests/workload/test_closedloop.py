@@ -64,3 +64,15 @@ class TestOverload:
         result = run(users=10, duration=8.0, window=3)
         open_loop_would_issue = 10 * int(8.0 / 0.03)
         assert result.issued < 0.9 * open_loop_would_issue
+
+
+class TestJobIds:
+    def test_identical_runs_record_identical_job_ids(self):
+        """Ids come from the run's own allocator, not a process-global
+        counter, so a second identical run records the same ids."""
+        first, second = (
+            run(users=3, duration=1.0).service.collector.records.job_id
+            for _ in range(2)
+        )
+        assert len(first) > 0
+        assert list(first) == list(second)

@@ -80,29 +80,60 @@ EXAMPLES: Tuple[Tuple[str, ...], ...] = (
     ("run_report.py", "--scale", "0.05", "--out", "{tmp}/example-report.html"),
 )
 
-#: ``python -m repro.cli`` invocations covering every verb.
+#: ``python -m repro.cli`` invocations: every verb, and every documented
+#: option in at least one of them.  ``--stall-timeout`` arms the
+#: watchdog, but a run that never stalls leaves its dump unreached.
 CLI: Tuple[Tuple[str, ...], ...] = (
     ("simulate", "--scenario", "2", "--schedulers", "OURS,FCFSL",
-     "--scale", "0.05", "--metrics", "{tmp}/metrics.jsonl",
-     "--slo", "fps=33.33", "--slo", "latency:p95=0.25",
-     "--trace", "{tmp}/trace.json", "--audit", "{tmp}/audit.jsonl"),
+     "--scale", "0.05", "--seed", "3", "--metrics", "{tmp}/metrics.jsonl",
+     "--slo", "fps=33.33", "--slo", "latency:p95=0.25", "--slo-window", "0.5",
+     "--trace", "{tmp}/trace.json", "--audit", "{tmp}/audit.jsonl",
+     "--per-action", "--profile"),
     ("simulate", "--scenario", "2", "--scale", "0.05", "--load", "2.5",
      "--admission", "sessions=8,rate=50", "--queue-limit", "64:shed-oldest",
-     "--degrade", "--metrics", "{tmp}/overload.jsonl"),
+     "--degrade", "--metrics", "{tmp}/overload.jsonl", "--drain"),
     ("simulate", "--scenario", "1", "--scale", "0.05",
      "--stream", "{tmp}/stream.ndjson", "--stall-timeout", "60"),
     ("watch", "{tmp}/stream.ndjson", "--once"),
+    # Tails the finished stream and stops at its summary record.
+    ("watch", "{tmp}/stream.ndjson", "--poll", "0.05", "--idle-timeout", "5"),
     ("faults", "--scenario", "1", "--scale", "0.05", "--storm", "11",
      "--audit", "{tmp}/fault-audit.jsonl", "--report", "{tmp}/rca.json"),
-    ("explain", "--scenario", "2", "--scale", "0.05"),
+    ("faults", "--scenario", "1", "--scale", "0.05", "--plan",
+     "crash@0.5:node=3,revive=2;straggler@0.5:node=1,render=3,io=2,until=2;"
+     "wipe@1:node=2,dataset=engine;storage@0.8:latency=5,bw=0.5,until=1.6",
+     "--slo", "fps=30", "--slo-window", "0.5", "--rca-tolerance", "1",
+     "--seed", "5", "--scheduler", "FCFSL",
+     "--stream", "{tmp}/faults.ndjson", "--stall-timeout", "60"),
+    ("faults", "--scenario", "1", "--scale", "0.05", "--load", "1",
+     "--storm", "11", "--no-heal"),
+    ("explain", "--scenario", "2", "--scale", "0.05", "--seed", "5",
+     "--load", "1.5", "--schedulers", "OURS,FCFSL", "--drain",
+     "--stream", "{tmp}/explain.ndjson", "--stall-timeout", "60"),
     ("federate", "--scenario", "4", "--shards", "4", "--router", "locality",
      "--scale", "0.05", "--out", "{tmp}/federation.html"),
+    ("federate", "--scenario", "2", "--shards", "2", "--router", "hash",
+     "--replication", "partition", "--users", "3", "--workers", "1",
+     "--scale", "0.05", "--seed", "5", "--load", "2.5", "--scheduler",
+     "OURS", "--drain", "--admission", "sessions=8", "--queue-limit", "64",
+     "--degrade", "--frontend-scope", "global",
+     "--metrics", "{tmp}/federation.jsonl", "--slo", "fps=30",
+     "--slo-window", "0.5", "--stream", "{tmp}/federation.ndjson",
+     "--stall-timeout", "60"),
     ("report", "--scenario", "2", "--schedulers", "OURS,FCFS",
-     "--scale", "0.05", "--out", "{tmp}/report.html"),
+     "--scale", "0.05", "--load", "1.5", "--out", "{tmp}/report.html"),
+    ("report", "--scenario", "1", "--scale", "0.05", "--seed", "5",
+     "--drain", "--slo", "fps=30",
+     "--plan", "crash@0.5:node=3,revive=2", "--bins", "20",
+     "--svg", "{tmp}/report.svg", "--out", "{tmp}/faults-report.html",
+     "--stream", "{tmp}/report.ndjson", "--stall-timeout", "60"),
     ("render", "--size", "14", "--image", "16", "--ranks", "2",
      "--out", "{tmp}/render.ppm"),
-    ("animate", "--frames", "2", "--size", "12", "--image", "16",
-     "--ranks", "2", "--out", "{tmp}/animate"),
+    ("render", "--dataset", "plume", "--size", "12", "--image", "16",
+     "--ranks", "3", "--algorithm", "2-3-swap", "--tf", "fire",
+     "--step", "0.8", "--shaded", "--out", "{tmp}/shaded.ppm"),
+    ("animate", "--dataset", "combustion", "--frames", "2", "--size", "12",
+     "--image", "16", "--ranks", "2", "--out", "{tmp}/animate"),
     ("schedulers",),
     ("scenarios",),
 )
