@@ -13,16 +13,22 @@ queue and schedules in four phases:
    paper says only "sort ... based on Estimate[c]").  Each chunk's tasks
    all go to ``argmin_k Available[k] + exec_estimate(c, k)`` — the node
    already caching ``c`` unless its backlog exceeds the I/O cost, which
-   is how load spreads across replicas over successive cycles.
+   is how load spreads across replicas over successive cycles.  The
+   min-available candidate comes from one ``(Available[k], k)`` heap
+   built per pass, so a chunk costs O(log p) plus its replicas rather
+   than a scan of all p nodes.
 3. **Cached batch tasks** — node-centric (Algorithm 1 lines 16-22): each
    node pulls backlog tasks whose chunks it caches until its predicted
-   available time crosses the next scheduling time λ = now + ω.
+   available time crosses the next scheduling time λ = now + ω.  The
+   node's mirrored chunks are filtered against the backlog in C.
 4. **Non-cached batch tasks** — backlog chunks sorted by cached-replica
    count (fewest first: chunks with replicas already had their chance in
    phase 3, and loading them elsewhere would duplicate cache); a node
    may take one only if it has had no interactive assignment for
    ε = Estimate[c]/2 seconds — disk I/O is far longer than a cycle, so
    a node busy with interactive work must not start a cold batch load.
+   The head of that order is read once per pass and again only after
+   a chunk drains, not once per node.
 
 Algorithm 1 runs all four phases every cycle; in particular the batch
 backlog is (logically) re-sorted each time, which is the O(p x m log m)
@@ -43,16 +49,13 @@ which flattens that cost curve; the Fig. 9 bench reports both variants.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Deque, List, Optional, Sequence
 
 from repro.core.chunks import Chunk
 from repro.core.job import JobType, RenderJob, RenderTask
 from repro.core.scheduler_base import Scheduler, SchedulerContext, Trigger
-from repro.obs.audit import (
-    REASON_CACHE_HIT,
-    REASON_FALLBACK,
-    REASON_MIN_ESTIMATE,
-)
+from repro.obs.audit import REASON_CACHE_HIT, REASON_MIN_ESTIMATE
 
 
 class OursScheduler(Scheduler):
@@ -149,14 +152,14 @@ class OursScheduler(Scheduler):
         # Phase 2: interactive chunks — cached first, then non-cached in
         # descending Estimate order (longest processing time first).
         if h_interactive:
-            cached: List[tuple] = []
+            placements: List[tuple] = []
             noncached: List[tuple] = []
             replicas_get = tables._replicas.get
             estimate = tables.estimate
             for order, (chunk, tasks) in enumerate(h_interactive.items()):
                 replicas = replicas_get(chunk)
                 if replicas:
-                    cached.append((chunk, tasks, replicas))
+                    placements.append((chunk, tasks, replicas))
                 else:
                     group = tasks[0].job.composite_group_size
                     # ``order`` is unique, so the sort never compares the
@@ -165,11 +168,8 @@ class OursScheduler(Scheduler):
                         (-estimate(chunk, group), order, chunk, tasks)
                     )
             noncached.sort()
-            place = self._place_interactive_chunk
-            for chunk, tasks, replicas in cached:
-                place(chunk, tasks, ctx, tables, now, replicas)
-            for _neg_est, _order, chunk, tasks in noncached:
-                place(chunk, tasks, ctx, tables, now, None)
+            placements += [(chunk, tasks, None) for _, _, chunk, tasks in noncached]
+            self._schedule_interactive(placements, ctx)
 
         if not backlog:
             return
@@ -184,56 +184,76 @@ class OursScheduler(Scheduler):
         if backlog:
             self._schedule_noncached_batch(lam, ctx)
 
-    # -- phase 2 helper -------------------------------------------------------
+    # -- phase 2: interactive placement ---------------------------------------
 
-    def _place_interactive_chunk(
-        self,
-        chunk: Chunk,
-        tasks: List[RenderTask],
-        ctx: SchedulerContext,
-        tables,
-        now: float,
-        replicas,
+    def _schedule_interactive(
+        self, placements: List[tuple], ctx: SchedulerContext
     ) -> None:
-        """Assign every interactive task on ``chunk`` to one best node.
+        """Assign each chunk's interactive tasks to its one best node.
 
-        Hot path (once per interactive chunk per cycle): the table
-        accessors (``predicted_available``, ``exec_estimate``) are
-        inlined here — same arithmetic, no per-probe call overhead.
-        ``replicas`` is ``tables``' live cached-node set for ``chunk``
-        (or ``None``); membership is equivalent to the per-node mirror
-        test by the tables' replica invariant.
+        ``placements`` holds ``(chunk, tasks, replicas)`` in placement
+        order; ``replicas`` is ``tables``' live cached-node set for the
+        chunk (``None`` for a non-cached chunk) — membership equals the
+        per-node mirror test by the tables' replica invariant.  A chunk
+        goes to ``argmin_k max(Available[k], now) + exec_estimate(c, k)``
+        over its replicas and the min-available node (among non-cached
+        nodes the I/O term is uniform, so that node dominates them).
+
+        The min-available node comes from one ``(Available[k], k)`` heap
+        built for the pass: ties go to the smallest node id, and failed
+        or quarantined nodes (``+inf``) lose to any schedulable one,
+        exactly as ``min`` + ``index`` over the list.  Inside the pass
+        only ``assign_all`` writes ``Available``, and only the chosen
+        node's value, upwards, so the heap takes that node's new value
+        after each chunk and a top entry whose value is no longer the
+        node's is stale and popped.  The table accessors
+        (``predicted_available``, ``exec_estimate``) are inlined — same
+        arithmetic, no per-probe call.
         """
-        group = tasks[0].job.composite_group_size
-        render = tables._render_memo_get((chunk.size, group))
-        if render is None:
-            render = tables.cost.render_time(chunk.size, group)
+        tables = ctx.tables
+        now = ctx.now
         available = tables.available
-        # tables.min_available_node() inlined: no call frame on the
-        # hottest path.
-        best = available.index(min(available))
-        t = available[best]
-        if t < now:
-            t = now
-        if replicas is not None and best in replicas:
-            best_score = t + render
-        else:
-            best_score = t + (tables.io_estimate(chunk) + render)
-        if replicas:
-            for k in replicas:
-                if k == best:
-                    continue
-                t = available[k]
-                score = (t if t > now else now) + render
-                if score < best_score:
-                    best_score = score
-                    best = k
-        reason = (
-            REASON_CACHE_HIT
-            if replicas is not None and best in replicas
-            else REASON_MIN_ESTIMATE
-        )
-        ctx.assign_all(tasks, best, reason)
+        heap = list(zip(available, range(len(available))))
+        heapify(heap)
+        render_get = tables._render_memo_get
+        render_time = tables.cost.render_time
+        io_get = tables._io_estimate.get
+        assign_all = ctx.assign_all
+        for chunk, tasks, replicas in placements:
+            group = tasks[0].job.composite_group_size
+            render = render_get((chunk.size, group))
+            if render is None:
+                render = render_time(chunk.size, group)
+            t, best = heap[0]
+            while available[best] != t:
+                heappop(heap)
+                t, best = heap[0]
+            if t < now:
+                t = now
+            if replicas is not None and best in replicas:
+                best_score = t + render
+            else:
+                io = io_get(chunk)
+                if io is None:
+                    io = tables.io_estimate(chunk)
+                best_score = t + (io + render)
+            if replicas:
+                for k in replicas:
+                    if k == best:
+                        continue
+                    t = available[k]
+                    score = (t if t > now else now) + render
+                    if score < best_score:
+                        best_score = score
+                        best = k
+            assign_all(
+                tasks,
+                best,
+                REASON_CACHE_HIT
+                if replicas is not None and best in replicas
+                else REASON_MIN_ESTIMATE,
+            )
+            heappush(heap, (available[best], best))
 
     # -- phase 3: cached batch --------------------------------------------------
 
@@ -245,16 +265,17 @@ class OursScheduler(Scheduler):
         index = tables.backlog_index
         available = tables.available
         assign = ctx.assign
+        in_backlog = backlog.__contains__
         for k in range(ctx.node_count):
             t = available[k]
             if (t if t > now else now) >= lam:
                 continue
-            # Scan the node's mirrored cache (bounded by quota/chunk-size)
-            # rather than the whole backlog.
-            for chunk in tables.mirrors[k].chunks():
-                dq = backlog.get(chunk)
-                if dq is None:
-                    continue
+            # Walk the node's mirrored cache (bounded by quota/chunk-size)
+            # rather than the whole backlog; ``filter`` tests backlog
+            # membership in C, and is lazy, so a chunk drained earlier
+            # in this walk is skipped exactly as a fresh lookup would.
+            for chunk in filter(in_backlog, tables.mirrors[k].chunks()):
+                dq = backlog[chunk]
                 while dq:
                     t = available[k]
                     if (t if t > now else now) >= lam:
@@ -289,10 +310,13 @@ class OursScheduler(Scheduler):
         self.backlog_sorts_avoided += len(backlog) - index.begin_pass()
         available = tables.available
         assign = ctx.assign
+        # The order is frozen until the next ``begin_pass``, and the loop
+        # re-peeks after every ``discard``, so the chunk carried from
+        # one node to the next is what a fresh peek would return.
+        chunk = index.peek()
+        if chunk is None:
+            return
         for k in range(ctx.node_count):
-            chunk = index.peek()
-            if chunk is None:
-                break
             idle_for = now - tables.last_interactive_assign[k]
             while True:
                 t = available[k]

@@ -23,8 +23,10 @@ per second, so the table operations are designed to be cheap:
 * "node with minimal available time" (the greedy step of every
   scheduler here) is one C-level ``min`` scan plus ``index`` over the
   ``available`` list (:meth:`SchedulerTables.min_available_node`); ties
-  go to the smallest node id.  At the paper's cluster sizes (p ≤ 64)
-  the scan beats maintaining a heap on every table write.  Failed and
+  go to the smallest node id.  The tables keep no heap, so no
+  placement or completion pays heap upkeep on its write; a caller that
+  asks many times between writes builds its own — an OURS cycle builds
+  one ``(Available[k], k)`` heap per interactive pass.  Failed and
   quarantined nodes sit at ``+inf``, so they are never chosen while a
   schedulable node remains;
 * locality-aware scoring needs only the cached replica set of a chunk

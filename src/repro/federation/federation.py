@@ -40,7 +40,8 @@ def _scoped_frontend(
     ``shard`` scope passes the config through unchanged; ``global``
     scope treats the configured caps as fleet totals and divides them
     across shards (ceiling, floor 1 — a shard with a zero cap would
-    reject everything routed to it).
+    reject everything routed to it).  A part the config leaves unset
+    (``None``) stays unset.
     """
     if frontend is None or scope == "shard" or shards == 1:
         return frontend
@@ -52,15 +53,18 @@ def _scoped_frontend(
             return max(floor, -(-value // shards))
         return value / shards
 
-    admission = dc_replace(
-        frontend.admission,
-        rate=split(frontend.admission.rate),
-        max_sessions=split(frontend.admission.max_sessions),
-    )
-    backpressure = dc_replace(
-        frontend.backpressure,
-        queue_limit=split(frontend.backpressure.queue_limit),
-    )
+    admission = frontend.admission
+    if admission is not None:
+        admission = dc_replace(
+            admission,
+            rate=split(admission.rate),
+            max_sessions=split(admission.max_sessions),
+        )
+    backpressure = frontend.backpressure
+    if backpressure is not None:
+        backpressure = dc_replace(
+            backpressure, queue_limit=split(backpressure.queue_limit)
+        )
     return dc_replace(
         frontend, admission=admission, backpressure=backpressure
     )

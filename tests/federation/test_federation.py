@@ -200,6 +200,36 @@ class TestFrontendScope:
             cfg = shard.frontend.config
             assert cfg.admission.max_sessions == -(-base // 2)
 
+    @pytest.mark.parametrize("part", ["admission", "backpressure"])
+    def test_global_scope_with_one_part_unset(self, part):
+        """A frontend with only admission, or only a queue limit, splits
+        the part it has and leaves the other unset."""
+        from repro.frontend import FrontendConfig
+        from repro.frontend.config import AdmissionConfig, BackpressureConfig
+
+        frontend = (
+            FrontendConfig(admission=AdmissionConfig(max_sessions=8))
+            if part == "admission"
+            else FrontendConfig(backpressure=BackpressureConfig(queue_limit=64))
+        )
+        result = run_federation(
+            _scenario(load=2.0),
+            "OURS",
+            FederationConfig(
+                shards=2,
+                run=RunConfig(frontend=frontend),
+                frontend_scope="global",
+            ),
+        )
+        for shard in result.shard_results:
+            cfg = shard.frontend.config
+            if part == "admission":
+                assert cfg.backpressure is None
+                assert cfg.admission.max_sessions == 4
+            else:
+                assert cfg.admission is None
+                assert cfg.backpressure.queue_limit == 32
+
     def test_conservation_identity_survives_merge(self):
         from repro.frontend import FrontendConfig
 

@@ -487,6 +487,19 @@ class TestFederate:
         assert "merged [locality/partition]:" in out
         assert "SLO report (merged)" in out
 
+    @pytest.mark.parametrize(
+        "flags", [["--admission", "sessions=8"], ["--queue-limit", "64"]]
+    )
+    def test_global_scope_with_one_overload_flag(self, flags, capsys):
+        code = main(
+            [
+                "federate", "--scenario", "2", "--scale", "0.03",
+                "--shards", "2", "--frontend-scope", "global", *flags,
+            ]
+        )
+        assert code == 0
+        assert "federation: 2 shard(s)" in capsys.readouterr().out
+
     def test_bad_shards_rejected(self, capsys):
         assert main(["federate", "--shards", "0"]) == 2
         assert "shards" in capsys.readouterr().err
