@@ -31,6 +31,13 @@ class JobType(enum.Enum):
     BATCH = "batch"
 
 
+#: Job types by code, in declaration order: a type's code is its index
+#: here.  The trace's request columns, the job records and the
+#: collector's per-type counts all store this code rather than the
+#: member, because an enum member's hash is a Python-level call.
+JOB_TYPES: Tuple[JobType, ...] = tuple(JobType)
+
+
 #: Id-space stride between allocator namespaces.  Wide enough that no
 #: single run can overflow into the next namespace (2^40 jobs at the
 #: full-scale Scenario 4 rate is centuries of simulated time), while
@@ -339,6 +346,7 @@ def reset_job_ids() -> None:
 
 __all__ = [
     "JobType",
+    "JOB_TYPES",
     "RenderTask",
     "RenderJob",
     "JobIdAllocator",

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import replace as dc_replace
 from typing import List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.core.scheduler_base import Scheduler
 from repro.frontend.config import FrontendConfig
 from repro.sim.run_config import RunConfig
@@ -90,24 +92,27 @@ def build_shards(
     plan = plan_replication(trace, config.shards, config.resolved_replication)
     routing = make_router(config.router, config.shards).assign(trace, plan)
 
+    # One column pass: each request's shard is its user's, and a shard
+    # takes its rows in trace order.
     shard_of = dict(routing.assignments)
-    per_shard_requests: List[list] = [[] for _ in range(config.shards)]
-    for request in trace.requests:
-        per_shard_requests[shard_of[request.user]].append(request)
+    columns = trace.requests
+    users, user_index = np.unique(np.asarray(columns.user), return_inverse=True)
+    user_shard = np.array([shard_of[u] for u in users.tolist()], dtype=np.int64)
+    row_shard = user_shard[user_index]
 
     suite = {ds.name: ds for ds in trace.datasets}
     pairs: List[Tuple[Scenario, RunConfig]] = []
     for k in range(config.shards):
-        requests = per_shard_requests[k]
+        requests = columns.take(np.flatnonzero(row_shard == k))
         home = list(plan.home[k])
-        referenced = {r.dataset for r in requests}
+        referenced = {requests.dataset_names[c] for c in set(requests.dataset_code)}
         foreign = [
             ds.name
             for ds in trace.datasets
             if ds.name in referenced and ds.name not in set(home)
         ]
         shard_trace = WorkloadTrace(
-            requests=list(requests),
+            requests=requests,
             datasets=[suite[name] for name in home + foreign],
             duration=trace.duration,
             target_framerate=trace.target_framerate,

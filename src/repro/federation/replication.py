@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.workload.trace import WorkloadTrace
 
 
@@ -62,10 +64,11 @@ class ReplicationPlan:
 
 def dataset_demand(trace: WorkloadTrace) -> Dict[str, int]:
     """Request count per dataset name (the bin-packing weight)."""
-    demand: Dict[str, int] = {ds.name: 0 for ds in trace.datasets}
-    for request in trace.requests:
-        demand[request.dataset] += 1
-    return demand
+    columns = trace.requests
+    counts = np.bincount(
+        np.asarray(columns.dataset_code), minlength=len(columns.dataset_names)
+    )
+    return dict(zip(columns.dataset_names, counts.tolist()))
 
 
 def plan_replication(

@@ -97,7 +97,7 @@ class ConsistentHashRouter:
         self, trace: WorkloadTrace, plan: ReplicationPlan
     ) -> RoutingTable:
         """Route every user of the trace (plan unused — residency-blind)."""
-        users = sorted({r.user for r in trace.requests})
+        users = sorted(set(trace.requests.user))
         return RoutingTable(
             policy=self.name,
             shards=self.shards,
@@ -129,10 +129,12 @@ class LocalityRouter:
         """Route every user of the trace by dataset residency."""
         counts: Dict[int, Dict[str, int]] = {}
         first_seen: Dict[Tuple[int, str], int] = {}
-        for order, request in enumerate(trace.requests):
-            per_user = counts.setdefault(request.user, {})
-            per_user[request.dataset] = per_user.get(request.dataset, 0) + 1
-            first_seen.setdefault((request.user, request.dataset), order)
+        columns = trace.requests
+        names = map(columns.dataset_names.__getitem__, columns.dataset_code)
+        for order, (user, dataset) in enumerate(zip(columns.user, names)):
+            per_user = counts.setdefault(user, {})
+            per_user[dataset] = per_user.get(dataset, 0) + 1
+            first_seen.setdefault((user, dataset), order)
         home = plan.home_map()
         assignments = []
         for user in sorted(counts):

@@ -19,11 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.job import JobType
+from repro.core.job import JOB_TYPES, JobType
 from repro.frontend.config import DegradeConfig, QualityLevel
 from repro.obs.metrics import default_window_interval
 from repro.obs.probe import _keeps_ticking
 from repro.obs.slo import SLObjective, fps_burn_rate
+
+#: The interactive type's index in the collector's per-type counts.
+_INTERACTIVE = JOB_TYPES.index(JobType.INTERACTIVE)
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ class DegradationController:
         if duration <= 0.0:
             return None
         completed = (
-            service.collector.completed_by_type[JobType.INTERACTIVE]
+            service.collector.completed_by_code[_INTERACTIVE]
             - self._last_interactive
         )
         active = sum(
@@ -162,8 +165,8 @@ class DegradationController:
         now = service.cluster.now
         burns = self._delivered_burns(now)
         self._last_time = now
-        self._last_interactive = service.collector.completed_by_type[
-            JobType.INTERACTIVE
+        self._last_interactive = service.collector.completed_by_code[
+            _INTERACTIVE
         ]
         if burns is not None:
             burn, burn_above = burns

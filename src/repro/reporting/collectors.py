@@ -29,7 +29,7 @@ from typing import (
     Union,
 )
 
-from repro.core.job import JobType, RenderJob
+from repro.core.job import JOB_TYPES, JobType, RenderJob
 
 
 class JobRecord(NamedTuple):
@@ -75,14 +75,9 @@ class JobRecord(NamedTuple):
 #: generated namedtuple ``__new__`` is a Python frame per row.
 _make_row = partial(tuple.__new__, JobRecord)
 
-#: Job types by their code in :attr:`JobRecords.type_code`; a type's
-#: code is ``_JOB_TYPES.index(job_type)``.  (Not an enum-keyed dict: an
-#: enum member's hash is a Python-level call, paid on every probe.)
-_JOB_TYPES: Tuple[JobType, ...] = tuple(JobType)
-
 #: ``(column, array typecode)`` in :class:`JobRecord` field order.  The
 #: categorical fields are stored as codes: ``type_code`` indexes
-#: :class:`JobType` in declaration order, ``dataset_code`` the
+#: :data:`~repro.core.job.JOB_TYPES`, ``dataset_code`` the
 #: records' ``dataset_names``.  Doubles and 64-bit integers round-trip
 #: exactly, so a row built from the columns equals the row appended.
 _COLUMNS: Tuple[Tuple[str, str], ...] = (
@@ -140,7 +135,7 @@ class JobRecords(_SequenceABC):
             return records
         out = cls()
         for r in records:
-            out._append(r[0], _JOB_TYPES.index(r[1]), *r[2:])
+            out._append(r[0], JOB_TYPES.index(r[1]), *r[2:])
         return out
 
     @classmethod
@@ -206,7 +201,7 @@ class JobRecords(_SequenceABC):
     def count_of(self, job_type: JobType, first: int = 0) -> int:
         """Rows of ``job_type`` from row ``first`` on."""
         codes = self.type_code[first:] if first else self.type_code
-        return codes.count(_JOB_TYPES.index(job_type))
+        return codes.count(JOB_TYPES.index(job_type))
 
     def latencies(self, first: int = 0) -> List[float]:
         """Definition-3 latency (:attr:`JobRecord.latency`) per row from
@@ -218,7 +213,7 @@ class JobRecords(_SequenceABC):
 
     def where(self, job_type: JobType, *columns: str) -> Iterator[tuple]:
         """The named columns' values of each ``job_type`` row, in row order."""
-        code = _JOB_TYPES.index(job_type)
+        code = JOB_TYPES.index(job_type)
         return compress(
             zip(*(getattr(self, name) for name in columns)),
             [c == code for c in self.type_code],
@@ -233,7 +228,7 @@ class JobRecords(_SequenceABC):
         return _make_row(
             (
                 self.job_id[i],
-                _JOB_TYPES[self.type_code[i]],
+                JOB_TYPES[self.type_code[i]],
                 self.dataset_names[self.dataset_code[i]],
                 self.user[i],
                 self.action[i],
@@ -260,7 +255,7 @@ class JobRecords(_SequenceABC):
             _make_row,
             zip(
                 self.job_id,
-                map(_JOB_TYPES.__getitem__, self.type_code),
+                map(JOB_TYPES.__getitem__, self.type_code),
                 map(self.dataset_names.__getitem__, self.dataset_code),
                 self.user,
                 self.action,
@@ -330,10 +325,11 @@ class SimulationCollector:
     def __init__(self) -> None:
         self.records = JobRecords()
         self.scheduling = SchedulingCostStats()
-        #: Jobs that entered the head node's queue, per job type.
-        self.submitted_by_type: Dict[JobType, int] = dict.fromkeys(JobType, 0)
-        #: Jobs with a recorded completion, per job type.
-        self.completed_by_type: Dict[JobType, int] = dict.fromkeys(JobType, 0)
+        #: Jobs that entered the head node's queue, by job-type code
+        #: (an index into :data:`~repro.core.job.JOB_TYPES`).
+        self.submitted_by_code: List[int] = [0] * len(JOB_TYPES)
+        #: Jobs with a recorded completion, by job-type code.
+        self.completed_by_code: List[int] = [0] * len(JOB_TYPES)
         self.tasks_hit = 0
         self.tasks_missed = 0
         #: Per interactive action: [issued count, first issue, last issue].
@@ -345,7 +341,7 @@ class SimulationCollector:
 
     def on_submit(self, job: RenderJob) -> None:
         """Record a job entering the head node's queue."""
-        self.submitted_by_type[job.job_type] += 1
+        self.submitted_by_code[JOB_TYPES.index(job.job_type)] += 1
         if job.job_type is JobType.INTERACTIVE:
             entry = self.action_issues.get(job.action)
             if entry is None:
@@ -374,10 +370,11 @@ class SimulationCollector:
         task_count = len(job.tasks)
         self.tasks_hit += hits
         self.tasks_missed += task_count - hits
-        self.completed_by_type[job.job_type] += 1
+        code = JOB_TYPES.index(job.job_type)
+        self.completed_by_code[code] += 1
         self.records._append(
             job.job_id,
-            _JOB_TYPES.index(job.job_type),
+            code,
             job.dataset.name,
             job.user,
             job.action,
@@ -394,9 +391,19 @@ class SimulationCollector:
     # -- derived -------------------------------------------------------------
 
     @property
+    def submitted_by_type(self) -> Dict[JobType, int]:
+        """Jobs that entered the head node's queue, per job type (a copy)."""
+        return dict(zip(JOB_TYPES, self.submitted_by_code))
+
+    @property
+    def completed_by_type(self) -> Dict[JobType, int]:
+        """Jobs with a recorded completion, per job type (a copy)."""
+        return dict(zip(JOB_TYPES, self.completed_by_code))
+
+    @property
     def jobs_submitted(self) -> int:
         """Jobs that entered the head node's queue."""
-        return sum(self.submitted_by_type.values())
+        return sum(self.submitted_by_code)
 
     @property
     def jobs_completed(self) -> int:

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from repro.cluster.cluster import Cluster
 from repro.cluster.event_queue import PRIORITY_CYCLE
 from repro.cluster.node import RenderNode
-from repro.core.job import JobIdAllocator, JobType, RenderJob, RenderTask
+from repro.core.job import JOB_TYPES, JobIdAllocator, JobType, RenderJob, RenderTask
 from repro.core.scheduler_base import Scheduler, SchedulerContext, Trigger
 from repro.core.tables import SchedulerTables
 from repro.reporting.collectors import SimulationCollector
@@ -146,20 +146,20 @@ class VisualizationService:
             self._latency_histograms = self._sched_cost_histogram = None
             return
         collector = self.collector
-        submitted = collector.submitted_by_type
-        completed = collector.completed_by_type
-        for t in JobType:
+        submitted = collector.submitted_by_code
+        completed = collector.completed_by_code
+        for code, t in enumerate(JOB_TYPES):
             registry.counter(
                 "repro_jobs_submitted",
                 "rendering jobs accepted by the head node",
                 labels={"type": t.value},
-            ).read_from(lambda t=t: submitted[t])
-        for t in JobType:
+            ).read_from(lambda code=code: submitted[code])
+        for code, t in enumerate(JOB_TYPES):
             registry.counter(
                 "repro_jobs_completed",
                 "rendering jobs completed (compositing included)",
                 labels={"type": t.value},
-            ).read_from(lambda t=t: completed[t])
+            ).read_from(lambda code=code: completed[code])
         self._latency_histograms = {
             t: registry.histogram(
                 "repro_job_latency_seconds",
@@ -548,7 +548,7 @@ class VisualizationService:
     def outstanding_jobs(self) -> int:
         """Jobs submitted but not yet completed (queued, deferred, running)."""
         collector = self.collector
-        return sum(collector.submitted_by_type.values()) - len(collector.records)
+        return sum(collector.submitted_by_code) - len(collector.records)
 
     @property
     def queue_depth(self) -> int:

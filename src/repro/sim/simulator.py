@@ -33,6 +33,7 @@ import hashlib
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -547,7 +548,6 @@ def _run(
     run.submit = service.submit_request
     run.starts = [service.start]
     run.pending = [service.has_work]
-    datasets = {d.name: d for d in scenario.trace.datasets}
 
     def has_pending() -> bool:
         return any(pending() for pending in run.pending)
@@ -568,13 +568,18 @@ def _run(
         gc.disable()
         # Stream the trace into the queue's sorted arrival run, a chunk
         # at a time, so the event heap only ever holds self-scheduled
-        # work and the queue holds a bounded slice of the trace.
+        # work and the queue holds a bounded slice of the trace.  The
+        # trace is columns; each arrival's Request row is built, by C
+        # iterators over the columns, only when its chunk is fed.
         requests = scenario.trace.requests
-        submit = run.submit
         events.feed(
-            (
-                (request.time, submit, (request, datasets[request.dataset]))
-                for request in requests
+            zip(
+                requests.time,
+                repeat(run.submit),
+                zip(
+                    requests,
+                    map(scenario.trace.datasets.__getitem__, requests.dataset_code),
+                ),
             ),
             len(requests),
         )

@@ -30,7 +30,7 @@ from repro.core.chunks import Dataset
 from repro.core.job import JobType
 from repro.util.rng import SeedLike, make_rng
 from repro.util.validation import check_non_negative, check_positive
-from repro.workload.trace import Request, WorkloadTrace
+from repro.workload.trace import Request, RequestColumns, WorkloadTrace
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,10 @@ def persistent_actions(
     check_positive("actions", n_actions)
     rng = make_rng(seed)
     interval = 1.0 / target_framerate
-    requests: List[Request] = []
+    times: List[np.ndarray] = []
+    codes: List[int] = []
     for i in range(n_actions):
-        ds = datasets[i % len(datasets)]
+        code = i % len(datasets)
         # Random phase offset: users do not start in lockstep, and a
         # shared exact period would make cycle-based schedulers see the
         # same job composition every cycle (another phantom-locality
@@ -169,14 +170,18 @@ def persistent_actions(
         action = UserAction(
             action_id=i,
             user=i,
-            dataset=ds.name,
+            dataset=datasets[code].name,
             start=phase,
             duration=duration,
             interval=interval,
         )
-        requests.extend(action.requests(jitter=jitter, rng=rng))
+        times.append(action.frame_times(jitter=jitter, rng=rng))
+        codes.append(code)
+    ids = list(range(n_actions))
     return WorkloadTrace(
-        requests=requests,
+        requests=RequestColumns.stacked(
+            [d.name for d in datasets], JobType.INTERACTIVE, times, codes, ids, ids
+        ),
         datasets=list(datasets),
         duration=duration,
         target_framerate=target_framerate,
@@ -235,15 +240,18 @@ def poisson_action_stream(
         check_positive("sum(dataset_weights)", total_w)
         probs = [w / total_w for w in dataset_weights]
     interval = 1.0 / target_framerate
-    requests: List[Request] = []
+    times: List[np.ndarray] = []
+    codes: List[int] = []
+    user_ids: List[int] = []
+    action_ids: List[int] = []
     action_id = first_action_id
     t = float(rng.exponential(1.0 / arrival_rate))
     index = 0
     while t < duration:
         if probs is None:
-            ds = datasets[int(rng.integers(len(datasets)))]
+            code = int(rng.integers(len(datasets)))
         else:
-            ds = datasets[int(rng.choice(len(datasets), p=probs))]
+            code = int(rng.choice(len(datasets), p=probs))
         raw = float(rng.exponential(mean_action_duration))
         # An action must be at least one frame long and end by the horizon.
         action_duration = min(max(raw, interval), duration - t)
@@ -251,17 +259,27 @@ def poisson_action_stream(
         action = UserAction(
             action_id=action_id,
             user=user,
-            dataset=ds.name,
+            dataset=datasets[code].name,
             start=t,
             duration=action_duration,
             interval=interval,
         )
-        requests.extend(action.requests(jitter=jitter, rng=rng))
+        times.append(action.frame_times(jitter=jitter, rng=rng))
+        codes.append(code)
+        user_ids.append(user)
+        action_ids.append(action_id)
         action_id += 1
         index += 1
         t += float(rng.exponential(1.0 / arrival_rate))
     return WorkloadTrace(
-        requests=requests,
+        requests=RequestColumns.stacked(
+            [d.name for d in datasets],
+            JobType.INTERACTIVE,
+            times,
+            codes,
+            user_ids,
+            action_ids,
+        ),
         datasets=list(datasets),
         duration=duration,
         target_framerate=target_framerate,

@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.core.chunks import Dataset
 from repro.core.job import JobType
 from repro.util.rng import SeedLike, make_rng
 from repro.util.validation import check_positive
-from repro.workload.trace import Request, WorkloadTrace
+from repro.workload.trace import Request, RequestColumns, WorkloadTrace
 
 
 @dataclass(frozen=True)
@@ -117,24 +119,25 @@ def time_varying_batch_stream(
         raise ValueError("need at least one timestep dataset")
     rng = make_rng(seed)
     names = [d.name for d in timestep_datasets]
-    requests: List[Request] = []
-    sid = first_submission_id
+    # Frame i renders timestep i mod len(names), as
+    # TimeVaryingSubmission.requests expands it.
+    playback = np.arange(frames_per_submission) % len(names)
+    times: List[np.ndarray] = []
+    ids: List[int] = []
     t = float(rng.exponential(1.0 / submission_rate))
-    index = 0
     while t < duration:
-        submission = TimeVaryingSubmission(
-            submission_id=sid,
-            user=first_user + index,
-            timesteps=names,
-            time=t,
-            frames=frames_per_submission,
-        )
-        requests.extend(submission.requests())
-        sid += 1
-        index += 1
+        times.append(np.full(frames_per_submission, t))
+        ids.append(len(ids))
         t += float(rng.exponential(1.0 / submission_rate))
     return WorkloadTrace(
-        requests=requests,
+        requests=RequestColumns.stacked(
+            names,
+            JobType.BATCH,
+            times,
+            [playback] * len(times),
+            [first_user + i for i in ids],
+            [first_submission_id + i for i in ids],
+        ),
         datasets=list(timestep_datasets),
         duration=duration,
         target_framerate=target_framerate,
@@ -170,31 +173,31 @@ def poisson_batch_stream(
     check_positive("submission_rate", submission_rate)
     check_positive("mean_frames", mean_frames)
     rng = make_rng(seed)
-    requests: List[Request] = []
-    sid = first_submission_id
+    times: List[np.ndarray] = []
+    codes: List[int] = []
     t = float(rng.exponential(1.0 / submission_rate))
-    index = 0
     while t < duration:
-        ds = datasets[int(rng.integers(len(datasets)))]
+        code = int(rng.integers(len(datasets)))
         if mean_frames <= 1.0:
             frames = 1
         else:
             # Geometric with mean `mean_frames`, support {1, 2, ...}.
             frames = 1 + int(rng.geometric(1.0 / mean_frames)) - 1
             frames = max(1, frames)
-        submission = BatchSubmission(
-            submission_id=sid,
-            user=first_user + index,
-            dataset=ds.name,
-            time=t,
-            frames=frames,
-        )
-        requests.extend(submission.requests())
-        sid += 1
-        index += 1
+        # All of a submission's frames are queued at its time.
+        times.append(np.full(frames, t))
+        codes.append(code)
         t += float(rng.exponential(1.0 / submission_rate))
+    ids = range(len(times))
     return WorkloadTrace(
-        requests=requests,
+        requests=RequestColumns.stacked(
+            [d.name for d in datasets],
+            JobType.BATCH,
+            times,
+            codes,
+            [first_user + i for i in ids],
+            [first_submission_id + i for i in ids],
+        ),
         datasets=list(datasets),
         duration=duration,
         target_framerate=target_framerate,

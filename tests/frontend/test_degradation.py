@@ -5,14 +5,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cluster.event_queue import EventQueue
-from repro.core.job import JobType
+from repro.core.job import JOB_TYPES, JobType
 from repro.frontend.config import DEFAULT_LADDER, DegradeConfig, QualityLevel
 from repro.frontend.degradation import DegradationController
 
 
 class FakeCollector:
     def __init__(self):
-        self.completed_by_type = dict.fromkeys(JobType, 0)
+        self.completed_by_code = [0] * len(JOB_TYPES)
         self.action_issues = {}
 
 
@@ -28,7 +28,7 @@ class FakeService:
 
     def deliver(self, frames, *, now, action=0):
         """Record ``frames`` interactive completions and an active span."""
-        self.collector.completed_by_type[JobType.INTERACTIVE] += frames
+        self.collector.completed_by_code[JOB_TYPES.index(JobType.INTERACTIVE)] += frames
         self.collector.action_issues[action] = [float(frames), 0.0, now]
 
 

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.core.chunks import ChunkedDecomposition, Dataset
-from repro.core.job import JobType, RenderJob
+from repro.core.job import JOB_TYPES, JobType, RenderJob
 from repro.reporting.collectors import (
     JobRecord,
     JobRecords,
@@ -232,3 +232,18 @@ def test_completed_counts_per_type_match_the_rows(collected):
         typed = sum(r.job_type is job_type for r in rows)
         assert collector.completed_by_type[job_type] == typed
         assert collector.submitted_by_type[job_type] == typed
+
+
+def test_per_type_counts_are_indexed_by_code(collected):
+    """The counts are plain lists indexed by ``JOB_TYPES`` code, the same
+    codes the records' ``type_code`` column stores; an enum-keyed count
+    would pay the member's Python-level ``__hash__`` per increment."""
+    collector, rows = collected
+    assert type(collector.completed_by_code) is list
+    assert type(collector.submitted_by_code) is list
+    completed, submitted = collector.completed_by_code, collector.submitted_by_code
+    for code, job_type in enumerate(JOB_TYPES):
+        assert completed[code] == collector.records.type_code.count(code)
+        assert collector.completed_by_type[job_type] == completed[code]
+        assert collector.submitted_by_type[job_type] == submitted[code]
+    assert collector.jobs_submitted == sum(collector.submitted_by_code) == len(rows)

@@ -13,6 +13,7 @@ on purpose) are left.
 
 import dataclasses
 import gc
+from array import array
 import hashlib
 import itertools
 import json
@@ -28,6 +29,7 @@ from repro.frontend.config import FrontendConfig
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import run_simulation
 from repro.workload.scenarios import make_scenario
+from repro.workload.trace import Request
 
 
 def _live():
@@ -262,6 +264,22 @@ def test_tables_hold_no_task_mid_run_or_after(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _live_requests():
+    return sum(type(obj) is Request for obj in gc.get_objects())
+
+
+def test_trace_holds_no_per_request_objects():
+    """The trace is typed columns: no ``Request`` and no boxed time per row."""
+    trace = make_scenario(2, scale=0.1).trace
+    requests = trace.requests
+    assert len(requests) > 1000
+    held = gc.get_referents(requests)
+    assert not [obj for obj in held if isinstance(obj, (Request, float))]
+    assert sum(map(len, (obj for obj in held if isinstance(obj, array)))) == (
+        6 * len(requests)
+    )
+
+
 def test_queue_holds_at_most_one_chunk_of_arrivals(monkeypatch):
     from repro.cluster.event_queue import FEED_CHUNK
     from repro.sim.service import VisualizationService
@@ -270,10 +288,20 @@ def test_queue_holds_at_most_one_chunk_of_arrivals(monkeypatch):
     requests = len(scenario.trace.requests)
     assert requests > FEED_CHUNK, "the trace must need more than one chunk"
     built, unbuilt = [], []  # sorted-run size and len() at each arrival
+    rows = {}  # arrival index -> Request rows alive besides the one in hand
+    before = _live_requests()  # rows other tests may keep
     submit = VisualizationService.submit_request
+    # Right after each refill, and a few times in between.
+    sample_at = set(range(0, requests, 500)) | {
+        FEED_CHUNK - 1,
+        FEED_CHUNK,
+        FEED_CHUNK + 1,
+    }
 
     def sampling_submit(self, request, dataset):
         events = self.cluster.events
+        if len(built) in sample_at:
+            rows[len(built)] = _live_requests() - before - 1
         built.append(len(events._ahead))
         unbuilt.append(len(events) - len(events._heap) - len(events._ahead))
         submit(self, request, dataset)
@@ -289,3 +317,9 @@ def test_queue_holds_at_most_one_chunk_of_arrivals(monkeypatch):
     assert [b + u for b, u in zip(built, unbuilt)] == list(
         range(requests - 1, -1, -1)
     )
+    # Request rows are built from the trace's columns a chunk at a time
+    # and dropped once submitted: the rows alive are the built chunk.
+    assert rows[0] == FEED_CHUNK - 1
+    assert rows[FEED_CHUNK] == min(FEED_CHUNK, requests - FEED_CHUNK) - 1
+    assert max(rows.values()) <= FEED_CHUNK
+    assert _live_requests() == before

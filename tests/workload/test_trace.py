@@ -155,8 +155,7 @@ class TestOrdering:
         requests = self._sorted_with_ties()
         before = list(requests)
         trace = make_trace(requests)
-        assert trace.requests is requests
-        assert all(a is b for a, b in zip(trace.requests, before))
+        assert trace.requests == before
 
     def test_reversed_input_is_sorted(self):
         expected = self._sorted_with_ties()
@@ -168,7 +167,7 @@ class TestOrdering:
         first = req(1.0, action=3, seq=0, user=1)
         second = req(1.0, action=3, seq=0, user=2)
         trace = make_trace([req(2.0), second, first])
-        assert trace.requests[0] is second and trace.requests[1] is first
+        assert trace.requests[0] == second and trace.requests[1] == first
 
     def test_actions_in_id_order_are_sorted_by_time(self):
         """A generator's layout: whole actions, ids rising, times interleaved."""
@@ -198,7 +197,7 @@ class TestOrdering:
             requests, key=lambda r: (r.time, r.action, r.sequence)
         )
         trace = make_trace(list(requests))
-        assert all(a is b for a, b in zip(trace.requests, expected))
+        assert trace.requests == expected
 
     def test_merge_matches_a_keyed_sort_of_the_parts(self):
         interactive = make_trace(
@@ -212,7 +211,7 @@ class TestOrdering:
         )
         merged = merge_traces([interactive, batch])
         assert merged.requests == sorted(
-            interactive.requests + batch.requests,
+            [*interactive.requests, *batch.requests],
             key=lambda r: (r.time, r.action, r.sequence),
         )
         assert [(r.time, r.action) for r in merged.requests[:3]] == [
@@ -247,6 +246,32 @@ class TestBoundaryValidation:
     def test_unknown_dataset_named_in_request_order(self):
         with pytest.raises(ValueError, match="unknown dataset 'y'"):
             make_trace([req(0.0), req(0.1, ds="y"), req(0.2, ds="x")])
+
+    def test_job_type_not_a_member_rejected_and_named(self):
+        """A string job type would run as batch without a word: the
+        service tests ``job_type is JobType.INTERACTIVE``."""
+        bad = Request(0.0, "interactive", "a", 0, 5, 1)
+        with pytest.raises(ValueError, match="job_type must be a JobType") as info:
+            make_trace([req(0.0), bad])
+        assert "action=5, sequence=1" in str(info.value)
+
+    @pytest.mark.parametrize("field", ["user", "action", "sequence"])
+    @pytest.mark.parametrize("value", [1.5, "3", None, 2**63])
+    def test_non_int_id_rejected_and_named(self, field, value):
+        bad = dataclasses.replace(req(0.1, action=4, seq=2, user=1), **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be a 64-bit int") as info:
+            make_trace([req(0.0), bad])
+        assert repr(bad) in str(info.value)
+
+    def test_first_bad_request_in_row_order_is_named(self):
+        rows = [
+            req(0.0),
+            req(0.1, user=1.5, action=7),
+            Request(0.2, "batch", "a", 0, 8, 0),
+        ]
+        with pytest.raises(ValueError, match="user must be") as info:
+            make_trace(rows)
+        assert "action=7" in str(info.value)
 
     def test_zero_time_and_duration_accepted(self):
         trace = WorkloadTrace(

@@ -165,20 +165,6 @@ def test_request_fields_are_python_scalars():
         assert isinstance(r.job_type, JobType)
 
 
-def test_requests_of_an_action_share_its_objects():
-    """Every frame holds its action's own dataset, user and id objects."""
-    trace = poisson_action_stream(
-        D4, 10.0, arrival_rate=2.0, mean_action_duration=1.0,
-        first_user=10_000, first_action_id=20_000, seed=3,
-    )
-    first = {}
-    for r in trace.requests:
-        ref = first.setdefault(r.action, r)
-        assert r.dataset is ref.dataset
-        assert r.user is ref.user
-        assert r.action is ref.action
-
-
 # -- differential test against the scalar builder ---------------------------
 
 

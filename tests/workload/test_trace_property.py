@@ -59,6 +59,6 @@ def test_merge_preserves_every_request(a, b):
     assert sorted(
         merged.requests, key=lambda r: (r.time, r.action, r.sequence, r.user)
     ) == sorted(
-        ta.requests + tb.requests,
+        [*ta.requests, *tb.requests],
         key=lambda r: (r.time, r.action, r.sequence, r.user),
     )

@@ -14,7 +14,9 @@ and observers included)::
     python tools/mempeak.py --workload immediate-s3
     python tools/mempeak.py --workload observed-storm --smoke
 
-or run one (scenario, scheduler, scale) point::
+A workload replay first prints the setup stage (building the inputs):
+its traced peak and the bytes the built inputs hold per request.  Or
+run one (scenario, scheduler, scale) point::
 
     python tools/mempeak.py --scenario 2 --scheduler OURS --scale 3 --drain
 
@@ -112,6 +114,23 @@ def _probe(scenario, scheduler: str, config: RunConfig, title: str) -> int:
     return 0
 
 
+def _report_setup(inputs, before: int) -> None:
+    """Print the setup stage's traced peak and what the built inputs hold.
+
+    The inputs are the trace plus the run's configuration, whose size
+    does not grow with the trace, so the bytes they hold per request
+    are the trace's bytes per request (a bound from above).
+    """
+    held, peak = tracemalloc.get_traced_memory()
+    requests = len(inputs.scenario.trace.requests)
+    print(
+        f"setup: traced peak {(peak - before) / MiB:.1f} MiB; the built "
+        f"inputs hold {(held - before) / MiB:.2f} MiB, "
+        f"{(held - before) / max(requests, 1):.1f} bytes per request "
+        f"({requests} requests)"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -151,9 +170,13 @@ def main(argv=None) -> int:
             )
         workload = WORKLOADS[args.workload]
         with tempfile.TemporaryDirectory() as out_dir:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             inputs = build(
                 workload, args.seed, smoke=args.smoke, out_dir=Path(out_dir)
             )
+            _report_setup(inputs, before)
+            tracemalloc.reset_peak()
             return _probe(
                 inputs.scenario,
                 workload.scheduler,
