@@ -15,20 +15,11 @@ analysis functions, the probe's windows) never build a row.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    NamedTuple,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
+from repro.core.columns import ColumnTable
 from repro.core.job import JOB_TYPES, JobType, RenderJob
 
 
@@ -75,52 +66,40 @@ class JobRecord(NamedTuple):
 #: generated namedtuple ``__new__`` is a Python frame per row.
 _make_row = partial(tuple.__new__, JobRecord)
 
-#: ``(column, array typecode)`` in :class:`JobRecord` field order.  The
-#: categorical fields are stored as codes: ``type_code`` indexes
-#: :data:`~repro.core.job.JOB_TYPES`, ``dataset_code`` the
-#: records' ``dataset_names``.  Doubles and 64-bit integers round-trip
-#: exactly, so a row built from the columns equals the row appended.
-_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("job_id", "q"),
-    ("type_code", "B"),
-    ("dataset_code", "i"),
-    ("user", "q"),
-    ("action", "q"),
-    ("sequence", "q"),
-    ("arrival", "d"),
-    ("start", "d"),
-    ("finish", "d"),
-    ("task_count", "i"),
-    ("cache_hits", "i"),
-    ("io_seconds", "d"),
-    ("group_size", "i"),
-)
 
-
-class JobRecords(_SequenceABC):
+class JobRecords(ColumnTable):
     """Completed-job records, stored column-wise.
 
-    A read-only sequence of :class:`JobRecord`: ``len``, indexing
-    (negative too), slicing (a ``list`` of rows) and iteration build
-    identical rows on access, and it compares equal to any sequence of
-    the same rows, a ``list`` included.  Readers that need only some
-    fields read the columns directly — the typed arrays named in
-    ``_COLUMNS`` — or use :meth:`count_of`, :meth:`latencies` and
-    :meth:`where`.  Only the collector appends, and
-    :meth:`extend` merges whole record sets.
+    A read-only :class:`~repro.core.columns.ColumnTable` of
+    :class:`JobRecord` rows.  Readers that need only some fields read
+    the columns directly or use :meth:`count_of`, :meth:`latencies` and
+    :meth:`where`.  Only the collector appends, and :meth:`joined`
+    merges whole record sets.
     """
 
-    __slots__ = tuple(name for name, _ in _COLUMNS) + (
-        "dataset_names",
-        "_dataset_codes",
+    _COLUMNS = (
+        ("job_id", "q"),
+        ("type_code", "B"),
+        ("dataset_code", "i"),
+        ("user", "q"),
+        ("action", "q"),
+        ("sequence", "q"),
+        ("arrival", "d"),
+        ("start", "d"),
+        ("finish", "d"),
+        ("task_count", "i"),
+        ("cache_hits", "i"),
+        ("io_seconds", "d"),
+        ("group_size", "i"),
     )
 
-    def __init__(self) -> None:
-        for name, typecode in _COLUMNS:
-            setattr(self, name, array(typecode))
-        #: Dataset names by their code in ``dataset_code``.
-        self.dataset_names: List[str] = []
-        self._dataset_codes: Dict[str, int] = {}
+    __slots__ = tuple(name for name, _ in _COLUMNS) + ("_dataset_codes",)
+
+    def __init__(self, dataset_names: Iterable[str] = (), *columns: array) -> None:
+        super().__init__(dataset_names, *columns)
+        self._dataset_codes: Dict[str, int] = {
+            name: code for code, name in enumerate(self.dataset_names)
+        }
 
     @classmethod
     def of(cls, records: Iterable[JobRecord]) -> "JobRecords":
@@ -136,29 +115,6 @@ class JobRecords(_SequenceABC):
         out = cls()
         for r in records:
             out._append(r[0], JOB_TYPES.index(r[1]), *r[2:])
-        return out
-
-    @classmethod
-    def joined(cls, parts: Iterable["JobRecords"]) -> "JobRecords":
-        """The rows of ``parts`` in order, merged column by column.
-
-        Each part's dataset codes are remapped onto the merged
-        ``dataset_names``; no row is built.
-        """
-        out = cls()
-        names, codes = out.dataset_names, out._dataset_codes
-        for part in parts:
-            remap = []
-            for name in part.dataset_names:
-                code = codes.setdefault(name, len(names))
-                if code == len(names):
-                    names.append(name)
-                remap.append(code)
-            for name, _ in _COLUMNS:
-                column = getattr(part, name)
-                if name == "dataset_code" and remap != list(range(len(remap))):
-                    column = map(remap.__getitem__, column)
-                getattr(out, name).extend(column)
         return out
 
     def _append(
@@ -196,13 +152,6 @@ class JobRecords(_SequenceABC):
         self.io_seconds.append(io_seconds)
         self.group_size.append(group_size)
 
-    # -- column readers ------------------------------------------------------
-
-    def count_of(self, job_type: JobType, first: int = 0) -> int:
-        """Rows of ``job_type`` from row ``first`` on."""
-        codes = self.type_code[first:] if first else self.type_code
-        return codes.count(JOB_TYPES.index(job_type))
-
     def latencies(self, first: int = 0) -> List[float]:
         """Definition-3 latency (:attr:`JobRecord.latency`) per row from
         row ``first`` on, in row order."""
@@ -211,76 +160,8 @@ class JobRecords(_SequenceABC):
             finish, arrival = finish[first:], arrival[first:]
         return [f - a for f, a in zip(finish, arrival)]
 
-    def where(self, job_type: JobType, *columns: str) -> Iterator[tuple]:
-        """The named columns' values of each ``job_type`` row, in row order."""
-        code = JOB_TYPES.index(job_type)
-        return compress(
-            zip(*(getattr(self, name) for name in columns)),
-            [c == code for c in self.type_code],
-        )
-
-    # -- the sequence --------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.job_id)
-
-    def _row(self, i: int) -> JobRecord:
-        return _make_row(
-            (
-                self.job_id[i],
-                JOB_TYPES[self.type_code[i]],
-                self.dataset_names[self.dataset_code[i]],
-                self.user[i],
-                self.action[i],
-                self.sequence[i],
-                self.arrival[i],
-                self.start[i],
-                self.finish[i],
-                self.task_count[i],
-                self.cache_hits[i],
-                self.io_seconds[i],
-                self.group_size[i],
-            )
-        )
-
-    def __getitem__(
-        self, index: Union[int, slice]
-    ) -> Union[JobRecord, List[JobRecord]]:
-        if isinstance(index, slice):
-            return [self._row(i) for i in range(len(self))[index]]
-        return self._row(range(len(self))[index])
-
-    def __iter__(self) -> Iterator[JobRecord]:
-        return map(
-            _make_row,
-            zip(
-                self.job_id,
-                map(JOB_TYPES.__getitem__, self.type_code),
-                map(self.dataset_names.__getitem__, self.dataset_code),
-                self.user,
-                self.action,
-                self.sequence,
-                self.arrival,
-                self.start,
-                self.finish,
-                self.task_count,
-                self.cache_hits,
-                self.io_seconds,
-                self.group_size,
-            ),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _SequenceABC) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other)
-        )
-
-    __hash__ = None  # type: ignore[assignment]  # equal to a list: unhashable
-
-    def __repr__(self) -> str:
-        return f"<JobRecords: {len(self)} rows>"
+    def _rows(self, start: int, stop: int) -> Iterator[JobRecord]:
+        return map(_make_row, zip(*self._fields(start, stop)))
 
 
 @dataclass

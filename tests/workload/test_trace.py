@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import pickle
 
 import pytest
@@ -76,6 +77,27 @@ class TestSerialization:
         assert restored.duration == trace.duration
         assert restored.requests == trace.requests
         assert restored.datasets == trace.datasets
+
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [
+            # A seventh field used to be dropped when rows mixed widths.
+            (
+                [[0.5, "interactive", "a", 0, 0, 0], [1.0, "batch", "a", 0, 0, 0, 9]],
+                1,
+            ),
+            ([[0.5, "interactive", "a", 0, 0]], 0),
+            ([[0.5, "interactive", "a", 0, 0, 0, 1]], 0),
+            ([[0.5, "interactive", "a", 0, 0, 0], 7], 1),
+        ],
+    )
+    def test_rows_without_six_fields_rejected_and_named(self, rows, bad):
+        text = make_trace([req(0.5)], name="t").to_json()
+        data = json.loads(text)
+        data["requests"] = rows
+        message = rf"request row {bad} must have 6 fields"
+        with pytest.raises(ValueError, match=message):
+            WorkloadTrace.from_json(json.dumps(data))
 
 
 class TestRequestSlots:

@@ -3,7 +3,7 @@
 A :class:`WorkloadTrace` holds its requests as :class:`RequestColumns`.
 Every test here builds the rows first, then checks that the columns give
 exactly what a stable keyed sort of those rows gives: through indexing,
-slicing, merging, JSON, pickling and the federation split.
+merging, JSON, pickling and the federation split.
 """
 
 import json
@@ -92,31 +92,6 @@ def test_indexing_matches_the_rows(rows, data):
         assert type(r) is Request
         assert type(r.time) is float and isinstance(r.job_type, JobType)
         assert type(r.user) is type(r.action) is type(r.sequence) is int
-
-
-@BOUNDED
-@given(
-    rows=row_lists,
-    outer=st.tuples(
-        st.none() | st.integers(-45, 45),
-        st.none() | st.integers(-45, 45),
-        st.none() | st.integers(-3, 3).filter(bool),
-    ),
-    inner=st.tuples(
-        st.none() | st.integers(-45, 45),
-        st.none() | st.integers(-45, 45),
-        st.none() | st.integers(-3, 3).filter(bool),
-    ),
-)
-def test_slices_are_column_sequences(rows, outer, inner):
-    columns = trace_of(rows).requests
-    expected = oracle(rows)
-    part = columns[slice(*outer)]
-    assert isinstance(part, RequestColumns)
-    assert part == expected[slice(*outer)]
-    nested = part[slice(*inner)]
-    assert isinstance(nested, RequestColumns)
-    assert nested == expected[slice(*outer)][slice(*inner)]
 
 
 @BOUNDED
