@@ -493,8 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["shard", "global"],
         default="shard",
         help=(
-            "how the overload caps apply: per shard as written, or as "
-            "fleet totals divided across shards (default shard)"
+            "how the overload caps apply: per shard as written, or with "
+            "the session and queue caps as fleet totals divided across "
+            "shards (the per-user rate is never divided; default shard)"
         ),
     )
     fed.add_argument(

@@ -26,9 +26,32 @@ hold; see EXPERIMENTS.md for the calibration targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Any, Callable, Tuple
 
 from repro.cluster.interconnect import swap_stage_count
 from repro.util.validation import check_non_negative, check_positive
+
+
+class PriceTable(dict):
+    """A ``dict`` that prices a missing key on its first read and keeps it.
+
+    Readers only index it: the first read of a key stores ``price(key)``.
+    """
+
+    __slots__ = ("price",)
+
+    def __init__(self, price: Callable[[Any], float]) -> None:
+        super().__init__()
+        self.price = price
+
+    def __missing__(self, key: Any) -> float:
+        value = self[key] = self.price(key)
+        return value
+
+    def __reduce__(self):
+        # The entries and the pricing function: an unpickled table keeps
+        # filling itself (the ``run_many`` pool ships cost models).
+        return PriceTable, (self.price,), None, None, iter(self.items())
 
 
 @dataclass(frozen=True)
@@ -58,6 +81,11 @@ class CostParameters:
             vary).  The head node's estimates use the mean — the
             prediction/actual discrepancy the paper's table-correction
             machinery (§V-B) exists to absorb.
+
+    The derived prices live in two :class:`PriceTable`\\ s,
+    ``render_times[chunk_bytes, group_size]`` and
+    ``composite_times[group_size]``; :meth:`render_time` and
+    :meth:`composite_time` read them.
     """
 
     render_base: float = 2.0e-3
@@ -81,14 +109,12 @@ class CostParameters:
             raise ValueError(
                 f"render_jitter must be in [0, 1), got {self.render_jitter}"
             )
-        # Derived-cost memo tables.  The simulator evaluates render_time
-        # for every placement decision *and* every task execution, but a
-        # run only ever sees a handful of distinct (chunk size, group
-        # size) pairs; composite_time likewise.  Stashed around the
-        # frozen-dataclass guard; ``replace()`` builds fresh (empty)
-        # memos on the copy.
-        object.__setattr__(self, "_render_memo", {})
-        object.__setattr__(self, "_composite_memo", {})
+        # The price lists: a run only ever sees a handful of distinct
+        # (chunk size, group size) pairs, so each price is computed on
+        # its first read and then indexed.  Stashed around the
+        # frozen-dataclass guard; ``replace()`` builds empty ones.
+        object.__setattr__(self, "render_times", PriceTable(self._render_price))
+        object.__setattr__(self, "composite_times", PriceTable(self._composite_price))
 
     # -- derived costs -----------------------------------------------------
 
@@ -98,31 +124,29 @@ class CostParameters:
         ``group_size`` is the number of tasks/nodes participating in the
         owning job (the render group ``G`` of Definition 2).
         """
-        key = (chunk_bytes, group_size)
-        t = self._render_memo.get(key)
-        if t is None:
-            stages = swap_stage_count(max(1, group_size))
-            t = self._render_memo[key] = (
-                self.render_base
-                + self.render_per_pixel * self.image_pixels
-                + self.render_per_byte * chunk_bytes
-                + self.group_stage_overhead * stages
-            )
-        return t
+        return self.render_times[chunk_bytes, group_size]
 
     def composite_time(self, group_size: int) -> float:
         """Image-compositing time for a render group of ``group_size``.
 
         Runs on the compositing thread; extends job finish time only.
         """
-        t = self._composite_memo.get(group_size)
-        if t is None:
-            stages = swap_stage_count(max(1, group_size))
-            t = self._composite_memo[group_size] = (
-                self.composite_stage_latency * stages
-                + self.composite_per_pixel * self.image_pixels
-            )
-        return t
+        return self.composite_times[group_size]
+
+    def _render_price(self, key: Tuple[int, int]) -> float:
+        chunk_bytes, group_size = key
+        return (
+            self.render_base
+            + self.render_per_pixel * self.image_pixels
+            + self.render_per_byte * chunk_bytes
+            + self.group_stage_overhead * swap_stage_count(max(1, group_size))
+        )
+
+    def _composite_price(self, group_size: int) -> float:
+        return (
+            self.composite_stage_latency * swap_stage_count(max(1, group_size))
+            + self.composite_per_pixel * self.image_pixels
+        )
 
     def with_overrides(self, **kwargs: float) -> "CostParameters":
         """Return a copy with the given fields replaced."""
@@ -173,4 +197,4 @@ def cost_preset_anl() -> CostParameters:
     )
 
 
-__all__ = ["CostParameters", "cost_preset_linux8", "cost_preset_anl"]
+__all__ = ["CostParameters", "PriceTable", "cost_preset_linux8", "cost_preset_anl"]

@@ -65,7 +65,7 @@ class RenderNode:
         "queue",
         "executors",
         "_cost",
-        "_render_memo_get",
+        "_render_times",
         "_storage",
         "_events",
         "_heap",
@@ -116,9 +116,8 @@ class RenderNode:
         self.cache = LRUChunkCache(memory_quota)
         self.queue: Deque[RenderTask] = deque()
         self._cost = cost
-        # Bound getter on the shared render-time memo (cf. the head-node
-        # tables): execution probes it once per task.
-        self._render_memo_get = cost._render_memo.get
+        # The shared render price list: execution reads it once per task.
+        self._render_times = cost.render_times
         self._storage = storage
         self._events = events
         # The queue's heap and tie-break counter: each task's completion
@@ -399,15 +398,8 @@ class RenderNode:
         now = self._events._now
         chunk = task.chunk
         upload_time = self._vram.access(chunk) if self._vram is not None else 0.0
-        cost = self._cost
-        render_time = self._render_memo_get(
-            (chunk.size, task.job.composite_group_size)
-        )
-        if render_time is None:
-            render_time = cost.render_time(
-                chunk.size, task.job.composite_group_size
-            )
-        jitter = cost.render_jitter
+        render_time = self._render_times[chunk.size, task.job.composite_group_size]
+        jitter = self._cost.render_jitter
         if jitter and self._rng is not None:
             # Actual frame cost varies with the view; the head node's
             # estimates use the mean (prediction error is corrected at

@@ -215,15 +215,12 @@ class OursScheduler(Scheduler):
         available = tables.available
         heap = list(zip(available, range(len(available))))
         heapify(heap)
-        render_get = tables._render_memo_get
-        render_time = tables.cost.render_time
-        io_get = tables._io_estimate.get
+        render_times = tables.cost.render_times
+        io_estimates = tables.io_estimates
         assign_all = ctx.assign_all
         for chunk, tasks, replicas in placements:
             group = tasks[0].job.composite_group_size
-            render = render_get((chunk.size, group))
-            if render is None:
-                render = render_time(chunk.size, group)
+            render = render_times[chunk.size, group]
             t, best = heap[0]
             while available[best] != t:
                 heappop(heap)
@@ -233,10 +230,7 @@ class OursScheduler(Scheduler):
             if replicas is not None and best in replicas:
                 best_score = t + render
             else:
-                io = io_get(chunk)
-                if io is None:
-                    io = tables.io_estimate(chunk)
-                best_score = t + (io + render)
+                best_score = t + (io_estimates[chunk] + render)
             if replicas:
                 for k in replicas:
                     if k == best:

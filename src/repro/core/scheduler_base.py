@@ -291,9 +291,7 @@ def greedy_locality_aware(
     chunk = task.chunk
     group = task.job.composite_group_size
     now = ctx.now
-    render = tables._render_memo_get((chunk.size, group))
-    if render is None:
-        render = ctx.cost.render_time(chunk.size, group)
+    render = ctx.cost.render_times[chunk.size, group]
     best_node = tables.min_available_node()
     best_score = tables.predicted_available(best_node, now) + tables.exec_estimate(
         chunk, best_node, group

@@ -32,9 +32,9 @@ per second, so the table operations are designed to be cheap:
 * locality-aware scoring needs only the cached replica set of a chunk
   (usually 0-2 nodes) plus that minimum, because among non-cached nodes
   the I/O penalty is uniform and the min-available node dominates;
-* the per-chunk I/O and placement estimates are memoized
-  (:meth:`SchedulerTables.io_estimate` / :meth:`SchedulerTables.estimate`),
-  invalidated per chunk when a measurement or replica set changes;
+* prices are indexed, never recomputed: ``io_estimates[chunk]`` (the
+  Estimate table) and the cost model's ``render_times`` fill each entry
+  on its first read, so :meth:`SchedulerTables.estimate` is one sum;
 * the OURS batch backlog keeps chunks bucketed by replica count
   incrementally (:class:`ReplicaBucketIndex`) instead of re-sorting the
   whole backlog every scheduling cycle;
@@ -50,7 +50,7 @@ import heapq
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cluster.costs import CostParameters
+from repro.cluster.costs import CostParameters, PriceTable
 from repro.cluster.memory import LRUChunkCache
 from repro.cluster.storage import StorageModel
 from repro.core.chunks import Chunk
@@ -250,19 +250,16 @@ class SchedulerTables:
     __slots__ = (
         "node_count",
         "cost",
-        "_storage",
         "executors_per_node",
         "available",
         "mirrors",
         "_replicas",
-        "_io_estimate",
-        "_estimate_memo",
+        "io_estimates",
         "last_interactive_assign",
         "_pending_per_node",
         "alive",
         "quarantined",
         "backlog_index",
-        "_render_memo_get",
     )
 
     def __init__(
@@ -276,7 +273,6 @@ class SchedulerTables:
     ) -> None:
         self.node_count = node_count
         self.cost = cost
-        self._storage = storage
         #: Rendering pipelines per node: queued work drains this many
         #: tasks at a time, so availability advances by est/executors.
         self.executors_per_node = max(1, executors_per_node)
@@ -292,15 +288,12 @@ class SchedulerTables:
         #: incrementally from cache insert/evict/fail events (membership
         #: is driven by the scheduler).
         self.backlog_index = ReplicaBucketIndex(self)
-        #: Bound getter on the cost model's render-time memo: hot paths
-        #: probe the memo directly and only fall back to
-        #: ``cost.render_time`` on the first sight of a key.
-        self._render_memo_get = cost._render_memo.get
-        #: Estimate[c] — latest known I/O time per chunk.
-        self._io_estimate: Dict[Chunk, float] = {}
-        #: Memoized ``estimate()`` results: chunk -> {group_size: est},
-        #: dropped per chunk when a completion revises ``Estimate[c]``.
-        self._estimate_memo: Dict[Chunk, Dict[int, float]] = {}
+        #: Estimate[c] — the I/O time of each chunk: seeded on first
+        #: read with the contention-free storage estimate (the paper's
+        #: "test run"); only :meth:`correct_completion` writes it.
+        self.io_estimates: Dict[Chunk, float] = PriceTable(
+            lambda chunk: storage.estimate_load_time(chunk.size)
+        )
         #: Last time an interactive task was assigned to each node.
         self.last_interactive_assign: List[float] = [-float("inf")] * node_count
         self._pending_per_node: List[int] = [0] * node_count
@@ -358,29 +351,13 @@ class SchedulerTables:
         Initialized from the contention-free storage estimate (the
         paper's "test run"), then updated to the latest measured value.
         """
-        est = self._io_estimate.get(chunk)
-        if est is None:
-            est = self._storage.estimate_load_time(chunk.size)
-            self._io_estimate[chunk] = est
-        return est
+        return self.io_estimates[chunk]
 
     def estimate(self, chunk: Chunk, group_size: int) -> float:
         """Estimate[c]: execution time of a task over ``chunk`` on a cold
-        node (I/O + render).
-
-        Memoized per (chunk, group size); invalidated when a completed
-        miss revises the chunk's measured I/O time (the contention
-        signal, see :meth:`correct_completion`).
-        """
-        memo = self._estimate_memo.get(chunk)
-        if memo is None:
-            memo = self._estimate_memo[chunk] = {}
-        est = memo.get(group_size)
-        if est is None:
-            est = memo[group_size] = self.io_estimate(chunk) + self.cost.render_time(
-                chunk.size, group_size
-            )
-        return est
+        node (I/O + render, Definition 1)."""
+        render = self.cost.render_times[chunk.size, group_size]
+        return self.io_estimates[chunk] + render
 
     def exec_estimate(self, chunk: Chunk, node: int, group_size: int) -> float:
         """Predicted execution time of a task on a specific node.
@@ -388,10 +365,10 @@ class SchedulerTables:
         The I/O term is omitted when the chunk is predicted cached on the
         node (Definition 1's "the I/O time can be omitted...").
         """
-        render = self.cost.render_time(chunk.size, group_size)
+        render = self.cost.render_times[chunk.size, group_size]
         if chunk in self.mirrors[node]:
             return render
-        return self.io_estimate(chunk) + render
+        return self.io_estimates[chunk] + render
 
     def estimate_components(
         self, chunk: Chunk, group_size: int
@@ -403,10 +380,8 @@ class SchedulerTables:
         prices every candidate node of a decision (the audit snapshot
         needs all of them at once).
         """
-        render = self._render_memo_get((chunk.size, group_size))
-        if render is None:
-            render = self.cost.render_time(chunk.size, group_size)
-        return render, self.io_estimate(chunk) + render
+        render = self.cost.render_times[chunk.size, group_size]
+        return render, self.io_estimates[chunk] + render
 
     # -- Available table ------------------------------------------------------
 
@@ -432,9 +407,7 @@ class SchedulerTables:
         """
         chunk = task.chunk
         job = task.job
-        render = self._render_memo_get((chunk.size, job.composite_group_size))
-        if render is None:
-            render = self.cost.render_time(chunk.size, job.composite_group_size)
+        render = self.cost.render_times[chunk.size, job.composite_group_size]
         # Inlined _mirror_access (this runs once per placed task).
         entries = self.mirrors[node]._entries
         if chunk in entries:
@@ -442,7 +415,7 @@ class SchedulerTables:
             est = render
         else:
             self._mirror_miss(chunk, node)
-            est = self.io_estimate(chunk) + render
+            est = self.io_estimates[chunk] + render
         t = self.available[node]
         if t < now:
             t = now
@@ -570,8 +543,7 @@ class SchedulerTables:
         if not task.cache_hit and task.io_time > 0 and not quarantined:
             # Quarantined stragglers' measurements are excluded: their
             # degraded I/O would poison the global per-chunk estimate.
-            self._io_estimate[task.chunk] = task.io_time
-            self._estimate_memo.pop(task.chunk, None)
+            self.io_estimates[task.chunk] = task.io_time
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -588,17 +560,6 @@ class SchedulerTables:
                 if chunk not in self.mirrors[k]:
                     raise AssertionError(f"stale replica {chunk} @ {k}")
         self.backlog_index.check_invariants()
-        for chunk, memo in self._estimate_memo.items():
-            io = self._io_estimate.get(chunk)
-            if io is None:
-                continue
-            for group, est in memo.items():
-                expected = io + self.cost.render_time(chunk.size, group)
-                if est != expected:
-                    raise AssertionError(
-                        f"stale estimate memo for {chunk} group {group}: "
-                        f"{est} != {expected}"
-                    )
 
 
 _EMPTY_SET: Set[int] = frozenset()  # type: ignore[assignment]

@@ -437,9 +437,9 @@ class FaultRuntime:
         # wipe the mirror tracks the real cache, so this is direct
         # evidence the real cache lost content behind the mirror's back.
         tables = self.service.tables
-        render = tables.cost.render_time(
+        render = tables.cost.render_times[
             task.chunk.size, task.job.composite_group_size
-        )
+        ]
         surprise = not task.cache_hit and estimate == render
         if surprise and self.engine is not None:
             until = self.engine.rewarm_until.get(node_id)

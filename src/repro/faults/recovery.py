@@ -199,11 +199,11 @@ class RecoveryEngine:
             est = task.est
             if est is None or task.chunk in mirror:
                 continue
-            render = tables.cost.render_time(
+            render = tables.cost.render_times[
                 task.chunk.size, task.job.composite_group_size
-            )
+            ]
             if est == render:
-                new_est = tables.io_estimate(task.chunk) + render
+                new_est = tables.io_estimates[task.chunk] + render
                 task.est = new_est
                 # Propagate the correction into Available (§VI-D table
                 # maintenance): the node is about to spend the backlog

@@ -28,8 +28,8 @@ REPLICATION_POLICIES: Tuple[str, ...] = ("auto", "mirror", "partition")
 
 #: Valid ``frontend_scope`` values: per-shard admission (each shard
 #: enforces the configured caps independently) or a global view (the
-#: configured caps describe the whole fleet and are divided across
-#: shards).
+#: session and queue caps describe the whole fleet and are divided
+#: across shards; the per-user token rate and burst are not divided).
 FRONTEND_SCOPES: Tuple[str, ...] = ("shard", "global")
 
 
@@ -61,8 +61,10 @@ class FederationConfig:
             :class:`~repro.federation.FederatedResult`\\ s.
         frontend_scope: How ``run.frontend`` caps apply when a frontend
             is configured: ``"shard"`` applies them per shard,
-            ``"global"`` treats them as fleet-wide totals and divides
-            them across shards.
+            ``"global"`` treats ``max_sessions`` and ``queue_limit`` as
+            fleet-wide totals and divides them across shards.  The
+            per-user token ``rate`` and ``burst`` apply unchanged on
+            every shard, since each user is routed to one shard.
     """
 
     shards: int = 2

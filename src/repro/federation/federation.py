@@ -40,27 +40,23 @@ def _scoped_frontend(
     """Resolve frontend caps for one shard.
 
     ``shard`` scope passes the config through unchanged; ``global``
-    scope treats the configured caps as fleet totals and divides them
-    across shards (ceiling, floor 1 — a shard with a zero cap would
-    reject everything routed to it).  A part the config leaves unset
-    (``None``) stays unset.
+    scope treats the fleet caps — ``max_sessions`` and ``queue_limit``
+    — as totals and divides them across shards (ceiling, floor 1 — a
+    shard with a zero cap would reject everything routed to it).  The
+    token-bucket ``rate`` and ``burst`` pass through: they budget one
+    user, and each user is routed to one shard.  A cap the config
+    leaves unset (``None``) stays unset.
     """
     if frontend is None or scope == "shard" or shards == 1:
         return frontend
 
-    def split(value, *, floor=1):
-        if value is None:
-            return None
-        if isinstance(value, int):
-            return max(floor, -(-value // shards))
-        return value / shards
+    def split(value):
+        return None if value is None else max(1, -(-value // shards))
 
     admission = frontend.admission
     if admission is not None:
         admission = dc_replace(
-            admission,
-            rate=split(admission.rate),
-            max_sessions=split(admission.max_sessions),
+            admission, max_sessions=split(admission.max_sessions)
         )
     backpressure = frontend.backpressure
     if backpressure is not None:

@@ -279,11 +279,11 @@ class AuditLog:
 
     The hot path is deliberately lazy: :meth:`record_assignment` only
     captures the time-varying table state (availability and residency
-    as C-level tuple copies, plus one probe of the I/O-estimate memo)
+    as C-level tuple copies, plus the chunk's ``io_estimates`` entry)
     in a flat entry and defers building the :class:`DecisionRecord`
     until the log is first read — everything else a record needs (job
-    identity, chunk, the min-available node, the pure render/storage
-    estimates) is recomputable from the capture later.
+    identity, chunk, the min-available node, the pure render price) is
+    recomputable from the capture later.
     :meth:`record_shed` defers the same way, keeping only the refused
     request and the clock.  The streaming flight recorder materializes
     immediately (the write dominates anyway), and records evicted from
@@ -312,12 +312,10 @@ class AuditLog:
         self._tables = None
         self._replicas_get = None
         self._available = None
-        self._io_get = None
-        # Materialization context: pure derivations (render memo, the
-        # contention-free storage estimate) deferred off the hot path.
-        self._m_render_get = None
-        self._m_render_time = None
-        self._m_storage_est = None
+        self._estimate_table = None
+        # Materialization context: the render price list (a pure
+        # function of the capture), read off the hot path.
+        self._render_times = None
         self.invocations = 0
         self.shed_count = 0
         self.reason_totals: Dict[str, int] = {}
@@ -378,11 +376,11 @@ class AuditLog:
         # after the job completes, which can precede materialization.
         job = task.job
         if self._snapshot:
-            # C-level copies of the mutable state, plus one probe of the
-            # time-varying I/O memo.  Everything else a record needs
-            # (min-available node, render estimate, membership, the
-            # candidate cap) is a pure function of this capture and is
-            # deferred to materialization.
+            # C-level copies of the mutable state, plus the chunk's
+            # time-varying Estimate entry.  Everything else a record
+            # needs (min-available node, render estimate, membership,
+            # the candidate cap) is a pure function of this capture and
+            # is deferred to materialization.
             entry = (
                 now,
                 self.invocations,
@@ -392,7 +390,7 @@ class AuditLog:
                 reason,
                 tuple(replicas) if replicas else (),
                 tuple(self._available),
-                self._io_get(chunk),
+                self._estimate_table[chunk],
             )
         else:
             entry = (
@@ -414,30 +412,28 @@ class AuditLog:
         """Resolve per-decision table accessors once per tables object.
 
         The audit hook fires per placement, so the replica map, the
-        availability view and the I/O-estimate memo are bound directly
-        (one dict/list probe per decision instead of a method-call
-        chain).  The render cost and the contention-free storage
-        estimate are pure functions of the chunk, so materialization
-        recomputes them later; only the I/O memo is time-varying, and
-        the hot path captures that one probe.
+        availability view and the Estimate table are bound directly
+        (one dict/list read per decision instead of a method-call
+        chain).  The render price is a pure function of the chunk, so
+        materialization reads it later; only the Estimate entry is
+        time-varying, and the hot path captures it.  Reading an entry
+        the tables have not priced yet stores its seed now; that equals
+        the tables' own later seed unless a storage fault changes the
+        storage spec before they read it.
         """
         self._tables = tables
         self._replicas_get = tables._replicas.get
         self._available = tables.available
-        self._io_get = tables._io_estimate.get
-        self._m_render_get = tables._render_memo_get
-        self._m_render_time = tables.cost.render_time
-        self._m_storage_est = tables._storage.estimate_load_time
+        self._estimate_table = tables.io_estimates
+        self._render_times = tables.cost.render_times
 
     def _record_from_entry(self, entry) -> DecisionRecord:
         """Build the full record from a deferred hot-path entry.
 
         Everything beyond the captured tuples is a pure function of the
         capture: the min-available node is an index into the frozen
-        availability copy, the render estimate comes from the cost
-        model's grow-only memo (with the pure ``render_time`` fallback),
-        and a missing I/O probe means the decision-time value was the
-        contention-free storage estimate — recomputable exactly.
+        availability copy, and the render estimate comes from the cost
+        model's render price list.
         """
         if len(entry) == 3:
             return _shed_record(*entry)
@@ -445,12 +441,8 @@ class AuditLog:
         chunk = task.chunk
         candidates: Tuple[CandidateState, ...] = ()
         if replicas is not None:
-            group = job.composite_group_size
-            hit_est = self._m_render_get((chunk.size, group))
-            if hit_est is None:
-                hit_est = self._m_render_time(chunk.size, group)
-            io_est = est if est is not None else self._m_storage_est(chunk.size)
-            cold_est = io_est + hit_est
+            hit_est = self._render_times[chunk.size, job.composite_group_size]
+            cold_est = est + hit_est
             candidates = _candidates(
                 node, available.index(min(available)), available, replicas,
                 hit_est, cold_est, self.config.max_candidates,
@@ -611,7 +603,7 @@ class AuditLog:
         self._tables = None
         self._replicas_get = None
         self._available = None
-        self._io_get = None
+        self._estimate_table = None
         if self._stream is not None:
             self._stream.close()
             self._stream = None
@@ -631,10 +623,8 @@ class AuditLog:
             "_tables",
             "_replicas_get",
             "_available",
-            "_io_get",
-            "_m_render_get",
-            "_m_render_time",
-            "_m_storage_est",
+            "_estimate_table",
+            "_render_times",
             "_ring_append",
         ):
             state[key] = None

@@ -553,7 +553,14 @@ class TelemetryStream(Sink):
             ) * self.config.wall_interval
 
     def _burn(self, fps: float) -> float:
-        """Windowed fps burn rate: target / delivered (0 = no target)."""
+        """The stream's ``burn``: target fps ÷ the window's delivered fps.
+
+        1.0 is on target and 2.0 is half the target framerate; 0.0 means
+        no target is set, and a window that delivers nothing reads the
+        target itself.  This is not the SLO burn
+        (:func:`repro.obs.slo.fps_burn_rate`, the shortfall
+        ``(target - fps) / target`` clamped to ``[0, 1]``).
+        """
         target = self.target_framerate
         if target <= 0.0:
             return 0.0

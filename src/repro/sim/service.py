@@ -116,7 +116,7 @@ class VisualizationService:
         cluster.add_task_finish_listener(self._on_task_finish)
         # Completion-path bindings (one lookup per task otherwise).
         self._correct_completion = self.tables.correct_completion
-        self._composite_memo_get = cluster.cost._composite_memo.get
+        self._composite_times = cluster.cost.composite_times
         self._nodes = cluster.nodes
 
         self._datasets: Dict[str, object] = {}
@@ -455,9 +455,7 @@ class VisualizationService:
         # render; it extends job latency but frees the render thread.
         group_nodes = summary[0]
         group = len(group_nodes)
-        composite = self._composite_memo_get(group)
-        if composite is None:
-            composite = self.cluster.cost.composite_time(group)
+        composite = self._composite_times[group]
         job.finish_time = now + composite
         nodes = self._nodes
         for k in group_nodes:

@@ -42,9 +42,7 @@ class ScanOurs(OursScheduler):
     @staticmethod
     def _place_chunk(chunk, tasks, ctx, tables, now, replicas):
         group = tasks[0].job.composite_group_size
-        render = tables._render_memo_get((chunk.size, group))
-        if render is None:
-            render = tables.cost.render_time(chunk.size, group)
+        render = tables.cost.render_times[chunk.size, group]
         available = tables.available
         best = available.index(min(available))
         t = available[best]

@@ -200,6 +200,29 @@ class TestFrontendScope:
             cfg = shard.frontend.config
             assert cfg.admission.max_sessions == -(-base // 2)
 
+    def test_global_scope_keeps_the_per_user_rate(self):
+        """The token rate budgets one user, and a user lives on one
+        shard, so global scope rejects on rate exactly as shard scope
+        does."""
+        from repro.frontend import FrontendConfig
+        from repro.frontend.config import AdmissionConfig
+
+        admission = AdmissionConfig(rate=20.0, burst=30.0)
+        run = RunConfig(frontend=FrontendConfig(admission=admission))
+        rejected = {}
+        for scope in ("shard", "global"):
+            result = run_federation(
+                _scenario(load=2.0),
+                "OURS",
+                FederationConfig(shards=2, run=run, frontend_scope=scope),
+            )
+            for shard in result.shard_results:
+                cfg = shard.frontend.config.admission
+                assert (cfg.rate, cfg.burst) == (20.0, 30.0)
+            rejected[scope] = result.frontend.rejected_rate
+        assert rejected["shard"] > 0
+        assert rejected["global"] == rejected["shard"]
+
     @pytest.mark.parametrize("part", ["admission", "backpressure"])
     def test_global_scope_with_one_part_unset(self, part):
         """A frontend with only admission, or only a queue limit, splits
