@@ -7,8 +7,10 @@ The subsystem has eleven pieces:
   :class:`NullTracer` for disabled runs;
 * :mod:`repro.obs.chrome` — export to Chrome trace-event JSON, viewable
   in Perfetto / ``chrome://tracing``;
-* :mod:`repro.obs.probe` — the one sampling clock every periodic
-  observer (counters, metric windows, stream, timeline) is a sink of;
+* :mod:`repro.obs.probe` — the one sampling clock and the one store of
+  sampled state: metric windows and timeline samples are read off its
+  series, and the live observers (counters, gauges, stream) are its
+  sinks;
 * :mod:`repro.obs.counters` — built-in pressure counters (queue depth,
   busy nodes, cache occupancy, in-flight I/O) sampled by the probe;
 * :mod:`repro.obs.profile` — aggregated per-node time breakdown

@@ -14,11 +14,8 @@ constants so tests and consumers don't hard-code strings.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs.probe import Sink, Snapshot
 from repro.obs.tracer import PID_HEAD, Tracer, pid_for_node
-from repro.util.validation import check_positive
 
 #: Head-node track: jobs waiting for a scheduling trigger plus tasks the
 #: scheduler has deferred internally.
@@ -49,8 +46,6 @@ class CounterSampler(Sink):
     Args:
         tracer: Destination for counter events.
         interval: Simulated seconds between samples.
-        horizon: Optional stop time for :meth:`attach`'s probe, which
-            also stops at quiescence.
         per_node_cache: Emit one ``cache bytes`` track per rendering
             node (on the node's own pid).  Disable for very large
             clusters where p tracks per tick would dominate the trace.
@@ -61,15 +56,11 @@ class CounterSampler(Sink):
         tracer: Tracer,
         interval: float,
         *,
-        horizon: Optional[float] = None,
         per_node_cache: bool = True,
     ) -> None:
-        check_positive("interval", interval)
         self.tracer = tracer
         self.interval = interval
-        self.horizon = horizon
         self.per_node_cache = per_node_cache
-        self.samples_taken = 0
 
     def _tick(self, snap: Snapshot) -> None:
         counter = self.tracer.counter
@@ -97,7 +88,6 @@ class CounterSampler(Sink):
         if self.per_node_cache:
             for node_id, used in enumerate(snap.cache_used):
                 counter(pid_for_node(node_id), TRACK_CACHE, now, {"used": float(used)})
-        self.samples_taken += 1
 
 
 def default_counter_interval(horizon: float, *, samples: int = 256) -> float:

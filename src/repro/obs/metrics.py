@@ -14,11 +14,12 @@ continuously-measured quantities behind the paper's evaluation
 * :class:`MetricsRegistry` — the namespace all of the above live in,
   with Prometheus-style text exposition and structured JSONL export;
 * :class:`MetricsSampler` — a :class:`~repro.obs.probe.Probe` sink
-  that turns each tick's window deltas into :class:`MetricWindow` rows:
-  delivered fps, latency quantiles, cache hit rate, I/O bytes per
-  interval;
+  that keeps the registry's pressure gauges at each tick's levels;
 * :class:`RunMetrics` — the bundle attached to
-  :class:`~repro.sim.simulator.SimulationResult` as ``.metrics``.
+  :class:`~repro.sim.simulator.SimulationResult` as ``.metrics``: the
+  registry plus the :class:`MetricWindow` rows (delivered fps, latency
+  quantiles, cache hit rate, I/O bytes per interval) read off the
+  probe's series for the window grid.
 
 Counters and gauges read, histograms observe: the built-in counters
 and gauges register readers (:meth:`Counter.read_from`) of the counts
@@ -430,28 +431,16 @@ def default_window_interval(horizon: float, *, windows: int = 64) -> float:
 
 
 class MetricsSampler(Sink):
-    """Turns the probe's snapshots into per-window rows and gauges.
+    """Keeps the registry's pressure gauges at the probe's levels.
 
-    A :class:`~repro.obs.probe.Probe` sink: each tick keeps the
-    snapshot's :class:`MetricWindow` (completions, latencies, cache
-    hits, I/O bytes since the previous tick) and refreshes the
-    registry's pressure gauges.  Latency quantiles are computed exactly
-    from the jobs completed inside the window (the registry's latency
-    histogram keeps the whole-run distribution).
+    A :class:`~repro.obs.probe.Probe` sink: each tick sets the queue
+    depth, busy-node and resident-cache gauges from the snapshot.  The
+    per-window rows are not kept here; the run reads them off the
+    probe's series for the same grid (:meth:`Probe.series`).
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        interval: float,
-        *,
-        horizon: Optional[float] = None,
-    ) -> None:
-        check_positive("interval", interval)
-        self.registry = registry
+    def __init__(self, registry: MetricsRegistry, interval: float) -> None:
         self.interval = interval
-        self.horizon = horizon
-        self.windows: List[MetricWindow] = []
         self._g_queue = registry.gauge(
             "repro_queue_depth", "jobs queued at the head node"
         )
@@ -463,8 +452,6 @@ class MetricsSampler(Sink):
         )
 
     def _tick(self, snap: Snapshot) -> None:
-        if snap.window is not None:
-            self.windows.append(snap.window)
         self._g_queue.set(float(snap.queued))
         self._g_busy.set(float(snap.busy))
         self._g_cache.set(float(sum(snap.cache_used)))

@@ -1,16 +1,19 @@
-"""One sampling clock for every periodic observer.
+"""One sampling clock and one store for every periodic observer.
 
 Metrics windows, tracer counter tracks, the telemetry stream and
 timeline samples all watch the same service state at fixed intervals.
 A :class:`Probe` is the only code that puts those sampling ticks on the
-event queue.  The observers are :class:`Sink` subclasses that turn each
-tick's :class:`Snapshot` into their own output; sinks only read it, so
-an observed run is bit-identical to an unobserved one.
+event queue, and the only store of what each tick read: a grid asked
+for its :meth:`~Probe.series` keeps its :class:`Snapshot` list, which
+metric windows and timeline samples are read from after the run.
+:class:`Sink` subclasses act on each snapshot at tick time instead.
+Nothing here writes to the service, so an observed run is
+bit-identical to an unobserved one.
 
-* **Grid.**  Sinks that share an interval share one grid: one event
-  per tick, tick ``k`` at exactly ``start + k * interval`` (computed
-  from the tick index, so ticks accumulate no float drift).  Window
-  state is kept per grid.
+* **Grid.**  Sinks and series that share an interval share one grid:
+  one event per tick, tick ``k`` at exactly ``start + k * interval``
+  (computed from the tick index, so ticks accumulate no float drift).
+  Window state is kept per grid.
 * **Quiescence.**  Every periodic clock (each grid, and the frontend's
   degradation controller) keeps one rule, :func:`_keeps_ticking`: it
   stops after the tick that reaches the horizon, or after a tick that
@@ -26,6 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.cost_model import percentile
 from repro.core.job import JobType
+from repro.util.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -106,35 +110,27 @@ def _keeps_ticking(service, horizon: Optional[float]) -> bool:
 
 
 class Sink:
-    """Base of the probe's sinks: an ``interval`` and a ``_tick``.
-
-    Subclasses define ``_tick(snapshot)`` in their own class body
+    """Base of the probe's sinks (:meth:`Probe.add`): an ``interval``
+    and a ``_tick(snapshot)``, defined in the subclass's own body
     (``benchmarks/e2e/layertrace.py`` times them by replacing it there).
     """
 
     interval: float
-    horizon: Optional[float] = None
-
-    def attach(self, service, probe: Optional["Probe"] = None):
-        """Sample ``service`` on ``probe``, or on a started probe of its own."""
-        if probe is None:
-            Probe(service, horizon=self.horizon).add(self).start()
-        else:
-            probe.add(self)
-        return self
 
 
 class _Grid:
-    """One interval's sinks, tick count, and window baselines."""
+    """One interval's sinks, kept series, tick count, and window baselines."""
 
     __slots__ = (
-        "interval", "sinks", "ticks", "time", "events", "records", "hits",
-        "misses", "io_total",
+        "interval", "sinks", "series", "ticks", "time", "events", "records",
+        "hits", "misses", "io_total",
     )
 
     def __init__(self, interval: float) -> None:
+        check_positive("interval", interval)
         self.interval = interval
         self.sinks: List = []
+        self.series: Optional[List[Snapshot]] = None
         self.ticks = self.events = self.records = 0
         self.hits = self.misses = self.io_total = 0
         self.time = 0.0
@@ -158,15 +154,31 @@ class Probe:
         self.horizon = horizon
         self._columns = JobRecords.of
         self._grids: Dict[float, _Grid] = {}
-        self._start = 0.0
+        self._start: Optional[float] = None
+
+    def _grid(self, interval: float) -> _Grid:
+        grid = self._grids.get(interval)
+        if grid is None:
+            grid = self._grids[interval] = _Grid(interval)
+        return grid
 
     def add(self, sink) -> "Probe":
         """Register ``sink`` on the grid for ``sink.interval`` (before start)."""
-        grid = self._grids.get(sink.interval)
-        if grid is None:
-            grid = self._grids[sink.interval] = _Grid(sink.interval)
-        grid.sinks.append(sink)
+        self._grid(sink.interval).sinks.append(sink)
         return self
+
+    def series(self, interval: float) -> List[Snapshot]:
+        """The ``interval`` grid's snapshots, one per tick, as they come.
+
+        Only a grid whose series was asked for before :meth:`start`
+        keeps its snapshots; asking for another one later is an error.
+        """
+        grid = self._grid(interval)
+        if grid.series is None:
+            if self._start is not None:
+                raise ValueError(f"series({interval!r}) asked after start")
+            grid.series = []
+        return grid.series
 
     def start(self) -> "Probe":
         """Anchor every grid at the current time and queue its first tick."""
@@ -187,6 +199,8 @@ class Probe:
         if service is None:
             return
         snapshot = self._snapshot(grid)
+        if grid.series is not None:
+            grid.series.append(snapshot)
         for sink in grid.sinks:
             sink._tick(snapshot)  # looked up per call; see Sink
         if _keeps_ticking(service, self.horizon):

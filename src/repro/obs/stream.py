@@ -10,9 +10,9 @@ simulation is still executing:
 * :class:`StreamConfig` — where to stream and at what cadence;
 * :class:`TelemetryStream` — a :class:`~repro.obs.probe.Probe` sink
   writing one ``snapshot`` record per tick from the probe's window
-  deltas — the same snapshot :class:`~repro.obs.metrics.MetricsSampler`
-  reads, so streamed counters equal the post-hoc series whenever the
-  two share a grid — plus wall-clock ``wall`` checkpoint records
+  deltas — the same snapshot the run's metric windows are read from,
+  so streamed counters equal the post-hoc series whenever the two
+  share a grid — plus wall-clock ``wall`` checkpoint records
   (events/s, ETA extrapolation);
 * :class:`StallWatchdog` — a daemon thread that notices when *wall*
   time passes without any event draining and dumps queue-head/in-flight
@@ -362,9 +362,9 @@ class TelemetryStream(Sink):
 
     A :class:`~repro.obs.probe.Probe` sink: each tick that closes a
     window writes one ``snapshot`` record, built from the same
-    :class:`~repro.obs.probe.Snapshot` a metrics sampler on the grid
-    reads, so the streamed counters are exactly the post-hoc window
-    series when the two share an interval.  Each tick additionally
+    :class:`~repro.obs.probe.Snapshot` the metric windows on the grid
+    are read from, so the streamed counters are exactly the post-hoc
+    window series when the two share an interval.  Each tick also
     checks the wall clock and, when ``wall_interval`` has passed,
     appends a ``wall`` checkpoint with events/s and the ETA
     extrapolation.
@@ -445,11 +445,8 @@ class TelemetryStream(Sink):
                 }
             )
 
-    def attach(self, service, probe=None) -> "TelemetryStream":
-        """Start the wall clock and stall watchdog, then sample ``service``.
-
-        Samples on ``probe`` when given, else on a started probe of its own.
-        """
+    def attach(self, service, probe) -> "TelemetryStream":
+        """Start the wall clock and stall watchdog; sample on ``probe``."""
         self._service = service
         events = service.cluster.events
         self._start = events.now
@@ -460,7 +457,8 @@ class TelemetryStream(Sink):
                 events, service, self._writer, self.config.stall_timeout
             )
             self.watchdog.start()
-        return super().attach(service, probe)
+        probe.add(self)
+        return self
 
     def close(self) -> "StreamReport":
         """Stop the watchdog, write the summary record, close the file."""

@@ -2,19 +2,19 @@
 
 The evaluation's aggregate numbers (mean framerate, mean latency) hide
 the *dynamics* — warm-up transients, batch-induced stalls, backlog
-growth under overload.  A :class:`TimelineSampler` is a sink on the
-sampling :class:`~repro.obs.probe.Probe` and records per-tick rows: node
-backlog, busy nodes, jobs completed, cache hit counts.  The text
+growth under overload.  A :class:`TimelineSampler` is a view over one
+grid's series of the sampling :class:`~repro.obs.probe.Probe`
+(:meth:`~repro.obs.probe.Probe.series`): one row per tick of node
+backlog, busy nodes, jobs completed and cache hit counts.  The text
 sparkline renderer makes the series readable in a terminal report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.obs.probe import Sink, Snapshot
-from repro.util.validation import check_positive
+from repro.obs.probe import Snapshot
 
 _SPARK_CHARS = " .:-=+*#%@"
 
@@ -37,22 +37,17 @@ class TimelineSample:
         return self.tasks_hit + self.tasks_missed
 
 
-class TimelineSampler(Sink):
-    """Samples a running :class:`~repro.sim.service.VisualizationService`.
+class TimelineSampler:
+    """Per-tick rows of a run's cluster dynamics.
 
-    A :class:`~repro.obs.probe.Probe` sink: each tick appends one
-    :class:`TimelineSample`.  The probe stops at ``horizon`` or at
-    quiescence, so the sampler never keeps a finished simulation alive.
+    Built from a :class:`~repro.obs.probe.Probe` grid's series, one
+    :class:`TimelineSample` per :class:`~repro.obs.probe.Snapshot`.  The
+    probe stops at the horizon or at quiescence, so sampling never
+    keeps a finished simulation alive.
     """
 
-    def __init__(self, interval: float, *, horizon: Optional[float] = None) -> None:
-        check_positive("interval", interval)
-        self.interval = interval
-        self.horizon = horizon
-        self.samples: List[TimelineSample] = []
-
-    def _tick(self, snap: Snapshot) -> None:
-        self.samples.append(
+    def __init__(self, series: Sequence[Snapshot]) -> None:
+        self.samples: List[TimelineSample] = [
             TimelineSample(
                 time=snap.time,
                 backlog_tasks=snap.backlog,
@@ -62,7 +57,8 @@ class TimelineSampler(Sink):
                 tasks_missed=snap.misses,
                 scheduler_pending=snap.deferred,
             )
-        )
+            for snap in series
+        ]
 
     # -- series accessors -----------------------------------------------------
 

@@ -385,15 +385,15 @@ def _metrics(run: _Run):
         node.set_metrics(registry)
     run.cluster.storage.set_metrics(registry)
     window = run.config.metrics_interval or default_window_interval(run.horizon)
-    sampler = MetricsSampler(registry, window)
-    run.probe.add(sampler)
+    run.probe.add(MetricsSampler(registry, window))
+    series = run.probe.series(window)
     # Counters and gauges read the run's live objects; freezing them
     # keeps the result picklable and lets the cluster go.
     run.closers.append(registry)
     yield
     run.fields["metrics"] = RunMetrics(
         registry=registry,
-        windows=sampler.windows,
+        windows=[s.window for s in series if s.window is not None],
         scenario=run.scenario.name,
         scheduler=run.scheduler.name,
     )
@@ -457,10 +457,9 @@ def _timeline(run: _Run):
     if run.config.timeline_interval is None:
         return
     yield
-    sampler = run.fields["timeline_samples"] = TimelineSampler(
-        run.config.timeline_interval
-    )
-    run.probe.add(sampler)
+    series = run.probe.series(run.config.timeline_interval)
+    yield
+    run.fields["timeline_samples"] = TimelineSampler(series)
 
 
 def _faults(run: _Run):
@@ -505,7 +504,7 @@ def _stream(run: _Run):
 _PARTS = (
     _audit,  # the decision audit log and the causal critical paths
     _frontend,  # admission, backpressure and degradation
-    _metrics,  # the metrics registry and its window sampler
+    _metrics,  # the metrics registry, its gauges and its windows
     _tracer,  # the virtual-time tracer and its counter tracks
     _assignments,  # the per-task trace the golden hashes digest
     _prewarm,  # the paper's test run: caches loaded before time starts

@@ -281,10 +281,12 @@ class RequestColumns(ColumnTable):
 class WorkloadTrace:
     """A complete, time-sorted workload for one simulation run.
 
-    ``requests`` may be given as a list of :class:`Request` rows (tests,
-    the CLI and federation do); construction converts it once to
-    :class:`RequestColumns` with datasets coded by their index in
-    ``datasets``, and the attribute holds the columns from then on.
+    ``requests`` is given as :class:`RequestColumns` (the generators
+    and federation's shard split do) or as a list of :class:`Request`
+    rows (only tests and user code build those); construction recodes
+    the columns, or converts the list once, so datasets are coded by
+    their index in ``datasets``, and the attribute holds the columns
+    from then on.
     Construction rejects request times that are not finite and ``>= 0``,
     unknown datasets, a ``job_type`` that is not a :class:`JobType`,
     ids that are not ints, a negative duration and a non-positive

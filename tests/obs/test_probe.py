@@ -1,7 +1,7 @@
 """One sampling clock: observers must not depend on each other.
 
 Every periodic observer (metrics windows, tracer counter tracks, the
-telemetry stream, timeline samples) is a sink on one
+telemetry stream, timeline samples) is a sink or a series on one
 :class:`~repro.obs.probe.Probe`.  The probe's quiescence rule ignores
 its own pending ticks, so attaching a second observer can never keep
 the first one ticking past the point where it would stop alone.
@@ -26,7 +26,7 @@ from repro.cluster.event_queue import PRIORITY_ARRIVAL, EventQueue
 from repro.core.registry import make_scheduler
 from repro.faults.plan import FaultPlan
 from repro.frontend.config import FrontendConfig
-from repro.obs.counters import CounterSampler
+from repro.obs.counters import TRACK_QUEUE, CounterSampler
 from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSampler,
@@ -324,22 +324,33 @@ class TestProbe:
 
     def test_each_sampler_attaches_on_a_probe_of_its_own(self, tmp_path):
         service = _BusyService()
+        service.queue_depth = 3
         registry = MetricsRegistry()
         tracer = Tracer()
-        metrics = MetricsSampler(registry, 0.25, horizon=1.0).attach(service)
-        counters = CounterSampler(tracer, 0.25, horizon=1.0).attach(service)
-        timeline = TimelineSampler(0.25, horizon=1.0).attach(service)
+        metrics = Probe(service, horizon=1.0)
+        metrics.add(MetricsSampler(registry, 0.25))
+        windows = metrics.series(0.25)
+        Probe(service, horizon=1.0).add(CounterSampler(tracer, 0.25)).start()
+        timeline = Probe(service, horizon=1.0)
+        samples = timeline.series(0.25)
+        stream_probe = Probe(service, horizon=1.0)
         stream = TelemetryStream(
             StreamConfig(tmp_path / "s.ndjson", interval=0.25), horizon=1.0
-        ).attach(service)
+        ).attach(service, stream_probe)
+        for probe in (metrics, timeline, stream_probe):
+            probe.start()
         events = service.cluster.events
         events.run()
         report = stream.close()
         # One probe each, so four events per grid point.
         assert events.processed == 4 * 5
-        assert [w.end for w in metrics.windows] == [0.25, 0.5, 0.75, 1.0]
-        assert counters.samples_taken == 5
-        assert [s.time for s in timeline.samples] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert [s.window.end for s in windows[1:]] == [0.25, 0.5, 0.75, 1.0]
+        assert registry.value("repro_queue_depth") == 3.0
+        queue = [e.ts for e in tracer.events if e.name == TRACK_QUEUE]
+        assert queue == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert [s.time for s in TimelineSampler(samples).samples] == [
+            0.0, 0.25, 0.5, 0.75, 1.0
+        ]
         assert report.snapshots == 4
         snapshots = [
             r for r in read_stream(tmp_path / "s.ndjson") if r["type"] == "snapshot"
@@ -380,9 +391,11 @@ def test_hand_driven_run_reports_exact_event_counts(tmp_path):
     horizon = scenario.trace.duration
     sink = _CountSink(horizon / 16, events)
     Probe(service, horizon=horizon).add(sink).start()
+    stream_probe = Probe(service, horizon=horizon)
     stream = TelemetryStream(
         StreamConfig(tmp_path / "s.ndjson", interval=horizon / 16), horizon=horizon
-    ).attach(service)
+    ).attach(service, stream_probe)
+    stream_probe.start()
     service.start()
     try:
         events.run(until=horizon)

@@ -6,9 +6,9 @@ The stream's contract has three load-bearing halves:
   unstreamed one (golden assignment-trace hashes), because snapshot
   ticks only read simulator state;
 * **grid equality** — the streamed counter snapshots are exactly the
-  post-hoc :class:`~repro.obs.metrics.MetricsSampler` window series at
-  identical grid points (same absolute ``start + k * interval``
-  discipline, same window arithmetic);
+  post-hoc ``result.metrics.windows`` series at identical grid points
+  (same absolute ``start + k * interval`` discipline, same window
+  arithmetic);
 * **crash safety** — every record is flushed as written, and the
   readers tolerate the one torn trailing line a mid-run crash (or a
   tail racing the writer) can leave.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.reporting.timeline import TimelineSampler, sparkline
+from repro.reporting.timeline import sparkline
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import run_simulation
 from repro.workload.scenarios import scenario_1
@@ -34,7 +34,7 @@ class TestSparkline:
 class TestSamplerValidation:
     def test_interval_positive(self):
         with pytest.raises(ValueError):
-            TimelineSampler(0.0)
+            RunConfig(timeline_interval=0.0)
 
 
 class TestSamplerEndToEnd:

@@ -50,7 +50,7 @@ def mixed_points():
         (
             tiny_scenario(1, seed=2),
             FCFSScheduler(),
-            RunConfig(record_assignments=True, timeline_interval=0.1),
+            RunConfig(record_assignments=True, timeline_interval=0.1, metrics=True),
         ),
     ]
 
@@ -65,6 +65,11 @@ def _keys(results):
 @pytest.fixture(scope="module")
 def serial():
     return run_many(mixed_points())
+
+
+@pytest.fixture(scope="module")
+def pooled():
+    return run_many(mixed_points(), workers=2)
 
 
 class TestRunMany:
@@ -94,13 +99,16 @@ class TestRunMany:
         assert serial[3].timeline_samples is not None
         assert serial[0].timeline_samples is None
 
-    def test_pool_returns_serial_order_and_hashes(self, serial):
-        pooled = run_many(mixed_points(), workers=2)
+    def test_pool_returns_serial_order_and_hashes(self, serial, pooled):
         assert _keys(pooled) == _keys(serial)
         assert (
             pooled[3].timeline_samples.samples
             == serial[3].timeline_samples.samples
         )
+
+    def test_pool_returns_serial_metric_windows(self, serial, pooled):
+        assert serial[3].metrics.windows
+        assert pooled[3].metrics.windows == serial[3].metrics.windows
 
     def test_serial_path_needs_no_pickling(self):
         (result,) = run_many(

@@ -7,7 +7,7 @@ name, or its class's, is exported by ``repro`` or a subpackage
 ``__init__``) or ``internal``.  The output is a candidate list for
 deletion or deprecation, not a delete list::
 
-    python tools/reach.py    # a few minutes
+    python tools/reach.py    # 10-15 minutes on 2 cores
 
 The hook reaches each child process through a temporary
 ``sitecustomize`` module put first on ``PYTHONPATH``; every process
@@ -16,7 +16,9 @@ workers leave through ``os._exit`` and skip ``atexit``, so paths that
 only run inside a process pool (``__getstate__`` unpickling, a pool
 shard's run) are reported unreached.  The benchmark suite runs on a
 copy of ``benchmarks/`` so its result files stay out of the tree.
-Stdlib only; not part of CI.
+Stdlib only.  CI runs it weekly and on demand in the non-gating
+``reach`` workflow (``.github/workflows/reach.yml``), which uploads the
+list as an artifact.
 """
 
 from __future__ import annotations
