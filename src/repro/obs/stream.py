@@ -61,7 +61,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.obs.metrics import default_window_interval
-from repro.obs.probe import Sink, Snapshot
+from repro.obs.probe import MetricWindow, Sink, Snapshot
 from repro.util.validation import check_positive
 
 #: NDJSON schema version stamped in every stream's ``run`` header.
@@ -531,7 +531,7 @@ class TelemetryStream(Sink):
                 "cache_misses": window.cache_misses,
                 "hit_rate": window.hit_rate,
                 "io_bytes": window.io_bytes,
-                "burn": self._burn(window.fps),
+                "burn": self._burn(window),
                 "wall_s": _time.perf_counter() - self._wall_start,
             }
             self._writer.write(snapshot)
@@ -550,21 +550,20 @@ class TelemetryStream(Sink):
                 math.floor(wall / self.config.wall_interval) + 1
             ) * self.config.wall_interval
 
-    def _burn(self, fps: float) -> float:
+    def _burn(self, window: MetricWindow) -> float:
         """The stream's ``burn``: target fps ÷ the window's delivered fps.
 
         1.0 is on target and 2.0 is half the target framerate; 0.0 means
-        no target is set, and a window that delivers nothing reads the
-        target itself.  This is not the SLO burn
-        (:func:`repro.obs.slo.fps_burn_rate`, the shortfall
+        no target is set.  The delivered fps is floored at one frame per
+        window (``1 / duration``), so a window that delivers nothing
+        reads the same as a one-frame window, never less.  This is not
+        the SLO burn (:func:`repro.obs.slo.fps_burn_rate`, the shortfall
         ``(target - fps) / target`` clamped to ``[0, 1]``).
         """
         target = self.target_framerate
         if target <= 0.0:
             return 0.0
-        if fps <= 0.0:
-            return float(target)  # fully burning: nothing delivered
-        return target / fps
+        return target / max(window.fps, 1.0 / window.duration)
 
     def _wall_checkpoint(self, now: float, processed: int, wall: float) -> None:
         elapsed_sim = now - self._start

@@ -21,10 +21,12 @@ import time
 
 import pytest
 
+from repro.obs.probe import MetricWindow, Snapshot
 from repro.obs.stream import (
     STREAM_SCHEMA,
     StallWatchdog,
     StreamConfig,
+    TelemetryStream,
     _StreamWriter,
     default_stream_interval,
     follow_stream,
@@ -174,6 +176,49 @@ class TestStreamedRun:
         # Fault-free scenario 1 must stay silent (no false alarms).
         assert report.anomalies == []
         assert report.anomaly_kinds() == {}
+
+
+def _snapshot(start, end, frames):
+    """A grid tick at ``end`` whose window delivered ``frames`` frames."""
+    window = MetricWindow(
+        start=start, end=end, jobs_completed=frames,
+        interactive_completed=frames, batch_completed=0,
+        fps=frames / (end - start), latency_p50=0.0, latency_p95=0.0,
+        latency_p99=0.0, cache_hits=0, cache_misses=0, hit_rate=0.0,
+        io_bytes=0,
+    )
+    counts = dict.fromkeys(
+        ("events", "d_events", "queued", "deferred", "backlog", "busy",
+         "outstanding", "inflight", "submitted", "completed", "hits",
+         "misses", "io_loads"),
+        0,
+    )
+    return Snapshot(
+        time=end, io_inflight_bytes=0.0, cache_used=(), window=window, **counts
+    )
+
+
+class TestBurn:
+    """``burn`` = target ÷ delivered fps, floored at one frame per window."""
+
+    def _burns(self, tmp_path, windows, target=30.0):
+        path = tmp_path / "s.ndjson"
+        stream = TelemetryStream(
+            StreamConfig(path, anomalies=False), target_framerate=target
+        )
+        for frames in windows:
+            stream._tick(_snapshot(1.0, 1.5, frames))
+        stream.close()
+        return [r["burn"] for r in read_stream(path) if r["type"] == "snapshot"]
+
+    def test_a_stall_burns_as_hard_as_a_one_frame_window(self, tmp_path):
+        stalled, one_frame, two_frames = self._burns(tmp_path, (0, 1, 2))
+        assert stalled == one_frame == 15.0
+        assert two_frames == 7.5
+
+    def test_on_target_and_no_target(self, tmp_path):
+        assert self._burns(tmp_path, (15,)) == [1.0]
+        assert self._burns(tmp_path, (0, 15), target=0.0) == [0.0, 0.0]
 
 
 class TestTornTailReaders:
