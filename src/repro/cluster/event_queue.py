@@ -40,7 +40,16 @@ is the tuple :meth:`schedule` would have built for it then; the pop
 order is the order a full preload gives, ties with heap events
 included.  The loop refills ``_ahead`` when the pop that empties it
 takes a fed event, without an event of its own, and ``len()`` counts
-the events not yet built.
+the events not yet built.  A refill is one Python loop over its chunk,
+and stays one because C passes measured slower: reading the chunk into
+a list, transposing it with ``zip(*chunk)``, checking it with
+``all(map(le, ...))`` and extending ``_ahead`` with a ``zip`` took
+1.45-1.51x the loop's time per event on a synthetic feed and 1.06x on
+the ``observed-storm`` trace's own source, whose rows are built as it
+is read (same-process interleaved repeats, 2-core VM).  The loop
+unpacks each ``(time, callback, args)`` triple as it goes, so the
+source's ``zip`` reuses one triple; a list of the chunk has to keep
+every triple, and the transpose has to build an iterator per triple.
 
 Event times must be finite: ``NaN`` compares false against everything,
 so a NaN time would slip past a naive ``time < now`` guard and corrupt

@@ -36,6 +36,16 @@ class Decision(enum.Enum):
         return self is Decision.ADMIT
 
 
+#: Enum members bound once for the per-arrival path: reading a member
+#: through its class goes through the enum metaclass's attribute hook,
+#: about 0.1 µs a read on CPython 3.11, where a module global costs a
+#: few ns.
+_ADMIT = Decision.ADMIT
+_REJECT_RATE = Decision.REJECT_RATE
+_REJECT_SESSIONS = Decision.REJECT_SESSIONS
+_INTERACTIVE = JobType.INTERACTIVE
+
+
 class TokenBucket:
     """A standard token bucket in simulated time.
 
@@ -99,7 +109,9 @@ class AdmissionController:
         self.admitted = 0
         self.rejected_rate = 0
         self.rejected_sessions = 0
-        self.records: List[AdmissionRecord] = []
+        #: ``(time, user, action, decision)`` per retained rejection;
+        #: :attr:`records` builds the record objects when read.
+        self._records: List[Tuple[float, int, int, Decision]] = []
         if metrics is not None:
             metrics.counter(
                 "repro_frontend_admitted",
@@ -118,16 +130,21 @@ class AdmissionController:
     # -- inspection --------------------------------------------------------
 
     def active_sessions(self, now: float) -> int:
-        """Interactive sessions seen within ``session_ttl`` of ``now``."""
+        """Interactive sessions seen within ``session_ttl`` of ``now``.
+
+        Forgets the sessions that expired, in this one frame.
+        """
         ttl = self.config.session_ttl
-        stale = [
-            action
-            for action, last in self._session_last_seen.items()
-            if now - last > ttl
-        ]
-        for action in stale:
-            del self._session_last_seen[action]
-        return len(self._session_last_seen)
+        seen = self._session_last_seen
+        for action, last in list(seen.items()):
+            if now - last > ttl:
+                del seen[action]
+        return len(seen)
+
+    @property
+    def records(self) -> List[AdmissionRecord]:
+        """The first :attr:`MAX_RECORDS` rejections, oldest first."""
+        return [AdmissionRecord(*row) for row in self._records]
 
     @property
     def rejected(self) -> int:
@@ -142,46 +159,50 @@ class AdmissionController:
     # -- decision ----------------------------------------------------------
 
     def decide(self, request: Request, now: float) -> Decision:
-        """Admit or reject one request, updating all accounting."""
-        decision = self._classify(request, now)
-        if decision is Decision.ADMIT:
-            self.admitted += 1
-            return decision
-        if decision is Decision.REJECT_RATE:
-            self.rejected_rate += 1
-        else:
-            self.rejected_sessions += 1
-        if len(self.records) < self.MAX_RECORDS:
-            self.records.append(
-                AdmissionRecord(now, request.user, request.action, decision)
-            )
-        return decision
+        """Admit or reject one request, updating all accounting.
 
-    def _classify(self, request: Request, now: float) -> Decision:
+        The one home of the admission rules, in one frame: the session
+        cap is checked before the token bucket, so a turned-away
+        session does not drain its user's budget, and an admitted
+        interactive request refreshes its session.  Beyond the calls
+        below, an arrival costs no Python frame here:
+        :meth:`active_sessions` runs only for an action not yet seen
+        while a cap is set, and :meth:`TokenBucket.try_take` only with
+        a finite ``rate``; a rejection's record is kept as a tuple.
+        """
         cfg = self.config
-        interactive = request.job_type is JobType.INTERACTIVE
+        action = request.action
+        interactive = request.job_type is _INTERACTIVE
+        decision = _ADMIT
         if interactive:
-            # The session cap is checked before the token bucket so a
-            # turned-away session does not drain its user's budget.
-            if request.action in self._rejected_actions:
-                return Decision.REJECT_SESSIONS
-            if (
-                request.action not in self._session_last_seen
+            if action in self._rejected_actions:
+                decision = _REJECT_SESSIONS
+            elif (
+                action not in self._session_last_seen
                 and cfg.max_sessions is not None
                 and self.active_sessions(now) >= cfg.max_sessions
             ):
-                self._rejected_actions.add(request.action)
-                return Decision.REJECT_SESSIONS
-        if cfg.rate is not None:
+                self._rejected_actions.add(action)
+                decision = _REJECT_SESSIONS
+        if decision is _ADMIT and cfg.rate is not None:
             bucket = self._buckets.get(request.user)
             if bucket is None:
                 bucket = TokenBucket(cfg.rate, cfg.bucket_capacity, now)
                 self._buckets[request.user] = bucket
             if not bucket.try_take(now):
-                return Decision.REJECT_RATE
-        if interactive:
-            self._session_last_seen[request.action] = now
-        return Decision.ADMIT
+                decision = _REJECT_RATE
+        if decision is _ADMIT:
+            if interactive:
+                self._session_last_seen[action] = now
+            self.admitted += 1
+            return decision
+        if decision is _REJECT_RATE:
+            self.rejected_rate += 1
+        else:
+            self.rejected_sessions += 1
+        if len(self._records) < self.MAX_RECORDS:
+            self._records.append((now, request.user, action, decision))
+        return decision
 
     def summary(self) -> Tuple[int, int, int]:
         """``(admitted, rejected_rate, rejected_sessions)`` totals."""

@@ -20,6 +20,12 @@ from repro.frontend.config import BackpressureConfig, QueuePolicy
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids workload cycle)
     from repro.workload.trace import Request
 
+#: Policies bound once for the per-arrival path (see
+#: :mod:`repro.frontend.admission`).
+_SHED_NEWEST = QueuePolicy.SHED_NEWEST
+_SHED_OLDEST = QueuePolicy.SHED_OLDEST
+_DEGRADE = QueuePolicy.DEGRADE
+
 
 class BoundedQueue:
     """Wait queue in front of the service, bounded per the policy.
@@ -79,28 +85,25 @@ class BoundedQueue:
         """Total requests shed (either end)."""
         return self.shed_oldest + self.shed_newest
 
-    def _saturated(self) -> bool:
-        return self.service.outstanding_jobs >= self.config.queue_limit
-
     # -- admission-side ----------------------------------------------------
 
     def offer(self, request: Request, dataset: object) -> None:
         """Forward, park, or shed one admitted request."""
-        if not self._waiting and not self._saturated():
+        limit = self.config.queue_limit
+        if not self._waiting and self.service.outstanding_jobs < limit:
             self._forward(request, dataset)
             return
         policy = self.config.policy
-        limit = self.config.queue_limit
-        if policy is QueuePolicy.SHED_NEWEST and len(self._waiting) >= limit:
+        if policy is _SHED_NEWEST and len(self._waiting) >= limit:
             self.shed_newest += 1
             return
         self._waiting.append((request, dataset))
         self.deferred += 1
-        if policy is QueuePolicy.SHED_OLDEST:
+        if policy is _SHED_OLDEST:
             while len(self._waiting) > limit:
                 self._waiting.popleft()
                 self.shed_oldest += 1
-        elif policy is QueuePolicy.DEGRADE and self._on_overflow is not None:
+        elif policy is _DEGRADE and self._on_overflow is not None:
             self._on_overflow()
         if len(self._waiting) > self.max_wait_depth:
             self.max_wait_depth = len(self._waiting)
@@ -110,7 +113,8 @@ class BoundedQueue:
     def drain(self) -> int:
         """Feed waiting requests into freed capacity; returns how many."""
         released = 0
-        while self._waiting and not self._saturated():
+        limit = self.config.queue_limit
+        while self._waiting and self.service.outstanding_jobs < limit:
             request, dataset = self._waiting.popleft()
             released += 1
             self._forward(request, dataset)

@@ -47,6 +47,10 @@ class DegradationController:
     vs the current rung's effective target): the head node degrades and
     restores all interactive sessions together, which keeps the policy
     fair and the controller O(1) per tick.
+
+    Attributes:
+        fps_factor: The active rung's ``fps_factor``, the share of each
+            session's frames :meth:`keep_frame` passes.
     """
 
     def __init__(
@@ -93,25 +97,38 @@ class DegradationController:
     # -- state -------------------------------------------------------------
 
     @property
+    def level_index(self) -> int:
+        """Index of the active rung in the ladder (0 = full quality)."""
+        return self._level_index
+
+    @level_index.setter
+    def level_index(self, index: int) -> None:
+        # ``fps_factor`` is a plain attribute, written with the index,
+        # so the arrival path reads the frame gate's factor without a
+        # call.
+        self._level_index = index
+        self.fps_factor = self.config.ladder[index].fps_factor
+
+    @property
     def level(self) -> QualityLevel:
         """The active quality rung."""
-        return self.config.ladder[self.level_index]
+        return self.config.ladder[self._level_index]
 
     @property
     def degraded(self) -> bool:
         """True while below full quality."""
-        return self.level_index > 0
+        return self._level_index > 0
 
     def keep_frame(self, sequence: int) -> bool:
         """Whether frame ``sequence`` of a session passes the fps gate.
 
         Deterministic stride thinning: with factor ``f`` the kept frames
         are those where ``floor((seq+1)*f) > floor(seq*f)`` — evenly
-        spaced, no RNG, identical across schedulers.
+        spaced, no RNG, identical across schedulers.  At factor 1 the
+        rule keeps every frame, so the frontend calls this only while
+        :attr:`fps_factor` is below 1.
         """
-        f = self.level.fps_factor
-        if f >= 1.0:
-            return True
+        f = self.fps_factor
         keep = int((sequence + 1) * f) > int(sequence * f)
         if not keep:
             self.frames_dropped += 1
@@ -154,9 +171,9 @@ class DegradationController:
         if active == 0:
             return None
         fps = completed / duration / active
-        current = fps_burn_rate(self._objectives[self.level_index], fps)
+        current = fps_burn_rate(self._objectives[self._level_index], fps)
         above = fps_burn_rate(
-            self._objectives[max(self.level_index - 1, 0)], fps
+            self._objectives[max(self._level_index - 1, 0)], fps
         )
         return current, above
 
@@ -202,7 +219,7 @@ class DegradationController:
             self._hot = 0
 
     def _move(self, step: int, now: float, reason: str, burn: float) -> None:
-        target = self.level_index + step
+        target = self._level_index + step
         if not 0 <= target < len(self.config.ladder):
             return
         self.level_index = target

@@ -35,6 +35,11 @@ from repro.frontend.degradation import DegradationController, QualityChange
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids workload cycle)
     from repro.workload.trace import Request
 
+#: Enum members bound once for the per-arrival path (see
+#: :mod:`repro.frontend.admission`).
+_ADMIT = Decision.ADMIT
+_INTERACTIVE = JobType.INTERACTIVE
+
 
 @dataclass
 class FrontendStats:
@@ -162,18 +167,28 @@ class ServiceFrontend:
     # -- request path ------------------------------------------------------
 
     def submit_request(self, request: Request, dataset: object) -> None:
-        """The listener-thread entry point (replaces the service's)."""
+        """The listener-thread entry point (replaces the service's).
+
+        An arrival refused by admission or thinned by degradation costs
+        one call to :meth:`AdmissionController.decide`, one to
+        :meth:`DegradationController.keep_frame` while a rung below
+        full frame rate is active, and one to the audit's
+        ``record_shed``; the clock and the gate's factor are read as
+        plain attributes.
+        """
         self.requests_seen += 1
-        now = self._events.now
+        now = self._events._now
         if self.admission is not None:
-            if self.admission.decide(request, now) is not Decision.ADMIT:
+            if self.admission.decide(request, now) is not _ADMIT:
                 if self.audit is not None:
                     self.audit.record_shed(now, request)
                 return
+        degradation = self.degradation
         if (
-            self.degradation is not None
-            and request.job_type is JobType.INTERACTIVE
-            and not self.degradation.keep_frame(request.sequence)
+            degradation is not None
+            and degradation.fps_factor < 1.0
+            and request.job_type is _INTERACTIVE
+            and not degradation.keep_frame(request.sequence)
         ):
             if self.audit is not None:
                 self.audit.record_shed(now, request)
@@ -188,10 +203,7 @@ class ServiceFrontend:
         # The service allocates the id: frontend-mediated and direct
         # submissions draw from the same per-run allocator.
         job = self.service.build_job(request, dataset, request.time)
-        if (
-            self.degradation is not None
-            and request.job_type is JobType.INTERACTIVE
-        ):
+        if self.degradation is not None and request.job_type is _INTERACTIVE:
             factor = self.degradation.level.resolution_factor
             if factor < 1.0:
                 job.chunk_fraction = factor

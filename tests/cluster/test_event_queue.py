@@ -633,6 +633,75 @@ class TestFeed:
             EventQueue().feed([], -1)
 
 
+class TestFeedChunkBoundary:
+    """A refill checks and builds a whole chunk at once; its edges must
+    behave as the event-by-event build did."""
+
+    _BAD = [
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (0.5, "0.5"),  # decreasing
+    ]
+
+    @staticmethod
+    def _message(bad_repr, last_repr):
+        return (
+            f"fed event at t={bad_repr} after t={last_repr}: a feed must "
+            f"be finite and never decrease"
+        )
+
+    @pytest.mark.parametrize("bad,bad_repr", _BAD)
+    def test_bad_time_last_in_the_first_chunk(self, bad, bad_repr):
+        q = EventQueue()
+        fired = []
+        with patch.object(event_queue, "FEED_CHUNK", 3):
+            with pytest.raises(SimulationError) as raised:
+                q.feed([(t, fired.append, (t,)) for t in (1.0, 2.0, bad, 3.0)], 4)
+        assert str(raised.value) == self._message(bad_repr, "2.0")
+        assert fired == []
+
+    @pytest.mark.parametrize("bad,bad_repr", _BAD)
+    def test_bad_time_first_in_the_second_chunk(self, bad, bad_repr):
+        q = EventQueue()
+        fired = []
+        times = (1.0, 2.0, 2.0, bad, 3.0)
+        with patch.object(event_queue, "FEED_CHUNK", 3):
+            q.feed([(t, fired.append, (t,)) for t in times], len(times))
+            with pytest.raises(SimulationError) as raised:
+                q.run()
+        # Raised by the pop that empties the first chunk, before its
+        # event runs: the last good time is the chunk's last.
+        assert str(raised.value) == self._message(bad_repr, "2.0")
+        assert fired == [1.0, 2.0]
+
+    def test_short_feed_raises_at_its_last_chunk(self):
+        q = EventQueue()
+        fired = []
+        with patch.object(event_queue, "FEED_CHUNK", 2):
+            q.feed([(t, fired.append, (t,)) for t in (1.0, 2.0, 3.0)], 6)
+            assert len(q) == 6
+            with pytest.raises(SimulationError, match=r"^feed ended 3 events short$"):
+                q.run()
+        assert fired == [1.0]
+        assert q._feed is None and q._unfed == 0
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_equal_times_across_a_boundary_stay_fifo(self, chunk):
+        """Ties at one ``(time, priority)`` fall to ``seq``: the arrivals
+        in feed order, then heap events scheduled after the feed, however
+        the arrivals split into chunks."""
+        q = EventQueue()
+        fired = []
+        q.schedule(1.0, fired.append, "before", priority=PRIORITY_ARRIVAL)
+        q.schedule(1.0, fired.append, "cycle", priority=PRIORITY_CYCLE)
+        with patch.object(event_queue, "FEED_CHUNK", chunk):
+            q.feed([(1.0, fired.append, (f"a{i}",)) for i in range(4)], 4)
+            q.schedule(1.0, fired.append, "after", priority=PRIORITY_ARRIVAL)
+            q.schedule(1.0, fired.append, "done", priority=PRIORITY_COMPLETION)
+            q.run()
+        assert fired == ["done", "before", "a0", "a1", "a2", "a3", "after", "cycle"]
+
+
 class _HeapModel:
     """Reference queue: every event on one ``heapq`` heap.
 

@@ -6,7 +6,12 @@ observers included), under ``sys.setprofile``.  It counts every
 Python-level call (the profiler's ``call`` events, generator resumptions
 included) and every call that Python bytecode makes into a C function
 (``c_call`` events), then prints both per executed task and per placed
-task::
+task.  A run with a frontend also prints its Python calls per arrival:
+the calls made inside
+:meth:`~repro.frontend.frontend.ServiceFrontend.submit_request`'s
+subtree, found with a depth counter on the same profiler and divided by
+the requests the frontend saw, once without and once with the entry
+call itself::
 
     python tools/callcount.py --smoke                  # all five workloads
     python tools/callcount.py --workload backlog-s4 --smoke
@@ -31,26 +36,48 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 
+from repro.frontend.frontend import ServiceFrontend  # noqa: E402
 from repro.sim.simulator import run_simulation  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
 
 
+#: The arrival path's entry point; calls below it count per arrival.
+_ARRIVAL_ENTRY = ServiceFrontend.submit_request.__code__
+
+
 def count_calls(scenario, scheduler, config):
-    """Run once under the profiler; return ``(result, python, c)`` calls."""
+    """Run once under the profiler.
+
+    Returns ``(result, python, c, arrival)``: ``arrival`` is the number
+    of Python calls made inside ``submit_request``'s subtree.
+    """
     tally = dict.fromkeys(("call", "return", "c_call", "c_return", "c_exception"), 0)
+    depth = 0
+    arrival = 0
 
     def profiler(frame, event, arg):
+        nonlocal depth, arrival
         tally[event] += 1
+        if depth:
+            if event == "call":
+                depth += 1
+                arrival += 1
+            elif event == "return":
+                depth -= 1
+        elif event == "call" and frame.f_code is _ARRIVAL_ENTRY:
+            depth = 1
 
     sys.setprofile(profiler)
     try:
         result = run_simulation(scenario, scheduler, config)
     finally:
         sys.setprofile(None)
-    return result, tally["call"], tally["c_call"]
+    return result, tally["call"], tally["c_call"], arrival
 
 
-def _report(title: str, result, python_calls: int, c_calls: int) -> None:
+def _report(
+    title: str, result, python_calls: int, c_calls: int, arrival_calls: int
+) -> None:
     executed = result.tasks_executed
     placed = result.collector.scheduling.tasks_assigned
     print(
@@ -63,6 +90,14 @@ def _report(title: str, result, python_calls: int, c_calls: int) -> None:
                 f"  per {unit} task: {python_calls / tasks:6.2f} Python, "
                 f"{c_calls / tasks:6.2f} C"
             )
+    frontend = result.frontend
+    if frontend is not None and frontend.requests_seen:
+        seen = frontend.requests_seen
+        print(
+            f"  Python calls per arrival: {arrival_calls / seen:6.2f} below "
+            f"submit_request, {(arrival_calls + seen) / seen:.2f} with it "
+            f"({arrival_calls:,} over {seen:,} arrivals)"
+        )
 
 
 def main(argv=None) -> int:
@@ -85,7 +120,7 @@ def main(argv=None) -> int:
         for name in names:
             workload = WORKLOADS[name]
             inputs = build(workload, args.seed, smoke=args.smoke, out_dir=Path(out_dir))
-            result, python_calls, c_calls = count_calls(
+            result, python_calls, c_calls, arrival_calls = count_calls(
                 inputs.scenario, workload.scheduler, inputs.config
             )
             _report(
@@ -93,6 +128,7 @@ def main(argv=None) -> int:
                 result,
                 python_calls,
                 c_calls,
+                arrival_calls,
             )
     return 0
 
