@@ -9,7 +9,7 @@ services, with:
   FCFSL),
 * the cost model of §IV (task/job execution time, latency, framerate),
 * a discrete-event GPU-cluster simulator (LRU memory quotas, disk I/O,
-  interconnect, optional explicit VRAM model),
+  optional explicit VRAM model; compositing priced by the cost model),
 * a real software volume-rendering substrate (NumPy ray caster, sort-
   last compositing via binary swap / 2-3 swap over a simulated
   communicator),
@@ -172,7 +172,7 @@ from repro.workload import (
     scenario_4,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 
 def simulate(scenario=1, scheduler="OURS", *, config=None, scale=1.0,

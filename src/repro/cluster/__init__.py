@@ -2,8 +2,11 @@
 
 Everything the scheduler runs *on*: the simulation clock and event queue,
 per-node LRU memory caches, the disk/file-server I/O model, the GPU and
-optional explicit video-memory model, the interconnect, rendering nodes
-with FIFO render threads, and the :class:`Cluster` aggregate.
+optional explicit video-memory model, rendering nodes with FIFO render
+threads, the cost constants, and the :class:`Cluster` aggregate.  The
+link model (:mod:`repro.cluster.interconnect`) serves the functional
+compositing path (:mod:`repro.comm`, :mod:`repro.render`); a simulation
+run prices compositing with the cost constants alone.
 """
 
 from repro.cluster.cluster import Cluster

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import warnings
 from collections import deque
 from typing import Any, Callable, Deque, Iterable, Iterator, List, Optional, Tuple
 
@@ -225,7 +224,10 @@ class EventQueue:
         ``events`` must yield exactly ``count`` events with finite
         times that never decrease, the first not before now.  It is
         read while the run goes on, so a fault is found at the chunk
-        that holds it and raises :class:`SimulationError` there.  One
+        that holds it and raises :class:`SimulationError` there.  The
+        fault closes the feed: every event built before it stays queued
+        in order (the one whose pop asked for the refill included), so
+        ``len()`` is exact and a resumed :meth:`run` fires them.  One
         feed at a time: a feed is pending until its last event pops.
         """
         if count < 0:
@@ -252,6 +254,10 @@ class EventQueue:
         append = self._ahead.append
         for time, callback, args in itertools.islice(self._feed, wanted):
             if not (last <= time < _INF):
+                # Close the feed: what it built stays queued, and
+                # ``len()`` counts exactly that.
+                self._feed = None
+                self._unfed = 0
                 raise SimulationError(
                     f"fed event at t={time!r} after t={last!r}: a feed must "
                     f"be finite and never decrease"
@@ -291,7 +297,6 @@ class EventQueue:
         until: Optional[float] = None,
         *,
         max_events: Optional[int] = None,
-        live_count: Optional[bool] = None,
         stop: Optional[Callable[[], bool]] = None,
     ) -> int:
         """Run events until the queue drains, ``until`` passes, or a budget hits.
@@ -304,8 +309,6 @@ class EventQueue:
                 leaves the clock at the last executed event, so a resumed
                 ``run`` (or ``step``) can never move time backwards.
             max_events: Optional budget on the number of events (>= 0).
-            live_count: Deprecated, no effect: :attr:`processed` is
-                exact at every callback.  Passing it warns.
             stop: Optional predicate ending the run early.  It is tested
                 only after events that called :meth:`request_stop_check`
                 (each event pays one flag read), and the run returns
@@ -319,13 +322,6 @@ class EventQueue:
             infinite ``until`` raises :class:`SimulationError`, a
             negative ``max_events`` :class:`ValueError`.
         """
-        if live_count is not None:
-            warnings.warn(
-                "EventQueue.run(live_count=...) is deprecated and has no "
-                "effect: processed is always exact; drop the argument",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if until is not None and not -_INF < until < _INF:
             raise SimulationError(f"cannot run until non-finite time {until!r}")
         if max_events is not None and not max_events >= 0:
@@ -349,7 +345,13 @@ class EventQueue:
                     break
                 popleft()
                 if not ahead and self._unfed:
-                    self._refill()
+                    try:
+                        self._refill()
+                    except SimulationError:
+                        # A bad feed: the event stays queued before
+                        # the ones the refill built.
+                        ahead.appendleft(item)
+                        raise
             elif heap:
                 item = heap[0]
                 if item[0] > until_t:

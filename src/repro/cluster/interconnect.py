@@ -2,13 +2,16 @@
 
 Used in two places:
 
-* the *cost model* side — estimating image-compositing time for a render
-  group of ``g`` nodes (binary/2-3 swap runs ``ceil(log2 g)``-ish stages,
-  each paying a link latency plus pixel payload transfer), and
+* the *cost model* side uses only :func:`swap_stage_count`: a render
+  group of ``g`` nodes pays ``ceil(log2 g)`` compositing stages at the
+  per-stage prices of :class:`~repro.cluster.costs.CostParameters`; no
+  link is read, and a simulation run builds none;
 * the *functional* side — :class:`repro.comm.SimCommunicator` charges
   every message it delivers against a link model, so the compositing
   algorithms in :mod:`repro.render.compositing` report realistic byte and
-  time totals.
+  time totals.  Their stage count differs from :func:`swap_stage_count`
+  for some group sizes; ``tests/cluster/test_interconnect.py`` pins
+  the differences.
 
 The model is the classic postal/LogP-style ``latency + nbytes/bandwidth``
 per message; congestion is not modeled (compositing traffic in the paper

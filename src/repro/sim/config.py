@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import NO_LINK, Cluster
 from repro.cluster.costs import CostParameters, cost_preset_anl, cost_preset_linux8
 from repro.cluster.event_queue import EventQueue
 from repro.cluster.gpu import GpuSpec
-from repro.cluster.interconnect import LinkSpec
 from repro.cluster.storage import StorageSpec
+from repro.util.deprecation import deprecated
 from repro.util.units import GiB, MiB
 from repro.util.validation import check_positive
 
@@ -42,7 +42,9 @@ class SystemConfig:
             decomposition; must not exceed GPU memory.
         cost: Render/composite cost constants.
         storage: I/O model parameters.
-        link: Interconnect parameters.
+        link: Deprecated, no effect; removed in 1.8.  A ``LinkSpec``
+            here warns: the simulator prices compositing with
+            ``cost`` (:attr:`CostParameters.composite_times`).
         gpu: Per-node GPU description.
         model_vram: Enable the explicit VRAM model (ablation; default
             off, matching the paper's cost model).
@@ -58,12 +60,14 @@ class SystemConfig:
     chunk_max: int = 512 * MiB
     cost: CostParameters = field(default_factory=CostParameters)
     storage: StorageSpec = field(default_factory=StorageSpec)
-    link: LinkSpec = field(default_factory=LinkSpec)
+    link: Optional[object] = None
     gpu: GpuSpec = field(default_factory=GpuSpec)
     model_vram: bool = False
     gpus_per_node: int = 1
 
     def __post_init__(self) -> None:
+        if self.link is not None:
+            deprecated("SystemConfig.link", NO_LINK)
         check_positive("node_count", self.node_count)
         check_positive("memory_quota", self.memory_quota)
         check_positive("chunk_max", self.chunk_max)
@@ -95,7 +99,6 @@ class SystemConfig:
             memory_quota=self.memory_quota,
             cost=self.cost,
             storage_spec=self.storage,
-            link_spec=self.link,
             gpu=self.gpu,
             model_vram=self.model_vram,
             events=events,
@@ -127,7 +130,6 @@ def system_linux8(
         chunk_max=512 * MiB,
         cost=cost_preset_linux8(),
         storage=StorageSpec(bandwidth=100 * MiB, latency=0.010),
-        link=LinkSpec(latency=50e-6, bandwidth=1.25 * GiB),
         gpu=GpuSpec(video_memory=1 * GiB, upload_bandwidth=4 * GiB),
         model_vram=model_vram,
     )
@@ -151,7 +153,6 @@ def system_anl(
         chunk_max=512 * MiB,
         cost=cost_preset_anl(),
         storage=StorageSpec(bandwidth=200 * MiB, latency=0.010),
-        link=LinkSpec(latency=30e-6, bandwidth=1.25 * GiB),
         gpu=GpuSpec(video_memory=int(1.5 * GiB), upload_bandwidth=4 * GiB),
         model_vram=model_vram,
     )

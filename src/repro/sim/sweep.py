@@ -1,20 +1,23 @@
-"""Experiment harness: parameter sweeps and seed replication.
+"""Experiment harness: parameter sweeps.
 
 The Fig. 8/9-style studies are parameter sweeps (vary one knob, run the
-simulation, tabulate metrics), and rigorous comparisons need
-replication over workload seeds.  This module packages both patterns so
+simulation, tabulate metrics).  This module packages the pattern so
 benches, examples, and downstream studies don't re-implement the loop.
 
-Both build their ``(scenario, scheduler, RunConfig)`` points and hand
+A sweep builds its ``(scenario, scheduler, RunConfig)`` points and hands
 them to :func:`~repro.sim.simulator.run_many`, the one multi-run path:
 an opt-in ``workers=N`` fans the independent runs out over its process
-pool.  Results are keyed deterministically — ``(value, scheduler)`` for
-sweeps, seed order for replication — so the parallel path returns
-exactly what the serial path would (the simulator itself is
-deterministic).  Parallel execution requires the scenario factory,
-schedulers, and the :class:`~repro.sim.run_config.RunConfig` to be
-picklable (module-level functions, registry names, and a
-frontend-bearing ``RunConfig`` are; lambdas and closures are not).
+pool.  Results are keyed deterministically by ``(value, scheduler)``,
+so the parallel path returns exactly what the serial path would (the
+simulator itself is deterministic).  Parallel execution requires the
+scenario factory, schedulers, and the
+:class:`~repro.sim.run_config.RunConfig` to be picklable (module-level
+functions, registry names, and a frontend-bearing ``RunConfig`` are;
+lambdas and closures are not).
+
+Seed replication is ``run_many`` over one point per seed:
+:func:`replicate`, ``ReplicationResult`` and ``MetricStats`` are
+deprecated and removed in 1.8.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.core.scheduler_base import Scheduler
 from repro.reporting.report import sweep_table
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import SimulationResult, run_many
+from repro.util.deprecation import deprecated
 from repro.workload.scenarios import Scenario
 
 ScenarioFactory = Callable[..., Scenario]
@@ -135,7 +139,7 @@ def sweep(
 
 
 @dataclass(frozen=True)
-class MetricStats:
+class _MetricStats:
     """Mean and sample standard deviation of one metric across seeds."""
 
     mean: float
@@ -143,7 +147,7 @@ class MetricStats:
     values: tuple
 
     @classmethod
-    def of(cls, values: Sequence[float]) -> "MetricStats":
+    def of(cls, values: Sequence[float]) -> "_MetricStats":
         n = len(values)
         if n == 0:
             return cls(mean=0.0, std=0.0, values=())
@@ -158,29 +162,29 @@ class MetricStats:
 
 
 @dataclass
-class ReplicationResult:
+class _ReplicationResult:
     """Seed-replicated metrics for one scheduler."""
 
     scheduler: str
     seeds: List[int]
     results: List[SimulationResult]
 
-    def stat(self, metric: Callable[[SimulationResult], float]) -> MetricStats:
+    def stat(self, metric: Callable[[SimulationResult], float]) -> _MetricStats:
         """Aggregate ``metric`` across the replicas."""
-        return MetricStats.of([metric(r) for r in self.results])
+        return _MetricStats.of([metric(r) for r in self.results])
 
     @property
-    def fps(self) -> MetricStats:
+    def fps(self) -> _MetricStats:
         """Delivered interactive framerate across seeds."""
         return self.stat(lambda r: r.interactive_fps)
 
     @property
-    def interactive_latency(self) -> MetricStats:
+    def interactive_latency(self) -> _MetricStats:
         """Mean interactive latency across seeds."""
         return self.stat(lambda r: r.interactive_latency.mean)
 
     @property
-    def hit_rate(self) -> MetricStats:
+    def hit_rate(self) -> _MetricStats:
         """Executed-task hit rate across seeds."""
         return self.stat(lambda r: r.hit_rate)
 
@@ -192,8 +196,8 @@ def replicate(
     *,
     workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
-) -> ReplicationResult:
-    """Run ``scenario_factory(seed)`` once per seed under one scheduler.
+) -> _ReplicationResult:
+    """Deprecated: run ``scenario_factory(seed)`` once per seed; removed in 1.8.
 
     Quantifies the workload-seed sensitivity that single-trace
     comparisons (the paper's, and this repo's scenario benches) cannot.
@@ -202,6 +206,7 @@ def replicate(
     :class:`~repro.sim.run_config.RunConfig` to every replica
     (``None`` = all defaults).
     """
+    deprecated("repro.sim.sweep.replicate", _REPLICATE)
     if not seeds:
         raise ValueError("replicate needs at least one seed")
     run_config = config if config is not None else RunConfig()
@@ -212,17 +217,32 @@ def replicate(
         ],
         workers=1 if workers is None else workers,
     )
-    return ReplicationResult(
+    return _ReplicationResult(
         scheduler=results[-1].scheduler_name,
         seeds=list(seeds),
         results=results,
     )
 
 
+_REPLICATE = (
+    "use repro.sim.run_many([(partial(factory, seed), scheduler, config) "
+    "for seed in seeds]) and aggregate the results"
+)
+
+
+def __getattr__(name: str):
+    # The deprecated classes warn on each read of their name.
+    if name == "ReplicationResult":
+        deprecated("repro.sim.sweep.ReplicationResult", _REPLICATE)
+        return _ReplicationResult
+    if name == "MetricStats":
+        deprecated("repro.sim.sweep.MetricStats", _REPLICATE)
+        return _MetricStats
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "SweepResult",
     "sweep",
-    "MetricStats",
-    "ReplicationResult",
     "replicate",
 ]

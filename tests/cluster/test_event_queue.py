@@ -122,20 +122,12 @@ class TestRun:
         assert len(q) == 1 and q.processed == 0
         assert q.run(max_events=0) == 0 and len(q) == 1
 
-    def test_live_count_is_deprecated_and_changes_nothing(self):
-        def build():
-            q, log = EventQueue(), []
-            for i in range(5):
-                q.schedule(float(i), lambda i=i: log.append((i, q.processed)))
-            return q, log
-
-        q, log = build()
-        with pytest.warns(DeprecationWarning, match="live_count"):
-            executed = q.run(until=2.5, live_count=True)
-        ref, ref_log = build()
-        assert executed == ref.run(until=2.5) == 3
-        assert log == ref_log == [(0, 1), (1, 2), (2, 3)]
-        assert (q.processed, q.now, len(q)) == (ref.processed, ref.now, len(ref))
+    def test_live_count_is_gone(self):
+        q = EventQueue()
+        q.schedule(1.0, lambda: None)
+        with pytest.raises(TypeError, match="live_count"):
+            q.run(live_count=True)
+        assert len(q) == 1 and q.processed == 0
 
     def test_processed_counter(self):
         q = EventQueue()
@@ -674,6 +666,10 @@ class TestFeedChunkBoundary:
         assert str(raised.value) == self._message(bad_repr, "2.0")
         assert fired == [1.0, 2.0]
 
+    @staticmethod
+    def _queued(q):
+        return [event[0] for event in q._ahead]
+
     def test_short_feed_raises_at_its_last_chunk(self):
         q = EventQueue()
         fired = []
@@ -684,6 +680,27 @@ class TestFeedChunkBoundary:
                 q.run()
         assert fired == [1.0]
         assert q._feed is None and q._unfed == 0
+        # The event whose pop asked for the refill stays queued, in
+        # front of the one the refill built.
+        assert self._queued(q) == [2.0, 3.0] and len(q) == 2
+        assert q.run() == 2
+        assert fired == [1.0, 2.0, 3.0] and len(q) == 0
+
+    @pytest.mark.parametrize("bad,bad_repr", _BAD)
+    def test_bad_time_keeps_what_was_built(self, bad, bad_repr):
+        q = EventQueue()
+        fired = []
+        times = (1.0, 2.0, 3.0, bad, 4.0, 5.0)
+        with patch.object(event_queue, "FEED_CHUNK", 2):
+            q.feed([(t, fired.append, (t,)) for t in times], len(times))
+            with pytest.raises(SimulationError) as raised:
+                q.run()
+        assert str(raised.value) == self._message(bad_repr, "3.0")
+        assert fired == [1.0]
+        assert q._feed is None and q._unfed == 0
+        assert self._queued(q) == [2.0, 3.0] and len(q) == 2
+        assert q.run() == 2
+        assert fired == [1.0, 2.0, 3.0] and len(q) == 0
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_equal_times_across_a_boundary_stay_fifo(self, chunk):

@@ -1,8 +1,10 @@
 """Tests for the interconnect model and stage counting."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.interconnect import Interconnect, LinkSpec, swap_stage_count
+from repro.render.compositing import two_three_swap
 from repro.util.units import GiB, MiB
 
 
@@ -53,3 +55,27 @@ class TestSwapStageCount:
     def test_invalid(self):
         with pytest.raises(ValueError):
             swap_stage_count(0)
+
+
+#: The functional 2-3 swap's stage count minus ``swap_stage_count(g)``,
+#: for the group sizes where the two differ (0 for every other g in
+#: 1..64).  The functional count includes the gather of the final image
+#: at the root and the pair-merge stage for a count that is not 2-3
+#: smooth; the cost model's ``ceil(log2 g)`` has neither.
+STAGE_DIFFERENCES = {
+    **{g: +1 for g in (2, 4, 5, 7, 8, 13, 14, 15, 16, 17, 25, 26,
+                       32, 33, 34, 35, 49, 50, 51, 52, 53, 64)},
+    **{g: -1 for g in (9, 18, 27, 36, 54)},
+}
+
+
+def test_stage_count_against_the_functional_two_three_swap():
+    """The cost model's stage count and the functional algorithm's stay
+    as they are: a change to either fails here."""
+    image = np.zeros((4, 2, 4), dtype=np.float32)
+    differences = {}
+    for g in range(1, 65):
+        functional = two_three_swap([image] * g).stages
+        if functional != swap_stage_count(g):
+            differences[g] = functional - swap_stage_count(g)
+    assert differences == STAGE_DIFFERENCES

@@ -130,10 +130,18 @@ def test_drain_stops_when_a_cycle_leaves_nothing_in_flight():
 class TestStopPredicate:
     """``EventQueue.run(stop=...)`` semantics the drain phase relies on."""
 
-    def _queue(self, log, requests):
+    def _queue(self, log, requests, fed=False):
         q = EventQueue()
-        for t in range(1, 7):
-            q.schedule(float(t), self._event, q, log, t, t in requests)
+        events = [
+            (float(t), self._event, (q, log, t, t in requests))
+            for t in range(1, 7)
+        ]
+        if fed:
+            # The lazy arrival path: events pop from the feed, not the heap.
+            q.feed(iter(events), len(events))
+        else:
+            for time, callback, args in events:
+                q.schedule(time, callback, *args)
         return q
 
     @staticmethod
@@ -142,18 +150,16 @@ class TestStopPredicate:
         if request:
             q.request_stop_check()
 
-    @pytest.mark.parametrize("live_count", [False, True])
-    def test_stop_tested_only_after_requesting_events(self, live_count):
+    @pytest.mark.parametrize("fed", [False, True])
+    def test_stop_tested_only_after_requesting_events(self, fed):
         log, tested = [], []
 
         def stop():
             tested.append(log[-1])
             return log[-1] >= 2
 
-        q = self._queue(log, requests={1, 4})
-        # live_count is deprecated and must not change the stop semantics.
-        with pytest.warns(DeprecationWarning, match="live_count"):
-            executed = q.run(stop=stop, live_count=live_count)
+        q = self._queue(log, requests={1, 4}, fed=fed)
+        executed = q.run(stop=stop)
         # Event 2 satisfies the predicate but did not ask for a test;
         # event 4 did, so the run ends right after it.
         assert tested == [1, 4]

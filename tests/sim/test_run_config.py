@@ -1,6 +1,7 @@
 """Tests for RunConfig, its validation, and the removed pre-1.1 keyword
 spelling."""
 
+import functools
 import pickle
 import re
 import warnings
@@ -9,8 +10,8 @@ import pytest
 
 from repro.frontend import FrontendConfig
 from repro.sim.run_config import RunConfig
-from repro.sim.simulator import run_simulation
-from repro.sim.sweep import replicate, sweep
+from repro.sim.simulator import run_many, run_simulation
+from repro.sim.sweep import sweep
 from repro.workload.scenarios import make_scenario
 
 INF, NAN = float("inf"), float("nan")
@@ -101,20 +102,23 @@ class TestDeprecatedSpelling:
 
 class TestConfigThroughProcessPool:
     def test_replicate_parallel_parity_with_frontend(self):
-        """A frontend-bearing RunConfig survives the workers=N path."""
+        """A frontend-bearing RunConfig survives the workers=N path of
+        ``run_many`` over one point per seed (seed replication)."""
         config = RunConfig(
             frontend=FrontendConfig.protective(max_sessions=4, queue_limit=16)
         )
-        serial = replicate(
-            scenario_factory, "OURS", seeds=[0, 1], config=config
-        )
-        parallel = replicate(
-            scenario_factory, "OURS", seeds=[0, 1], workers=2, config=config
-        )
-        assert parallel.fps.values == serial.fps.values
-        assert [r.jobs_completed for r in parallel.results] == [
-            r.jobs_completed for r in serial.results
+        points = [
+            (functools.partial(scenario_factory, seed), "OURS", config)
+            for seed in (0, 1)
         ]
-        for result in parallel.results:
+        serial = run_many(points)
+        parallel = run_many(points, workers=2)
+        assert [r.interactive_fps for r in parallel] == [
+            r.interactive_fps for r in serial
+        ]
+        assert [r.jobs_completed for r in parallel] == [
+            r.jobs_completed for r in serial
+        ]
+        for result in parallel:
             assert result.frontend is not None
             assert result.frontend.forwarded == result.jobs_submitted

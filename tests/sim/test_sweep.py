@@ -1,6 +1,7 @@
 """Tests for the sweep/replication experiment harness."""
 
 import functools
+import importlib
 
 import pytest
 
@@ -8,10 +9,24 @@ from repro.core.chunks import dataset_suite
 from repro.core.ours import OursScheduler
 from repro.sim.config import system_linux8
 from repro.sim.run_config import RunConfig
-from repro.sim.sweep import MetricStats, replicate, sweep
+from repro.sim.sweep import replicate, sweep
 from repro.util.units import GiB
 from repro.workload.actions import persistent_actions
 from repro.workload.scenarios import Scenario
+
+
+def deprecated_replicate(*args, **kwargs):
+    """``replicate`` is deprecated (removed in 1.8): each call warns once."""
+    with pytest.warns(DeprecationWarning, match="replicate") as record:
+        result = replicate(*args, **kwargs)
+    assert len(record) == 1
+    return result
+
+
+def metric_stats():
+    """``MetricStats`` is deprecated (removed in 1.8): its read warns."""
+    with pytest.warns(DeprecationWarning, match="MetricStats"):
+        return importlib.import_module("repro.sim.sweep").MetricStats
 
 
 def scenario_with_actions(actions: float, seed: int = 0) -> Scenario:
@@ -123,8 +138,8 @@ class TestParallelWorkers:
 
     def test_replicate_parity(self):
         factory = functools.partial(scenario_with_actions, 2)
-        serial = replicate(factory, "OURS", seeds=[0, 1, 2])
-        parallel = replicate(factory, "OURS", seeds=[0, 1, 2], workers=2)
+        serial = deprecated_replicate(factory, "OURS", seeds=[0, 1, 2])
+        parallel = deprecated_replicate(factory, "OURS", seeds=[0, 1, 2], workers=2)
         assert parallel.scheduler == serial.scheduler
         assert parallel.fps.values == serial.fps.values
         assert parallel.hit_rate.values == serial.hit_rate.values
@@ -165,25 +180,25 @@ class TestParallelWorkers:
 
 class TestMetricStats:
     def test_mean_std(self):
-        stats = MetricStats.of([1.0, 2.0, 3.0])
+        stats = metric_stats().of([1.0, 2.0, 3.0])
         assert stats.mean == 2.0
         assert stats.std == pytest.approx(1.0)
 
     def test_single_value(self):
-        stats = MetricStats.of([5.0])
+        stats = metric_stats().of([5.0])
         assert stats.mean == 5.0
         assert stats.std == 0.0
 
     def test_empty(self):
-        assert MetricStats.of([]).mean == 0.0
+        assert metric_stats().of([]).mean == 0.0
 
     def test_str(self):
-        assert "n=2" in str(MetricStats.of([1.0, 2.0]))
+        assert "n=2" in str(metric_stats().of([1.0, 2.0]))
 
 
 class TestReplicate:
     def test_per_seed_runs(self):
-        result = replicate(
+        result = deprecated_replicate(
             lambda seed: scenario_with_actions(2, seed=seed),
             "OURS",
             seeds=[0, 1, 2],
@@ -195,7 +210,7 @@ class TestReplicate:
 
     def test_seed_sensitivity_visible(self):
         """Different seeds produce (slightly) different traces."""
-        result = replicate(
+        result = deprecated_replicate(
             lambda seed: scenario_with_actions(2, seed=seed),
             "OURS",
             seeds=[0, 1, 2, 3],
@@ -205,12 +220,12 @@ class TestReplicate:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            replicate(lambda s: scenario_with_actions(1, s), "OURS", seeds=[])
+            deprecated_replicate(lambda s: scenario_with_actions(1, s), "OURS", seeds=[])
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            replicate(
+            deprecated_replicate(
                 functools.partial(scenario_with_actions, 1),
                 "OURS",
                 seeds=[0],
