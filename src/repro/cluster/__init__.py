@@ -4,9 +4,10 @@ Everything the scheduler runs *on*: the simulation clock and event queue,
 per-node LRU memory caches, the disk/file-server I/O model, the GPU and
 optional explicit video-memory model, rendering nodes with FIFO render
 threads, the cost constants, and the :class:`Cluster` aggregate.  The
-link model (:mod:`repro.cluster.interconnect`) serves the functional
-compositing path (:mod:`repro.comm`, :mod:`repro.render`); a simulation
-run prices compositing with the cost constants alone.
+link model (:mod:`repro.cluster.interconnect`) serves only the
+functional compositing path (:mod:`repro.comm`, :mod:`repro.render`).
+A simulation run prices compositing with the cost constants alone:
+neither :class:`Cluster` nor a system configuration takes a link.
 """
 
 from repro.cluster.cluster import Cluster

@@ -3,8 +3,8 @@
 This class wires the substrate together (event queue, shared storage,
 rendering nodes) and exposes the aggregate statistics the evaluation
 reports (cache hit rates, utilization).  Compositing is priced by the
-cost model (:attr:`CostParameters.composite_times`); the cluster builds
-no network model.  The head-node *logic*
+cost model (:attr:`CostParameters.composite_times`) alone; the cluster
+takes no link and builds no network model.  The head-node *logic*
 (job queue, dispatch, scheduling) lives in
 :class:`repro.sim.service.VisualizationService`; the cluster is the
 machine it runs on.
@@ -19,19 +19,11 @@ from repro.cluster.event_queue import EventQueue
 from repro.cluster.gpu import GpuSpec
 from repro.cluster.node import RenderNode, TaskFinishCallback
 from repro.cluster.storage import StorageModel, StorageSpec
-from repro.util.deprecation import deprecated
 from repro.util.rng import spawn_rngs
 from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (keeps cluster<-core one-way)
     from repro.core.job import RenderTask
-
-
-#: What the deprecated link surfaces point to instead.
-NO_LINK = (
-    "it has no effect: a run prices compositing with CostParameters("
-    "composite_stage_latency=..., composite_per_pixel=...)"
-)
 
 
 class Cluster:
@@ -42,8 +34,6 @@ class Cluster:
         memory_quota: Per-node main-memory byte budget for chunk caching.
         cost: Rendering/compositing cost constants.
         storage_spec: I/O model parameters (shared by all nodes).
-        link_spec: Deprecated, no effect; removed in 1.8.  Passing it
-            warns.
         gpu: Per-node GPU description (bounds ``Chkmax``; used by the
             explicit VRAM model when ``model_vram`` is set).
         model_vram: Enable the explicit video-memory model (paper future
@@ -62,7 +52,6 @@ class Cluster:
         cost: CostParameters,
         *,
         storage_spec: Optional[StorageSpec] = None,
-        link_spec: Optional[object] = None,
         gpu: Optional[GpuSpec] = None,
         model_vram: bool = False,
         events: Optional[EventQueue] = None,
@@ -77,10 +66,6 @@ class Cluster:
             storage_spec if storage_spec is not None else StorageSpec(),
             seed=storage_seed,
         )
-        if link_spec is not None:
-            deprecated("Cluster(link_spec=...)", NO_LINK)
-        self._link_spec = link_spec
-        self._interconnect = None
         self.gpu = gpu
         self._task_finish_listeners: List[TaskFinishCallback] = []
         node_rngs = spawn_rngs(storage_seed + 1, node_count)
@@ -131,21 +116,6 @@ class Cluster:
     def _notify_task_finish(self, node: RenderNode, task: RenderTask) -> None:
         for callback in self._task_finish_listeners:
             callback(node, task)
-
-    @property
-    def interconnect(self):
-        """Deprecated: an ``Interconnect`` nothing in a run reads.
-
-        Built on the first read, over the ``link_spec`` given (else the
-        default ``LinkSpec()``); removed in 1.8.
-        """
-        deprecated("Cluster.interconnect", NO_LINK)
-        if self._interconnect is None:
-            from repro.cluster.interconnect import Interconnect, LinkSpec
-
-            spec = self._link_spec if self._link_spec is not None else LinkSpec()
-            self._interconnect = Interconnect(spec)
-        return self._interconnect
 
     # -- convenience -------------------------------------------------------
 

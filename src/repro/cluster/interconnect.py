@@ -4,8 +4,8 @@ Used in two places:
 
 * the *cost model* side uses only :func:`swap_stage_count`: a render
   group of ``g`` nodes pays ``ceil(log2 g)`` compositing stages at the
-  per-stage prices of :class:`~repro.cluster.costs.CostParameters`; no
-  link is read, and a simulation run builds none;
+  per-stage prices of :class:`~repro.cluster.costs.CostParameters`; a
+  simulation run reads no link and builds none;
 * the *functional* side — :class:`repro.comm.SimCommunicator` charges
   every message it delivers against a link model, so the compositing
   algorithms in :mod:`repro.render.compositing` report realistic byte and

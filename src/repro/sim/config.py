@@ -12,7 +12,8 @@ A :class:`SystemConfig` bundles everything needed to build a
 :class:`~repro.cluster.cluster.Cluster` plus the maximal chunk size
 ``Chkmax`` used by the paper's decomposition (512 MiB in all published
 scenarios — "a moderate chunk size slightly less than the graphics
-memory").
+memory").  A configuration carries no network link: the simulator
+prices compositing with :attr:`CostParameters.composite_times` alone.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.cluster.cluster import NO_LINK, Cluster
+from repro.cluster.cluster import Cluster
 from repro.cluster.costs import CostParameters, cost_preset_anl, cost_preset_linux8
 from repro.cluster.event_queue import EventQueue
 from repro.cluster.gpu import GpuSpec
 from repro.cluster.storage import StorageSpec
-from repro.util.deprecation import deprecated
 from repro.util.units import GiB, MiB
 from repro.util.validation import check_positive
 
@@ -42,9 +42,6 @@ class SystemConfig:
             decomposition; must not exceed GPU memory.
         cost: Render/composite cost constants.
         storage: I/O model parameters.
-        link: Deprecated, no effect; removed in 1.8.  A ``LinkSpec``
-            here warns: the simulator prices compositing with
-            ``cost`` (:attr:`CostParameters.composite_times`).
         gpu: Per-node GPU description.
         model_vram: Enable the explicit VRAM model (ablation; default
             off, matching the paper's cost model).
@@ -60,14 +57,11 @@ class SystemConfig:
     chunk_max: int = 512 * MiB
     cost: CostParameters = field(default_factory=CostParameters)
     storage: StorageSpec = field(default_factory=StorageSpec)
-    link: Optional[object] = None
     gpu: GpuSpec = field(default_factory=GpuSpec)
     model_vram: bool = False
     gpus_per_node: int = 1
 
     def __post_init__(self) -> None:
-        if self.link is not None:
-            deprecated("SystemConfig.link", NO_LINK)
         check_positive("node_count", self.node_count)
         check_positive("memory_quota", self.memory_quota)
         check_positive("chunk_max", self.chunk_max)

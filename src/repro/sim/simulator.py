@@ -680,7 +680,7 @@ def compare_schedulers(
     schedulers: Sequence[Union[str, Scheduler]],
     *,
     config: Optional[RunConfig] = None,
-    drain: bool = False,
+    drain: Optional[bool] = None,
     max_drain_time: Optional[float] = None,
 ) -> List[SimulationResult]:
     """Run the same scenario under each scheduler (Figs. 4-7 harness).
@@ -688,9 +688,18 @@ def compare_schedulers(
     Every run replays the identical trace on a fresh cluster.  Pass a
     :class:`~repro.sim.run_config.RunConfig` to control the runs; the
     ``drain`` / ``max_drain_time`` shortcuts remain for the common case.
+
+    Raises:
+        ValueError: For a shortcut passed together with ``config``
+            (set it on the ``RunConfig`` instead).
     """
     if config is None:
-        config = RunConfig(drain=drain, max_drain_time=max_drain_time)
+        config = RunConfig(drain=bool(drain), max_drain_time=max_drain_time)
+    elif drain is not None or max_drain_time is not None:
+        raise ValueError(
+            "compare_schedulers takes drain/max_drain_time or config, not "
+            "both: set them on the RunConfig"
+        )
     return run_many((scenario, sched, config) for sched in schedulers)
 
 

@@ -15,14 +15,18 @@ scenario factory, schedulers, and the
 functions, registry names, and a frontend-bearing ``RunConfig`` are;
 lambdas and closures are not).
 
-Seed replication is ``run_many`` over one point per seed:
-:func:`replicate`, ``ReplicationResult`` and ``MetricStats`` are
-deprecated and removed in 1.8.
+Seed replication is ``run_many`` over one point per seed, with the
+results aggregated by the caller.
+
+``repro.sim`` re-exports :func:`sweep`, and that binding shadows this
+module: the package attribute ``repro.sim.sweep`` (so also ``import
+repro.sim.sweep as m`` and ``from repro.sim import sweep``) is the
+function.  Only ``importlib.import_module("repro.sim.sweep")`` (or
+``sys.modules``) reaches the module itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -33,10 +37,8 @@ from repro.core.scheduler_base import Scheduler
 from repro.reporting.report import sweep_table
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import SimulationResult, run_many
-from repro.util.deprecation import deprecated
 from repro.workload.scenarios import Scenario
 
-ScenarioFactory = Callable[..., Scenario]
 SchedulerLike = Union[str, Scheduler, Callable[[], Scheduler]]
 
 
@@ -138,111 +140,7 @@ def sweep(
     )
 
 
-@dataclass(frozen=True)
-class _MetricStats:
-    """Mean and sample standard deviation of one metric across seeds."""
-
-    mean: float
-    std: float
-    values: tuple
-
-    @classmethod
-    def of(cls, values: Sequence[float]) -> "_MetricStats":
-        n = len(values)
-        if n == 0:
-            return cls(mean=0.0, std=0.0, values=())
-        mean = sum(values) / n
-        if n == 1:
-            return cls(mean=mean, std=0.0, values=tuple(values))
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
-        return cls(mean=mean, std=math.sqrt(var), values=tuple(values))
-
-    def __str__(self) -> str:
-        return f"{self.mean:.3f} ± {self.std:.3f} (n={len(self.values)})"
-
-
-@dataclass
-class _ReplicationResult:
-    """Seed-replicated metrics for one scheduler."""
-
-    scheduler: str
-    seeds: List[int]
-    results: List[SimulationResult]
-
-    def stat(self, metric: Callable[[SimulationResult], float]) -> _MetricStats:
-        """Aggregate ``metric`` across the replicas."""
-        return _MetricStats.of([metric(r) for r in self.results])
-
-    @property
-    def fps(self) -> _MetricStats:
-        """Delivered interactive framerate across seeds."""
-        return self.stat(lambda r: r.interactive_fps)
-
-    @property
-    def interactive_latency(self) -> _MetricStats:
-        """Mean interactive latency across seeds."""
-        return self.stat(lambda r: r.interactive_latency.mean)
-
-    @property
-    def hit_rate(self) -> _MetricStats:
-        """Executed-task hit rate across seeds."""
-        return self.stat(lambda r: r.hit_rate)
-
-
-def replicate(
-    scenario_factory: Callable[[int], Scenario],
-    scheduler: SchedulerLike,
-    seeds: Sequence[int],
-    *,
-    workers: Optional[int] = None,
-    config: Optional[RunConfig] = None,
-) -> _ReplicationResult:
-    """Deprecated: run ``scenario_factory(seed)`` once per seed; removed in 1.8.
-
-    Quantifies the workload-seed sensitivity that single-trace
-    comparisons (the paper's, and this repo's scenario benches) cannot.
-    ``workers=N`` runs the seeds on a process pool (results keyed by
-    seed order, identical to the serial path).  ``config`` applies one
-    :class:`~repro.sim.run_config.RunConfig` to every replica
-    (``None`` = all defaults).
-    """
-    deprecated("repro.sim.sweep.replicate", _REPLICATE)
-    if not seeds:
-        raise ValueError("replicate needs at least one seed")
-    run_config = config if config is not None else RunConfig()
-    results = run_many(
-        [
-            (partial(scenario_factory, seed), scheduler, run_config)
-            for seed in seeds
-        ],
-        workers=1 if workers is None else workers,
-    )
-    return _ReplicationResult(
-        scheduler=results[-1].scheduler_name,
-        seeds=list(seeds),
-        results=results,
-    )
-
-
-_REPLICATE = (
-    "use repro.sim.run_many([(partial(factory, seed), scheduler, config) "
-    "for seed in seeds]) and aggregate the results"
-)
-
-
-def __getattr__(name: str):
-    # The deprecated classes warn on each read of their name.
-    if name == "ReplicationResult":
-        deprecated("repro.sim.sweep.ReplicationResult", _REPLICATE)
-        return _ReplicationResult
-    if name == "MetricStats":
-        deprecated("repro.sim.sweep.MetricStats", _REPLICATE)
-        return _MetricStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "SweepResult",
     "sweep",
-    "replicate",
 ]

@@ -101,7 +101,7 @@ class TestDeprecatedSpelling:
 
 
 class TestConfigThroughProcessPool:
-    def test_replicate_parallel_parity_with_frontend(self):
+    def test_run_many_per_seed_parallel_parity_with_frontend(self):
         """A frontend-bearing RunConfig survives the workers=N path of
         ``run_many`` over one point per seed (seed replication)."""
         config = RunConfig(

@@ -125,6 +125,22 @@ class TestCompareSchedulers:
         results = compare_schedulers(tiny_scenario(), ["OURS", "OURS"])
         assert results[0].jobs_completed == results[1].jobs_completed
 
+    def test_drain_shortcut_drains(self):
+        (result,) = compare_schedulers(
+            tiny_scenario(duration=0.5, prewarm=False), ["FCFS"], drain=True
+        )
+        assert result.drained and result.unfinished_jobs == 0
+
+    @pytest.mark.parametrize(
+        "shortcut", [{"drain": True}, {"drain": False}, {"max_drain_time": 1.0}]
+    )
+    def test_shortcut_with_config_rejected(self, shortcut):
+        # Silently dropping the shortcut would run an undrained comparison.
+        with pytest.raises(ValueError, match="not both"):
+            compare_schedulers(
+                tiny_scenario(), ["FCFS"], config=RunConfig(), **shortcut
+            )
+
 
 class TestNodeFailureInjection:
     def test_crash_schedule_survives(self):

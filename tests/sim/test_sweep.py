@@ -1,7 +1,6 @@
-"""Tests for the sweep/replication experiment harness."""
+"""Tests for the sweep experiment harness."""
 
 import functools
-import importlib
 
 import pytest
 
@@ -9,24 +8,11 @@ from repro.core.chunks import dataset_suite
 from repro.core.ours import OursScheduler
 from repro.sim.config import system_linux8
 from repro.sim.run_config import RunConfig
-from repro.sim.sweep import replicate, sweep
+from repro.sim.simulator import run_many
+from repro.sim.sweep import sweep
 from repro.util.units import GiB
 from repro.workload.actions import persistent_actions
 from repro.workload.scenarios import Scenario
-
-
-def deprecated_replicate(*args, **kwargs):
-    """``replicate`` is deprecated (removed in 1.8): each call warns once."""
-    with pytest.warns(DeprecationWarning, match="replicate") as record:
-        result = replicate(*args, **kwargs)
-    assert len(record) == 1
-    return result
-
-
-def metric_stats():
-    """``MetricStats`` is deprecated (removed in 1.8): its read warns."""
-    with pytest.warns(DeprecationWarning, match="MetricStats"):
-        return importlib.import_module("repro.sim.sweep").MetricStats
 
 
 def scenario_with_actions(actions: float, seed: int = 0) -> Scenario:
@@ -136,13 +122,17 @@ class TestParallelWorkers:
             assert parallel_result.interactive_fps == serial_result.interactive_fps
             assert parallel_result.hit_rate == serial_result.hit_rate
 
-    def test_replicate_parity(self):
-        factory = functools.partial(scenario_with_actions, 2)
-        serial = deprecated_replicate(factory, "OURS", seeds=[0, 1, 2])
-        parallel = deprecated_replicate(factory, "OURS", seeds=[0, 1, 2], workers=2)
-        assert parallel.scheduler == serial.scheduler
-        assert parallel.fps.values == serial.fps.values
-        assert parallel.hit_rate.values == serial.hit_rate.values
+    def test_run_many_per_seed_parity(self):
+        points = [
+            (functools.partial(scenario_with_actions, 2, seed), "OURS", RunConfig())
+            for seed in (0, 1, 2)
+        ]
+        serial = run_many(points)
+        parallel = run_many(points, workers=2)
+        assert [r.interactive_fps for r in parallel] == [
+            r.interactive_fps for r in serial
+        ]
+        assert [r.hit_rate for r in parallel] == [r.hit_rate for r in serial]
 
     def test_workers_one_is_serial(self):
         result = sweep(
@@ -176,58 +166,3 @@ class TestParallelWorkers:
         samples = parallel.result(1, "OURS").timeline_samples.samples
         assert samples
         assert samples == serial.result(1, "OURS").timeline_samples.samples
-
-
-class TestMetricStats:
-    def test_mean_std(self):
-        stats = metric_stats().of([1.0, 2.0, 3.0])
-        assert stats.mean == 2.0
-        assert stats.std == pytest.approx(1.0)
-
-    def test_single_value(self):
-        stats = metric_stats().of([5.0])
-        assert stats.mean == 5.0
-        assert stats.std == 0.0
-
-    def test_empty(self):
-        assert metric_stats().of([]).mean == 0.0
-
-    def test_str(self):
-        assert "n=2" in str(metric_stats().of([1.0, 2.0]))
-
-
-class TestReplicate:
-    def test_per_seed_runs(self):
-        result = deprecated_replicate(
-            lambda seed: scenario_with_actions(2, seed=seed),
-            "OURS",
-            seeds=[0, 1, 2],
-        )
-        assert result.scheduler == "OURS"
-        assert len(result.results) == 3
-        assert result.fps.mean > 0
-        assert len(result.fps.values) == 3
-
-    def test_seed_sensitivity_visible(self):
-        """Different seeds produce (slightly) different traces."""
-        result = deprecated_replicate(
-            lambda seed: scenario_with_actions(2, seed=seed),
-            "OURS",
-            seeds=[0, 1, 2, 3],
-        )
-        latencies = result.interactive_latency.values
-        assert len(set(latencies)) > 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            deprecated_replicate(lambda s: scenario_with_actions(1, s), "OURS", seeds=[])
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            deprecated_replicate(
-                functools.partial(scenario_with_actions, 1),
-                "OURS",
-                seeds=[0],
-                workers=workers,
-            )
