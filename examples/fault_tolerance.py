@@ -37,20 +37,17 @@ def main() -> None:
         f"t={crashes[1][0]:.1f}s\n"
     )
 
-    healthy = run_simulation(
-        scenario, "OURS", config=RunConfig(timeline_interval=0.25)
-    )
+    healthy = run_simulation(scenario, "OURS", config=RunConfig(metrics=True))
     failed = run_simulation(
         scenario,
         "OURS",
         config=RunConfig(
-            timeline_interval=0.25,
-            faults=FaultPlan.from_node_failures(crashes),
+            metrics=True, faults=FaultPlan.from_node_failures(crashes)
         ),
     )
 
     for label, result in (("healthy", healthy), ("with crashes", failed)):
-        tl = result.timeline_samples
+        snaps = result.metrics.snapshots
         print(f"--- {label} ---")
         print(
             f"fps {result.interactive_fps:6.2f} | mean latency "
@@ -58,12 +55,9 @@ def main() -> None:
             f"{result.jobs_completed}/{result.jobs_submitted} | hit "
             f"{result.hit_rate:.2%}"
         )
-        print(f"  busy nodes       {sparkline(tl.series('busy_nodes'))}")
-        print(f"  backlog (tasks)  {sparkline(tl.series('backlog_tasks'))}")
-        misses = [
-            b.tasks_missed - a.tasks_missed
-            for a, b in zip(tl.samples, tl.samples[1:])
-        ]
+        print(f"  busy nodes       {sparkline([s.busy for s in snaps])}")
+        print(f"  backlog (tasks)  {sparkline([s.backlog for s in snaps])}")
+        misses = [b.misses - a.misses for a, b in zip(snaps, snaps[1:])]
         print(f"  misses / tick    {sparkline(misses)}")
         print()
 

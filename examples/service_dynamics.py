@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Watch the service's dynamics: backlog, utilization, completion rate.
 
-Aggregate numbers hide the story; this example samples the cluster
-every 250 ms of simulated time during a Scenario 2 run (memory
-pressure, mixed interactive+batch) and prints text sparklines of the
-dynamics under OURS versus FCFSL:
+Aggregate numbers hide the story; this example reads the probe
+snapshots the metrics layer keeps (~64 over the horizon) from a
+Scenario 2 run (memory pressure, mixed interactive+batch) and prints
+text sparklines of the dynamics under OURS versus FCFSL:
 
 * OURS: backlog stays bounded, the scheduler's deferred-batch queue
   absorbs pressure, completion rate tracks the request rate;
@@ -24,21 +24,20 @@ from repro.reporting import sparkline
 
 
 def describe(result) -> None:
-    tl = result.timeline_samples
+    snaps = result.metrics.snapshots
+    ticks = list(zip(snaps, snaps[1:]))
     print(f"--- {result.scheduler_name} ---")
     print(
         f"fps {result.interactive_fps:6.2f} | mean latency "
         f"{result.interactive_latency.mean:7.3f} s | hit rate "
-        f"{result.hit_rate:.2%} | {len(tl.samples)} samples"
+        f"{result.hit_rate:.2%} | {len(snaps)} samples"
     )
-    print(f"  node backlog (tasks) {sparkline(tl.series('backlog_tasks'))}")
-    print(f"  busy nodes           {sparkline(tl.series('busy_nodes'))}")
-    print(f"  deferred batch tasks {sparkline(tl.series('scheduler_pending'))}")
-    print(f"  completions / s      {sparkline(tl.completion_rate())}")
-    misses = [
-        b.tasks_missed - a.tasks_missed
-        for a, b in zip(tl.samples, tl.samples[1:])
-    ]
+    print(f"  node backlog (tasks) {sparkline([s.backlog for s in snaps])}")
+    print(f"  busy nodes           {sparkline([s.busy for s in snaps])}")
+    print(f"  deferred batch tasks {sparkline([s.deferred for s in snaps])}")
+    rates = [(b.completed - a.completed) / (b.time - a.time) for a, b in ticks]
+    print(f"  completions / s      {sparkline(rates)}")
+    misses = [b.misses - a.misses for a, b in ticks]
     print(f"  cache misses / tick  {sparkline(misses)}")
     print()
 
@@ -46,16 +45,13 @@ def describe(result) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=0.5)
-    parser.add_argument("--interval", type=float, default=0.25)
     args = parser.parse_args()
 
     scenario = scenario_2(scale=args.scale)
     print(scenario.summary())
     print()
     for name in ("OURS", "FCFSL"):
-        result = run_simulation(
-            scenario, name, config=RunConfig(timeline_interval=args.interval)
-        )
+        result = run_simulation(scenario, name, config=RunConfig(metrics=True))
         describe(result)
 
     print(

@@ -172,7 +172,7 @@ from repro.workload import (
     scenario_4,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 
 def simulate(scenario=1, scheduler="OURS", *, config=None, scale=1.0,

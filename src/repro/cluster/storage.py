@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.util.deprecation import deprecated
 from repro.util.rng import SeedLike, make_rng
 from repro.util.units import MiB
 from repro.util.validation import check_non_negative, check_positive
@@ -117,9 +118,10 @@ class StorageModel:
     def active_bytes(self) -> int:
         """Bytes of I/O currently in flight (observability counter).
 
-        Exact when callers pass the load size back to :meth:`end_load`;
-        legacy zero-argument ``end_load`` calls only decrement the load
-        count, so the byte gauge is best-effort for such callers.
+        Exact when callers pass the load size back to :meth:`end_load`,
+        as every caller in repro does; the deprecated zero-argument
+        ``end_load()`` only decrements the load count, so the byte
+        gauge under-reports for such callers.
         """
         return self._active_bytes
 
@@ -171,16 +173,23 @@ class StorageModel:
             )
         return duration
 
-    def end_load(self, nbytes: int = 0) -> None:
+    def end_load(self, nbytes: Optional[int] = None) -> None:
         """Mark one in-flight load as finished.
 
         Args:
             nbytes: Size of the finished load, used to keep the
-                :attr:`active_bytes` gauge exact.  Callers that don't
-                track sizes may omit it (the gauge then under-reports).
+                :attr:`active_bytes` gauge exact.  Omitting it is
+                deprecated since 1.9 (the gauge then under-reports);
+                1.10 makes it required.
         """
         if self._active_loads <= 0:
             raise RuntimeError("end_load without matching begin_load")
+        if nbytes is None:
+            deprecated(
+                "StorageModel.end_load()",
+                "pass the load's size: end_load(nbytes), as given to begin_load",
+            )
+            nbytes = 0
         self._active_loads -= 1
         self._active_bytes -= min(nbytes, self._active_bytes)
         if self._active_loads == 0:

@@ -26,6 +26,7 @@ from repro.core.scheduler_base import Scheduler
 from repro.frontend.config import FrontendConfig
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import run_many
+from repro.util.deprecation import quietly
 from repro.workload.scenarios import Scenario
 from repro.workload.trace import WorkloadTrace
 from repro.federation.config import FederationConfig
@@ -119,20 +120,23 @@ def build_shards(
             name=f"{scenario.name}-shard{k}" if config.shards > 1 else scenario.name,
             trace=shard_trace,
         )
-        shard_config = config.run.replace(
-            job_namespace=k,
-            frontend=_scoped_frontend(
-                config.run.frontend, config.frontend_scope, config.shards
-            ),
-            # One stream file per shard: worker processes never share a
-            # write handle, and FederatedResult merges the per-shard
-            # anomaly records deterministically afterwards.
-            stream=(
-                config.run.stream.for_shard(k)
-                if config.run.stream is not None and config.shards > 1
-                else config.run.stream
-            ),
-        )
+        # A copy of the caller's config: deprecated values it sets
+        # warned when the caller set them.
+        with quietly():
+            shard_config = config.run.replace(
+                job_namespace=k,
+                frontend=_scoped_frontend(
+                    config.run.frontend, config.frontend_scope, config.shards
+                ),
+                # One stream file per shard: worker processes never share
+                # a write handle, and FederatedResult merges the
+                # per-shard anomaly records deterministically afterwards.
+                stream=(
+                    config.run.stream.for_shard(k)
+                    if config.run.stream is not None and config.shards > 1
+                    else config.run.stream
+                ),
+            )
         pairs.append((shard_scenario, shard_config))
     return plan, routing, pairs
 

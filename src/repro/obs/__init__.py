@@ -1,6 +1,6 @@
 """repro.obs — structured tracing, metrics, SLOs & decision audit.
 
-The subsystem has eleven pieces:
+The subsystem has thirteen pieces:
 
 * :mod:`repro.obs.tracer` — a lightweight virtual-time tracer (nested
   spans, instant events, counter samples) plus a zero-cost
@@ -33,7 +33,13 @@ The subsystem has eleven pieces:
   (the ``--stream`` flag and the ``repro watch`` verb);
 * :mod:`repro.obs.anomaly` — online anomaly detection over the
   streamed snapshots (EWMA z-scores, CUSUM rate-of-change) with a
-  closed alarm vocabulary, scored against injected fault ground truth.
+  closed alarm vocabulary, scored against injected fault ground truth;
+* :mod:`repro.obs.timeline` — one drawable timeline model joining a
+  traced run's recorders: node lanes, cache residency, counter series,
+  audit, critical-path and fault markers;
+* :mod:`repro.obs.report` — the self-contained HTML run report (and
+  its federated variant) with the timeline drawn as inline SVG, behind
+  ``repro report``.
 
 Typical use::
 
@@ -52,6 +58,8 @@ Typical use::
     report = SLOMonitor([SLObjective("fps", 33.3)]).evaluate(result)[0]
     print(f"violation time: {report.total_violation_time:.2f}s")
 """
+
+import sys
 
 from repro.obs.anomaly import (
     ANOMALY_KINDS,
@@ -130,7 +138,6 @@ from repro.obs.stream import (
     StreamConfig,
     StreamReport,
     TelemetryStream,
-    default_stream_interval,
     follow_stream,
     iter_jsonl,
     read_stream,
@@ -238,7 +245,6 @@ __all__ = [
     "StreamReport",
     "TelemetryStream",
     "StallWatchdog",
-    "default_stream_interval",
     "follow_stream",
     "iter_jsonl",
     "read_stream",
@@ -257,3 +263,15 @@ __all__ = [
     "render_federation_html",
     "write_report",
 ]
+
+
+def __getattr__(name: str):
+    # ``default_stream_interval`` is deprecated: reading it goes through
+    # ``repro.obs.stream``, which warns.  ``from repro.obs import X``
+    # probes a package with ``hasattr`` before it reads ``X``; only the
+    # read warns.
+    if name == "default_stream_interval":
+        if sys._getframe(1).f_globals.get("__name__") == "importlib._bootstrap":
+            return default_window_interval
+        return getattr(sys.modules["repro.obs.stream"], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

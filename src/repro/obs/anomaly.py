@@ -28,6 +28,11 @@ Two detector families, matched to the failure shapes:
   accumulates drift beyond a slack ``k`` and alarms when the sum
   crosses ``h``.  Catches slow ramps a z-score never sees.
 
+The thresholds are the module constants below.  :class:`AnomalyConfig`,
+which overrode them, and the ``config`` argument of
+:class:`OnlineAnomalyDetector` and :func:`detect_from_snapshots` are
+deprecated since 1.9 and removed in 1.10.
+
 Detectors consume only virtual-time snapshot fields (never ``wall_s``
 or events/s), so the anomaly records for a given run are bit-identical
 across machines — which is what lets
@@ -40,9 +45,10 @@ across machines — which is what lets
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.util.deprecation import deprecated, quietly
 from repro.util.validation import check_positive
 
 #: The closed anomaly vocabulary, in canonical (merge) order.
@@ -77,10 +83,29 @@ FAULT_SIGNATURES: Dict[str, Tuple[str, ...]] = {
 }
 
 
+# The detector thresholds.  They are deliberately conservative: a
+# fault-free run must stay silent (a benchmark gate).
+
+#: Snapshots observed before any detector may alarm (the EWMA
+#: baselines are meaningless until then).
+WARMUP = 6
+#: EWMA smoothing factor for the mean/variance baselines.
+EWMA_ALPHA = 0.25
+#: |z| a sample must exceed against its pre-update baseline to alarm.
+Z_THRESHOLD = 4.0
+#: CUSUM slack per window, as a fraction of the tracked level.
+CUSUM_K = 0.15
+#: Accumulated CUSUM drift, as a fraction of the tracked level, that
+#: alarms.
+CUSUM_H = 1.0
+#: Snapshots a kind stays suppressed after alarming.
+COOLDOWN = 8
+
+
 @dataclass(frozen=True)
 class AnomalyConfig:
-    """Detector thresholds (the defaults are deliberately conservative:
-    a fault-free run must stay silent — that is a benchmark gate).
+    """Detector thresholds.  *Deprecated since 1.9, removed in 1.10*:
+    constructing one warns; the detectors use the module constants.
 
     Attributes:
         warmup: Snapshots observed before any detector may alarm (the
@@ -97,12 +122,12 @@ class AnomalyConfig:
             than one per window.
     """
 
-    warmup: int = 6
-    ewma_alpha: float = 0.25
-    z_threshold: float = 4.0
-    cusum_k: float = 0.15
-    cusum_h: float = 1.0
-    cooldown: int = 8
+    warmup: int = WARMUP
+    ewma_alpha: float = EWMA_ALPHA
+    z_threshold: float = Z_THRESHOLD
+    cusum_k: float = CUSUM_K
+    cusum_h: float = CUSUM_H
+    cooldown: int = COOLDOWN
 
     def __post_init__(self) -> None:
         if self.warmup < 1:
@@ -117,6 +142,11 @@ class AnomalyConfig:
         check_positive("cusum_h", self.cusum_h)
         if self.cooldown < 0:
             raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
+        deprecated(
+            "AnomalyConfig",
+            "drop it: the detectors use the thresholds in repro.obs.anomaly "
+            "(WARMUP, EWMA_ALPHA, Z_THRESHOLD, CUSUM_K, CUSUM_H, COOLDOWN)",
+        )
 
 
 @dataclass(frozen=True)
@@ -262,26 +292,30 @@ class OnlineAnomalyDetector:
     Feed each ``snapshot`` record (dict form, as written by the stream)
     to :meth:`observe`; it returns the :class:`AnomalyRecord` alarms
     that window raised (usually none).  Only virtual-time fields are
-    read, so the output is deterministic for a given run.
+    read, so the output is deterministic for a given run.  ``config``
+    is deprecated: passing one warns, and its thresholds replace the
+    module constants.
     """
 
     def __init__(
         self, config: Optional[AnomalyConfig] = None, *, target_framerate: float = 0.0
     ) -> None:
-        self.config = config if config is not None else AnomalyConfig()
+        thresholds = (WARMUP, EWMA_ALPHA, Z_THRESHOLD, CUSUM_K, CUSUM_H, COOLDOWN)
+        if config is not None:
+            deprecated(
+                "OnlineAnomalyDetector(config=...)",
+                "drop it: the detectors use the module constants",
+            )
+            thresholds = astuple(config)  # the same fields, in that order
+        self.warmup, alpha, self.z_threshold, cusum_k, cusum_h, self.cooldown = (
+            thresholds
+        )
         self.target_framerate = target_framerate
-        cfg = self.config
-        self._latency = EwmaDetector(cfg.ewma_alpha, rel_floor=0.25)
-        self._hit_rate = EwmaDetector(
-            cfg.ewma_alpha, rel_floor=0.0, abs_floor=0.08
-        )
-        self._throughput = EwmaDetector(cfg.ewma_alpha, rel_floor=0.35)
-        self._queue = CusumDetector(
-            cfg.cusum_k, cfg.cusum_h, cfg.ewma_alpha, min_level=4.0
-        )
-        self._burn = CusumDetector(
-            cfg.cusum_k, cfg.cusum_h, cfg.ewma_alpha, min_level=1.0
-        )
+        self._latency = EwmaDetector(alpha, rel_floor=0.25)
+        self._hit_rate = EwmaDetector(alpha, rel_floor=0.0, abs_floor=0.08)
+        self._throughput = EwmaDetector(alpha, rel_floor=0.35)
+        self._queue = CusumDetector(cusum_k, cusum_h, alpha, min_level=4.0)
+        self._burn = CusumDetector(cusum_k, cusum_h, alpha, min_level=1.0)
         self._snapshots = 0
         self._cooldowns: Dict[str, int] = {}
 
@@ -289,7 +323,7 @@ class OnlineAnomalyDetector:
 
     def _armed(self, kind: str) -> bool:
         return (
-            self._snapshots > self.config.warmup
+            self._snapshots > self.warmup
             and self._cooldowns.get(kind, 0) <= 0
         )
 
@@ -314,14 +348,14 @@ class OnlineAnomalyDetector:
                 baseline=baseline,
             )
         )
-        self._cooldowns[kind] = self.config.cooldown
+        self._cooldowns[kind] = self.cooldown
 
     # -- the detector bank -------------------------------------------------
 
     def observe(self, snapshot: Mapping[str, Any]) -> List[AnomalyRecord]:
         """Feed one snapshot window; return the alarms it raised."""
         out: List[AnomalyRecord] = []
-        cfg = self.config
+        z_threshold = self.z_threshold
         self._snapshots += 1
         for kind in list(self._cooldowns):
             self._cooldowns[kind] -= 1
@@ -334,7 +368,7 @@ class OnlineAnomalyDetector:
         if completed > 0:
             baseline = self._latency.mean
             z = self._latency.update(snapshot["latency_p95"])
-            if z > cfg.z_threshold and self._armed("latency-spike"):
+            if z > z_threshold and self._armed("latency-spike"):
                 self._emit(
                     out, "latency-spike", snapshot, "ewma", z,
                     snapshot["latency_p95"], baseline,
@@ -345,7 +379,7 @@ class OnlineAnomalyDetector:
         if snapshot["cache_hits"] + snapshot["cache_misses"] > 0:
             baseline = self._hit_rate.mean
             z = self._hit_rate.update(snapshot["hit_rate"])
-            if z < -cfg.z_threshold and self._armed("hit-rate-collapse"):
+            if z < -z_threshold and self._armed("hit-rate-collapse"):
                 self._emit(
                     out, "hit-rate-collapse", snapshot, "ewma", -z,
                     snapshot["hit_rate"], baseline,
@@ -364,7 +398,7 @@ class OnlineAnomalyDetector:
             baseline = self._throughput.mean
             z = self._throughput.update(float(completed))
             if (
-                z < -cfg.z_threshold
+                z < -z_threshold
                 and outstanding > 0
                 and self._armed("throughput-stall")
             ):
@@ -408,9 +442,15 @@ def detect_from_snapshots(
 
     The offline twin of the online path: feeding the same snapshots
     yields byte-identical records, which the grid-equality tests lean
-    on.
+    on.  ``config`` is deprecated, as on :class:`OnlineAnomalyDetector`.
     """
-    detector = OnlineAnomalyDetector(config, target_framerate=target_framerate)
+    if config is not None:
+        deprecated(
+            "detect_from_snapshots(config=...)",
+            "drop it: the detectors use the module constants",
+        )
+    with quietly():
+        detector = OnlineAnomalyDetector(config, target_framerate=target_framerate)
     out: List[AnomalyRecord] = []
     for snapshot in snapshots:
         out.extend(detector.observe(snapshot))
@@ -526,6 +566,12 @@ def score_anomalies(
 __all__ = [
     "ANOMALY_KINDS",
     "FAULT_SIGNATURES",
+    "WARMUP",
+    "EWMA_ALPHA",
+    "Z_THRESHOLD",
+    "CUSUM_K",
+    "CUSUM_H",
+    "COOLDOWN",
     "AnomalyConfig",
     "AnomalyRecord",
     "EwmaDetector",

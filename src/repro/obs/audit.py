@@ -65,6 +65,8 @@ from typing import (
     Union,
 )
 
+from repro.util.deprecation import deprecated
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.job import RenderTask
     from repro.core.tables import SchedulerTables
@@ -108,6 +110,11 @@ REASON_CODES: Tuple[str, ...] = (
 class AuditConfig:
     """How the decision audit log behaves for one run.
 
+    Every record carries its candidate-node snapshot, capped at 8
+    candidates.  ``candidates`` and ``max_candidates`` are deprecated
+    since 1.9 and removed in 1.10: a value other than the default
+    warns, and still takes effect.
+
     Attributes:
         capacity: Ring-buffer size in decision records.  Old records are
             dropped (and counted) once the buffer fills; ``None`` keeps
@@ -116,13 +123,14 @@ class AuditConfig:
         jsonl_path: When set, every record is also appended to this file
             as one JSON object per line *as it is recorded* — the
             flight-recorder export, unaffected by ring eviction.
-        candidates: Record the per-decision candidate-node snapshots
-            (chosen node, min-available node, cached replicas with
-            their table state).  Disable for the leanest possible
-            audit-on hot path.
-        max_candidates: Upper bound on snapshot size per decision
-            (cached replica sets are usually 0-2 nodes; this caps
-            pathological fan-out).
+        candidates: *Deprecated.*  Record the per-decision
+            candidate-node snapshots (chosen node, min-available node,
+            cached replicas with their table state).
+        max_candidates: *Deprecated.*  Where a snapshot stops adding
+            cached replicas (replica sets are usually 0-2 nodes; this
+            caps pathological fan-out).  The chosen and the
+            min-available node are always kept, so a snapshot can hold
+            two candidates under a cap of 1.
     """
 
     capacity: Optional[int] = 4096
@@ -136,6 +144,16 @@ class AuditConfig:
         if self.max_candidates < 1:
             raise ValueError(
                 f"max_candidates must be >= 1, got {self.max_candidates}"
+            )
+        if not self.candidates:
+            deprecated(
+                "AuditConfig.candidates",
+                "drop it: every record carries its candidate snapshot",
+            )
+        if self.max_candidates != 8:
+            deprecated(
+                "AuditConfig.max_candidates",
+                "drop it: snapshots keep at most 8 candidates",
             )
 
 

@@ -468,13 +468,20 @@ class RunMetrics:
 
     Attached to :class:`~repro.sim.simulator.SimulationResult` as
     ``.metrics`` when the run was started with ``metrics=True`` (or an
-    explicit registry).
+    explicit registry).  ``snapshots`` is the metrics grid's probe
+    series, one :class:`~repro.obs.probe.Snapshot` per tick (the first
+    tick has no window); ``windows`` is read off it.  It replaces the
+    deprecated ``RunConfig(timeline_interval=...)`` samples: a
+    snapshot's ``time``, ``backlog``, ``busy``, ``completed``,
+    ``hits``, ``misses`` and ``deferred`` are a
+    ``TimelineSample``'s fields, in order.
     """
 
     registry: MetricsRegistry
     windows: List[MetricWindow] = field(default_factory=list)
     scenario: str = ""
     scheduler: str = ""
+    snapshots: List[Snapshot] = field(default_factory=list)
 
     def window_series(self, name: str) -> List[float]:
         """Extract one :class:`MetricWindow` field across the run."""

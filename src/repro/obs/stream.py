@@ -7,7 +7,7 @@ NDJSON records *during* the run, so an operator (or ``repro watch``) can
 see progress, stalls, and emerging anomalies while a fleet-scale
 simulation is still executing:
 
-* :class:`StreamConfig` — where to stream and at what cadence;
+* :class:`StreamConfig` — where to stream, and the stall watchdog;
 * :class:`TelemetryStream` — a :class:`~repro.obs.probe.Probe` sink
   writing one ``snapshot`` record per tick from the probe's window
   deltas — the same snapshot the run's metric windows are read from,
@@ -52,6 +52,7 @@ hashes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import threading
@@ -62,37 +63,51 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.obs.metrics import default_window_interval
 from repro.obs.probe import MetricWindow, Sink, Snapshot
+from repro.util.deprecation import deprecated, quietly
 from repro.util.validation import check_positive
 
 #: NDJSON schema version stamped in every stream's ``run`` header.
 STREAM_SCHEMA = 1
 
 
-#: The default snapshot interval is the metrics window interval itself,
-#: so a default-cadence stream and metrics sampler share one probe grid.
-default_stream_interval = default_window_interval
+def __getattr__(name: str):
+    if name == "default_stream_interval":
+        deprecated(
+            "repro.obs.stream.default_stream_interval",
+            "use repro.obs.metrics.default_window_interval, which it aliases",
+        )
+        return default_window_interval
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
 class StreamConfig:
     """How one run streams live telemetry.
 
+    A stream samples the metrics windows' grid (~64 snapshots over the
+    horizon), checkpoints the wall clock every second and runs the
+    online anomaly detectors with their default thresholds.
+    ``interval``, ``wall_interval``, ``anomalies`` and
+    ``anomaly_config`` are deprecated since 1.9 and removed in 1.10: a
+    value other than the default warns, and still takes effect.
+
     Attributes:
         path: NDJSON output file (created/truncated at run start; parent
             directories are created).
-        interval: Snapshot grid interval in simulated seconds; ``None``
-            derives ~64 snapshots from the horizon (the metrics-sampler
-            default, so the two grids coincide).
-        wall_interval: Wall-clock seconds between ``wall`` checkpoint
-            records (progress/ETA for a human tailing the file).
-            Checkpoints piggyback on grid ticks — they never add events.
+        interval: *Deprecated.*  Snapshot grid interval in simulated
+            seconds; ``None`` derives ~64 snapshots from the horizon
+            (the metrics-sampler default, so the two grids coincide).
+        wall_interval: *Deprecated.*  Wall-clock seconds between
+            ``wall`` checkpoint records (progress/ETA for a human
+            tailing the file).  Checkpoints piggyback on grid ticks —
+            they never add events.
         stall_timeout: Wall-clock seconds without a single event
             draining before the watchdog dumps a ``stall`` diagnostic
             record; ``None`` disables the watchdog thread entirely.
-        anomalies: Run the online anomaly detectors
+        anomalies: *Deprecated.*  Run the online anomaly detectors
             (:mod:`repro.obs.anomaly`) over the snapshot series and
             emit ``anomaly`` records.
-        anomaly_config: Optional
+        anomaly_config: *Deprecated.*  Optional
             :class:`~repro.obs.anomaly.AnomalyConfig` overriding the
             detector thresholds.
     """
@@ -110,6 +125,28 @@ class StreamConfig:
         check_positive("wall_interval", self.wall_interval)
         if self.stall_timeout is not None:
             check_positive("stall_timeout", self.stall_timeout)
+        if self.interval is not None:
+            deprecated(
+                "StreamConfig.interval",
+                "drop it: the stream samples the metrics windows' "
+                "horizon/64 grid",
+            )
+        if self.wall_interval != 1.0:
+            deprecated(
+                "StreamConfig.wall_interval",
+                "drop it: wall checkpoints come once per wall second",
+            )
+        if not self.anomalies:
+            deprecated(
+                "StreamConfig.anomalies",
+                "drop it: the detectors always run; skip the anomaly "
+                "records when reading the stream",
+            )
+        if self.anomaly_config is not None:
+            deprecated(
+                "StreamConfig.anomaly_config",
+                "drop it: the detectors use their default thresholds",
+            )
 
     def for_shard(self, shard: int) -> "StreamConfig":
         """A copy streaming to a shard-suffixed sibling file.
@@ -120,14 +157,10 @@ class StreamConfig:
         """
         path = Path(self.path)
         suffix = path.suffix or ".ndjson"
-        return StreamConfig(
-            path=path.with_name(f"{path.stem}.shard{shard}{suffix}"),
-            interval=self.interval,
-            wall_interval=self.wall_interval,
-            stall_timeout=self.stall_timeout,
-            anomalies=self.anomalies,
-            anomaly_config=self.anomaly_config,
-        )
+        with quietly():
+            return dataclasses.replace(
+                self, path=path.with_name(f"{path.stem}.shard{shard}{suffix}")
+            )
 
 
 def iter_jsonl(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
@@ -373,12 +406,18 @@ class TelemetryStream(Sink):
     separated from wall-clock fields by construction: the anomaly
     detectors consume only the former, so anomaly records are
     bit-reproducible across machines.
+
+    ``interval`` is the grid the stream samples; ``None`` takes the
+    config's (deprecated) interval, else ~64 snapshots over the horizon.
+    The simulator passes the grid it computed, so the config it was
+    given is used as it is.
     """
 
     def __init__(
         self,
         config: StreamConfig,
         *,
+        interval: Optional[float] = None,
         scenario: str = "",
         scheduler: str = "",
         horizon: Optional[float] = None,
@@ -389,9 +428,8 @@ class TelemetryStream(Sink):
         self.path = Path(config.path)
         self.horizon = horizon
         self.target_framerate = target_framerate
-        interval = config.interval
         if interval is None:
-            interval = default_stream_interval(
+            interval = config.interval or default_window_interval(
                 horizon if horizon is not None else 60.0
             )
         self.interval = interval
@@ -410,13 +448,12 @@ class TelemetryStream(Sink):
         )
         self.detector = None
         if config.anomalies:
-            from repro.obs.anomaly import AnomalyConfig, OnlineAnomalyDetector
+            from repro.obs.anomaly import OnlineAnomalyDetector
 
-            cfg = config.anomaly_config
-            self.detector = OnlineAnomalyDetector(
-                cfg if cfg is not None else AnomalyConfig(),
-                target_framerate=target_framerate,
-            )
+            with quietly():
+                self.detector = OnlineAnomalyDetector(
+                    config.anomaly_config, target_framerate=target_framerate
+                )
         self.watchdog: Optional[StallWatchdog] = None
         self.snapshots = 0
         self.anomalies: List = []
@@ -592,7 +629,6 @@ __all__ = [
     "StreamReport",
     "TelemetryStream",
     "StallWatchdog",
-    "default_stream_interval",
     "follow_stream",
     "iter_jsonl",
     "read_stream",

@@ -1,5 +1,7 @@
 """Measurement collection, analysis, and report rendering."""
 
+import sys
+
 from repro.reporting.analysis import (
     LatencyStats,
     SchedulerSummary,
@@ -14,7 +16,7 @@ from repro.reporting.collectors import (
     SchedulingCostStats,
     SimulationCollector,
 )
-from repro.reporting.timeline import TimelineSample, TimelineSampler, sparkline
+from repro.reporting.timeline import sparkline
 from repro.reporting.report import (
     comparison_table,
     hit_rate_table,
@@ -33,11 +35,22 @@ __all__ = [
     "JobRecord",
     "SchedulingCostStats",
     "SimulationCollector",
-    "TimelineSample",
-    "TimelineSampler",
     "sparkline",
     "comparison_table",
     "hit_rate_table",
     "pipeline_breakdown",
     "sweep_table",
 ]
+
+
+def __getattr__(name: str):
+    # ``TimelineSample`` and ``TimelineSampler`` are deprecated: reading
+    # either goes through ``repro.reporting.timeline``, which warns.
+    # ``from repro.reporting import X`` probes a package with
+    # ``hasattr`` before it reads ``X``; only the read warns.
+    if name in ("TimelineSample", "TimelineSampler"):
+        timeline = sys.modules["repro.reporting.timeline"]
+        if sys._getframe(1).f_globals.get("__name__") == "importlib._bootstrap":
+            return getattr(timeline, "_" + name)
+        return getattr(timeline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,11 +2,15 @@
 
 The evaluation's aggregate numbers (mean framerate, mean latency) hide
 the *dynamics* — warm-up transients, batch-induced stalls, backlog
-growth under overload.  A :class:`TimelineSampler` is a view over one
-grid's series of the sampling :class:`~repro.obs.probe.Probe`
-(:meth:`~repro.obs.probe.Probe.series`): one row per tick of node
-backlog, busy nodes, jobs completed and cache hit counts.  The text
-sparkline renderer makes the series readable in a terminal report.
+growth under overload.  :func:`sparkline` makes a series readable in a
+terminal report; ``result.metrics.snapshots`` (from
+``RunConfig(metrics=True)``) holds one probe snapshot per tick of node
+backlog, busy nodes, jobs completed and cache hit counts.
+
+``TimelineSampler`` and ``TimelineSample``, the row view that
+``RunConfig(timeline_interval=...)`` builds over one grid's series of
+the sampling :class:`~repro.obs.probe.Probe`, are deprecated since 1.9
+and removed in 1.10: reading either name warns.
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.obs.probe import Snapshot
+from repro.util.deprecation import deprecated
 
 _SPARK_CHARS = " .:-=+*#%@"
 
 
 @dataclass(frozen=True)
-class TimelineSample:
+class _TimelineSample:
     """One snapshot of cluster/service state."""
 
     time: float
@@ -37,18 +42,18 @@ class TimelineSample:
         return self.tasks_hit + self.tasks_missed
 
 
-class TimelineSampler:
+class _TimelineSampler:
     """Per-tick rows of a run's cluster dynamics.
 
     Built from a :class:`~repro.obs.probe.Probe` grid's series, one
-    :class:`TimelineSample` per :class:`~repro.obs.probe.Snapshot`.  The
+    ``TimelineSample`` per :class:`~repro.obs.probe.Snapshot`.  The
     probe stops at the horizon or at quiescence, so sampling never
     keeps a finished simulation alive.
     """
 
     def __init__(self, series: Sequence[Snapshot]) -> None:
-        self.samples: List[TimelineSample] = [
-            TimelineSample(
+        self.samples: List[_TimelineSample] = [
+            _TimelineSample(
                 time=snap.time,
                 backlog_tasks=snap.backlog,
                 busy_nodes=snap.busy,
@@ -102,4 +107,20 @@ def sparkline(values: Sequence[float], *, width: int = 60) -> str:
     return f"[{''.join(chars)}] min={vmin:g} max={vmax:g}"
 
 
-__all__ = ["TimelineSample", "TimelineSampler", "sparkline"]
+def __getattr__(name: str):
+    if name == "TimelineSampler":
+        deprecated(
+            "TimelineSampler",
+            "use RunConfig(metrics=True) and result.metrics.snapshots",
+        )
+        return _TimelineSampler
+    if name == "TimelineSample":
+        deprecated(
+            "TimelineSample",
+            "use the probe snapshots in result.metrics.snapshots",
+        )
+        return _TimelineSample
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = ["sparkline"]

@@ -32,7 +32,7 @@ import gc
 import hashlib
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import (
     TYPE_CHECKING,
@@ -67,7 +67,7 @@ from repro.reporting.analysis import (
     summarize,
 )
 from repro.reporting.collectors import JobRecords, SimulationCollector
-from repro.reporting.timeline import TimelineSampler
+from repro.reporting.timeline import _TimelineSampler
 from repro.obs.audit import AuditConfig, AuditLog
 from repro.obs.causal import CausalCollector, CriticalPathAnalysis
 from repro.obs.counters import CounterSampler, default_counter_interval
@@ -134,7 +134,7 @@ class SimulationResult:
     tasks_executed: int = 0
     tasks_hit: int = 0
     tasks_missed: int = 0
-    timeline_samples: Optional["TimelineSampler"] = None
+    timeline_samples: Optional["_TimelineSampler"] = None
     profile: Optional["ClusterProfile"] = None
     tracer: Optional["Tracer"] = None
     metrics: Optional["RunMetrics"] = None
@@ -396,6 +396,7 @@ def _metrics(run: _Run):
         windows=[s.window for s in series if s.window is not None],
         scenario=run.scenario.name,
         scheduler=run.scheduler.name,
+        snapshots=series,
     )
 
 
@@ -459,7 +460,7 @@ def _timeline(run: _Run):
     yield
     series = run.probe.series(run.config.timeline_interval)
     yield
-    run.fields["timeline_samples"] = TimelineSampler(series)
+    run.fields["timeline_samples"] = _TimelineSampler(series)
 
 
 def _faults(run: _Run):
@@ -483,9 +484,9 @@ def _stream(run: _Run):
     # Lazy import like the fault subsystem's.
     from repro.obs.stream import TelemetryStream
 
-    interval = config.interval or default_window_interval(run.horizon)
     stream = TelemetryStream(
-        replace(config, interval=interval),
+        config,
+        interval=config.interval or default_window_interval(run.horizon),
         scenario=run.scenario.name,
         scheduler=run.scheduler.name,
         horizon=run.stop_at,

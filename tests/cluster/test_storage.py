@@ -53,9 +53,11 @@ class TestLoadLifecycle:
         model.begin_load(MiB)
         model.begin_load(MiB)
         assert model.active_loads == 2
-        model.end_load()
+        with pytest.warns(DeprecationWarning, match=r"end_load\(\)"):
+            model.end_load()
         assert model.active_loads == 1
-        model.end_load()
+        with pytest.warns(DeprecationWarning, match=r"end_load\(\)"):
+            model.end_load()
         assert model.active_loads == 0
 
     def test_end_without_begin_raises(self):

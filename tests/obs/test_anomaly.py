@@ -219,7 +219,10 @@ class TestDetectorBank:
             assert "burn-acceleration" not in [a.kind for a in alarms]
 
     def test_warmup_suppresses_early_alarms(self):
-        detector = OnlineAnomalyDetector(AnomalyConfig(warmup=6))
+        with pytest.warns(DeprecationWarning, match="AnomalyConfig"):
+            config = AnomalyConfig(warmup=6)
+        with pytest.warns(DeprecationWarning, match="OnlineAnomalyDetector"):
+            detector = OnlineAnomalyDetector(config)
         for k in range(5):
             detector.observe(_snapshot(float(k + 1)))
         assert detector.observe(_snapshot(6.0, latency_p95=5.0)) == []

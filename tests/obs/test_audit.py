@@ -43,6 +43,12 @@ def stage(harness, available=(0.0, 1.0, 9.0, 9.0), cached=(), *, tasks=1,
     return out
 
 
+def lean(**options):
+    """A log config on the deprecated ``candidates=False`` capture branch."""
+    with pytest.warns(DeprecationWarning, match="AuditConfig.candidates"):
+        return AuditConfig(candidates=False, **options)
+
+
 class TestAuditConfig:
     def test_defaults(self):
         cfg = AuditConfig()
@@ -67,7 +73,7 @@ class TestReasonDerivation:
 
     def record(self, harness, node, cached=(), reason=None):
         (task,) = stage(harness, (5.0, 0.0, 9.0, 9.0), cached)
-        log = AuditLog(AuditConfig(candidates=False))
+        log = AuditLog(lean())
         log.begin_invocation(0.0, 1)
         log.record_assignment(task, node, harness.tables, 1.0, reason)
         (rec,) = log.records
@@ -100,7 +106,7 @@ class TestReasonDerivation:
 
 class TestRingBuffer:
     def test_eviction_keeps_newest_and_counts_drops(self, harness):
-        log = AuditLog(AuditConfig(capacity=4, candidates=False))
+        log = AuditLog(lean(capacity=4))
         for i, task in enumerate(stage(harness, tasks=10)):
             log.record_assignment(task, 0, harness.tables, float(i), None)
         assert len(log) == 4
@@ -109,14 +115,14 @@ class TestRingBuffer:
         assert [r.task_index for r in log] == [6, 7, 8, 9]
 
     def test_reason_totals_survive_eviction(self, harness):
-        log = AuditLog(AuditConfig(capacity=2, candidates=False))
+        log = AuditLog(lean(capacity=2))
         for task in stage(harness, tasks=5):
             log.record_assignment(task, 0, harness.tables, 0.0, None)
         assert log.reason_counts() == {REASON_ONLY_AVAILABLE: 5}
         assert sum(log.reason_counts().values()) == log.total_recorded
 
     def test_decisions_for_filters_one_job(self, harness):
-        log = AuditLog(AuditConfig(candidates=False))
+        log = AuditLog(lean())
         for user in (7, 8):
             (task,) = stage(harness, user=user, action=1, sequence=0)
             log.record_assignment(task, 0, harness.tables, 0.0, None)
@@ -124,7 +130,7 @@ class TestRingBuffer:
         assert log.decisions_for(9, 9, 9) == []
 
     def test_summary_mentions_counts(self, harness):
-        log = AuditLog(AuditConfig(candidates=False))
+        log = AuditLog(lean())
         (task,) = stage(harness)
         log.record_assignment(task, 0, harness.tables, 0.0, None)
         assert "1 decisions" in log.summary()
@@ -133,7 +139,7 @@ class TestRingBuffer:
 class TestFlightRecorder:
     def test_jsonl_stream_sees_evicted_records(self, harness, tmp_path):
         path = tmp_path / "audit.jsonl"
-        log = AuditLog(AuditConfig(capacity=2, jsonl_path=path, candidates=False))
+        log = AuditLog(lean(capacity=2, jsonl_path=path))
         for i, task in enumerate(stage(harness, tasks=5)):
             log.record_assignment(task, 0, harness.tables, float(i), None)
         log.close()
@@ -158,7 +164,7 @@ class TestFlightRecorder:
         assert nodes[1]["cached"] is True
 
     def test_write_jsonl_dumps_ring_only(self, harness, tmp_path):
-        log = AuditLog(AuditConfig(capacity=2, candidates=False))
+        log = AuditLog(lean(capacity=2))
         for task in stage(harness, tasks=5):
             log.record_assignment(task, 0, harness.tables, 0.0, None)
         path = log.write_jsonl(tmp_path / "ring.jsonl")
@@ -299,7 +305,7 @@ class TestSimulationWiring:
         ],
     )
     def test_reason_vocabulary_per_scheduler(self, scheduler, allowed):
-        result = self.run(scheduler, audit=AuditConfig(candidates=False))
+        result = self.run(scheduler, audit=lean())
         counts = result.audit.reason_counts()
         assert counts, scheduler
         assert set(counts) <= allowed, counts

@@ -1,5 +1,7 @@
 """CounterSampler: built-in pressure counters on a live simulation."""
 
+import pytest
+
 from repro.obs.counters import (
     STANDARD_TRACKS,
     TRACK_BUSY_NODES,
@@ -47,7 +49,8 @@ class TestCounterSampler:
                 assert e.args["busy"] <= 8
 
     def test_sampling_respects_interval(self):
-        tracer, result = traced_run(counter_interval=0.5)
+        with pytest.warns(DeprecationWarning, match="counter_interval"):
+            tracer, result = traced_run(counter_interval=0.5)
         queue_samples = [
             e for e in tracer.events if e.phase == "C" and e.name == TRACK_QUEUE
         ]

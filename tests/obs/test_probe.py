@@ -33,14 +33,8 @@ from repro.obs.metrics import (
     default_window_interval,
 )
 from repro.obs.probe import Probe, Sink
-from repro.obs.stream import (
-    StreamConfig,
-    TelemetryStream,
-    default_stream_interval,
-    read_stream,
-)
+from repro.obs.stream import StreamConfig, TelemetryStream, read_stream
 from repro.obs.tracer import Tracer
-from repro.reporting.timeline import TimelineSampler
 from repro.sim.run_config import RunConfig
 from repro.sim.service import VisualizationService
 from repro.sim.simulator import run_simulation
@@ -75,18 +69,34 @@ SCENARIOS = {
 }
 
 
+def _timeline_rows(snapshots):
+    """A ``TimelineSample``'s fields, in order, from probe snapshots."""
+    return [
+        (s.time, s.backlog, s.busy, s.completed, s.hits, s.misses, s.deferred)
+        for s in snapshots
+    ]
+
+
 def _outputs(scenario, observers, tmp_path, **extra):
-    """Each observer's output, keyed by observer name."""
+    """Each observer's output, keyed by observer name.
+
+    ``timeline`` is the deprecated ``RunConfig(timeline_interval=...)``
+    sampler, on the metrics grid.
+    """
     path = tmp_path / ("-".join(observers) + ".ndjson")
-    config = RunConfig(
+    options = dict(
         metrics="metrics" in observers,
         tracer=Tracer() if "counters" in observers else None,
         stream=StreamConfig(path) if "stream" in observers else None,
-        timeline_interval=(
-            scenario.trace.duration / 64 if "timeline" in observers else None
-        ),
         **extra,
     )
+    if "timeline" in observers:
+        with pytest.warns(DeprecationWarning, match="timeline_interval"):
+            config = RunConfig(
+                timeline_interval=scenario.trace.duration / 64, **options
+            )
+    else:
+        config = RunConfig(**options)
     result = run_simulation(scenario, "OURS", config=config)
     out = {}
     if "metrics" in observers:
@@ -169,8 +179,13 @@ def _digest(rows):
 
 
 def _all_observers(scenario, tmp_path, **extra):
+    """Every observer's digest; the timeline is read through its
+    replacement, the metrics grid's ``result.metrics.snapshots``."""
     config = dict(audit=True, **extra)
-    _, outputs = _outputs(scenario, OBSERVERS, tmp_path, **config)
+    result, outputs = _outputs(
+        scenario, ("metrics", "counters", "stream"), tmp_path, **config
+    )
+    outputs["timeline"] = _timeline_rows(result.metrics.snapshots)
     return {k: (len(v), _digest(v)) for k, v in outputs.items()}
 
 
@@ -179,8 +194,9 @@ def _storm_scenario():
 
 
 #: Recorded with the four self-scheduling samplers, all observers on.
-#: The timeline here samples every ``duration / 64`` (the metrics and
-#: stream grid), so three sinks share one grid and counters run alone.
+#: The timeline here sampled every ``duration / 64`` (the metrics and
+#: stream grid), so three sinks shared one grid and counters ran alone;
+#: its rows are now read off ``result.metrics.snapshots``.
 PARITY = {
     "s1-ours-0.25": {
         "metrics": (
@@ -248,6 +264,8 @@ def test_observer_outputs_match_recorded_digests(case, tmp_path):
 
 
 def test_stream_and_metrics_share_one_default_interval():
+    with pytest.warns(DeprecationWarning, match="default_stream_interval"):
+        from repro.obs.stream import default_stream_interval
     assert default_stream_interval is default_window_interval
 
 
@@ -336,9 +354,11 @@ class TestProbe:
         timeline = Probe(service, horizon=1.0)
         samples = timeline.series(0.25)
         stream_probe = Probe(service, horizon=1.0)
-        stream = TelemetryStream(
-            StreamConfig(tmp_path / "s.ndjson", interval=0.25), horizon=1.0
-        ).attach(service, stream_probe)
+        with pytest.warns(DeprecationWarning, match="StreamConfig.interval"):
+            stream_config = StreamConfig(tmp_path / "s.ndjson", interval=0.25)
+        stream = TelemetryStream(stream_config, horizon=1.0).attach(
+            service, stream_probe
+        )
         for probe in (metrics, timeline, stream_probe):
             probe.start()
         events = service.cluster.events
@@ -350,6 +370,8 @@ class TestProbe:
         assert registry.value("repro_queue_depth") == 3.0
         queue = [e.ts for e in tracer.events if e.name == TRACK_QUEUE]
         assert queue == [0.0, 0.25, 0.5, 0.75, 1.0]
+        with pytest.warns(DeprecationWarning, match="TimelineSampler"):
+            from repro.reporting.timeline import TimelineSampler
         assert [s.time for s in TimelineSampler(samples).samples] == [
             0.0, 0.25, 0.5, 0.75, 1.0
         ]
@@ -394,9 +416,11 @@ def test_hand_driven_run_reports_exact_event_counts(tmp_path):
     sink = _CountSink(horizon / 16, events)
     Probe(service, horizon=horizon).add(sink).start()
     stream_probe = Probe(service, horizon=horizon)
-    stream = TelemetryStream(
-        StreamConfig(tmp_path / "s.ndjson", interval=horizon / 16), horizon=horizon
-    ).attach(service, stream_probe)
+    with pytest.warns(DeprecationWarning, match="StreamConfig.interval"):
+        stream_config = StreamConfig(tmp_path / "s.ndjson", interval=horizon / 16)
+    stream = TelemetryStream(stream_config, horizon=horizon).attach(
+        service, stream_probe
+    )
     stream_probe.start()
     service.start()
     try:

@@ -14,7 +14,6 @@ import pytest
 from repro.cluster.event_queue import EventQueue
 from repro.obs.counters import TRACK_QUEUE, CounterSampler
 from repro.obs.probe import Probe
-from repro.reporting.timeline import TimelineSampler
 
 
 class FakeStorage:
@@ -101,6 +100,13 @@ class TestProbeSeries:
             Probe(FakeService()).series(0.0)
 
 
+def timeline_samples(series):
+    """The rows of the deprecated ``TimelineSampler`` view of ``series``."""
+    with pytest.warns(DeprecationWarning, match="TimelineSampler"):
+        from repro.reporting.timeline import TimelineSampler
+    return TimelineSampler(series).samples
+
+
 class TestTimelineSamplerGrid:
     """The probe's series, read through the timeline view of it."""
 
@@ -108,7 +114,7 @@ class TestTimelineSamplerGrid:
         service = FakeService()
         series = _series(service, INTERVAL)
         service.cluster.events.run(max_events=TICKS + 1)
-        samples = TimelineSampler(series).samples
+        samples = timeline_samples(series)
         assert len(series) == len(samples) == TICKS + 1
         for k, (snap, sample) in enumerate(zip(series, samples)):
             assert snap.time == sample.time == k * INTERVAL
@@ -121,7 +127,7 @@ class TestTimelineSamplerGrid:
         series = _series(service, 0.1)
         service.cluster.events.run(max_events=TICKS + 1)
         assert len(series) == TICKS + 1
-        for k, sample in enumerate(TimelineSampler(series).samples):
+        for k, sample in enumerate(timeline_samples(series)):
             assert sample.time == k * 0.1
 
     def test_grid_is_anchored_at_attach_time(self):
@@ -133,7 +139,7 @@ class TestTimelineSamplerGrid:
         series = _series(service, INTERVAL)
         events.run(max_events=100)
         assert len(series) == 100
-        for k, sample in enumerate(TimelineSampler(series).samples):
+        for k, sample in enumerate(timeline_samples(series)):
             assert sample.time == 1.0 + k * INTERVAL
 
 

@@ -28,7 +28,6 @@ from repro.obs.stream import (
     StreamConfig,
     TelemetryStream,
     _StreamWriter,
-    default_stream_interval,
     follow_stream,
     iter_jsonl,
     read_stream,
@@ -68,7 +67,8 @@ class TestStreamConfig:
             StreamConfig(path=tmp_path / "s.ndjson", stall_timeout=0.0)
 
     def test_for_shard_inserts_suffix(self, tmp_path):
-        config = StreamConfig(path=tmp_path / "tele.ndjson", interval=0.5)
+        with pytest.warns(DeprecationWarning, match="StreamConfig.interval"):
+            config = StreamConfig(path=tmp_path / "tele.ndjson", interval=0.5)
         shard = config.for_shard(3)
         assert shard.path.name == "tele.shard3.ndjson"
         assert shard.interval == 0.5
@@ -79,6 +79,9 @@ class TestStreamConfig:
 
     def test_default_interval_matches_metrics_grid(self):
         from repro.obs.metrics import default_window_interval
+
+        with pytest.warns(DeprecationWarning, match="default_stream_interval"):
+            from repro.obs.stream import default_stream_interval
 
         for horizon in (0.5, 6.0, 600.0):
             assert default_stream_interval(horizon) == pytest.approx(
@@ -203,9 +206,9 @@ class TestBurn:
 
     def _burns(self, tmp_path, windows, target=30.0):
         path = tmp_path / "s.ndjson"
-        stream = TelemetryStream(
-            StreamConfig(path, anomalies=False), target_framerate=target
-        )
+        with pytest.warns(DeprecationWarning, match="StreamConfig.anomalies"):
+            config = StreamConfig(path, anomalies=False)
+        stream = TelemetryStream(config, target_framerate=target)
         for frames in windows:
             stream._tick(_snapshot(1.0, 1.5, frames))
         stream.close()

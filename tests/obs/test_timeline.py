@@ -170,8 +170,8 @@ class TestEdgeCases:
 
 class TestFieldRename:
     def test_timeline_samples_field_still_carries_sampler(self):
-        result = run_simulation(
-            tiny_scenario(), "OURS", config=RunConfig(timeline_interval=0.5)
-        )
+        with pytest.warns(DeprecationWarning, match="timeline_interval"):
+            config = RunConfig(timeline_interval=0.5)
+        result = run_simulation(tiny_scenario(), "OURS", config=config)
         assert result.timeline_samples is not None
         assert result.timeline_samples.samples

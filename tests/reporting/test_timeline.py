@@ -40,11 +40,9 @@ class TestSamplerValidation:
 class TestSamplerEndToEnd:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_simulation(
-            scenario_1(scale=0.1),
-            "OURS",
-            config=RunConfig(timeline_interval=0.25),
-        )
+        with pytest.warns(DeprecationWarning, match="timeline_interval"):
+            config = RunConfig(timeline_interval=0.25)
+        return run_simulation(scenario_1(scale=0.1), "OURS", config=config)
 
     def test_sample_count_matches_duration(self, result):
         # 6 s horizon / 0.25 s ≈ 24 samples (+/- the final tick).
@@ -69,11 +67,9 @@ class TestSamplerEndToEnd:
         assert all(r >= 0 for r in rates)
 
     def test_sampler_does_not_prolong_simulation(self):
-        with_tl = run_simulation(
-            scenario_1(scale=0.05),
-            "OURS",
-            config=RunConfig(drain=True, timeline_interval=0.2),
-        )
+        with pytest.warns(DeprecationWarning, match="timeline_interval"):
+            config = RunConfig(drain=True, timeline_interval=0.2)
+        with_tl = run_simulation(scenario_1(scale=0.05), "OURS", config=config)
         without = run_simulation(
             scenario_1(scale=0.05), "OURS", config=RunConfig(drain=True)
         )

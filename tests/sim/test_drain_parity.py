@@ -38,6 +38,11 @@ def _ours(**extra):
     )
 
 
+def _sampled_fcfsu():
+    with pytest.warns(DeprecationWarning, match="timeline_interval"):
+        return _fcfsu(timeline_interval=0.5)
+
+
 def _storm():
     scenario, scheduler, config = _ours()
     storm = FaultPlan.storm(
@@ -60,7 +65,7 @@ CASES = {
     # Same run with a timeline sampler: one tick is still queued when
     # the drain stops, so a missed stop would process it.
     "fcfsu-sampled": (
-        lambda: _fcfsu(timeline_interval=0.5),
+        _sampled_fcfsu,
         "0x1.a4b0dc74888e2p+1",
         26267,
         True,
@@ -116,10 +121,10 @@ class _DroppingScheduler(Scheduler):
 
 def test_drain_stops_when_a_cycle_leaves_nothing_in_flight():
     """The last work leaves through a dispatch, not a completion."""
+    with pytest.warns(DeprecationWarning, match="timeline_interval"):
+        config = RunConfig(drain=True, timeline_interval=0.1)
     result = run_simulation(
-        make_scenario(2, scale=0.05),
-        _DroppingScheduler(),
-        RunConfig(drain=True, timeline_interval=0.1),
+        make_scenario(2, scale=0.05), _DroppingScheduler(), config
     )
     assert result.jobs_completed == 0
     assert result.simulated_time.hex() == "0x1.89a3888763bf5p+2"

@@ -10,7 +10,7 @@ import pytest
 
 from repro.frontend import FrontendConfig
 from repro.sim.run_config import RunConfig
-from repro.sim.simulator import run_many, run_simulation
+from repro.sim.simulator import compare_schedulers, run_many, run_simulation
 from repro.sim.sweep import sweep
 from repro.workload.scenarios import make_scenario
 
@@ -55,14 +55,28 @@ class TestRunConfig:
             RunConfig().replace(**{field: value})
 
     def test_boundary_values_accepted(self):
-        config = RunConfig(
-            drain=True,
-            max_drain_time=0.0,
-            timeline_interval=1e-3,
-            counter_interval=0.5,
-            metrics_interval=2.0,
-        )
+        with pytest.warns(DeprecationWarning) as record:
+            config = RunConfig(
+                drain=True,
+                max_drain_time=0.0,
+                timeline_interval=1e-3,
+                counter_interval=0.5,
+                metrics_interval=2.0,
+            )
+        assert len(record) == 3
         assert config.max_drain_time == 0.0
+
+    def test_max_drain_time_needs_drain(self):
+        # The bound applies only to a drain; without one it did nothing.
+        with pytest.raises(ValueError, match="needs drain=True"):
+            RunConfig(max_drain_time=5.0)
+        with pytest.raises(ValueError, match="needs drain=True"):
+            RunConfig(drain=True, max_drain_time=5.0).replace(drain=False)
+        with pytest.raises(ValueError, match="needs drain=True"):
+            compare_schedulers(
+                make_scenario(2, scale=0.02), ["OURS"], max_drain_time=5.0
+            )
+        assert RunConfig(drain=True, max_drain_time=5.0).max_drain_time == 5.0
 
 
 class TestDeprecatedSpelling:

@@ -35,6 +35,10 @@ def tiny_scenario(actions: int, seed: int = 0) -> Scenario:
 def mixed_points():
     """Scenarios, builders, scheduler names/instances/factories and
     distinct configs in one list."""
+    with pytest.warns(DeprecationWarning, match="timeline_interval"):
+        sampled = RunConfig(
+            record_assignments=True, timeline_interval=0.1, metrics=True
+        )
     return [
         (tiny_scenario(1), "OURS", RunConfig(record_assignments=True)),
         (
@@ -50,7 +54,7 @@ def mixed_points():
         (
             tiny_scenario(1, seed=2),
             FCFSScheduler(),
-            RunConfig(record_assignments=True, timeline_interval=0.1, metrics=True),
+            sampled,
         ),
     ]
 

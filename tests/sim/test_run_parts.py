@@ -48,10 +48,12 @@ def _observed(observers, tmp_path):
     fields = {}
     for name in observers:
         fields.update(OBSERVERS[name](tmp_path))
-    config = RunConfig(
-        drain=True, frontend=FrontendConfig.protective(), faults=storm, **fields
-    )
-    return scenario, config
+    options = dict(drain=True, frontend=FrontendConfig.protective(), faults=storm)
+    if "timeline_interval" in fields:
+        # The deprecated timeline part, removed in 1.10.
+        with pytest.warns(DeprecationWarning, match="timeline_interval"):
+            return scenario, RunConfig(**options, **fields)
+    return scenario, RunConfig(**options, **fields)
 
 
 def _observed_run(observers, tmp_path):

@@ -151,7 +151,8 @@ class TestParallelWorkers:
     def test_parallel_results_keep_timeline_samples(self):
         # The sampler holds no service reference, so a timeline-enabled
         # result crosses the process boundary as it is.
-        config = RunConfig(timeline_interval=0.1)
+        with pytest.warns(DeprecationWarning, match="timeline_interval"):
+            config = RunConfig(timeline_interval=0.1)
         serial = sweep(
             "#actions", [1], scenario_with_actions, ["OURS"], config=config
         )

@@ -10,8 +10,17 @@ EXAMPLES = Path(__file__).parent.parent / "examples"
 
 
 def run_example(name: str, *args: str, timeout: float = 300.0) -> str:
+    # An example runs as ``__main__`` in its own process, out of reach of
+    # pyproject's warning filters: the flag makes a deprecated surface
+    # it reaches fail the test.
     result = subprocess.run(
-        [sys.executable, str(EXAMPLES / name), *args],
+        [
+            sys.executable,
+            "-W",
+            "error::DeprecationWarning",
+            str(EXAMPLES / name),
+            *args,
+        ],
         capture_output=True,
         text=True,
         timeout=timeout,
