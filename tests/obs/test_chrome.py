@@ -1,10 +1,19 @@
 """Chrome trace-event export: JSON schema and per-lane monotonicity."""
 
+import dataclasses
+import hashlib
 import json
+import pickle
 from collections import defaultdict
 
+import pytest
+
+from repro.faults.plan import FaultPlan
 from repro.obs.chrome import chrome_trace_events, to_chrome_trace, write_chrome_trace
 from repro.obs.tracer import Tracer
+from repro.sim.run_config import RunConfig
+from repro.sim.simulator import run_simulation
+from repro.workload.scenarios import scenario_1, scenario_2
 
 VALID_PHASES = {"X", "B", "E", "i", "C", "M", "s", "t", "f"}
 
@@ -168,3 +177,87 @@ class TestWrite:
         assert isinstance(doc["traceEvents"], list)
         phases = {r["ph"] for r in doc["traceEvents"]}
         assert {"X", "B", "E", "i", "C", "M"} <= phases
+
+
+# ---------------------------------------------------------------------------
+# The Chrome-trace contract of whole simulated runs
+# ---------------------------------------------------------------------------
+
+
+def _trace_digest(tracer) -> str:
+    """sha256 of a tracer's Chrome rows; ``sched`` span ``dur`` is masked.
+
+    A scheduler span's duration is the measured wall-clock cost of the
+    invocation, so it is the one field that differs from run to run.
+    """
+    rows = chrome_trace_events(tracer)
+    for row in rows:
+        if row.get("cat") == "sched":
+            del row["dur"]
+    blob = json.dumps(rows, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _flows_run():
+    """Scenario 2 OURS with the audit on, so flow events are recorded."""
+    config = RunConfig(tracer=Tracer(), audit=True)
+    return run_simulation(scenario_2(scale=0.05), "OURS", config=config)
+
+
+def _slots_and_faults_run():
+    """Two pipelines per node (lanes ``"io 0"``, ``"render 1"``, ...), the
+    VRAM model, and a healed fault storm: misses, cache inserts and
+    evicts, GPU uploads and fault instants all reach the trace."""
+    scenario = scenario_1(scale=0.05)
+    scenario = dataclasses.replace(
+        scenario,
+        system=scenario.system.with_overrides(gpus_per_node=2, model_vram=True),
+    )
+    faults = FaultPlan.storm(
+        3, node_count=scenario.system.node_count, duration=scenario.trace.duration
+    )
+    config = RunConfig(tracer=Tracer(), faults=faults)
+    return run_simulation(scenario, "OURS", config=config)
+
+
+#: Digests recorded before the tracer stored its events as rows; any
+#: change to what a run traces, or to how it exports, moves them.
+TRACE_DIGESTS = {
+    "s2-ours-flows": (
+        15439,
+        "00ecb207e41aa01431a9be0edb5ec6b687033af0ed4dee6eea874e98fbd5de59",
+    ),
+    "s1-ours-slots-faults": (
+        4023,
+        "cfa714fbe4542a483aa32c2ad7a69ca2c2c056d4d0bae75bf6e27ab3ced5eb9b",
+    ),
+}
+
+RUNS = {"s2-ours-flows": _flows_run, "s1-ours-slots-faults": _slots_and_faults_run}
+
+
+def _event_fields(tracer):
+    return [
+        (e.phase, e.name, e.category, e.ts, e.dur, e.pid, e.tid, e.args, e.flow_id)
+        for e in tracer.events
+    ]
+
+
+class TestRecordedRuns:
+    @pytest.mark.parametrize("case", sorted(RUNS))
+    def test_chrome_rows_match_recorded_digest(self, case):
+        tracer = RUNS[case]().tracer
+        assert (len(tracer), _trace_digest(tracer)) == TRACE_DIGESTS[case]
+
+    def test_slots_and_faults_run_reaches_every_lane_kind(self):
+        tracer = _slots_and_faults_run().tracer
+        lanes = {tracer.lane_name(e.pid, e.tid) for e in tracer.events}
+        assert {"io 0", "io 1", "render 0", "render 1", "gpu", "faults"} <= lanes
+        kinds = {e.name.split()[0] for e in tracer.events if e.category == "cache"}
+        assert kinds == {"hit", "miss", "insert", "evict"}
+
+    def test_pickled_result_keeps_its_trace(self):
+        result = _flows_run()
+        back = pickle.loads(pickle.dumps(result))
+        assert _event_fields(back.tracer) == _event_fields(result.tracer)
+        assert _trace_digest(back.tracer) == _trace_digest(result.tracer)
