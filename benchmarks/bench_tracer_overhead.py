@@ -15,6 +15,7 @@ the regression gate pins the decision stream itself, not just its cost.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from typing import Dict
 
@@ -27,6 +28,7 @@ from benchmarks._shared import (
     interleaved_rounds,
     paired_ratio,
 )
+from repro.obs import tracer as tracer_module
 from repro.obs.audit import AuditConfig
 from repro.obs.tracer import NullTracer, Tracer
 from repro.sim.run_config import RunConfig
@@ -83,6 +85,29 @@ def _measure_once(
     return sample
 
 
+def _tracer_calls_per_event() -> float:
+    """Python calls into ``obs/tracer.py`` per recorded trace event.
+
+    One traced run under ``sys.setprofile``: a count, so unlike the
+    wall-clock ratios it repeats exactly.
+    """
+    namespace = vars(tracer_module)
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals is namespace:
+            calls += 1
+
+    tracer = Tracer()
+    sys.setprofile(profiler)
+    try:
+        run_simulation(scenario_1(scale=SCALE), "OURS", config=RunConfig(tracer=tracer))
+    finally:
+        sys.setprofile(None)
+    return calls / len(tracer)
+
+
 #: The configurations under comparison, in measurement order.
 _CONFIGS = {
     "untraced": dict(tracer_factory=None),
@@ -109,6 +134,7 @@ def test_tracer_overhead(benchmark):
     full_ratio = paired_ratio(rounds, "full_tracer", "untraced")
     metrics_ratio = paired_ratio(rounds, "metrics_registry", "null_tracer")
     audit_ratio = paired_ratio(rounds, "audit", "null_tracer")
+    calls_per_event = _tracer_calls_per_event()
 
     payload = {
         "bench": "tracer_overhead",
@@ -121,6 +147,7 @@ def test_tracer_overhead(benchmark):
         "full_tracer_relative_rate": full_ratio,
         "metrics_registry_relative_rate": metrics_ratio,
         "audit_relative_rate": audit_ratio,
+        "tracer_calls_per_event": calls_per_event,
     }
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     out = RESULTS_DIR / "BENCH_tracer.json"
@@ -141,16 +168,19 @@ def test_tracer_overhead(benchmark):
     lines.append(f"full tracer relative rate: {full_ratio:.3f}")
     lines.append(f"metrics registry relative rate (vs null): {metrics_ratio:.3f}")
     lines.append(f"audit relative rate (vs null): {audit_ratio:.3f}")
+    lines.append(f"tracer calls per trace event: {calls_per_event:.3f}")
     lines.append(
         f"audit decisions: {rates['audit']['audit_decisions']:,.0f}"
     )
-    lines.append(f"machine-readable: {out}")
+    lines.append(f"machine-readable: {out.relative_to(RESULTS_DIR.parent.parent)}")
     emit_report("tracer_overhead", "\n".join(lines))
 
     # Disabled tracing must be ~free (generous bound: timing noise on
     # shared CI machines), and full tracing must not cripple the run.
     assert null_ratio > 0.80
     assert full_ratio > 0.25
+    # The full tracer's cost, counted: one traced occurrence is one row.
+    assert calls_per_event <= 1.5
     assert rates["full_tracer"]["trace_events"] > 0
     assert rates["null_tracer"]["trace_events"] == 0
     # The metrics registry (counters/histograms + window sampler) must

@@ -72,7 +72,7 @@ def _metadata_events(tracer: Tracer) -> List[Dict[str, Any]]:
                 "args": {"sort_index": pid},
             }
         )
-    for (pid, tid), lane in sorted(tracer._lane_names.items()):
+    for pid, tid, lane in sorted(tracer.lanes()):
         out.append(
             {
                 "ph": "M",
