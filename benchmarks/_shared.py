@@ -14,6 +14,7 @@ full duration.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import statistics
@@ -113,13 +114,16 @@ def interleaved_rounds(
     A round runs the configs round-robin :data:`REPEATS` times and pools
     each config's runs into one sample (:func:`pooled`), so a sample
     outlasts short bursts of load while the runs it is paired with stay
-    adjacent in time.
+    adjacent in time.  A full collection precedes each run, outside the
+    timed section: one configuration's garbage (a tracer's rows, say)
+    is not swept during the next configuration's run.
     """
     out: List[Dict[str, dict]] = []
     for _ in range(rounds):
         runs: Dict[str, List[dict]] = {name: [] for name in configs}
         for _ in range(REPEATS):
             for name, kwargs in configs.items():
+                gc.collect()
                 runs[name].append(measure(**kwargs))
         out.append({name: pooled(samples) for name, samples in runs.items()})
     return out

@@ -12,12 +12,17 @@ machine it runs on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from repro.cluster.costs import CostParameters
 from repro.cluster.event_queue import EventQueue
 from repro.cluster.gpu import GpuSpec
-from repro.cluster.node import RenderNode, TaskFinishCallback
+from repro.cluster.node import (
+    RenderNode,
+    Row,
+    RowFinishCallback,
+    TaskFinishCallback,
+)
 from repro.cluster.storage import StorageModel, StorageSpec
 from repro.util.rng import spawn_rngs
 from repro.util.validation import check_positive
@@ -67,7 +72,7 @@ class Cluster:
             seed=storage_seed,
         )
         self.gpu = gpu
-        self._task_finish_listeners: List[TaskFinishCallback] = []
+        self._task_finish_listeners: List[RowFinishCallback] = []
         node_rngs = spawn_rngs(storage_seed + 1, node_count)
         self.nodes: List[RenderNode] = [
             RenderNode(
@@ -88,22 +93,27 @@ class Cluster:
     # -- wiring ------------------------------------------------------------
 
     def add_task_finish_listener(
-        self, callback: TaskFinishCallback, *, prepend: bool = False
+        self,
+        callback: Union[TaskFinishCallback, RowFinishCallback],
+        *,
+        prepend: bool = False,
+        rows: bool = False,
     ) -> None:
         """Register a callback fired on every task completion.
 
-        With exactly one listener (the common case: the service), nodes
-        call it directly; the fan-out wrapper is wired in only once a
-        second listener appears.  ``prepend`` puts the callback ahead of
-        the existing listeners — the fault outlier detector uses this to
+        ``callback(node, task)`` receives a
+        :class:`~repro.core.job.RenderTask` handle, built for the call;
+        with ``rows=True`` it receives the task's ``(job, index)`` row
+        instead and builds nothing (the service and the fault monitor
+        listen this way, reading the job's task store directly).  With
+        exactly one listener (the common case: the service), nodes call
+        it directly; the fan-out wrapper is wired in only once a second
+        listener appears.  ``prepend`` puts the callback ahead of the
+        existing listeners — the fault outlier detector uses this to
         read pending-estimate state before the service consumes it.
-
-        Any listener may read ``task.job`` of the task it is given: the
-        service releases a completed job's back-references (sets
-        ``task.job = None``) only when the next job completes.  A
-        listener that keeps tasks for later must capture their jobs
-        itself.
         """
+        if not rows:
+            callback = _with_handle(callback)
         listeners = self._task_finish_listeners
         if prepend:
             listeners.insert(0, callback)
@@ -113,9 +123,9 @@ class Cluster:
         for node in self.nodes:
             node._on_task_finish = target
 
-    def _notify_task_finish(self, node: RenderNode, task: RenderTask) -> None:
+    def _notify_task_finish(self, node: RenderNode, row: Row) -> None:
         for callback in self._task_finish_listeners:
-            callback(node, task)
+            callback(node, row)
 
     # -- convenience -------------------------------------------------------
 
@@ -129,7 +139,7 @@ class Cluster:
         """Current simulation time."""
         return self.events.now
 
-    def dispatch(self, task: RenderTask, node_id: int) -> None:
+    def dispatch(self, task: "RenderTask", node_id: int) -> None:
         """Hand a task to rendering node ``node_id``'s FIFO queue."""
         self.nodes[node_id].enqueue(task)
 
@@ -159,6 +169,16 @@ class Cluster:
     def idle_nodes(self) -> List[int]:
         """Ids of nodes with an idle render thread and empty queue."""
         return [n.node_id for n in self.nodes if not n.busy and not n.queue]
+
+
+def _with_handle(callback: TaskFinishCallback) -> RowFinishCallback:
+    """Adapt a ``(node, task)`` listener to the nodes' ``(node, row)`` call."""
+
+    def on_row(node: RenderNode, row: Row) -> None:
+        job, index = row
+        callback(node, job.task(index))
+
+    return on_row
 
 
 __all__ = ["Cluster"]

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple, Union
 
 from repro.cluster.costs import CostParameters
 from repro.cluster.event_queue import PRIORITY_COMPLETION, EventQueue
@@ -36,9 +37,35 @@ from repro.cluster.memory import LRUChunkCache
 from repro.cluster.storage import StorageModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (keeps cluster<-core one-way)
-    from repro.core.job import RenderTask
+    from repro.core.job import RenderJob, RenderTask
 
+#: A task's row: its job and its index within the job.
+Row = Tuple["RenderJob", int]
+#: A public task-finish listener: ``callback(node, task)``.
 TaskFinishCallback = Callable[["RenderNode", "RenderTask"], None]
+#: A row-level task-finish callback: ``callback(node, row)``.
+RowFinishCallback = Callable[["RenderNode", Row], None]
+
+#: The per-task fields of a job's task store, in slot order.  Task
+#: ``j``'s field ``f`` lives at ``job.task_state[j * TASK_WIDTH + f]``
+#: (:class:`~repro.core.job.RenderJob` owns the store; the layout is
+#: defined here, in the layer that writes most of it, because the
+#: cluster layer does not import ``repro.core``):
+#:
+#: * ``S_NODE`` — rendering node the task was assigned to,
+#: * ``S_EST`` — the head node's predicted execution time, set by
+#:   ``SchedulerTables.record_assignment`` and meaningful from placement
+#:   until the completion correction or a cancellation clears it (a
+#:   crash leaves it stale: re-placement overwrites it),
+#: * ``S_START`` — ``TS(i,j,k)``, when the node began executing it,
+#: * ``S_FINISH`` — ``TF(i,j,k) = TS + TExec``,
+#: * ``S_IO`` — the ``t_io`` component actually paid (0 on cache hit),
+#: * ``S_HIT`` — whether the chunk was already in the node's memory.
+#:
+#: Six slots, 48 bytes a task: the placement time only audited runs
+#: record lives beside the store (``RenderJob.assign_times``).
+S_NODE, S_EST, S_START, S_FINISH, S_IO, S_HIT = range(6)
+TASK_WIDTH = 6
 
 _INF = float("inf")
 _heappush = heapq.heappush
@@ -51,7 +78,9 @@ class RenderNode:
         node_id: Index of this node, ``0 <= node_id < p``.
         cache: The node's main-memory LRU chunk cache (its "memory
             quota", Table II).
-        queue: Tasks assigned by the head node, processed FIFO.
+        queue: Tasks assigned by the head node, processed FIFO, as
+            rows: a flat deque ``job, index, job, index, ...`` (two
+            slots per queued task; :meth:`queued_tasks` gives handles).
         executors: Concurrent rendering pipelines (GPUs) on the node.
             The paper's systems have 1 (GTX 285) or 2 (dual FX5600)
             GPUs per node; the calibrated presets model one pipeline
@@ -106,7 +135,7 @@ class RenderNode:
         *,
         gpu: Optional[GpuSpec] = None,
         model_vram: bool = False,
-        on_task_finish: Optional[TaskFinishCallback] = None,
+        on_task_finish: Optional[RowFinishCallback] = None,
         rng: Optional["object"] = None,
         executors: int = 1,
     ) -> None:
@@ -115,7 +144,7 @@ class RenderNode:
         self.executors = executors
         self.node_id = node_id
         self.cache = LRUChunkCache(memory_quota)
-        self.queue: Deque[RenderTask] = deque()
+        self.queue: Deque[Union["RenderJob", int]] = deque()
         self._cost = cost
         # The shared render price list: execution reads it once per task.
         self._render_times = cost.render_times
@@ -137,8 +166,10 @@ class RenderNode:
         # stream exactly as the same number of scalar draws would).
         self._jitter_buf: list = []
         self._jitter_pos = 0
-        self._running: list = []
-        # Tasks with an active storage stream (keeps end_load balanced
+        # Rows of the executing tasks; each completion event carries its
+        # row object.
+        self._running: List[Row] = []
+        # Rows with an active storage stream (keeps end_load balanced
         # across completions, crashes, and timed-out attempts).
         self._loading: set = set()
         self._alive = True
@@ -186,17 +217,28 @@ class RenderNode:
     @property
     def current_task(self) -> Optional["RenderTask"]:
         """The earliest-started task currently executing, if any."""
-        return self._running[0] if self._running else None
+        if not self._running:
+            return None
+        job, index = self._running[0]
+        return job.task(index)
 
     @property
-    def running_tasks(self) -> list:
-        """All tasks currently executing (<= ``executors``)."""
-        return list(self._running)
+    def running_tasks(self) -> List["RenderTask"]:
+        """All tasks currently executing (<= ``executors``), as handles."""
+        return [job.task(index) for job, index in self._running]
+
+    def queued_tasks(self) -> List["RenderTask"]:
+        """The queued (unstarted) tasks in FIFO order, as handles."""
+        return [job.task(index) for job, index in self._queued_rows()]
+
+    def _queued_rows(self) -> List[Row]:
+        queue = self.queue
+        return list(zip(islice(queue, 0, None, 2), islice(queue, 1, None, 2)))
 
     @property
     def backlog(self) -> int:
         """Queued tasks not yet started (excludes the running one)."""
-        return len(self.queue)
+        return len(self.queue) >> 1
 
     @property
     def vram(self) -> Optional[GpuMemoryModel]:
@@ -318,43 +360,59 @@ class RenderNode:
 
     # -- execution ---------------------------------------------------------
 
-    def enqueue(self, task: RenderTask) -> None:
-        """Accept a task from the head node; start it if idle."""
+    def enqueue(self, task: "RenderTask") -> None:
+        """Accept a task from the head node; start it if idle.
+
+        ``task`` is a :class:`~repro.core.job.RenderTask` handle or its
+        ``(job, index)`` row: the queue keeps the row, and the task's
+        state stays in the job's store.
+        """
         if not self._alive:
             raise RuntimeError(f"node {self.node_id} has failed")
-        if task.node is not None and task.node != self.node_id:
+        job = task[0]
+        index = task[1]
+        state = job.task_state
+        slot = index * TASK_WIDTH + S_NODE
+        node = state[slot]
+        if node is not None and node != self.node_id:
             raise ValueError(
-                f"task {task!r} already assigned to node {task.node}, "
+                f"task {job.task(index)!r} already assigned to node {node}, "
                 f"cannot enqueue on node {self.node_id}"
             )
-        task.node = self.node_id
+        state[slot] = self.node_id
         queue = self.queue
-        queue.append(task)
+        queue.append(job)
+        queue.append(index)
         running = self._running
         executors = self.executors
         while queue and len(running) < executors:
             self._begin_next()
 
     def _begin_next(self) -> None:
-        """Pop the next task; load its chunk (or hit) and execute."""
-        task = self.queue.popleft()
-        self._running.append(task)
-        task.start_time = self._events._now
+        """Pop the next row; load its chunk (or hit) and execute."""
+        queue = self.queue
+        job = queue.popleft()
+        index = queue.popleft()
+        row = (job, index)
+        self._running.append(row)
+        state = job.task_state
+        base = index * TASK_WIDTH
+        state[base + S_START] = self._events._now
 
         # Inlined self.cache.touch — this is the per-task hit test.
-        chunk = task.chunk
+        chunk = job.chunks[index]
         entries = self.cache._entries
         if chunk in entries:
             entries.move_to_end(chunk)
-            task.cache_hit = True
+            state[base + S_HIT] = True
             self.cache_hits += 1
-            self._commit_execution(task, 0.0)
+            self._commit_execution(row, 0.0)
         else:
-            task.cache_hit = False
+            state[base + S_HIT] = False
             self.cache_misses += 1
-            self._attempt_load(task, 0, 0.0)
+            self._attempt_load(row, 0, 0.0)
 
-    def _attempt_load(self, task: "RenderTask", attempt: int, waited: float) -> None:
+    def _attempt_load(self, row: Row, attempt: int, waited: float) -> None:
         """Open a storage stream for a missing chunk; retry on timeout.
 
         With ``StorageSpec.timeout`` unset every load is accepted on the
@@ -365,12 +423,12 @@ class RenderNode:
         starve.  Retries re-quote the duration, so a load stalled by a
         transient I/O storm completes quickly once contention passes.
         """
-        if not self._alive or task not in self._running:
+        if not self._alive or row not in self._running:
             # Crash or re-dispatch (§VI-D) voided this load while the
             # retry was backing off.
             return
         now = self._events._now
-        chunk = task.chunk
+        chunk = row[0].chunks[row[1]]
         io_time = self._storage.begin_load(chunk.size)
         if self.io_factor != 1.0:
             io_time *= self.io_factor
@@ -386,21 +444,21 @@ class RenderNode:
             self._events.schedule(
                 now + delay,
                 self._attempt_load,
-                task,
+                row,
                 attempt + 1,
                 waited + delay,
                 priority=PRIORITY_COMPLETION,
             )
             return
-        self._loading.add(task)
+        self._loading.add(row)
         evicted = self.cache.insert(chunk)
         if self._vram is not None:
             for victim in evicted:
                 self._vram.invalidate(victim)
-        self._commit_execution(task, io_time, waited)
+        self._commit_execution(row, io_time, waited)
 
     def _commit_execution(
-        self, task: "RenderTask", io_time: float, waited: float = 0.0
+        self, row: Row, io_time: float, waited: float = 0.0
     ) -> None:
         """Charge the task's costs and push its completion event.
 
@@ -414,9 +472,10 @@ class RenderNode:
         would build, behind the same finite/not-in-the-past guard.
         """
         now = self._events._now
-        chunk = task.chunk
+        job, index = row
+        chunk = job.chunks[index]
         upload_time = self._vram.access(chunk) if self._vram is not None else 0.0
-        render_time = self._render_times[chunk.size, task.job.composite_group_size]
+        render_time = self._render_times[chunk.size, job.composite_group_size]
         jitter = self._cost.render_jitter
         if jitter and self._rng is not None:
             # Actual frame cost varies with the view; the head node's
@@ -436,24 +495,31 @@ class RenderNode:
             render_time *= self.render_factor
 
         task_io = waited + io_time
-        task.io_time = task_io
-        self.io_seconds += task_io
+        if task_io:
+            # A hit keeps the store's shared 0.0.
+            job.task_state[index * TASK_WIDTH + S_IO] = task_io
+            self.io_seconds += task_io
         exec_time = io_time + upload_time + render_time
         if self._tracer is not None:
             self._trace_execution(
-                task, now, task.cache_hit, io_time, upload_time, render_time
+                row,
+                now,
+                job.task_state[index * TASK_WIDTH + S_HIT],
+                io_time,
+                upload_time,
+                render_time,
             )
         finish = now + exec_time
         if not (now <= finish < _INF):
             raise self._events._bad_time(finish)
         _heappush(
             self._heap,
-            (finish, PRIORITY_COMPLETION, next(self._seq), self._finish, (task,)),
+            (finish, PRIORITY_COMPLETION, next(self._seq), self._finish, (row,)),
         )
 
     def _trace_execution(
         self,
-        task: "RenderTask",
+        row: Row,
         now: float,
         hit: bool,
         io_time: float,
@@ -472,60 +538,70 @@ class RenderNode:
             lanes = self._slot_lanes[0]
         else:
             slot = self._free_slots.pop() if self._free_slots else len(self._slot_of)
-            self._slot_of[task] = slot
+            self._slot_of[row] = slot
             if slot == len(self._slot_lanes):
                 self._slot_lanes.append(self._lane_refs(f" {slot}"))
             lanes = self._slot_lanes[slot]
+        job, index = row
         self._tracer.record_task(
             lanes,
             now,
             hit,
-            task.chunk,
-            task.job.job_id,
-            task.index,
+            job.chunks[index],
+            job.job_id,
+            index,
             io_time,
             upload_time,
             render_time,
             self._flows,
         )
 
-    def _finish(self, task: RenderTask) -> None:
+    def _finish(self, row: Row) -> None:
         """Completion event: record times, notify, start the next task."""
-        if not self._alive or task not in self._running:
+        running = self._running
+        if not self._alive or row not in running:
             # The node crashed while this task was in flight; the stale
             # completion event is void (the task was re-dispatched).
             # The membership test catches stale events that outlive a
             # planned revival — the node is alive again, but the voided
             # task finished elsewhere long ago.
             return
+        job, index = row
+        state = job.task_state
+        base = index * TASK_WIDTH
         now = self._events._now
-        task.finish_time = now
+        state[base + S_FINISH] = now
         self.last_finish_time = now
-        self.busy_time += now - task.start_time  # type: ignore[operator]
+        self.busy_time += now - state[base + S_START]
         self.tasks_executed += 1
-        if task in self._loading:
-            self._loading.discard(task)
-            self._storage.end_load(task.chunk.size)
-        running = self._running
-        running.remove(task)
+        loading = self._loading
+        if loading and row in loading:
+            loading.discard(row)
+            self._storage.end_load(job.chunks[index].size)
+        running.remove(row)
         if self._slot_of:
-            slot = self._slot_of.pop(task, None)
+            slot = self._slot_of.pop(row, None)
             if slot is not None:
                 self._free_slots.append(slot)
         if self._on_task_finish is not None:
-            self._on_task_finish(self, task)
+            self._on_task_finish(self, row)
         queue = self.queue
         executors = self.executors
         while queue and len(running) < executors and self._alive:
             self._begin_next()
 
-    def fail(self) -> "list":
+    def rows(self) -> List[Row]:
+        """The ``(job, index)`` rows placed here: running, then queued."""
+        return self._running + self._queued_rows()
+
+    def fail(self) -> List["RenderTask"]:
         """Crash the node (paper §VI-D fault-tolerance discussion).
 
         The node stops accepting and executing work and its memory
         contents are lost.  Returns the orphaned tasks — the one in
-        flight plus the queued backlog — with their per-run state reset
-        so the head node can re-dispatch them to surviving nodes.
+        flight plus the queued backlog — as handles, with their per-run
+        state reset so the head node can re-dispatch them to surviving
+        nodes.
         """
         if not self._alive:
             return []
@@ -540,30 +616,31 @@ class RenderNode:
             )
             self._slot_of.clear()
             self._free_slots.clear()
-        orphans = []
-        for task in self._running:
-            if task in self._loading:
+        for job, index in self._running:
+            if (job, index) in self._loading:
                 # Balance the in-flight load's storage accounting (a
                 # task backing off between timed-out attempts holds no
                 # stream and needs no balancing).
-                self._storage.end_load(task.chunk.size)
-            orphans.append(task)
+                self._storage.end_load(job.chunks[index].size)
+        orphans = self.rows()
         self._running = []
         self._loading.clear()
-        orphans.extend(self.queue)
         self.queue.clear()
-        for task in orphans:
-            task.node = None
-            task.start_time = None
-            task.finish_time = None
-            task.io_time = 0.0
-            task.cache_hit = None
+        for job, index in orphans:
+            # ``est`` stays stale: re-placement overwrites it.
+            state = job.task_state
+            base = index * TASK_WIDTH
+            state[base + S_NODE] = None
+            state[base + S_START] = None
+            state[base + S_FINISH] = None
+            state[base + S_IO] = 0.0
+            state[base + S_HIT] = None
         self.cache.clear()
         if self._vram is not None:
             # VRAM contents die with the node: a revived node uploads
             # every chunk again on its first access.
             self._vram.clear()
-        return orphans
+        return [job.task(index) for job, index in orphans]
 
     def revive(self) -> None:
         """Bring a crashed node back (planned revival, fault injection).
@@ -584,18 +661,18 @@ class RenderNode:
                 category="service",
             )
 
-    def steal_backlog(self) -> "list":
-        """Remove and return the queued (unstarted) tasks.
+    def steal_backlog(self) -> List["RenderTask"]:
+        """Remove and return the queued (unstarted) tasks, as handles.
 
         Speculative re-execution: tasks already running stay — they
         finish (slowly) where they are, so no task completes twice.
         Stolen tasks have their node slot reset for re-dispatch; their
         other per-run state was never touched (they had not started).
         """
-        stolen = list(self.queue)
+        stolen = self.queued_tasks()
         self.queue.clear()
-        for task in stolen:
-            task.node = None
+        for job, index, _ in stolen:
+            job.task_state[index * TASK_WIDTH + S_NODE] = None
         return stolen
 
     def drain_check(self) -> None:
@@ -603,8 +680,20 @@ class RenderNode:
         if self._running or self.queue:
             raise AssertionError(
                 f"node {self.node_id} not drained: "
-                f"running={len(self._running)}, backlog={len(self.queue)}"
+                f"running={len(self._running)}, backlog={self.backlog}"
             )
 
 
-__all__ = ["RenderNode", "TaskFinishCallback"]
+__all__ = [
+    "RenderNode",
+    "Row",
+    "RowFinishCallback",
+    "TaskFinishCallback",
+    "S_NODE",
+    "S_EST",
+    "S_START",
+    "S_FINISH",
+    "S_IO",
+    "S_HIT",
+    "TASK_WIDTH",
+]

@@ -13,9 +13,19 @@ from __future__ import annotations
 
 import enum
 import math
-from operator import attrgetter
-from typing import List, Optional, Tuple
+from itertools import count, repeat
+from operator import itemgetter
+from typing import List, Optional, Sequence, Tuple
 
+from repro.cluster.node import (  # noqa: F401 (the store layout, re-exported)
+    S_EST,
+    S_FINISH,
+    S_HIT,
+    S_IO,
+    S_NODE,
+    S_START,
+    TASK_WIDTH,
+)
 from repro.core.chunks import Chunk, Dataset, DecompositionPolicy  # noqa: F401 (Chunk re-exported for typing)
 
 
@@ -99,64 +109,78 @@ def _next_job_id() -> int:
     return _default_allocator.allocate()
 
 
-_task_node = attrgetter("node")
-_INF = float("inf")
+#: One fresh task's slots: unassigned, unstarted, no I/O paid.
+_FRESH = [None, None, None, None, 0.0, None]
+
+_new = tuple.__new__
 
 
-class RenderTask:
+def _field(slot: int, doc: str) -> property:
+    """A handle property reading and writing one slot of the job's store."""
+
+    def get(self):
+        return self[0].task_state[self[1] * TASK_WIDTH + slot]
+
+    def put(self, value) -> None:
+        self[0].task_state[self[1] * TASK_WIDTH + slot] = value
+
+    return property(get, put, doc=doc)
+
+
+class RenderTask(tuple):
     """A task ``T_{i,j}``: render one data chunk for one job.
 
-    Mutable timing fields are filled in by the simulator as the task moves
-    through the system (cf. Definition 1 of the paper):
+    A handle, not a record: the tuple ``(job, index, chunk)``.  The
+    task's mutable state (cf. Definition 1 of the paper) lives in the
+    owning job's task store (:attr:`RenderJob.task_state`), and the
+    properties below read and write it there: ``node``, ``est``,
+    ``start_time``, ``finish_time``, ``io_time`` and ``cache_hit`` (see
+    the ``S_*`` slot constants), plus ``assign_time``, which audited
+    runs record in :attr:`RenderJob.assign_times`.
 
-    * ``job`` — the owning job.  The service sets it to ``None`` after
-      the job completes (when the next job completes, or at run end),
-      breaking the job ↔ task reference cycle so finished jobs are
-      freed by refcount; code that reads it later must capture the job
-      while the task is in flight,
-    * ``node`` — rendering node the task was assigned to,
-    * ``assign_time`` — when the scheduler placed the task (recorded
-      only on audited runs; ``None`` otherwise),
-    * ``est`` — the head node's predicted execution time, set by
-      ``SchedulerTables.record_assignment`` and meaningful from
-      placement until the completion correction or a cancellation
-      clears it (a crash leaves it stale: re-placement overwrites it),
-    * ``start_time`` — ``TS(i,j,k)``, when the node began executing it,
-    * ``finish_time`` — ``TF(i,j,k) = TS + TExec``,
-    * ``io_time`` — the ``t_io`` component actually paid (0 on cache hit),
-    * ``cache_hit`` — whether the chunk was already in the node's memory.
+    Handles are built on read (:meth:`RenderJob.decompose`,
+    :attr:`RenderJob.tasks`, :meth:`RenderJob.task`), so two reads of
+    one task compare equal (and hash alike) but need not be the same
+    object.  A handle starts with the task's *row* ``(job, index)``,
+    the form node queues and task-finish paths carry, so code that
+    takes a row takes a handle as well.
     """
 
-    __slots__ = (
-        "job",
-        "index",
-        "chunk",
-        "node",
-        "assign_time",
-        "est",
-        "start_time",
-        "finish_time",
-        "io_time",
-        "cache_hit",
-    )
+    __slots__ = ()
 
-    def __init__(self, job: "RenderJob", index: int, chunk: Chunk) -> None:
-        self.job = job
-        self.index = index
-        self.chunk = chunk
-        self.node = None
-        self.assign_time = None
-        self.est = None
-        self.start_time = None
-        self.finish_time = None
-        self.io_time = 0.0
-        self.cache_hit = None
+    def __new__(cls, job: "RenderJob", index: int, chunk: Chunk) -> "RenderTask":
+        return _new(cls, (job, index, chunk))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    job = property(itemgetter(0), doc="The owning job.")
+    index = property(itemgetter(1), doc="The task's index within its job.")
+    chunk = property(itemgetter(2), doc="The data chunk the task renders.")
+    node = _field(S_NODE, "Rendering node the task was assigned to.")
+    est = _field(S_EST, "The head node's pending execution-time prediction.")
+    start_time = _field(S_START, "When the node began executing the task.")
+    finish_time = _field(S_FINISH, "When the task finished.")
+    io_time = _field(S_IO, "The I/O time actually paid (0 on a cache hit).")
+    cache_hit = _field(S_HIT, "Whether the chunk was already in node memory.")
 
     @property
-    def job_type(self) -> Optional[JobType]:
-        """The owning job's type; ``None`` once the job was released."""
-        job = self.job
-        return None if job is None else job.job_type
+    def assign_time(self) -> Optional[float]:
+        """When the scheduler placed the task (audited runs only)."""
+        times = self[0].assign_times
+        return None if times is None else times[self[1]]
+
+    @assign_time.setter
+    def assign_time(self, value: Optional[float]) -> None:
+        job = self[0]
+        if job.assign_times is None:
+            job.assign_times = [None] * len(job.chunks)
+        job.assign_times[self[1]] = value
+
+    @property
+    def job_type(self) -> JobType:
+        """The owning job's type."""
+        return self[0].job_type
 
     @property
     def done(self) -> bool:
@@ -164,11 +188,10 @@ class RenderTask:
         return self.finish_time is not None
 
     def __repr__(self) -> str:
-        job = self.job
+        job, index, chunk = self
         return (
-            f"RenderTask(job={None if job is None else job.job_id}, "
-            f"index={self.index}, "
-            f"chunk={self.chunk.key}, node={self.node})"
+            f"RenderTask(job={job.job_id}, index={index}, "
+            f"chunk={chunk.key}, node={self.node})"
         )
 
 
@@ -191,7 +214,15 @@ class RenderJob:
             covers fewer chunks, shrinking ``t_i`` and the compositing
             group per cost-model Definitions 1-4).  ``1.0`` = full
             quality.
-        tasks: The decomposed tasks; populated by :meth:`decompose`.
+        chunks: The chunk of each task, by task index; set by
+            :meth:`decompose` (empty before).  Shared with the
+            decomposition policy's cache: read it, never mutate it.
+        task_state: The job's task store, one flat list of
+            :data:`TASK_WIDTH` slots per task (see the ``S_*``
+            constants); set by :meth:`decompose`.
+        assign_times: Each task's latest placement time, by task index,
+            or ``None``: only the decision audit records it (on its
+            first placement of one of the job's tasks).
     """
 
     __slots__ = (
@@ -203,7 +234,9 @@ class RenderJob:
         "action",
         "sequence",
         "chunk_fraction",
-        "tasks",
+        "chunks",
+        "task_state",
+        "assign_times",
         "composite_group_size",
         "tasks_left",
         "finish_time",
@@ -228,7 +261,9 @@ class RenderJob:
         self.action = action
         self.sequence = sequence
         self.chunk_fraction = 1.0
-        self.tasks: List[RenderTask] = []
+        self.chunks: Sequence[Chunk] = ()
+        self.task_state: Sequence = ()
+        self.assign_times: Optional[List[Optional[float]]] = None
         # Number of distinct participants assumed for compositing-cost
         # purposes; set at decomposition (== task count upper bound).
         self.composite_group_size: int = 0
@@ -242,7 +277,7 @@ class RenderJob:
     def decompose(self, policy: DecompositionPolicy) -> List[RenderTask]:
         """Split the job into one task per chunk of its dataset.
 
-        Idempotent: repeated calls return the existing task list (the
+        Idempotent: repeated calls return handles of the same tasks (the
         paper decomposes each job exactly once, at scheduling time).
 
         When ``chunk_fraction < 1`` (graceful degradation) only the
@@ -250,41 +285,61 @@ class RenderJob:
         one — so a degraded frame costs proportionally less I/O,
         rendering, and compositing.
         """
-        if not self.tasks:
+        chunks = self.chunks
+        if not chunks:
             chunks = policy.decompose(self.dataset)
             if self.chunk_fraction < 1.0:
                 keep = max(1, math.ceil(len(chunks) * self.chunk_fraction))
                 chunks = chunks[:keep]
-            self.tasks = [RenderTask(self, j, c) for j, c in enumerate(chunks)]
-            self.composite_group_size = len(self.tasks)
-            self.tasks_left = len(self.tasks)
+            size = len(chunks)
+            self.chunks = chunks
+            self.task_state = _FRESH * size
+            self.composite_group_size = size
+            self.tasks_left = size
         return self.tasks
+
+    @property
+    def tasks(self) -> List[RenderTask]:
+        """Handles of the decomposed tasks, in index order (empty before
+        :meth:`decompose`).  Built in C: one tuple per task, no Python
+        frame per handle."""
+        return list(
+            map(_new, repeat(RenderTask), zip(repeat(self), count(), self.chunks))
+        )
+
+    def task(self, index: int) -> RenderTask:
+        """The handle of task ``index``."""
+        return _new(RenderTask, (self, index, self.chunks[index]))
 
     @property
     def task_count(self) -> int:
         """``t_i`` — number of tasks (0 before decomposition)."""
-        return len(self.tasks)
+        return len(self.chunks)
+
+    def _column(self, slot: int) -> list:
+        """One field of every task, in index order."""
+        return self.task_state[slot::TASK_WIDTH]
 
     # -- timing (Definitions 2-3) -----------------------------------------
 
     @property
     def is_complete(self) -> bool:
         """True when every task has finished."""
-        return bool(self.tasks) and all(t.done for t in self.tasks)
+        return bool(self.chunks) and None not in self._column(S_FINISH)
 
     def start_time(self) -> float:
         """``JS(i)`` — minimal task start time.  Requires all tasks started."""
-        starts = [t.start_time for t in self.tasks]
-        if not starts or any(s is None for s in starts):
+        starts = self._column(S_START)
+        if not starts or None in starts:
             raise ValueError(f"job {self.job_id} has unstarted tasks")
-        return min(starts)  # type: ignore[type-var]
+        return min(starts)
 
     def last_task_finish(self) -> float:
         """Maximal task finish time (before image compositing)."""
-        ends = [t.finish_time for t in self.tasks]
-        if not ends or any(e is None for e in ends):
+        ends = self._column(S_FINISH)
+        if not ends or None in ends:
             raise ValueError(f"job {self.job_id} has unfinished tasks")
-        return max(ends)  # type: ignore[type-var]
+        return max(ends)
 
     def group_nodes(self) -> List[int]:
         """Distinct rendering nodes participating in this job.
@@ -293,7 +348,7 @@ class RenderJob:
         (``node is None``) are skipped.
         """
         # A dict keeps first-insertion order: O(t) instead of a list scan.
-        nodes = dict.fromkeys(map(_task_node, self.tasks))
+        nodes = dict.fromkeys(self._column(S_NODE))
         nodes.pop(None, None)
         return list(nodes)
 
@@ -304,26 +359,26 @@ class RenderJob:
         participating nodes (as :meth:`group_nodes`), the start time
         ``JS`` (as :meth:`start_time`), the number of cache-hit tasks,
         and the summed ``t_io`` (added in task order).  Requires every
-        task to have started.
+        task to have started.  Reads the store's columns by slicing, so
+        the work per task runs in C.
         """
-        if not self.tasks:
+        state = self.task_state
+        if not state:
             raise ValueError(f"job {self.job_id} has no tasks")
-        nodes: dict = {}
-        start = _INF
-        hits = 0
-        io_total = 0.0
-        for task in self.tasks:
-            nodes[task.node] = None
-            task_start = task.start_time
-            if task_start is None:
-                raise ValueError(f"job {self.job_id} has unstarted tasks")
-            if task_start < start:
-                start = task_start
-            if task.cache_hit:
-                hits += 1
-            io_total += task.io_time
+        starts = state[S_START::TASK_WIDTH]
+        if None in starts:
+            raise ValueError(f"job {self.job_id} has unstarted tasks")
+        nodes = dict.fromkeys(state[S_NODE::TASK_WIDTH])
         nodes.pop(None, None)
-        return list(nodes), start, hits, io_total
+        io_total = 0.0
+        for io_time in state[S_IO::TASK_WIDTH]:
+            io_total += io_time
+        return (
+            list(nodes),
+            min(starts),
+            state[S_HIT::TASK_WIDTH].count(True),
+            io_total,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -349,6 +404,13 @@ __all__ = [
     "JOB_TYPES",
     "RenderTask",
     "RenderJob",
+    "S_NODE",
+    "S_EST",
+    "S_START",
+    "S_FINISH",
+    "S_IO",
+    "S_HIT",
+    "TASK_WIDTH",
     "JobIdAllocator",
     "NAMESPACE_STRIDE",
     "reset_job_ids",

@@ -57,6 +57,9 @@ from repro.core.job import JobType, RenderJob, RenderTask
 from repro.core.scheduler_base import Scheduler, SchedulerContext, Trigger
 from repro.obs.audit import REASON_CACHE_HIT, REASON_MIN_ESTIMATE
 
+#: Bound once: phase 1 reads it per decomposed job.
+_INTERACTIVE = JobType.INTERACTIVE
+
 
 class OursScheduler(Scheduler):
     """The paper's scheduling design (Algorithm 1, Table I parameters).
@@ -132,20 +135,22 @@ class OursScheduler(Scheduler):
             backlog_get = backlog.get
             for job in jobs:
                 tasks = decompose(job)
-                if job.job_type is JobType.INTERACTIVE:
-                    for task in tasks:
-                        bucket = interactive_get(task.chunk)
+                # ``job.chunks[j]`` is task ``j``'s chunk: read in step
+                # with the tasks instead of through each handle.
+                if job.job_type is _INTERACTIVE:
+                    for task, chunk in zip(tasks, job.chunks):
+                        bucket = interactive_get(chunk)
                         if bucket is None:
-                            h_interactive[task.chunk] = [task]
+                            h_interactive[chunk] = [task]
                         else:
                             bucket.append(task)
                 else:
                     self._pending_tasks += len(tasks)
-                    for task in tasks:
-                        dq = backlog_get(task.chunk)
+                    for task, chunk in zip(tasks, job.chunks):
+                        dq = backlog_get(chunk)
                         if dq is None:
-                            backlog[task.chunk] = deque((task,))
-                            index.add(task.chunk)
+                            backlog[chunk] = deque((task,))
+                            index.add(chunk)
                         else:
                             dq.append(task)
 

@@ -39,9 +39,10 @@ per second, so the table operations are designed to be cheap:
   incrementally (:class:`ReplicaBucketIndex`) instead of re-sorting the
   whole backlog every scheduling cycle;
 * each in-flight task's predicted execution time, which the completion
-  correction needs, is kept on the task (``RenderTask.est``) rather
-  than in a per-task table: a queued task costs one slot, and no table
-  grows with the task backlog and then stays at its high-water size.
+  correction needs, is kept in its job's task store (the ``S_EST``
+  slot, read as ``RenderTask.est``) rather than in a per-task table: a
+  queued task costs one slot, and no table grows with the task backlog
+  and then stays at its high-water size.
 """
 
 from __future__ import annotations
@@ -54,7 +55,20 @@ from repro.cluster.costs import CostParameters, PriceTable
 from repro.cluster.memory import LRUChunkCache
 from repro.cluster.storage import StorageModel
 from repro.core.chunks import Chunk
-from repro.core.job import JobType, RenderTask
+from repro.core.job import (
+    S_EST,
+    S_FINISH,
+    S_HIT,
+    S_IO,
+    S_START,
+    TASK_WIDTH,
+    JobType,
+    RenderTask,
+)
+
+#: Bound once: a member read through the enum class costs a class
+#: attribute lookup per placed task.
+_INTERACTIVE = JobType.INTERACTIVE
 
 
 class ReplicaBucketIndex:
@@ -233,8 +247,9 @@ class SchedulerTables:
     """``Available`` + ``Cache`` + ``Estimate`` with prediction correction.
 
     The tables hold per-node and per-chunk state only.  The prediction
-    each placed task is corrected against lives on the task itself
-    (``RenderTask.est``): :meth:`record_assignment` sets it, and
+    each placed task is corrected against lives in its job's task store
+    (the ``S_EST`` slot, ``RenderTask.est``): :meth:`record_assignment`
+    sets it, and
     :meth:`correct_completion` and :meth:`cancel_assignment` clear it, so
     no task is reachable from the tables and their size does not follow
     the backlog.
@@ -402,11 +417,12 @@ class SchedulerTables:
     def record_assignment(self, task: RenderTask, node: int, now: float) -> float:
         """Account an assignment of ``task`` to ``node``.
 
-        Updates all three tables plus the interactive-idle tracking, and
-        returns the predicted task execution time.
+        Updates all three tables plus the interactive-idle tracking,
+        stores the predicted task execution time in the job's task
+        store, and returns it.
         """
-        chunk = task.chunk
-        job = task.job
+        job = task[0]
+        chunk = task[2]
         render = self.cost.render_times[chunk.size, job.composite_group_size]
         # Inlined _mirror_access (this runs once per placed task).
         entries = self.mirrors[node]._entries
@@ -420,9 +436,9 @@ class SchedulerTables:
         if t < now:
             t = now
         self.available[node] = t + est / self.executors_per_node
-        task.est = est
+        job.task_state[task[1] * TASK_WIDTH + S_EST] = est
         self._pending_per_node[node] += 1
-        if job.job_type is JobType.INTERACTIVE:
+        if job.job_type is _INTERACTIVE:
             self.last_interactive_assign[node] = now
         return est
 
@@ -479,9 +495,10 @@ class SchedulerTables:
 
         Used by speculative re-execution: the task was stolen back from
         ``node``'s queue before starting, so its pending estimate must
-        not feed a later completion correction there.
+        not feed a later completion correction there.  ``task`` is a
+        handle or a ``(job, index)`` row.
         """
-        task.est = None
+        task[0].task_state[task[1] * TASK_WIDTH + S_EST] = None
         if self._pending_per_node[node] > 0:
             self._pending_per_node[node] -= 1
 
@@ -516,9 +533,15 @@ class SchedulerTables:
         * ``Available`` absorbs the prediction error of this task and is
           reset exactly to ``now`` when the node has nothing pending.
         * ``Estimate`` is updated to the measured I/O time on a miss.
+
+        ``task`` is a handle or the ``(job, index)`` row the node
+        reports; the job's task store is read directly.
         """
-        est = task.est
-        task.est = None
+        job = task[0]
+        state = job.task_state
+        base = task[1] * TASK_WIDTH
+        est = state[base + S_EST]
+        state[base + S_EST] = None
         pending = self._pending_per_node
         left = pending[node] - 1
         quarantined = self.quarantined[node]
@@ -535,15 +558,17 @@ class SchedulerTables:
         else:
             pending[node] = left
             available = self.available
-            if est is not None and task.start_time is not None:
-                actual = task.finish_time - task.start_time  # type: ignore[operator]
-                available[node] += actual - est
+            start = state[base + S_START]
+            if est is not None and start is not None:
+                available[node] += (state[base + S_FINISH] - start) - est
             if available[node] < now:
                 available[node] = now
-        if not task.cache_hit and task.io_time > 0 and not quarantined:
+        if not quarantined and not state[base + S_HIT]:
             # Quarantined stragglers' measurements are excluded: their
             # degraded I/O would poison the global per-chunk estimate.
-            self.io_estimates[task.chunk] = task.io_time
+            io_time = state[base + S_IO]
+            if io_time > 0:
+                self.io_estimates[job.chunks[task[1]]] = io_time
 
     # -- diagnostics ---------------------------------------------------------
 

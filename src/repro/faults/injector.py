@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Set
 
 from repro.cluster.event_queue import PRIORITY_ARRIVAL, PRIORITY_CYCLE
+from repro.cluster.node import S_EST, S_FINISH, S_HIT, S_START, TASK_WIDTH
 from repro.faults.detect import Detection, HealthMonitor, NodeHealth
 from repro.faults.plan import (
     CacheWipe,
@@ -270,7 +271,7 @@ class FaultRuntime:
         if self.monitor is not None:
             self.service._dispatch_guard = self._absorb_dead_placement
             self.cluster.add_task_finish_listener(
-                self._on_task_finish, prepend=True
+                self._on_task_finish, prepend=True, rows=True
             )
 
     # -- injection: crash --------------------------------------------------
@@ -420,16 +421,21 @@ class FaultRuntime:
 
     # -- detection: outliers ----------------------------------------------
 
-    def _on_task_finish(self, node, task) -> None:
+    def _on_task_finish(self, node, row) -> None:
         """Prepended task-finish listener: runs before the service's
-        completion correction clears ``task.est``, so the prediction is
-        still available."""
+        completion correction clears the task's ``est`` slot, so the
+        prediction is still available.  ``row`` is the finished task's
+        ``(job, index)``; the job's task store is read directly."""
         node_id = node.node_id
         monitor = self.monitor
         if monitor.health[node_id] is NodeHealth.DEGRADED:
             return
-        estimate = task.est
-        if estimate is None or task.start_time is None:
+        job, index = row
+        state = job.task_state
+        base = index * TASK_WIDTH
+        estimate = state[base + S_EST]
+        start = state[base + S_START]
+        if estimate is None or start is None:
             return
         # Surprise miss: the head node predicted a cache hit when it
         # placed the task (the pending estimate is exactly the render
@@ -438,12 +444,14 @@ class FaultRuntime:
         # evidence the real cache lost content behind the mirror's back.
         tables = self.service.tables
         render = tables.cost.render_times[
-            task.chunk.size, task.job.composite_group_size
+            job.chunks[index].size, job.composite_group_size
         ]
-        surprise = not task.cache_hit and estimate == render
+        hit = state[base + S_HIT]
+        finish = state[base + S_FINISH]
+        surprise = not hit and estimate == render
         if surprise and self.engine is not None:
             until = self.engine.rewarm_until.get(node_id)
-            if until is not None and task.finish_time <= until:
+            if until is not None and finish <= until:
                 # The head already knows this cache is being rebuilt —
                 # mispredictions from placements made before the rewarm
                 # resync are expected, not a fresh wipe.  Skip the whole
@@ -453,8 +461,8 @@ class FaultRuntime:
         verdict = monitor.observe_task(
             node_id,
             estimate,
-            task.finish_time - task.start_time,
-            task.cache_hit,
+            finish - start,
+            hit,
             surprise=surprise,
         )
         if verdict == "straggler":

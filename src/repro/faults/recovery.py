@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cluster.event_queue import PRIORITY_COMPLETION
+from repro.cluster.node import S_EST, TASK_WIDTH
 from repro.faults.plan import RecoveryConfig
 from repro.obs.audit import (
     REASON_QUARANTINE,
@@ -195,16 +196,16 @@ class RecoveryEngine:
         # backlog drains.
         node_obj = cluster.nodes[node]
         mirror = tables.mirrors[node]
-        for task in list(node_obj._running) + list(node_obj.queue):
-            est = task.est
-            if est is None or task.chunk in mirror:
+        for job, index in node_obj.rows():
+            slot = index * TASK_WIDTH + S_EST
+            est = job.task_state[slot]
+            chunk = job.chunks[index]
+            if est is None or chunk in mirror:
                 continue
-            render = tables.cost.render_times[
-                task.chunk.size, task.job.composite_group_size
-            ]
+            render = tables.cost.render_times[chunk.size, job.composite_group_size]
             if est == render:
-                new_est = tables.io_estimates[task.chunk] + render
-                task.est = new_est
+                new_est = tables.io_estimates[chunk] + render
+                job.task_state[slot] = new_est
                 # Propagate the correction into Available (§VI-D table
                 # maintenance): the node is about to spend the backlog
                 # on reloads, and placement should know.

@@ -370,7 +370,7 @@ class AuditLog:
         """
         if tables is not self._tables:
             self._bind_tables(tables)
-        chunk = task.chunk
+        job, index, chunk = task
         replicas = self._replicas_get(chunk)
         if reason is None:
             if replicas and node in replicas:
@@ -389,10 +389,12 @@ class AuditLog:
             totals[reason] += 1
         except KeyError:
             totals[reason] = 1
-        task.assign_time = now
-        # The job rides in the entry: the service releases ``task.job``
-        # after the job completes, which can precede materialization.
-        job = task.job
+        # The handle in the entry keeps its job alive for
+        # materialization; the placement time goes to the job.
+        times = job.assign_times
+        if times is None:
+            times = job.assign_times = [None] * len(job.chunks)
+        times[index] = now
         if self._snapshot:
             # C-level copies of the mutable state, plus the chunk's
             # time-varying Estimate entry.  Everything else a record
@@ -403,7 +405,6 @@ class AuditLog:
                 now,
                 self.invocations,
                 task,
-                job,
                 node,
                 reason,
                 tuple(replicas) if replicas else (),
@@ -411,9 +412,7 @@ class AuditLog:
                 self._estimate_table[chunk],
             )
         else:
-            entry = (
-                now, self.invocations, task, job, node, reason, None, None, None
-            )
+            entry = (now, self.invocations, task, node, reason, None, None, None)
         if self._stream is None:
             self._ring_append(entry)
             self._pending = True
@@ -455,8 +454,8 @@ class AuditLog:
         """
         if len(entry) == 3:
             return _shed_record(*entry)
-        now, cycle, task, job, node, reason, replicas, available, est = entry
-        chunk = task.chunk
+        now, cycle, task, node, reason, replicas, available, est = entry
+        job, index, chunk = task
         candidates: Tuple[CandidateState, ...] = ()
         if replicas is not None:
             hit_est = self._render_times[chunk.size, job.composite_group_size]
@@ -472,7 +471,7 @@ class AuditLog:
             job.action,
             job.sequence,
             job.job_type.value,
-            task.index,
+            index,
             chunk.dataset,
             chunk.index,
             node,

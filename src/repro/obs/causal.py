@@ -36,6 +36,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence
 
+from repro.cluster.node import (
+    S_FINISH,
+    S_HIT,
+    S_IO,
+    S_NODE,
+    S_START,
+    TASK_WIDTH,
+)
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.job import RenderJob, RenderTask
     from repro.obs.audit import DecisionRecord
@@ -85,26 +94,26 @@ class CriticalPath(NamedTuple):
 def job_critical_path(job: "RenderJob") -> CriticalPath:
     """Extract one completed job's critical path (pure).
 
-    The bounding task is the one with the maximal finish time; its
-    assignment time rides on ``RenderTask.assign_time`` (stamped at
-    placement on audited runs; a task re-dispatched after a node failure
-    overwrites the slot, so attribution always uses the assignment that
-    actually executed).  A missing stamp falls back to the job's arrival
-    (scheduling phase reads as zero).
+    The bounding task is the one with the maximal finish time (the
+    first such, in task order); its assignment time is the task's entry
+    in ``job.assign_times`` (stamped at placement on audited runs; a
+    task re-dispatched after a node failure overwrites the entry, so
+    attribution always uses the assignment that actually executed).  A
+    missing stamp falls back to the job's arrival (scheduling phase
+    reads as zero).  Reads the job's task store directly.
     """
-    tasks = job.tasks
-    bounding = tasks[0]
-    bound_finish = bounding.finish_time
-    for t in tasks:
-        if t.finish_time > bound_finish:  # type: ignore[operator]
-            bounding = t
-            bound_finish = t.finish_time
+    state = job.task_state
+    finishes = state[S_FINISH::TASK_WIDTH]
+    bound_finish = max(finishes)
+    index = finishes.index(bound_finish)
+    base = index * TASK_WIDTH
     arrival = job.arrival_time
-    assign = bounding.assign_time
+    times = job.assign_times
+    assign = None if times is None else times[index]
     if assign is None:
         assign = arrival
-    start = bounding.start_time
-    io = bounding.io_time
+    start = state[base + S_START]
+    io = state[base + S_IO]
     return CriticalPath(
         job.user,
         job.action,
@@ -112,14 +121,14 @@ def job_critical_path(job: "RenderJob") -> CriticalPath:
         job.job_type.value,
         arrival,
         job.finish_time,  # type: ignore[arg-type]
-        bounding.index,
-        bounding.node,  # type: ignore[arg-type]
-        bool(bounding.cache_hit),
-        len(tasks),
+        index,
+        state[base + S_NODE],
+        bool(state[base + S_HIT]),
+        len(finishes),
         assign - arrival,
-        start - assign,  # type: ignore[operator]
+        start - assign,
         io,
-        (bound_finish - start) - io,  # type: ignore[operator]
+        (bound_finish - start) - io,
         job.finish_time - bound_finish,  # type: ignore[operator]
     )
 

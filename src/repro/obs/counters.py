@@ -61,6 +61,9 @@ class CounterSampler(Sink):
         self.tracer = tracer
         self.interval = interval
         self.per_node_cache = per_node_cache
+        #: Each node's pid, by node id, grown as wider snapshots arrive
+        #: (a node's pid never changes).
+        self._node_pids: list = []
 
     def _tick(self, snap: Snapshot) -> None:
         counter = self.tracer.counter
@@ -86,8 +89,11 @@ class CounterSampler(Sink):
             },
         )
         if self.per_node_cache:
-            for node_id, used in enumerate(snap.cache_used):
-                counter(pid_for_node(node_id), TRACK_CACHE, now, {"used": float(used)})
+            pids = self._node_pids
+            if len(pids) < len(snap.cache_used):
+                pids.extend(map(pid_for_node, range(len(pids), len(snap.cache_used))))
+            for pid, used in zip(pids, snap.cache_used):
+                counter(pid, TRACK_CACHE, now, {"used": float(used)})
 
 
 def default_counter_interval(horizon: float, *, samples: int = 256) -> float:

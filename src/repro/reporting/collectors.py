@@ -22,6 +22,9 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 from repro.core.columns import ColumnTable
 from repro.core.job import JOB_TYPES, JobType, RenderJob
 
+#: Bound once: ``on_submit`` reads it per submitted job.
+_INTERACTIVE = JobType.INTERACTIVE
+
 
 class JobRecord(NamedTuple):
     """Compact record of one completed rendering job.
@@ -223,7 +226,7 @@ class SimulationCollector:
     def on_submit(self, job: RenderJob) -> None:
         """Record a job entering the head node's queue."""
         self.submitted_by_code[JOB_TYPES.index(job.job_type)] += 1
-        if job.job_type is JobType.INTERACTIVE:
+        if job.job_type is _INTERACTIVE:
             entry = self.action_issues.get(job.action)
             if entry is None:
                 self.action_issues[job.action] = [
@@ -248,7 +251,7 @@ class SimulationCollector:
         once per job and shared with compositing.
         """
         group_nodes, start, hits, io_total = summary
-        task_count = len(job.tasks)
+        task_count = len(job.chunks)
         self.tasks_hit += hits
         self.tasks_missed += task_count - hits
         code = JOB_TYPES.index(job.job_type)

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.event_queue import PRIORITY_CYCLE
-from repro.cluster.node import RenderNode
+from repro.cluster.node import RenderNode, Row
 from repro.core.job import JOB_TYPES, JobIdAllocator, JobType, RenderJob, RenderTask
 from repro.core.scheduler_base import Scheduler, SchedulerContext, Trigger
 from repro.core.tables import SchedulerTables
@@ -37,6 +37,10 @@ from repro.reporting.collectors import SimulationCollector
 from repro.obs.audit import REASON_FALLBACK
 from repro.obs.tracer import PID_HEAD, LaneRef, active_tracer, pid_for_node
 from repro.workload.trace import Request
+
+#: Bound once: ``submit`` runs per job and reads the trigger member.
+_IMMEDIATE = Trigger.IMMEDIATE
+_CYCLE = Trigger.CYCLE
 
 
 class VisualizationService:
@@ -120,7 +124,7 @@ class VisualizationService:
             metrics=self.metrics,
             audit=self.audit,
         )
-        cluster.add_task_finish_listener(self._on_task_finish)
+        cluster.add_task_finish_listener(self._on_task_finish, rows=True)
         # Completion-path bindings (one lookup per task otherwise).
         self._correct_completion = self.tables.correct_completion
         self._composite_times = cluster.cost.composite_times
@@ -142,9 +146,6 @@ class VisualizationService:
         self._cycle_armed = False
         self._window_generation = 0
         self._completion_listeners: List = []
-        #: The last completed job, whose tasks still point back at it
-        #: until :meth:`release_completed` runs.
-        self._unreleased: Optional[RenderJob] = None
 
     def _bind_metrics(self) -> None:
         """Register the collector's counts and bind the two histograms."""
@@ -296,9 +297,9 @@ class VisualizationService:
                 self._flows,
             )
         trigger = self.scheduler.trigger
-        if trigger is Trigger.IMMEDIATE:
+        if trigger is _IMMEDIATE:
             self._run_scheduler([job])
-        elif trigger is Trigger.CYCLE:
+        elif trigger is _CYCLE:
             self._pending.append(job)
             self._arm_cycle()
         else:  # Trigger.WINDOW
@@ -438,15 +439,17 @@ class VisualizationService:
 
     # -- completion ------------------------------------------------------------
 
-    def _on_task_finish(self, node: RenderNode, task: RenderTask) -> None:
+    def _on_task_finish(self, node: RenderNode, row: Row) -> None:
+        """Task-finish listener: ``row`` is the finished task's
+        ``(job, index)``; the job's task store is read directly."""
         now = self._events._now
-        self._correct_completion(task, node.node_id, now)
+        self._correct_completion(row, node.node_id, now)
         inflight = self._tasks_inflight - 1
         self._tasks_inflight = inflight
         if not inflight:
             # The last in-flight task finished: a drain may be over.
             self._events.request_stop_check()
-        job = task.job
+        job = row[0]
         left = job.tasks_left - 1
         job.tasks_left = left
         if left:
@@ -474,27 +477,6 @@ class VisualizationService:
             self._trace_completion(job, now, composite, group_nodes)
         for listener in self._completion_listeners:
             listener(job)
-        self.release_completed()
-        self._unreleased = job
-
-    def release_completed(self) -> None:
-        """Break the job ↔ task reference cycle of the last completed job.
-
-        ``RenderJob.tasks`` and ``RenderTask.job`` point at each other,
-        so a finished job would wait for the cyclic GC, which the
-        simulator pauses for the whole run.  Setting each task's ``job``
-        to ``None`` lets refcounting free the pair as soon as its last
-        holder lets go.  A job is released when the *next* job completes
-        (and the simulator calls this once when the run ends): code
-        around the completion call that finished the job, such as a
-        listener or a profiling wrapper, still sees ``task.job``, and at
-        most one completed job is ever left unreleased.
-        """
-        job = self._unreleased
-        if job is not None:
-            self._unreleased = None
-            for task in job.tasks:
-                task.job = None
 
     def _trace_completion(
         self, job: RenderJob, now: float, composite: float, group_nodes: List[int]

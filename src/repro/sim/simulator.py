@@ -53,7 +53,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.cluster.cluster import Cluster
 from repro.cluster.event_queue import EventQueue
 from repro.core.cost_model import mean
-from repro.core.job import JobIdAllocator, JobType
+from repro.core.job import (
+    S_FINISH,
+    S_HIT,
+    S_IO,
+    S_START,
+    TASK_WIDTH,
+    JobIdAllocator,
+    JobType,
+)
 from repro.core.registry import make_scheduler
 from repro.core.scheduler_base import Scheduler
 from repro.reporting.analysis import (
@@ -425,25 +433,28 @@ def _assignments(run: _Run):
     trace: List[AssignmentRecord] = []
     record = trace.append
 
-    def _record_assignment(node, task) -> None:
-        job = task.job
+    def _record_assignment(node, row) -> None:
+        job, index = row
+        base = index * TASK_WIDTH
+        state = job.task_state
+        chunk = job.chunks[index]
         record(
             (
                 job.user,
                 job.action,
                 job.sequence,
-                task.index,
-                task.chunk.dataset,
-                task.chunk.index,
+                index,
+                chunk.dataset,
+                chunk.index,
                 node.node_id,
-                task.start_time,
-                task.finish_time,
-                task.io_time,
-                bool(task.cache_hit),
+                state[base + S_START],
+                state[base + S_FINISH],
+                state[base + S_IO],
+                bool(state[base + S_HIT]),
             )
         )
 
-    run.cluster.add_task_finish_listener(_record_assignment)
+    run.cluster.add_task_finish_listener(_record_assignment, rows=True)
     run.fields["assignment_trace"] = trace
 
 
@@ -553,10 +564,11 @@ def _run(
         return any(pending() for pending in run.pending)
 
     # The cyclic GC is paused for the whole run: feed, loop and drain.
-    # The service releases completed jobs' task back-references, so
-    # finished work is freed by refcount and a drained run leaves no
-    # cyclic garbage behind; generational sweeps over the live
-    # simulation graph would be pure overhead.  The ``finally`` restores
+    # A task refers to its job but no job refers to its tasks (their
+    # state lives in the job's task store), so finished work is freed by
+    # refcount and a drained run leaves no cyclic garbage behind;
+    # generational sweeps over the live simulation graph would be pure
+    # overhead.  The ``finally`` restores
     # the GC and closes what the parts registered (releasing the
     # service, the watchdog thread and file handles: results must
     # pickle), even when a part, a policy or a listener raises.
@@ -601,7 +613,6 @@ def _run(
             events.run(until=limit, stop=lambda: not has_pending())
             drained = not has_pending()
         wall_seconds = _time.perf_counter() - wall_t0
-        service.release_completed()
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -61,7 +61,8 @@ class TestExecution:
     def test_fifo_order(self):
         events = EventQueue()
         finished = []
-        node = make_node(events, finished=lambda n, t: finished.append(t.index))
+        # The node reports each finished task's ``(job, index)`` row.
+        node = make_node(events, finished=lambda n, row: finished.append(row[1]))
         for task in make_tasks():
             node.enqueue(task)
         events.run()

@@ -32,10 +32,17 @@ class TestDecomposition:
         assert all(t.job is job for t in tasks)
 
     def test_decompose_idempotent(self):
+        """Repeated decomposition gives handles of the same tasks, and
+        leaves the job's task store as it was."""
         job = make_job()
         first = job.decompose(POLICY)
+        first[1].node = 3
+        state = list(job.task_state)
         second = job.decompose(POLICY)
-        assert first is second
+        assert second == first == job.tasks
+        assert [hash(t) for t in second] == [hash(t) for t in first]
+        assert second[1].node == 3
+        assert job.task_state == state
 
     def test_task_type_follows_job(self):
         job = make_job(job_type=JobType.BATCH)

@@ -1,7 +1,7 @@
 """The fault layer reads and rewrites each task's own prediction.
 
-A placed task's predicted execution time lives on the task
-(``RenderTask.est``).  A cache-wipe rewarm revises it (and moves
+A placed task's predicted execution time lives in its job's task store
+(read through a handle as ``RenderTask.est``).  A cache-wipe rewarm revises it (and moves
 ``Available`` by the same amount), and the prepended surprise-miss
 listener reads it before the completion correction clears it.
 """
@@ -24,9 +24,9 @@ from tests.sim.test_service import make_service
 
 
 def placed_on(service, node):
-    """The tasks running or queued on ``node``."""
+    """The tasks running or queued on ``node``, as handles."""
     node_obj = service.cluster.nodes[node]
-    return list(node_obj._running) + list(node_obj.queue)
+    return node_obj.running_tasks + node_obj.queued_tasks()
 
 
 def submit(service, dataset, at=0.0):
@@ -69,7 +69,7 @@ def test_surprise_miss_listener_sees_the_placement_prediction(monkeypatch):
 
     def recording_record(self, task, node, now):
         est = record(self, task, node, now)
-        last_placed[id(task)] = est
+        last_placed[task.job, task.index] = est
         return est
 
     rewarm = RecoveryEngine.rewarm
@@ -77,15 +77,16 @@ def test_surprise_miss_listener_sees_the_placement_prediction(monkeypatch):
     def recording_rewarm(self, node, now):
         reloading = rewarm(self, node, now)
         for task in placed_on(self.service, node):
-            last_placed[id(task)] = task.est
+            last_placed[task.job, task.index] = task.est
         return reloading
 
     seen = []
     listener = FaultRuntime._on_task_finish
 
-    def recording_listener(self, node, task):
-        seen.append((task.est, last_placed[id(task)]))
-        return listener(self, node, task)
+    def recording_listener(self, node, row):
+        job, index = row
+        seen.append((job.task(index).est, last_placed[job, index]))
+        return listener(self, node, row)
 
     monkeypatch.setattr(SchedulerTables, "record_assignment", recording_record)
     monkeypatch.setattr(RecoveryEngine, "rewarm", recording_rewarm)

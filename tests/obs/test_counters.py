@@ -59,6 +59,25 @@ class TestCounterSampler:
         times = [e.ts for e in queue_samples]
         assert times == sorted(times)
 
+    def test_node_pids_taken_once(self, monkeypatch):
+        """Each node's pid is computed once per run, not once per tick."""
+        from repro.obs import counters
+
+        calls = []
+        pid_for_node = counters.pid_for_node
+
+        def counting(node_id):
+            calls.append(node_id)
+            return pid_for_node(node_id)
+
+        monkeypatch.setattr(counters, "pid_for_node", counting)
+        tracer, result = traced_run()
+        ticks = sum(
+            1 for e in tracer.events if e.phase == "C" and e.name == TRACK_QUEUE
+        )
+        assert ticks > 1
+        assert calls == list(range(len(result.profile.nodes)))
+
     def test_io_inflight_track_exists(self):
         tracer, _ = traced_run()
         assert any(

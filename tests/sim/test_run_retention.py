@@ -1,14 +1,13 @@
 """A run's live heap tracks its in-flight work, not the trace.
 
-``RenderJob.tasks`` and ``RenderTask.job`` point at each other, so a job
-and its tasks form a reference cycle that only the cyclic GC can free —
-and the simulator pauses the cyclic GC for the whole run.  The service
-therefore releases every task's ``job`` back-reference once the job has
-completed (when the next job completes, and once more at run end).
-These tests pause the GC themselves and count the
-``RenderJob`` / ``RenderTask`` instances that survive a run: with the
-release in place only unfinished jobs (and whatever an observer keeps
-on purpose) are left.
+The simulator pauses the cyclic GC for the whole run, so anything a
+reference cycle holds outlives the run.  A task handle refers to its
+job, but no job refers to its tasks (their state lives in the job's
+task store), so a finished job is freed by refcount as soon as the last
+row or handle naming it goes.  These tests pause the GC themselves and
+count the ``RenderJob`` / ``RenderTask`` instances that survive a run:
+only unfinished jobs (and whatever an observer keeps on purpose) are
+left.
 """
 
 import dataclasses
@@ -83,6 +82,7 @@ def _storm_config(scenario):
 
 
 DRAINED = {
+    "s1-fcfs": (lambda: make_scenario(1, scale=0.05), "FCFS", None),
     "s1-ours": (lambda: make_scenario(1, scale=0.05), "OURS", None),
     "s3-fcfsu": (lambda: make_scenario(3, scale=0.01), "FCFSU", None),
     "s2-ours-healed-storm": (
@@ -123,8 +123,12 @@ def test_bounded_run_retains_only_unfinished_jobs(config):
     assert unfinished > 0, "the run must end with work in flight"
     assert len(jobs) == unfinished
     assert all(job.finish_time is None for job in jobs)
-    # Every surviving task belongs to a surviving job.
-    assert len(tasks) == sum(len(job.tasks) for job in jobs)
+    # Every surviving task handle belongs to a surviving job.  Queued
+    # tasks are rows, not objects: the handles left are the ones the
+    # policy's batch backlog holds.
+    survivors = {id(job) for job in jobs}
+    assert all(id(task.job) in survivors for task in tasks)
+    assert len(tasks) <= sum(job.task_count for job in jobs)
 
 
 def test_audited_run_keeps_every_job_by_design():
@@ -138,14 +142,14 @@ def test_audited_run_keeps_every_job_by_design():
 
 
 # ---------------------------------------------------------------------------
-# Back-reference contract: readers of ``task.job`` still see the job.  The
-# constants were recorded before the release existed.
+# Readers of ``task.job`` after completion still see the job.  The
+# constants were recorded while tasks were objects.
 # ---------------------------------------------------------------------------
 
 
 def test_audit_records_materialized_after_the_run_are_unchanged():
-    """Deferred audit entries carry their job, so records built after
-    every job completed (and released its tasks) match the originals."""
+    """Deferred audit entries carry their task handle, so records built
+    after every job completed match the originals."""
     result = run_simulation(
         make_scenario(2, scale=0.05),
         "OURS",
@@ -180,8 +184,8 @@ def test_audit_records_materialized_after_the_run_are_unchanged():
     ],
 )
 def test_recorded_trace_is_unchanged(number, scheduler, scale, expected):
-    """The assignment recorder reads ``task.job`` on every job's last
-    task; it still records the trace it recorded before the release."""
+    """The assignment recorder reads every finished task's row; it
+    still records the trace it recorded when tasks were objects."""
     result = run_simulation(
         make_scenario(number, scale=scale),
         scheduler,
@@ -192,9 +196,9 @@ def test_recorded_trace_is_unchanged(number, scheduler, scale, expected):
 
 
 # ---------------------------------------------------------------------------
-# The head node's tables hold no task.  Each in-flight prediction lives on
-# its task (``RenderTask.est``), so a task stranded by a lost job or left
-# unfinished at the horizon is not kept alive by the tables.
+# The head node's tables hold no task.  Each in-flight prediction lives in
+# its job's task store (``RenderTask.est``), so a task stranded by a lost
+# job or left unfinished at the horizon is not kept alive by the tables.
 # ---------------------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Tests for the visualization service (head-node logic)."""
 
+import gc
+
 import pytest
 
 from repro.cluster.cluster import Cluster
@@ -61,11 +63,13 @@ class TestImmediateScheduling:
 
 
 class TestJobRelease:
-    """A completed job's tasks drop their ``job`` back-reference.
+    """A completed job is freed by refcount, with no release step.
 
-    The release of a job happens when the next job completes (or on an
-    explicit ``release_completed()``), so everything around the
-    completion call that finished the job still sees ``task.job``.
+    A task handle refers to its job, but the job does not refer to its
+    tasks (their state is the job's task store), so there is no job ↔
+    task cycle for the paused cyclic GC to miss.  Everything around the
+    completion call that finished a job, listeners included, sees the
+    job through the task it is given.
     """
 
     def run_jobs(self, count, *, prepend=False):
@@ -83,14 +87,35 @@ class TestJobRelease:
         service.cluster.events.run()
         return service, jobs, seen
 
-    def test_next_completion_releases_the_previous_job(self):
-        service, (first, second), _ = self.run_jobs(2)
+    def test_completed_jobs_are_freed_without_the_cyclic_gc(self):
+        def live_jobs():
+            return sum(type(obj) is RenderJob for obj in gc.get_objects())
+
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_jobs()
+            service = make_service(FCFSScheduler())
+            finished = []
+            service.add_completion_listener(lambda job: finished.append(job.job_id))
+            for _ in range(3):
+                service.submit(
+                    RenderJob(JobType.INTERACTIVE, Dataset("ds", GiB), 0.0)
+                )
+            service.cluster.events.run()
+            assert len(finished) == 3
+            assert live_jobs() == before
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_completed_job_keeps_its_task_state(self):
+        _, (first, second), _ = self.run_jobs(2)
         assert first.is_complete and second.is_complete
-        assert all(task.job is None for task in first.tasks)
+        assert all(task.job is first for task in first.tasks)
         assert all(task.job is second for task in second.tasks)
-        service.release_completed()
-        assert all(task.job is None for task in second.tasks)
-        # The job keeps its tasks: record-building views still work.
+        # Record-building views read the job's store after completion.
         assert second.task_count == 4
         assert second.group_nodes() == [0, 1, 2, 3]
 
@@ -99,12 +124,11 @@ class TestJobRelease:
         _, jobs, seen = self.run_jobs(2, prepend=prepend)
         assert seen == [jobs[0]] * 4 + [jobs[1]] * 4
 
-    def test_released_task_repr_and_job_type(self):
-        service, (job,), _ = self.run_jobs(1)
-        service.release_completed()
+    def test_completed_task_repr_and_job_type(self):
+        _, (job,), _ = self.run_jobs(1)
         task = job.tasks[0]
-        assert task.job_type is None
-        assert repr(task).startswith("RenderTask(job=None, index=0,")
+        assert task.job_type is JobType.INTERACTIVE
+        assert repr(task).startswith(f"RenderTask(job={job.job_id}, index=0,")
 
 
 class TestCycleScheduling:

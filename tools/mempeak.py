@@ -4,8 +4,10 @@ Runs one simulation with ``tracemalloc`` on and samples the traced
 memory once right after the arrival feed starts (wrapping
 ``EventQueue.feed``) and then every 4,000 task completions (wrapping
 ``RenderNode._finish``).  It keeps a snapshot at the largest sample and
-prints the traced peak, the post-feed sample and the ten largest
-allocation sites of that snapshot, by source line.
+prints the traced peak, the post-feed sample, the tasks in flight at
+the largest sample (queued on nodes, running, and held by the
+scheduler) with the traced bytes per in-flight task, and the ten
+largest allocation sites of that snapshot, by source line.
 
 Either replay one end-to-end benchmark workload with its exact inputs,
 built by the benchmark's own ``workloads.build`` (frontend, fault storm
@@ -38,6 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 
 from repro.cluster.event_queue import EventQueue  # noqa: E402
 from repro.cluster.node import RenderNode  # noqa: E402
+from repro.sim.service import VisualizationService  # noqa: E402
 from repro.sim.run_config import RunConfig  # noqa: E402
 from repro.sim.simulator import run_simulation  # noqa: E402
 from repro.workload.scenarios import make_scenario  # noqa: E402
@@ -49,12 +52,17 @@ TOP_SITES = 10
 
 
 class _Sampler:
-    """The largest traced-memory sample, with its snapshot."""
+    """The largest traced-memory sample, with its snapshot and the
+    run's tasks in flight at that moment."""
 
     def __init__(self) -> None:
         self.bytes = -1
         self.label = ""
         self.snapshot = None
+        #: The run's service (set once it is built).
+        self.service = None
+        #: ``(queued on nodes, running, held by the scheduler)``.
+        self.inflight = (0, 0, 0)
 
     def sample(self, label: str) -> int:
         current = tracemalloc.get_traced_memory()[0]
@@ -62,6 +70,14 @@ class _Sampler:
             self.bytes = current
             self.label = label
             self.snapshot = tracemalloc.take_snapshot()
+            service = self.service
+            if service is not None:
+                nodes = service.cluster.nodes
+                self.inflight = (
+                    sum(node.backlog for node in nodes),
+                    sum(len(node._running) for node in nodes),
+                    service.scheduler.pending_task_count(),
+                )
         return current
 
 
@@ -72,39 +88,61 @@ def _probe(scenario, scheduler: str, config: RunConfig, title: str) -> int:
     completions = 0
     feed = EventQueue.feed
     finish = RenderNode._finish
+    init = VisualizationService.__init__
 
     def sampling_feed(queue, *args, **kwargs):
         nonlocal after_feed
         feed(queue, *args, **kwargs)
         after_feed = best.sample("right after the arrival feed started")
 
-    def sampling_finish(node, task):
+    def sampling_finish(node, row):
         nonlocal completions
-        finish(node, task)
+        finish(node, row)
         completions += 1
         if completions % SAMPLE_EVERY == 0:
-            best.sample(f"completion {completions} (t={task.finish_time:.3f} s)")
+            best.sample(f"completion {completions} (t={node._events.now:.3f} s)")
+
+    def recording_init(service, *args, **kwargs):
+        init(service, *args, **kwargs)
+        best.service = service
 
     EventQueue.feed = sampling_feed
     RenderNode._finish = sampling_finish
+    VisualizationService.__init__ = recording_init
     try:
         result = run_simulation(scenario, scheduler, config)
     finally:
         EventQueue.feed = feed
         RenderNode._finish = finish
+        VisualizationService.__init__ = init
     peak = tracemalloc.get_traced_memory()[1]
 
     print(
         f"{title}: {result.jobs_completed}/{result.jobs_submitted} jobs, "
         f"{completions} task completions"
     )
-    print(f"traced peak: {peak / MiB:.1f} MiB")
+    print(f"traced peak: {peak / MiB:.2f} MiB")
     if after_feed is not None:
         print(f"after the feed started: {after_feed / MiB:.1f} MiB")
     if best.snapshot is None:
         print("no sample taken (empty trace and no completion)")
         return 0
-    print(f"sampled maximum: {best.bytes / MiB:.1f} MiB {best.label}; top sites:")
+    print(f"sampled maximum: {best.bytes / MiB:.1f} MiB {best.label}")
+    queued, running, held = best.inflight
+    inflight = queued + running + held
+    if inflight:
+        print(
+            f"in flight there: {inflight:,} tasks ({queued:,} queued on "
+            f"nodes, {running:,} running, {held:,} held by the scheduler); "
+            f"{best.bytes / inflight:.1f} traced bytes per in-flight task"
+            + (
+                f", {(best.bytes - after_feed) / inflight:.1f} above the "
+                "post-feed heap"
+                if after_feed is not None
+                else ""
+            )
+        )
+    print("top sites:")
     for stat in best.snapshot.statistics("lineno")[:TOP_SITES]:
         frame = stat.traceback[0]
         print(
