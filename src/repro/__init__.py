@@ -131,7 +131,6 @@ from repro.frontend import (
 )
 from repro.reporting import SchedulerSummary, SimulationCollector, comparison_table
 from repro.obs import (
-    AnomalyConfig,
     AnomalyRecord,
     AuditConfig,
     AuditLog,
@@ -172,7 +171,7 @@ from repro.workload import (
     scenario_4,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 
 def simulate(scenario=1, scheduler="OURS", *, config=None, scale=1.0,
@@ -290,7 +289,6 @@ __all__ = [
     "phase_delta_table",
     "StreamConfig",
     "StreamReport",
-    "AnomalyConfig",
     "AnomalyRecord",
     "follow_stream",
     "read_stream",

@@ -41,10 +41,12 @@ that went quiet without its summary record, and 2 on a usage error (a
 bad flag value or combination).  A verb reports a usage error by
 raising ``ValueError``; :func:`main` alone turns it into one stderr
 line and exit 2, with nothing on stdout when the check precedes the
-run.  When one invocation makes several runs, every per-run file
-(``--stream``, ``--audit``, ``--trace``, ``--metrics``, ``--svg``)
-gets the run name inserted before its extension: ``--audit a.jsonl``
-with ``--schedulers OURS,FCFS`` writes ``a.OURS.jsonl`` and
+run.  A file argument that names an existing directory is such an
+error, checked before any verb runs (``animate --out`` names an output
+directory by design).  When one invocation makes several runs, every
+per-run file (``--stream``, ``--audit``, ``--trace``, ``--metrics``,
+``--svg``) gets the run name inserted before its extension: ``--audit
+a.jsonl`` with ``--schedulers OURS,FCFS`` writes ``a.OURS.jsonl`` and
 ``a.FCFS.jsonl``, and federate's shard metrics are ``m.shard0.jsonl``.
 """
 
@@ -1409,10 +1411,29 @@ _COMMANDS = {
 }
 
 
+#: ``(dest, flag)`` of every argument naming a file the verb writes, or
+#: the stream file ``watch`` reads.
+_FILE_ARGS = (
+    ("trace", "--trace"),
+    ("metrics", "--metrics"),
+    ("audit", "--audit"),
+    ("stream", "--stream"),
+    ("report", "--report"),
+    ("svg", "--svg"),
+    ("out", "--out"),
+    ("path", "STREAM"),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code (see the module doc)."""
     args = build_parser().parse_args(argv)
     try:
+        if args.command != "animate":
+            for dest, flag in _FILE_ARGS:
+                value = getattr(args, dest, None)
+                if value and Path(value).is_dir():
+                    raise ValueError(f"{flag} {value} is a directory, not a file")
         # Checked here, not only by StreamConfig, so that it fails
         # before a verb prints its scenario summary.
         stall_timeout = getattr(args, "stall_timeout", None)

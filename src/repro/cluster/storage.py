@@ -27,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.util.deprecation import deprecated
 from repro.util.rng import SeedLike, make_rng
 from repro.util.units import MiB
 from repro.util.validation import check_non_negative, check_positive
@@ -116,13 +115,7 @@ class StorageModel:
 
     @property
     def active_bytes(self) -> int:
-        """Bytes of I/O currently in flight (observability counter).
-
-        Exact when callers pass the load size back to :meth:`end_load`,
-        as every caller in repro does; the deprecated zero-argument
-        ``end_load()`` only decrements the load count, so the byte
-        gauge under-reports for such callers.
-        """
+        """Bytes of I/O currently in flight (observability counter)."""
         return self._active_bytes
 
     @property
@@ -173,23 +166,16 @@ class StorageModel:
             )
         return duration
 
-    def end_load(self, nbytes: Optional[int] = None) -> None:
+    def end_load(self, nbytes: int) -> None:
         """Mark one in-flight load as finished.
 
         Args:
-            nbytes: Size of the finished load, used to keep the
-                :attr:`active_bytes` gauge exact.  Omitting it is
-                deprecated since 1.9 (the gauge then under-reports);
-                1.10 makes it required.
+            nbytes: Size of the finished load, as given to
+                :meth:`begin_load`; keeps the :attr:`active_bytes`
+                gauge exact.
         """
         if self._active_loads <= 0:
             raise RuntimeError("end_load without matching begin_load")
-        if nbytes is None:
-            deprecated(
-                "StorageModel.end_load()",
-                "pass the load's size: end_load(nbytes), as given to begin_load",
-            )
-            nbytes = 0
         self._active_loads -= 1
         self._active_bytes -= min(nbytes, self._active_bytes)
         if self._active_loads == 0:

@@ -8,9 +8,9 @@ The subsystem has thirteen pieces:
 * :mod:`repro.obs.chrome` — export to Chrome trace-event JSON, viewable
   in Perfetto / ``chrome://tracing``;
 * :mod:`repro.obs.probe` — the one sampling clock and the one store of
-  sampled state: metric windows and timeline samples are read off its
-  series, and the live observers (counters, gauges, stream) are its
-  sinks;
+  sampled state: metric windows and ``result.metrics.snapshots`` are
+  read off its series, and the live observers (counters, gauges,
+  stream) are its sinks;
 * :mod:`repro.obs.counters` — built-in pressure counters (queue depth,
   busy nodes, cache occupancy, in-flight I/O) sampled by the probe;
 * :mod:`repro.obs.profile` — aggregated per-node time breakdown
@@ -59,12 +59,9 @@ Typical use::
     print(f"violation time: {report.total_violation_time:.2f}s")
 """
 
-import sys
-
 from repro.obs.anomaly import (
     ANOMALY_KINDS,
     FAULT_SIGNATURES,
-    AnomalyConfig,
     AnomalyRecord,
     CusumDetector,
     EwmaDetector,
@@ -250,7 +247,6 @@ __all__ = [
     "read_stream",
     "ANOMALY_KINDS",
     "FAULT_SIGNATURES",
-    "AnomalyConfig",
     "AnomalyRecord",
     "EwmaDetector",
     "CusumDetector",
@@ -264,14 +260,3 @@ __all__ = [
     "write_report",
 ]
 
-
-def __getattr__(name: str):
-    # ``default_stream_interval`` is deprecated: reading it goes through
-    # ``repro.obs.stream``, which warns.  ``from repro.obs import X``
-    # probes a package with ``hasattr`` before it reads ``X``; only the
-    # read warns.
-    if name == "default_stream_interval":
-        if sys._getframe(1).f_globals.get("__name__") == "importlib._bootstrap":
-            return default_window_interval
-        return getattr(sys.modules["repro.obs.stream"], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,10 +28,7 @@ Two detector families, matched to the failure shapes:
   accumulates drift beyond a slack ``k`` and alarms when the sum
   crosses ``h``.  Catches slow ramps a z-score never sees.
 
-The thresholds are the module constants below.  :class:`AnomalyConfig`,
-which overrode them, and the ``config`` argument of
-:class:`OnlineAnomalyDetector` and :func:`detect_from_snapshots` are
-deprecated since 1.9 and removed in 1.10.
+The thresholds are the module constants below.
 
 Detectors consume only virtual-time snapshot fields (never ``wall_s``
 or events/s), so the anomaly records for a given run are bit-identical
@@ -45,11 +42,8 @@ across machines — which is what lets
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-from repro.util.deprecation import deprecated, quietly
-from repro.util.validation import check_positive
 
 #: The closed anomaly vocabulary, in canonical (merge) order.
 ANOMALY_KINDS: Tuple[str, ...] = (
@@ -100,53 +94,6 @@ CUSUM_K = 0.15
 CUSUM_H = 1.0
 #: Snapshots a kind stays suppressed after alarming.
 COOLDOWN = 8
-
-
-@dataclass(frozen=True)
-class AnomalyConfig:
-    """Detector thresholds.  *Deprecated since 1.9, removed in 1.10*:
-    constructing one warns; the detectors use the module constants.
-
-    Attributes:
-        warmup: Snapshots observed before any detector may alarm (the
-            EWMA baselines are meaningless until then).
-        ewma_alpha: EWMA smoothing factor for mean/variance baselines.
-        z_threshold: |z| a sample must exceed against its pre-update
-            baseline to alarm.
-        cusum_k: Slack per window absorbed before drift accumulates,
-            as a fraction of the tracked level.
-        cusum_h: Accumulated (slack-adjusted) drift, as a fraction of
-            the tracked level, at which a CUSUM alarms.
-        cooldown: Snapshots a kind stays suppressed after alarming, so
-            one sustained fault yields one record per flare-up rather
-            than one per window.
-    """
-
-    warmup: int = WARMUP
-    ewma_alpha: float = EWMA_ALPHA
-    z_threshold: float = Z_THRESHOLD
-    cusum_k: float = CUSUM_K
-    cusum_h: float = CUSUM_H
-    cooldown: int = COOLDOWN
-
-    def __post_init__(self) -> None:
-        if self.warmup < 1:
-            raise ValueError(f"warmup must be >= 1, got {self.warmup}")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        check_positive("z_threshold", self.z_threshold)
-        if self.cusum_k < 0:
-            raise ValueError(f"cusum_k must be >= 0, got {self.cusum_k}")
-        check_positive("cusum_h", self.cusum_h)
-        if self.cooldown < 0:
-            raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
-        deprecated(
-            "AnomalyConfig",
-            "drop it: the detectors use the thresholds in repro.obs.anomaly "
-            "(WARMUP, EWMA_ALPHA, Z_THRESHOLD, CUSUM_K, CUSUM_H, COOLDOWN)",
-        )
 
 
 @dataclass(frozen=True)
@@ -292,30 +239,16 @@ class OnlineAnomalyDetector:
     Feed each ``snapshot`` record (dict form, as written by the stream)
     to :meth:`observe`; it returns the :class:`AnomalyRecord` alarms
     that window raised (usually none).  Only virtual-time fields are
-    read, so the output is deterministic for a given run.  ``config``
-    is deprecated: passing one warns, and its thresholds replace the
-    module constants.
+    read, so the output is deterministic for a given run.
     """
 
-    def __init__(
-        self, config: Optional[AnomalyConfig] = None, *, target_framerate: float = 0.0
-    ) -> None:
-        thresholds = (WARMUP, EWMA_ALPHA, Z_THRESHOLD, CUSUM_K, CUSUM_H, COOLDOWN)
-        if config is not None:
-            deprecated(
-                "OnlineAnomalyDetector(config=...)",
-                "drop it: the detectors use the module constants",
-            )
-            thresholds = astuple(config)  # the same fields, in that order
-        self.warmup, alpha, self.z_threshold, cusum_k, cusum_h, self.cooldown = (
-            thresholds
-        )
+    def __init__(self, *, target_framerate: float = 0.0) -> None:
         self.target_framerate = target_framerate
-        self._latency = EwmaDetector(alpha, rel_floor=0.25)
-        self._hit_rate = EwmaDetector(alpha, rel_floor=0.0, abs_floor=0.08)
-        self._throughput = EwmaDetector(alpha, rel_floor=0.35)
-        self._queue = CusumDetector(cusum_k, cusum_h, alpha, min_level=4.0)
-        self._burn = CusumDetector(cusum_k, cusum_h, alpha, min_level=1.0)
+        self._latency = EwmaDetector(EWMA_ALPHA, rel_floor=0.25)
+        self._hit_rate = EwmaDetector(EWMA_ALPHA, rel_floor=0.0, abs_floor=0.08)
+        self._throughput = EwmaDetector(EWMA_ALPHA, rel_floor=0.35)
+        self._queue = CusumDetector(CUSUM_K, CUSUM_H, EWMA_ALPHA, min_level=4.0)
+        self._burn = CusumDetector(CUSUM_K, CUSUM_H, EWMA_ALPHA, min_level=1.0)
         self._snapshots = 0
         self._cooldowns: Dict[str, int] = {}
 
@@ -323,7 +256,7 @@ class OnlineAnomalyDetector:
 
     def _armed(self, kind: str) -> bool:
         return (
-            self._snapshots > self.warmup
+            self._snapshots > WARMUP
             and self._cooldowns.get(kind, 0) <= 0
         )
 
@@ -348,14 +281,13 @@ class OnlineAnomalyDetector:
                 baseline=baseline,
             )
         )
-        self._cooldowns[kind] = self.cooldown
+        self._cooldowns[kind] = COOLDOWN
 
     # -- the detector bank -------------------------------------------------
 
     def observe(self, snapshot: Mapping[str, Any]) -> List[AnomalyRecord]:
         """Feed one snapshot window; return the alarms it raised."""
         out: List[AnomalyRecord] = []
-        z_threshold = self.z_threshold
         self._snapshots += 1
         for kind in list(self._cooldowns):
             self._cooldowns[kind] -= 1
@@ -368,7 +300,7 @@ class OnlineAnomalyDetector:
         if completed > 0:
             baseline = self._latency.mean
             z = self._latency.update(snapshot["latency_p95"])
-            if z > z_threshold and self._armed("latency-spike"):
+            if z > Z_THRESHOLD and self._armed("latency-spike"):
                 self._emit(
                     out, "latency-spike", snapshot, "ewma", z,
                     snapshot["latency_p95"], baseline,
@@ -379,7 +311,7 @@ class OnlineAnomalyDetector:
         if snapshot["cache_hits"] + snapshot["cache_misses"] > 0:
             baseline = self._hit_rate.mean
             z = self._hit_rate.update(snapshot["hit_rate"])
-            if z < -z_threshold and self._armed("hit-rate-collapse"):
+            if z < -Z_THRESHOLD and self._armed("hit-rate-collapse"):
                 self._emit(
                     out, "hit-rate-collapse", snapshot, "ewma", -z,
                     snapshot["hit_rate"], baseline,
@@ -398,7 +330,7 @@ class OnlineAnomalyDetector:
             baseline = self._throughput.mean
             z = self._throughput.update(float(completed))
             if (
-                z < -z_threshold
+                z < -Z_THRESHOLD
                 and outstanding > 0
                 and self._armed("throughput-stall")
             ):
@@ -434,7 +366,6 @@ class OnlineAnomalyDetector:
 
 def detect_from_snapshots(
     snapshots: Iterable[Mapping[str, Any]],
-    config: Optional[AnomalyConfig] = None,
     *,
     target_framerate: float = 0.0,
 ) -> List[AnomalyRecord]:
@@ -442,15 +373,9 @@ def detect_from_snapshots(
 
     The offline twin of the online path: feeding the same snapshots
     yields byte-identical records, which the grid-equality tests lean
-    on.  ``config`` is deprecated, as on :class:`OnlineAnomalyDetector`.
+    on.
     """
-    if config is not None:
-        deprecated(
-            "detect_from_snapshots(config=...)",
-            "drop it: the detectors use the module constants",
-        )
-    with quietly():
-        detector = OnlineAnomalyDetector(config, target_framerate=target_framerate)
+    detector = OnlineAnomalyDetector(target_framerate=target_framerate)
     out: List[AnomalyRecord] = []
     for snapshot in snapshots:
         out.extend(detector.observe(snapshot))
@@ -572,7 +497,6 @@ __all__ = [
     "CUSUM_K",
     "CUSUM_H",
     "COOLDOWN",
-    "AnomalyConfig",
     "AnomalyRecord",
     "EwmaDetector",
     "CusumDetector",

@@ -65,8 +65,6 @@ from typing import (
     Union,
 )
 
-from repro.util.deprecation import deprecated
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.job import RenderTask
     from repro.core.tables import SchedulerTables
@@ -92,6 +90,11 @@ REASON_SPECULATIVE = "speculative"
 #: Recovery resynced a wiped node's cache mirror and reloaded replicas.
 REASON_REWARM = "rewarm"
 
+#: Where a decision record's candidate snapshot stops adding cached
+#: replicas (replica sets are usually 0-2 nodes; this caps pathological
+#: fan-out).
+MAX_CANDIDATES = 8
+
 #: The closed reason-code vocabulary, in rough goodness order.
 REASON_CODES: Tuple[str, ...] = (
     REASON_CACHE_HIT,
@@ -110,10 +113,8 @@ REASON_CODES: Tuple[str, ...] = (
 class AuditConfig:
     """How the decision audit log behaves for one run.
 
-    Every record carries its candidate-node snapshot, capped at 8
-    candidates.  ``candidates`` and ``max_candidates`` are deprecated
-    since 1.9 and removed in 1.10: a value other than the default
-    warns, and still takes effect.
+    Every record carries its candidate-node snapshot, capped at
+    :data:`MAX_CANDIDATES`.
 
     Attributes:
         capacity: Ring-buffer size in decision records.  Old records are
@@ -123,38 +124,14 @@ class AuditConfig:
         jsonl_path: When set, every record is also appended to this file
             as one JSON object per line *as it is recorded* — the
             flight-recorder export, unaffected by ring eviction.
-        candidates: *Deprecated.*  Record the per-decision
-            candidate-node snapshots (chosen node, min-available node,
-            cached replicas with their table state).
-        max_candidates: *Deprecated.*  Where a snapshot stops adding
-            cached replicas (replica sets are usually 0-2 nodes; this
-            caps pathological fan-out).  The chosen and the
-            min-available node are always kept, so a snapshot can hold
-            two candidates under a cap of 1.
     """
 
     capacity: Optional[int] = 4096
     jsonl_path: Optional[Union[str, Path]] = None
-    candidates: bool = True
-    max_candidates: int = 8
 
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {self.capacity}")
-        if self.max_candidates < 1:
-            raise ValueError(
-                f"max_candidates must be >= 1, got {self.max_candidates}"
-            )
-        if not self.candidates:
-            deprecated(
-                "AuditConfig.candidates",
-                "drop it: every record carries its candidate snapshot",
-            )
-        if self.max_candidates != 8:
-            deprecated(
-                "AuditConfig.max_candidates",
-                "drop it: snapshots keep at most 8 candidates",
-            )
 
 
 class CandidateState(NamedTuple):
@@ -325,7 +302,6 @@ class AuditLog:
         self.scenario = scenario
         self._ring: Deque = deque(maxlen=self.config.capacity)
         self._ring_append = self._ring.append
-        self._snapshot = self.config.candidates
         self._pending = False
         self._tables = None
         self._replicas_get = None
@@ -395,24 +371,21 @@ class AuditLog:
         if times is None:
             times = job.assign_times = [None] * len(job.chunks)
         times[index] = now
-        if self._snapshot:
-            # C-level copies of the mutable state, plus the chunk's
-            # time-varying Estimate entry.  Everything else a record
-            # needs (min-available node, render estimate, membership,
-            # the candidate cap) is a pure function of this capture and
-            # is deferred to materialization.
-            entry = (
-                now,
-                self.invocations,
-                task,
-                node,
-                reason,
-                tuple(replicas) if replicas else (),
-                tuple(self._available),
-                self._estimate_table[chunk],
-            )
-        else:
-            entry = (now, self.invocations, task, node, reason, None, None, None)
+        # C-level copies of the mutable state, plus the chunk's
+        # time-varying Estimate entry.  Everything else a record needs
+        # (min-available node, render estimate, membership, the
+        # candidate cap) is a pure function of this capture and is
+        # deferred to materialization.
+        entry = (
+            now,
+            self.invocations,
+            task,
+            node,
+            reason,
+            tuple(replicas) if replicas else (),
+            tuple(self._available),
+            self._estimate_table[chunk],
+        )
         if self._stream is None:
             self._ring_append(entry)
             self._pending = True
@@ -456,14 +429,11 @@ class AuditLog:
             return _shed_record(*entry)
         now, cycle, task, node, reason, replicas, available, est = entry
         job, index, chunk = task
-        candidates: Tuple[CandidateState, ...] = ()
-        if replicas is not None:
-            hit_est = self._render_times[chunk.size, job.composite_group_size]
-            cold_est = est + hit_est
-            candidates = _candidates(
-                node, available.index(min(available)), available, replicas,
-                hit_est, cold_est, self.config.max_candidates,
-            )
+        hit_est = self._render_times[chunk.size, job.composite_group_size]
+        candidates = _candidates(
+            node, available.index(min(available)), available, replicas,
+            hit_est, est + hit_est, MAX_CANDIDATES,
+        )
         return DecisionRecord(
             now,
             cycle,
@@ -677,6 +647,7 @@ __all__ = [
     "REASON_SPECULATIVE",
     "REASON_REWARM",
     "REASON_CODES",
+    "MAX_CANDIDATES",
     "AuditConfig",
     "CandidateState",
     "DecisionRecord",

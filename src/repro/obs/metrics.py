@@ -470,11 +470,9 @@ class RunMetrics:
     ``.metrics`` when the run was started with ``metrics=True`` (or an
     explicit registry).  ``snapshots`` is the metrics grid's probe
     series, one :class:`~repro.obs.probe.Snapshot` per tick (the first
-    tick has no window); ``windows`` is read off it.  It replaces the
-    deprecated ``RunConfig(timeline_interval=...)`` samples: a
-    snapshot's ``time``, ``backlog``, ``busy``, ``completed``,
-    ``hits``, ``misses`` and ``deferred`` are a
-    ``TimelineSample``'s fields, in order.
+    tick has no window); ``windows`` is read off it.  A snapshot's
+    ``time``, ``backlog``, ``busy``, ``completed``, ``hits``,
+    ``misses`` and ``deferred`` trace the run's cluster dynamics.
     """
 
     registry: MetricsRegistry

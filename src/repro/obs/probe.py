@@ -1,11 +1,11 @@
 """One sampling clock and one store for every periodic observer.
 
-Metrics windows, tracer counter tracks, the telemetry stream and
-timeline samples all watch the same service state at fixed intervals.
-A :class:`Probe` is the only code that puts those sampling ticks on the
-event queue, and the only store of what each tick read: a grid asked
-for its :meth:`~Probe.series` keeps its :class:`Snapshot` list, which
-metric windows and timeline samples are read from after the run.
+Metrics windows, tracer counter tracks and the telemetry stream all
+watch the same service state at fixed intervals.  A :class:`Probe` is
+the only code that puts those sampling ticks on the event queue, and
+the only store of what each tick read: a grid asked for its
+:meth:`~Probe.series` keeps its :class:`Snapshot` list, which metric
+windows and ``result.metrics.snapshots`` are read from after the run.
 :class:`Sink` subclasses act on each snapshot at tick time instead.
 Nothing here writes to the service, so an observed run is
 bit-identical to an unobserved one.

@@ -63,21 +63,10 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.obs.metrics import default_window_interval
 from repro.obs.probe import MetricWindow, Sink, Snapshot
-from repro.util.deprecation import deprecated, quietly
 from repro.util.validation import check_positive
 
 #: NDJSON schema version stamped in every stream's ``run`` header.
 STREAM_SCHEMA = 1
-
-
-def __getattr__(name: str):
-    if name == "default_stream_interval":
-        deprecated(
-            "repro.obs.stream.default_stream_interval",
-            "use repro.obs.metrics.default_window_interval, which it aliases",
-        )
-        return default_window_interval
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -85,68 +74,24 @@ class StreamConfig:
     """How one run streams live telemetry.
 
     A stream samples the metrics windows' grid (~64 snapshots over the
-    horizon), checkpoints the wall clock every second and runs the
-    online anomaly detectors with their default thresholds.
-    ``interval``, ``wall_interval``, ``anomalies`` and
-    ``anomaly_config`` are deprecated since 1.9 and removed in 1.10: a
-    value other than the default warns, and still takes effect.
+    horizon), checkpoints the wall clock once per wall second (on grid
+    ticks, so checkpoints never add events) and runs the online anomaly
+    detectors (:mod:`repro.obs.anomaly`) with their default thresholds.
 
     Attributes:
         path: NDJSON output file (created/truncated at run start; parent
             directories are created).
-        interval: *Deprecated.*  Snapshot grid interval in simulated
-            seconds; ``None`` derives ~64 snapshots from the horizon
-            (the metrics-sampler default, so the two grids coincide).
-        wall_interval: *Deprecated.*  Wall-clock seconds between
-            ``wall`` checkpoint records (progress/ETA for a human
-            tailing the file).  Checkpoints piggyback on grid ticks —
-            they never add events.
         stall_timeout: Wall-clock seconds without a single event
             draining before the watchdog dumps a ``stall`` diagnostic
             record; ``None`` disables the watchdog thread entirely.
-        anomalies: *Deprecated.*  Run the online anomaly detectors
-            (:mod:`repro.obs.anomaly`) over the snapshot series and
-            emit ``anomaly`` records.
-        anomaly_config: *Deprecated.*  Optional
-            :class:`~repro.obs.anomaly.AnomalyConfig` overriding the
-            detector thresholds.
     """
 
     path: Union[str, Path]
-    interval: Optional[float] = None
-    wall_interval: float = 1.0
     stall_timeout: Optional[float] = None
-    anomalies: bool = True
-    anomaly_config: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.interval is not None:
-            check_positive("interval", self.interval)
-        check_positive("wall_interval", self.wall_interval)
         if self.stall_timeout is not None:
             check_positive("stall_timeout", self.stall_timeout)
-        if self.interval is not None:
-            deprecated(
-                "StreamConfig.interval",
-                "drop it: the stream samples the metrics windows' "
-                "horizon/64 grid",
-            )
-        if self.wall_interval != 1.0:
-            deprecated(
-                "StreamConfig.wall_interval",
-                "drop it: wall checkpoints come once per wall second",
-            )
-        if not self.anomalies:
-            deprecated(
-                "StreamConfig.anomalies",
-                "drop it: the detectors always run; skip the anomaly "
-                "records when reading the stream",
-            )
-        if self.anomaly_config is not None:
-            deprecated(
-                "StreamConfig.anomaly_config",
-                "drop it: the detectors use their default thresholds",
-            )
 
     def for_shard(self, shard: int) -> "StreamConfig":
         """A copy streaming to a shard-suffixed sibling file.
@@ -157,10 +102,9 @@ class StreamConfig:
         """
         path = Path(self.path)
         suffix = path.suffix or ".ndjson"
-        with quietly():
-            return dataclasses.replace(
-                self, path=path.with_name(f"{path.stem}.shard{shard}{suffix}")
-            )
+        return dataclasses.replace(
+            self, path=path.with_name(f"{path.stem}.shard{shard}{suffix}")
+        )
 
 
 def iter_jsonl(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
@@ -398,19 +342,17 @@ class TelemetryStream(Sink):
     :class:`~repro.obs.probe.Snapshot` the metric windows on the grid
     are read from, so the streamed counters are exactly the post-hoc
     window series when the two share an interval.  Each tick also
-    checks the wall clock and, when ``wall_interval`` has passed,
-    appends a ``wall`` checkpoint with events/s and the ETA
-    extrapolation.
+    checks the wall clock and, once per wall second, appends a ``wall``
+    checkpoint with events/s and the ETA extrapolation.
 
     Deterministic snapshot fields (everything under simulated time) are
     separated from wall-clock fields by construction: the anomaly
     detectors consume only the former, so anomaly records are
     bit-reproducible across machines.
 
-    ``interval`` is the grid the stream samples; ``None`` takes the
-    config's (deprecated) interval, else ~64 snapshots over the horizon.
-    The simulator passes the grid it computed, so the config it was
-    given is used as it is.
+    ``interval`` is the grid the stream samples; ``None`` takes ~64
+    snapshots over the horizon.  The simulator passes the grid it
+    computed.
     """
 
     def __init__(
@@ -429,7 +371,7 @@ class TelemetryStream(Sink):
         self.horizon = horizon
         self.target_framerate = target_framerate
         if interval is None:
-            interval = config.interval or default_window_interval(
+            interval = default_window_interval(
                 horizon if horizon is not None else 60.0
             )
         self.interval = interval
@@ -446,14 +388,9 @@ class TelemetryStream(Sink):
                 "shard": job_namespace,
             }
         )
-        self.detector = None
-        if config.anomalies:
-            from repro.obs.anomaly import OnlineAnomalyDetector
+        from repro.obs.anomaly import OnlineAnomalyDetector
 
-            with quietly():
-                self.detector = OnlineAnomalyDetector(
-                    config.anomaly_config, target_framerate=target_framerate
-                )
+        self.detector = OnlineAnomalyDetector(target_framerate=target_framerate)
         self.watchdog: Optional[StallWatchdog] = None
         self.snapshots = 0
         self.anomalies: List = []
@@ -488,7 +425,7 @@ class TelemetryStream(Sink):
         events = service.cluster.events
         self._start = events.now
         self._wall_start = _time.perf_counter()
-        self._next_wall = self.config.wall_interval
+        self._next_wall = 1.0
         if self.config.stall_timeout is not None:
             self.watchdog = StallWatchdog(
                 events, service, self._writer, self.config.stall_timeout
@@ -573,19 +510,16 @@ class TelemetryStream(Sink):
             }
             self._writer.write(snapshot)
             self.snapshots += 1
-            if self.detector is not None:
-                for anomaly in self.detector.observe(snapshot):
-                    self.anomalies.append(anomaly)
-                    self._writer.write(anomaly.to_dict())
+            for anomaly in self.detector.observe(snapshot):
+                self.anomalies.append(anomaly)
+                self._writer.write(anomaly.to_dict())
 
         wall = _time.perf_counter() - self._wall_start
         if wall >= self._next_wall:
             self._wall_checkpoint(snap.time, snap.events, wall)
             # Skip any checkpoints the run blew past (a slow stretch
             # should not trigger a burst of catch-up records).
-            self._next_wall = (
-                math.floor(wall / self.config.wall_interval) + 1
-            ) * self.config.wall_interval
+            self._next_wall = math.floor(wall) + 1.0
 
     def _burn(self, window: MetricWindow) -> float:
         """The stream's ``burn``: target fps ÷ the window's delivered fps.

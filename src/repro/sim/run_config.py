@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.util.deprecation import deprecated
-
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
     from repro.frontend.config import FrontendConfig
@@ -34,13 +32,11 @@ class RunConfig:
     """Everything about *how* to run a scenario (not *what* to run).
 
     Construction rejects a ``max_drain_time`` that is not finite and
-    >= 0, a ``max_drain_time`` without ``drain=True`` (it bounds only a
-    drain), and a sampling interval that is not finite and > 0.
+    >= 0, and a ``max_drain_time`` without ``drain=True`` (it bounds
+    only a drain).
 
-    The three sampling intervals are deprecated since 1.9 and removed
-    in 1.10: setting one warns, and still takes effect.  Every periodic
-    observer then keeps its default grid: horizon/64 for metrics
-    windows (and the stream), horizon/256 for counter tracks.
+    Every periodic observer samples its default grid: horizon/64 for
+    metrics windows (and the stream), horizon/256 for counter tracks.
 
     Attributes:
         drain: Keep simulating past the trace horizon until all
@@ -50,10 +46,6 @@ class RunConfig:
             past the horizon (``None`` = unbounded).
         storage_seed: Seed for I/O jitter (when the storage spec
             enables it).
-        timeline_interval: *Deprecated.*  Sample cluster dynamics
-            every this many simulated seconds
-            (``result.timeline_samples``); ``None`` disables.  Use
-            ``metrics=True`` and ``result.metrics.snapshots``.
         faults: Optional :class:`~repro.faults.plan.FaultPlan` — the
             fault-injection subsystem (crashes, stragglers, cache
             wipes, storage degradation, plus detection/recovery when
@@ -61,16 +53,10 @@ class RunConfig:
             bit-identical to a run without the subsystem.
         tracer: Optional :class:`~repro.obs.tracer.Tracer` recording
             spans and counter tracks.
-        counter_interval: *Deprecated.*  Sampling period of the
-            tracer's counter tracks (defaults to ~256 samples over the
-            horizon).
         metrics: ``True`` or an explicit
             :class:`~repro.obs.metrics.MetricsRegistry` enables the
             metrics layer (``result.metrics``: the registry, the
             per-window aggregates and the grid's probe snapshots).
-        metrics_interval: *Deprecated.*  Length of one metrics
-            aggregation window in simulated seconds (defaults to ~64
-            windows).
         frontend: Optional
             :class:`~repro.frontend.config.FrontendConfig` placing the
             overload-management frontend (admission control,
@@ -110,11 +96,8 @@ class RunConfig:
     drain: bool = False
     max_drain_time: Optional[float] = None
     storage_seed: int = 0
-    timeline_interval: Optional[float] = None
     tracer: Optional["Tracer"] = None
-    counter_interval: Optional[float] = None
     metrics: Union[bool, "MetricsRegistry"] = False
-    metrics_interval: Optional[float] = None
     frontend: Optional["FrontendConfig"] = None
     record_assignments: bool = False
     audit: Union[bool, "AuditConfig"] = False
@@ -131,27 +114,6 @@ class RunConfig:
         if drain_time is not None and not self.drain:
             raise ValueError(
                 "max_drain_time bounds the drain: it needs drain=True"
-            )
-        for name in ("timeline_interval", "counter_interval", "metrics_interval"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if self.timeline_interval is not None:
-            deprecated(
-                "RunConfig.timeline_interval",
-                "use RunConfig(metrics=True) and result.metrics.snapshots, "
-                "one probe snapshot per tick of the horizon/64 grid",
-            )
-        if self.counter_interval is not None:
-            deprecated(
-                "RunConfig.counter_interval",
-                "drop it: the tracer's counter tracks keep the default "
-                "horizon/256 grid",
-            )
-        if self.metrics_interval is not None:
-            deprecated(
-                "RunConfig.metrics_interval",
-                "drop it: metrics windows keep the default horizon/64 grid",
             )
 
     def replace(self, **changes) -> "RunConfig":

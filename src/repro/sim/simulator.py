@@ -75,7 +75,6 @@ from repro.reporting.analysis import (
     summarize,
 )
 from repro.reporting.collectors import JobRecords, SimulationCollector
-from repro.reporting.timeline import _TimelineSampler
 from repro.obs.audit import AuditConfig, AuditLog
 from repro.obs.causal import CausalCollector, CriticalPathAnalysis
 from repro.obs.counters import CounterSampler, default_counter_interval
@@ -142,7 +141,6 @@ class SimulationResult:
     tasks_executed: int = 0
     tasks_hit: int = 0
     tasks_missed: int = 0
-    timeline_samples: Optional["_TimelineSampler"] = None
     profile: Optional["ClusterProfile"] = None
     tracer: Optional["Tracer"] = None
     metrics: Optional["RunMetrics"] = None
@@ -308,7 +306,7 @@ def run_simulation(
         scheduler: A registry name (e.g. ``"OURS"``) or an instance.
         config: A :class:`~repro.sim.run_config.RunConfig` describing
             how to run — drain control, storage seed, observability
-            (tracer / metrics / timeline), the fault plan, and the
+            (tracer / metrics / audit / stream), the fault plan, and the
             overload-management ``frontend``.  ``None`` means all
             defaults (horizon-bounded, uninstrumented, no frontend).
 
@@ -392,7 +390,7 @@ def _metrics(run: _Run):
     for node in run.cluster.nodes:
         node.set_metrics(registry)
     run.cluster.storage.set_metrics(registry)
-    window = run.config.metrics_interval or default_window_interval(run.horizon)
+    window = default_window_interval(run.horizon)
     run.probe.add(MetricsSampler(registry, window))
     series = run.probe.series(window)
     # Counters and gauges read the run's live objects; freezing them
@@ -419,7 +417,7 @@ def _tracer(run: _Run):
         node.set_tracer(tracer)
         if run.audit is not None:
             node.set_flow_events(True)
-    interval = run.config.counter_interval or default_counter_interval(run.horizon)
+    interval = default_counter_interval(run.horizon)
     run.probe.add(
         CounterSampler(tracer, interval, per_node_cache=run.cluster.node_count <= 16)
     )
@@ -465,15 +463,6 @@ def _prewarm(run: _Run):
     run.service.prewarm(run.scenario.trace.datasets)
 
 
-def _timeline(run: _Run):
-    if run.config.timeline_interval is None:
-        return
-    yield
-    series = run.probe.series(run.config.timeline_interval)
-    yield
-    run.fields["timeline_samples"] = _TimelineSampler(series)
-
-
 def _faults(run: _Run):
     if run.config.faults is None:
         return
@@ -497,7 +486,7 @@ def _stream(run: _Run):
 
     stream = TelemetryStream(
         config,
-        interval=config.interval or default_window_interval(run.horizon),
+        interval=default_window_interval(run.horizon),
         scenario=run.scenario.name,
         scheduler=run.scheduler.name,
         horizon=run.stop_at,
@@ -520,7 +509,6 @@ _PARTS = (
     _tracer,  # the virtual-time tracer and its counter tracks
     _assignments,  # the per-task trace the golden hashes digest
     _prewarm,  # the paper's test run: caches loaded before time starts
-    _timeline,  # cluster-dynamics samples for the timeline plots
     _faults,  # the fault plan, with its detection and recovery
     _stream,  # live NDJSON telemetry and its stall watchdog
 )

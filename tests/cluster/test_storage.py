@@ -52,18 +52,16 @@ class TestLoadLifecycle:
         model = StorageModel(StorageSpec())
         model.begin_load(MiB)
         model.begin_load(MiB)
-        assert model.active_loads == 2
-        with pytest.warns(DeprecationWarning, match=r"end_load\(\)"):
-            model.end_load()
-        assert model.active_loads == 1
-        with pytest.warns(DeprecationWarning, match=r"end_load\(\)"):
-            model.end_load()
-        assert model.active_loads == 0
+        assert (model.active_loads, model.active_bytes) == (2, 2 * MiB)
+        model.end_load(MiB)
+        assert (model.active_loads, model.active_bytes) == (1, MiB)
+        model.end_load(MiB)
+        assert (model.active_loads, model.active_bytes) == (0, 0)
 
     def test_end_without_begin_raises(self):
         model = StorageModel(StorageSpec())
         with pytest.raises(RuntimeError):
-            model.end_load()
+            model.end_load(MiB)
 
     def test_counters(self):
         model = StorageModel(StorageSpec())

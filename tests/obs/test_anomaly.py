@@ -16,10 +16,10 @@ from repro.faults import FaultPlan
 from repro.obs.anomaly import (
     ANOMALY_KINDS,
     FAULT_SIGNATURES,
-    AnomalyConfig,
     AnomalyRecord,
     CusumDetector,
     EwmaDetector,
+    WARMUP,
     OnlineAnomalyDetector,
     detect_from_snapshots,
     merge_anomalies,
@@ -138,12 +138,6 @@ class TestVocabulary:
         assert AnomalyRecord.from_dict(payload) == record
         assert "latency-spike" in record.describe()
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AnomalyConfig(z_threshold=0.0)
-        with pytest.raises(ValueError):
-            AnomalyConfig(warmup=-1)
-
 
 def _snapshot(t, **overrides):
     base = {
@@ -219,10 +213,8 @@ class TestDetectorBank:
             assert "burn-acceleration" not in [a.kind for a in alarms]
 
     def test_warmup_suppresses_early_alarms(self):
-        with pytest.warns(DeprecationWarning, match="AnomalyConfig"):
-            config = AnomalyConfig(warmup=6)
-        with pytest.warns(DeprecationWarning, match="OnlineAnomalyDetector"):
-            detector = OnlineAnomalyDetector(config)
+        assert WARMUP == 6
+        detector = OnlineAnomalyDetector()
         for k in range(5):
             detector.observe(_snapshot(float(k + 1)))
         assert detector.observe(_snapshot(6.0, latency_p95=5.0)) == []

@@ -43,18 +43,11 @@ def stage(harness, available=(0.0, 1.0, 9.0, 9.0), cached=(), *, tasks=1,
     return out
 
 
-def lean(**options):
-    """A log config on the deprecated ``candidates=False`` capture branch."""
-    with pytest.warns(DeprecationWarning, match="AuditConfig.candidates"):
-        return AuditConfig(candidates=False, **options)
-
-
 class TestAuditConfig:
     def test_defaults(self):
         cfg = AuditConfig()
         assert cfg.capacity == 4096
         assert cfg.jsonl_path is None
-        assert cfg.candidates is True
 
     def test_unbounded_capacity_allowed(self):
         assert AuditConfig(capacity=None).capacity is None
@@ -63,17 +56,13 @@ class TestAuditConfig:
         with pytest.raises(ValueError, match="capacity"):
             AuditConfig(capacity=0)
 
-    def test_bad_max_candidates_rejected(self):
-        with pytest.raises(ValueError, match="max_candidates"):
-            AuditConfig(max_candidates=0)
-
 
 class TestReasonDerivation:
     """When the policy states no reason, one is derived from the tables."""
 
     def record(self, harness, node, cached=(), reason=None):
         (task,) = stage(harness, (5.0, 0.0, 9.0, 9.0), cached)
-        log = AuditLog(lean())
+        log = AuditLog(AuditConfig())
         log.begin_invocation(0.0, 1)
         log.record_assignment(task, node, harness.tables, 1.0, reason)
         (rec,) = log.records
@@ -106,7 +95,7 @@ class TestReasonDerivation:
 
 class TestRingBuffer:
     def test_eviction_keeps_newest_and_counts_drops(self, harness):
-        log = AuditLog(lean(capacity=4))
+        log = AuditLog(AuditConfig(capacity=4))
         for i, task in enumerate(stage(harness, tasks=10)):
             log.record_assignment(task, 0, harness.tables, float(i), None)
         assert len(log) == 4
@@ -115,14 +104,14 @@ class TestRingBuffer:
         assert [r.task_index for r in log] == [6, 7, 8, 9]
 
     def test_reason_totals_survive_eviction(self, harness):
-        log = AuditLog(lean(capacity=2))
+        log = AuditLog(AuditConfig(capacity=2))
         for task in stage(harness, tasks=5):
             log.record_assignment(task, 0, harness.tables, 0.0, None)
         assert log.reason_counts() == {REASON_ONLY_AVAILABLE: 5}
         assert sum(log.reason_counts().values()) == log.total_recorded
 
     def test_decisions_for_filters_one_job(self, harness):
-        log = AuditLog(lean())
+        log = AuditLog(AuditConfig())
         for user in (7, 8):
             (task,) = stage(harness, user=user, action=1, sequence=0)
             log.record_assignment(task, 0, harness.tables, 0.0, None)
@@ -130,7 +119,7 @@ class TestRingBuffer:
         assert log.decisions_for(9, 9, 9) == []
 
     def test_summary_mentions_counts(self, harness):
-        log = AuditLog(lean())
+        log = AuditLog(AuditConfig())
         (task,) = stage(harness)
         log.record_assignment(task, 0, harness.tables, 0.0, None)
         assert "1 decisions" in log.summary()
@@ -139,7 +128,7 @@ class TestRingBuffer:
 class TestFlightRecorder:
     def test_jsonl_stream_sees_evicted_records(self, harness, tmp_path):
         path = tmp_path / "audit.jsonl"
-        log = AuditLog(lean(capacity=2, jsonl_path=path))
+        log = AuditLog(AuditConfig(capacity=2, jsonl_path=path))
         for i, task in enumerate(stage(harness, tasks=5)):
             log.record_assignment(task, 0, harness.tables, float(i), None)
         log.close()
@@ -164,7 +153,7 @@ class TestFlightRecorder:
         assert nodes[1]["cached"] is True
 
     def test_write_jsonl_dumps_ring_only(self, harness, tmp_path):
-        log = AuditLog(lean(capacity=2))
+        log = AuditLog(AuditConfig(capacity=2))
         for task in stage(harness, tasks=5):
             log.record_assignment(task, 0, harness.tables, 0.0, None)
         path = log.write_jsonl(tmp_path / "ring.jsonl")
@@ -305,7 +294,7 @@ class TestSimulationWiring:
         ],
     )
     def test_reason_vocabulary_per_scheduler(self, scheduler, allowed):
-        result = self.run(scheduler, audit=lean())
+        result = self.run(scheduler, audit=AuditConfig())
         counts = result.audit.reason_counts()
         assert counts, scheduler
         assert set(counts) <= allowed, counts

@@ -1,17 +1,20 @@
 """CounterSampler: built-in pressure counters on a live simulation."""
 
-import pytest
-
+from repro.cluster.event_queue import PRIORITY_ARRIVAL, EventQueue
+from repro.core.registry import make_scheduler
 from repro.obs.counters import (
     STANDARD_TRACKS,
     TRACK_BUSY_NODES,
     TRACK_CACHE,
     TRACK_IO_INFLIGHT,
     TRACK_QUEUE,
+    CounterSampler,
     default_counter_interval,
 )
+from repro.obs.probe import Probe
 from repro.obs.tracer import PID_HEAD, Tracer
 from repro.sim.run_config import RunConfig
+from repro.sim.service import VisualizationService
 from repro.sim.simulator import run_simulation
 from repro.workload.scenarios import scenario_1
 
@@ -49,15 +52,32 @@ class TestCounterSampler:
                 assert e.args["busy"] <= 8
 
     def test_sampling_respects_interval(self):
-        with pytest.warns(DeprecationWarning, match="counter_interval"):
-            tracer, result = traced_run(counter_interval=0.5)
-        queue_samples = [
-            e for e in tracer.events if e.phase == "C" and e.name == TRACK_QUEUE
+        """A sampler on a probe of its own ticks on its own interval."""
+        scenario = scenario_1(scale=0.05)
+        events = EventQueue()
+        service = VisualizationService(
+            scenario.system.build_cluster(events=events),
+            make_scheduler("OURS"),
+            scenario.system.chunk_max,
+        )
+        datasets = {d.name: d for d in scenario.trace.datasets}
+        events.schedule_many(
+            (
+                (r.time, service.submit_request, (r, datasets[r.dataset]))
+                for r in scenario.trace.requests
+            ),
+            priority=PRIORITY_ARRIVAL,
+        )
+        tracer = Tracer()
+        horizon = scenario.trace.duration
+        Probe(service, horizon=horizon).add(CounterSampler(tracer, 0.5)).start()
+        service.start()
+        events.run(until=horizon)
+        times = [
+            e.ts for e in tracer.events if e.phase == "C" and e.name == TRACK_QUEUE
         ]
-        # horizon 3s at scale 0.05 → ~7 samples, certainly < 20
-        assert 2 <= len(queue_samples) <= 20
-        times = [e.ts for e in queue_samples]
-        assert times == sorted(times)
+        # horizon 3s at scale 0.05 → one sample every 0.5 s, both ends.
+        assert times == [0.5 * k for k in range(7)]
 
     def test_node_pids_taken_once(self, monkeypatch):
         """Each node's pid is computed once per run, not once per tick."""

@@ -1,7 +1,8 @@
 """One sampling clock: observers must not depend on each other.
 
 Every periodic observer (metrics windows, tracer counter tracks, the
-telemetry stream, timeline samples) is a sink or a series on one
+telemetry stream, the metrics grid's snapshots) is a sink or a series
+on one
 :class:`~repro.obs.probe.Probe`.  The probe's quiescence rule ignores
 its own pending ticks, so attaching a second observer can never keep
 the first one ticking past the point where it would stop alone.
@@ -70,7 +71,7 @@ SCENARIOS = {
 
 
 def _timeline_rows(snapshots):
-    """A ``TimelineSample``'s fields, in order, from probe snapshots."""
+    """The cluster-dynamics fields of each probe snapshot, in order."""
     return [
         (s.time, s.backlog, s.busy, s.completed, s.hits, s.misses, s.deferred)
         for s in snapshots
@@ -80,23 +81,16 @@ def _timeline_rows(snapshots):
 def _outputs(scenario, observers, tmp_path, **extra):
     """Each observer's output, keyed by observer name.
 
-    ``timeline`` is the deprecated ``RunConfig(timeline_interval=...)``
-    sampler, on the metrics grid.
+    ``timeline`` is the metrics grid's ``result.metrics.snapshots``, so
+    it switches the metrics layer on.
     """
     path = tmp_path / ("-".join(observers) + ".ndjson")
-    options = dict(
-        metrics="metrics" in observers,
+    config = RunConfig(
+        metrics="metrics" in observers or "timeline" in observers,
         tracer=Tracer() if "counters" in observers else None,
         stream=StreamConfig(path) if "stream" in observers else None,
         **extra,
     )
-    if "timeline" in observers:
-        with pytest.warns(DeprecationWarning, match="timeline_interval"):
-            config = RunConfig(
-                timeline_interval=scenario.trace.duration / 64, **options
-            )
-    else:
-        config = RunConfig(**options)
     result = run_simulation(scenario, "OURS", config=config)
     out = {}
     if "metrics" in observers:
@@ -114,9 +108,7 @@ def _outputs(scenario, observers, tmp_path, **extra):
             if r["type"] in ("snapshot", "anomaly", "fault")
         ]
     if "timeline" in observers:
-        out["timeline"] = [
-            dataclasses.astuple(s) for s in result.timeline_samples.samples
-        ]
+        out["timeline"] = _timeline_rows(result.metrics.snapshots)
     return result, out
 
 
@@ -263,10 +255,13 @@ def test_observer_outputs_match_recorded_digests(case, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_stream_and_metrics_share_one_default_interval():
-    with pytest.warns(DeprecationWarning, match="default_stream_interval"):
-        from repro.obs.stream import default_stream_interval
-    assert default_stream_interval is default_window_interval
+def test_stream_and_metrics_share_one_default_interval(tmp_path):
+    path = tmp_path / "s.ndjson"
+    config = RunConfig(metrics=True, stream=StreamConfig(path))
+    result = run_simulation(scenario_1(scale=0.05), "OURS", config=config)
+    first, second = result.metrics.snapshots[:2]
+    assert read_stream(path)[0]["interval"] == second.time - first.time
+    assert second.time - first.time == default_window_interval(result.horizon)
 
 
 class _Sink:
@@ -354,11 +349,9 @@ class TestProbe:
         timeline = Probe(service, horizon=1.0)
         samples = timeline.series(0.25)
         stream_probe = Probe(service, horizon=1.0)
-        with pytest.warns(DeprecationWarning, match="StreamConfig.interval"):
-            stream_config = StreamConfig(tmp_path / "s.ndjson", interval=0.25)
-        stream = TelemetryStream(stream_config, horizon=1.0).attach(
-            service, stream_probe
-        )
+        stream = TelemetryStream(
+            StreamConfig(tmp_path / "s.ndjson"), interval=0.25, horizon=1.0
+        ).attach(service, stream_probe)
         for probe in (metrics, timeline, stream_probe):
             probe.start()
         events = service.cluster.events
@@ -370,11 +363,7 @@ class TestProbe:
         assert registry.value("repro_queue_depth") == 3.0
         queue = [e.ts for e in tracer.events if e.name == TRACK_QUEUE]
         assert queue == [0.0, 0.25, 0.5, 0.75, 1.0]
-        with pytest.warns(DeprecationWarning, match="TimelineSampler"):
-            from repro.reporting.timeline import TimelineSampler
-        assert [s.time for s in TimelineSampler(samples).samples] == [
-            0.0, 0.25, 0.5, 0.75, 1.0
-        ]
+        assert [s.time for s in samples] == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert report.snapshots == 4
         snapshots = [
             r for r in read_stream(tmp_path / "s.ndjson") if r["type"] == "snapshot"
@@ -416,11 +405,9 @@ def test_hand_driven_run_reports_exact_event_counts(tmp_path):
     sink = _CountSink(horizon / 16, events)
     Probe(service, horizon=horizon).add(sink).start()
     stream_probe = Probe(service, horizon=horizon)
-    with pytest.warns(DeprecationWarning, match="StreamConfig.interval"):
-        stream_config = StreamConfig(tmp_path / "s.ndjson", interval=horizon / 16)
-    stream = TelemetryStream(stream_config, horizon=horizon).attach(
-        service, stream_probe
-    )
+    stream = TelemetryStream(
+        StreamConfig(tmp_path / "s.ndjson"), interval=horizon / 16, horizon=horizon
+    ).attach(service, stream_probe)
     stream_probe.start()
     service.start()
     try:

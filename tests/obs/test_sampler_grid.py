@@ -5,8 +5,9 @@ Regression tests for tick drift: rescheduling each tick with
 thousands of ticks samples land off-grid (and two observers with the
 same interval disagree about window boundaries).  The probe computes
 the k-th tick time from the tick index; these tests pin that with exact
-float equality over 10k ticks, on the series the probe keeps and on the
-timeline, window and counter views of it.
+float equality over 10k ticks, on the series the probe keeps (a run's
+``result.metrics.snapshots``) and on the window and counter views of
+it.
 """
 
 import pytest
@@ -100,24 +101,16 @@ class TestProbeSeries:
             Probe(FakeService()).series(0.0)
 
 
-def timeline_samples(series):
-    """The rows of the deprecated ``TimelineSampler`` view of ``series``."""
-    with pytest.warns(DeprecationWarning, match="TimelineSampler"):
-        from repro.reporting.timeline import TimelineSampler
-    return TimelineSampler(series).samples
-
-
 class TestTimelineSamplerGrid:
-    """The probe's series, read through the timeline view of it."""
+    """The probe's series as a run's timeline, one snapshot per tick."""
 
     def test_10k_ticks_land_exactly_on_grid(self):
         service = FakeService()
         series = _series(service, INTERVAL)
         service.cluster.events.run(max_events=TICKS + 1)
-        samples = timeline_samples(series)
-        assert len(series) == len(samples) == TICKS + 1
-        for k, (snap, sample) in enumerate(zip(series, samples)):
-            assert snap.time == sample.time == k * INTERVAL
+        assert len(series) == TICKS + 1
+        for k, snap in enumerate(series):
+            assert snap.time == k * INTERVAL
 
     def test_non_representable_interval_does_not_drift(self):
         # 0.1 has no exact binary representation: repeated addition
@@ -127,8 +120,8 @@ class TestTimelineSamplerGrid:
         series = _series(service, 0.1)
         service.cluster.events.run(max_events=TICKS + 1)
         assert len(series) == TICKS + 1
-        for k, sample in enumerate(timeline_samples(series)):
-            assert sample.time == k * 0.1
+        for k, snap in enumerate(series):
+            assert snap.time == k * 0.1
 
     def test_grid_is_anchored_at_attach_time(self):
         service = FakeService()
@@ -139,8 +132,8 @@ class TestTimelineSamplerGrid:
         series = _series(service, INTERVAL)
         events.run(max_events=100)
         assert len(series) == 100
-        for k, sample in enumerate(timeline_samples(series)):
-            assert sample.time == 1.0 + k * INTERVAL
+        for k, snap in enumerate(series):
+            assert snap.time == 1.0 + k * INTERVAL
 
 
 class TestMetricsSamplerGrid:

@@ -59,34 +59,28 @@ def _run(tmp_path, *, stream=True, metrics=False, drain=False, **kwargs):
 
 class TestStreamConfig:
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="interval"):
-            StreamConfig(path=tmp_path / "s.ndjson", interval=0.0)
-        with pytest.raises(ValueError, match="wall_interval"):
-            StreamConfig(path=tmp_path / "s.ndjson", wall_interval=-1.0)
         with pytest.raises(ValueError, match="stall_timeout"):
             StreamConfig(path=tmp_path / "s.ndjson", stall_timeout=0.0)
 
     def test_for_shard_inserts_suffix(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="StreamConfig.interval"):
-            config = StreamConfig(path=tmp_path / "tele.ndjson", interval=0.5)
+        config = StreamConfig(path=tmp_path / "tele.ndjson", stall_timeout=0.5)
         shard = config.for_shard(3)
         assert shard.path.name == "tele.shard3.ndjson"
-        assert shard.interval == 0.5
+        assert shard.stall_timeout == 0.5
 
     def test_for_shard_defaults_extension(self, tmp_path):
         config = StreamConfig(path=tmp_path / "tele")
         assert config.for_shard(0).path.name == "tele.shard0.ndjson"
 
-    def test_default_interval_matches_metrics_grid(self):
+    def test_default_interval_matches_metrics_grid(self, tmp_path):
         from repro.obs.metrics import default_window_interval
 
-        with pytest.warns(DeprecationWarning, match="default_stream_interval"):
-            from repro.obs.stream import default_stream_interval
-
         for horizon in (0.5, 6.0, 600.0):
-            assert default_stream_interval(horizon) == pytest.approx(
-                default_window_interval(horizon)
+            stream = TelemetryStream(
+                StreamConfig(tmp_path / f"{horizon}.ndjson"), horizon=horizon
             )
+            stream.close()
+            assert stream.interval == default_window_interval(horizon)
 
 
 class TestStreamedRun:
@@ -206,9 +200,7 @@ class TestBurn:
 
     def _burns(self, tmp_path, windows, target=30.0):
         path = tmp_path / "s.ndjson"
-        with pytest.warns(DeprecationWarning, match="StreamConfig.anomalies"):
-            config = StreamConfig(path, anomalies=False)
-        stream = TelemetryStream(config, target_framerate=target)
+        stream = TelemetryStream(StreamConfig(path), target_framerate=target)
         for frames in windows:
             stream._tick(_snapshot(1.0, 1.5, frames))
         stream.close()

@@ -167,11 +167,3 @@ class TestEdgeCases:
             res.dataset.startswith("датасет-") for res in model.residency
         )
 
-
-class TestFieldRename:
-    def test_timeline_samples_field_still_carries_sampler(self):
-        with pytest.warns(DeprecationWarning, match="timeline_interval"):
-            config = RunConfig(timeline_interval=0.5)
-        result = run_simulation(tiny_scenario(), "OURS", config=config)
-        assert result.timeline_samples is not None
-        assert result.timeline_samples.samples

@@ -1,4 +1,4 @@
-"""Tests for timeline sampling and sparklines."""
+"""Tests for a run's timeline snapshots and sparklines."""
 
 import pytest
 
@@ -31,52 +31,51 @@ class TestSparkline:
         assert "min=1" in line and "max=3" in line
 
 
-class TestSamplerValidation:
-    def test_interval_positive(self):
-        with pytest.raises(ValueError):
-            RunConfig(timeline_interval=0.0)
-
-
 class TestSamplerEndToEnd:
+    """A run's timeline: ``result.metrics.snapshots``, one probe snapshot
+    per tick of the metrics grid (horizon/64)."""
+
     @pytest.fixture(scope="class")
     def result(self):
-        with pytest.warns(DeprecationWarning, match="timeline_interval"):
-            config = RunConfig(timeline_interval=0.25)
+        config = RunConfig(metrics=True)
         return run_simulation(scenario_1(scale=0.1), "OURS", config=config)
 
     def test_sample_count_matches_duration(self, result):
-        # 6 s horizon / 0.25 s ≈ 24 samples (+/- the final tick).
-        assert 20 <= len(result.timeline_samples.samples) <= 27
+        # 64 windows over the 6 s horizon, plus the t=0 tick.
+        assert len(result.metrics.snapshots) == 65
 
     def test_times_monotone(self, result):
-        times = result.timeline_samples.series("time")
+        times = [s.time for s in result.metrics.snapshots]
         assert times == sorted(times)
         assert times[0] == 0.0
 
     def test_jobs_completed_monotone(self, result):
-        completed = result.timeline_samples.series("jobs_completed")
+        completed = [s.completed for s in result.metrics.snapshots]
         assert all(b >= a for a, b in zip(completed, completed[1:]))
 
     def test_busy_nodes_bounded(self, result):
-        busy = result.timeline_samples.series("busy_nodes")
-        assert all(0 <= b <= 8 for b in busy)
+        assert all(0 <= s.busy <= 8 for s in result.metrics.snapshots)
 
     def test_completion_rate_length(self, result):
-        rates = result.timeline_samples.completion_rate()
-        assert len(rates) == len(result.timeline_samples.samples) - 1
+        snapshots = result.metrics.snapshots
+        rates = [
+            (b.completed - a.completed) / (b.time - a.time)
+            for a, b in zip(snapshots, snapshots[1:])
+        ]
+        assert len(rates) == len(snapshots) - 1
         assert all(r >= 0 for r in rates)
 
     def test_sampler_does_not_prolong_simulation(self):
-        with pytest.warns(DeprecationWarning, match="timeline_interval"):
-            config = RunConfig(drain=True, timeline_interval=0.2)
-        with_tl = run_simulation(scenario_1(scale=0.05), "OURS", config=config)
-        without = run_simulation(
-            scenario_1(scale=0.05), "OURS", config=RunConfig(drain=True)
+        scenario = scenario_1(scale=0.05)
+        with_tl = run_simulation(
+            scenario, "OURS", config=RunConfig(drain=True, metrics=True)
         )
+        without = run_simulation(scenario, "OURS", config=RunConfig(drain=True))
         assert with_tl.jobs_completed == without.jobs_completed
-        # The sampler stops within one interval of quiescence.
-        assert with_tl.simulated_time <= without.simulated_time + 0.2 + 1e-9
+        # The probe stops within one interval of quiescence.
+        interval = with_tl.metrics.snapshots[1].time
+        assert with_tl.simulated_time <= without.simulated_time + interval + 1e-9
 
     def test_no_timeline_by_default(self):
         result = run_simulation(scenario_1(scale=0.05), "OURS")
-        assert result.timeline_samples is None
+        assert result.metrics is None

@@ -39,8 +39,7 @@ def _ours(**extra):
 
 
 def _sampled_fcfsu():
-    with pytest.warns(DeprecationWarning, match="timeline_interval"):
-        return _fcfsu(timeline_interval=0.5)
+    return _fcfsu(metrics=True)
 
 
 def _storm():
@@ -62,12 +61,12 @@ CASES = {
         True,
         "f839f881ba48a362234449b63dd2ec4920c143b75d50c108401dc4ca39a90e8e",
     ),
-    # Same run with a timeline sampler: one tick is still queued when
-    # the drain stops, so a missed stop would process it.
+    # Same run with the metrics grid's sampler: one tick is still
+    # queued when the drain stops, so a missed stop would process it.
     "fcfsu-sampled": (
         _sampled_fcfsu,
         "0x1.a4b0dc74888e2p+1",
-        26267,
+        26331,
         True,
         "f839f881ba48a362234449b63dd2ec4920c143b75d50c108401dc4ca39a90e8e",
     ),
@@ -121,14 +120,13 @@ class _DroppingScheduler(Scheduler):
 
 def test_drain_stops_when_a_cycle_leaves_nothing_in_flight():
     """The last work leaves through a dispatch, not a completion."""
-    with pytest.warns(DeprecationWarning, match="timeline_interval"):
-        config = RunConfig(drain=True, timeline_interval=0.1)
+    config = RunConfig(drain=True, metrics=True)
     result = run_simulation(
         make_scenario(2, scale=0.05), _DroppingScheduler(), config
     )
     assert result.jobs_completed == 0
     assert result.simulated_time.hex() == "0x1.89a3888763bf5p+2"
-    assert result.events_processed == 1017
+    assert result.events_processed == 1021
     assert result.drained
 
 

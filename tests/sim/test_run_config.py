@@ -40,12 +40,6 @@ class TestRunConfig:
             ("max_drain_time", -1.0, "max_drain_time must be finite and >= 0, got -1.0"),
             ("max_drain_time", NAN, "max_drain_time must be finite and >= 0, got nan"),
             ("max_drain_time", INF, "max_drain_time must be finite and >= 0, got inf"),
-            ("timeline_interval", INF, "timeline_interval must be finite and > 0, got inf"),
-            ("timeline_interval", 0.0, "timeline_interval must be finite and > 0, got 0.0"),
-            ("counter_interval", -0.5, "counter_interval must be finite and > 0, got -0.5"),
-            ("counter_interval", NAN, "counter_interval must be finite and > 0, got nan"),
-            ("metrics_interval", 0.0, "metrics_interval must be finite and > 0, got 0.0"),
-            ("metrics_interval", INF, "metrics_interval must be finite and > 0, got inf"),
         ],
     )
     def test_rejects_bad_drain_time_and_intervals(self, field, value, message):
@@ -55,15 +49,7 @@ class TestRunConfig:
             RunConfig().replace(**{field: value})
 
     def test_boundary_values_accepted(self):
-        with pytest.warns(DeprecationWarning) as record:
-            config = RunConfig(
-                drain=True,
-                max_drain_time=0.0,
-                timeline_interval=1e-3,
-                counter_interval=0.5,
-                metrics_interval=2.0,
-            )
-        assert len(record) == 3
+        config = RunConfig(drain=True, max_drain_time=0.0)
         assert config.max_drain_time == 0.0
 
     def test_max_drain_time_needs_drain(self):

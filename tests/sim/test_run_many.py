@@ -35,10 +35,7 @@ def tiny_scenario(actions: int, seed: int = 0) -> Scenario:
 def mixed_points():
     """Scenarios, builders, scheduler names/instances/factories and
     distinct configs in one list."""
-    with pytest.warns(DeprecationWarning, match="timeline_interval"):
-        sampled = RunConfig(
-            record_assignments=True, timeline_interval=0.1, metrics=True
-        )
+    sampled = RunConfig(record_assignments=True, metrics=True)
     return [
         (tiny_scenario(1), "OURS", RunConfig(record_assignments=True)),
         (
@@ -100,15 +97,12 @@ class TestRunMany:
 
     def test_configs_apply_per_point(self, serial):
         assert serial[1].drained
-        assert serial[3].timeline_samples is not None
-        assert serial[0].timeline_samples is None
+        assert serial[3].metrics is not None
+        assert serial[0].metrics is None
 
     def test_pool_returns_serial_order_and_hashes(self, serial, pooled):
         assert _keys(pooled) == _keys(serial)
-        assert (
-            pooled[3].timeline_samples.samples
-            == serial[3].timeline_samples.samples
-        )
+        assert pooled[3].metrics.snapshots == serial[3].metrics.snapshots
 
     def test_pool_returns_serial_metric_windows(self, serial, pooled):
         assert serial[3].metrics.windows

@@ -26,7 +26,6 @@ OBSERVERS = {
     "_metrics": lambda tmp: {"metrics": True},
     "_tracer": lambda tmp: {"tracer": Tracer()},
     "_assignments": lambda tmp: {"record_assignments": True},
-    "_timeline": lambda tmp: {"timeline_interval": 0.05},
     "_stream": lambda tmp: {"stream": StreamConfig(tmp / "run.ndjson")},
 }
 
@@ -49,10 +48,6 @@ def _observed(observers, tmp_path):
     for name in observers:
         fields.update(OBSERVERS[name](tmp_path))
     options = dict(drain=True, frontend=FrontendConfig.protective(), faults=storm)
-    if "timeline_interval" in fields:
-        # The deprecated timeline part, removed in 1.10.
-        with pytest.warns(DeprecationWarning, match="timeline_interval"):
-            return scenario, RunConfig(**options, **fields)
     return scenario, RunConfig(**options, **fields)
 
 

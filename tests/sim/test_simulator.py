@@ -204,27 +204,25 @@ class TestRunThatRaises:
         assert excinfo.traceback
 
     def test_every_part_on_still_closes_everything(self, tmp_path):
-        """Faults, frontend, metrics, tracer, timeline and assignments
-        join the stream and audit: every registered closer still runs."""
+        """Faults, frontend, metrics, tracer and assignments join the
+        stream and audit: every registered closer still runs."""
         stream_path = tmp_path / "run.ndjson"
         audit_path = tmp_path / "audit.jsonl"
         scenario = tiny_scenario()
         registry = MetricsRegistry()
-        with pytest.warns(DeprecationWarning, match="timeline_interval"):
-            config = RunConfig(
-                stream=StreamConfig(path=stream_path, stall_timeout=1.0),
-                audit=AuditConfig(jsonl_path=audit_path),
-                faults=FaultPlan.storm(
-                    3,
-                    node_count=scenario.system.node_count,
-                    duration=scenario.trace.duration,
-                ),
-                frontend=FrontendConfig.protective(),
-                metrics=registry,
-                tracer=Tracer(),
-                timeline_interval=0.1,
-                record_assignments=True,
-            )
+        config = RunConfig(
+            stream=StreamConfig(path=stream_path, stall_timeout=1.0),
+            audit=AuditConfig(jsonl_path=audit_path),
+            faults=FaultPlan.storm(
+                3,
+                node_count=scenario.system.node_count,
+                duration=scenario.trace.duration,
+            ),
+            frontend=FrontendConfig.protective(),
+            metrics=registry,
+            tracer=Tracer(),
+            record_assignments=True,
+        )
         with pytest.raises(RuntimeError, match="policy failure") as excinfo:
             run_simulation(scenario, _RaisingScheduler(fail_at=20), config)
         assert gc.isenabled()

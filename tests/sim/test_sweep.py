@@ -149,10 +149,9 @@ class TestParallelWorkers:
         assert len(profile.nodes) == 4
 
     def test_parallel_results_keep_timeline_samples(self):
-        # The sampler holds no service reference, so a timeline-enabled
-        # result crosses the process boundary as it is.
-        with pytest.warns(DeprecationWarning, match="timeline_interval"):
-            config = RunConfig(timeline_interval=0.1)
+        # The probe's snapshots hold no service reference, so a
+        # result's timeline crosses the process boundary as it is.
+        config = RunConfig(metrics=True)
         serial = sweep(
             "#actions", [1], scenario_with_actions, ["OURS"], config=config
         )
@@ -164,6 +163,6 @@ class TestParallelWorkers:
             workers=2,
             config=config,
         )
-        samples = parallel.result(1, "OURS").timeline_samples.samples
+        samples = parallel.result(1, "OURS").metrics.snapshots
         assert samples
-        assert samples == serial.result(1, "OURS").timeline_samples.samples
+        assert samples == serial.result(1, "OURS").metrics.snapshots

@@ -272,6 +272,49 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+# One row per file argument: (id, flag, argv naming the directory ``d``).
+_DIRECTORY_ARGS = [
+    ("simulate-trace", "--trace",
+     ["simulate", "--scale", "0.05", "--trace", "d"]),
+    ("simulate-metrics", "--metrics",
+     ["simulate", "--scale", "0.05", "--metrics", "d"]),
+    ("simulate-audit", "--audit",
+     ["simulate", "--scale", "0.05", "--audit", "d"]),
+    ("simulate-stream", "--stream",
+     ["simulate", "--scale", "0.05", "--stream", "d"]),
+    ("federate-out", "--out",
+     ["federate", "--scale", "0.05", "--shards", "2", "--out", "d"]),
+    ("report-out", "--out", ["report", "--scale", "0.05", "--out", "d"]),
+    ("report-svg", "--svg",
+     ["report", "--scale", "0.05", "--out", "r.html", "--svg", "d"]),
+    ("faults-report", "--report",
+     ["faults", "--scale", "0.05", "--storm", "7", "--report", "d"]),
+    ("render-out", "--out",
+     ["render", "--size", "8", "--image", "8", "--ranks", "2", "--out", "d"]),
+    ("watch-once", "STREAM", ["watch", "d", "--once"]),
+    ("watch", "STREAM", ["watch", "d", "--idle-timeout", "0.1", "--poll", "0.05"]),
+]
+
+
+class TestFileArgumentIsADirectory:
+    @pytest.mark.parametrize(
+        "flag,argv",
+        [row[1:] for row in _DIRECTORY_ARGS],
+        ids=[row[0] for row in _DIRECTORY_ARGS],
+    )
+    def test_exits_2(self, flag, argv, tmp_path, monkeypatch, capsys):
+        """A file argument naming a directory is a usage error, found
+        before the verb runs."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"{flag} d is a directory, not a file"]
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
+
+
 class TestFaultsCommand:
     def test_storm_smoke(self, capsys):
         code = main(
@@ -332,6 +375,8 @@ class TestFaultsCommand:
 
 class TestAnimateCommand:
     def test_animate_writes_frames(self, tmp_path, capsys):
+        # ``--out`` names an output directory, which may already exist.
+        (tmp_path / "anim").mkdir()
         code = main(
             [
                 "animate",

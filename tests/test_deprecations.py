@@ -2,16 +2,15 @@
 
 Four things are checked here:
 
-* the surfaces that :func:`repro.util.deprecation.deprecated` is called
-  for in ``src/repro`` are exactly the rows of README's "Deprecated in
-  X.Y, removed in X.Y+1" table, and README has a "Migrating to X.Y"
+* nothing in ``src/repro`` is deprecated: no module names
+  ``DeprecationWarning`` or calls a ``deprecated`` helper, README carries
+  no "Deprecated in X.Y" table, and README has a "Migrating to X.Y"
   section for ``repro.__version__``;
-* each surface 1.9 deprecates warns once per use and names its
-  replacement, still takes effect, and stays silent when left at its
-  default; repro's own copies of a value the caller set do not warn
-  again, and the timeline's replacement reads the same rows;
-* each surface 1.7 deprecated is gone: passing or reading it fails
-  with the plain ``TypeError``, ``AttributeError`` or ``ImportError``;
+* each surface 1.7 or 1.9 deprecated is gone: passing or reading it
+  fails with the plain ``TypeError``, ``AttributeError`` or
+  ``ImportError``;
+* the settable fields of the run, stream and audit configs are the
+  fifteen that 1.10 keeps;
 * a run builds no ``Interconnect``.
 """
 
@@ -31,28 +30,18 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.costs import CostParameters
 from repro.cluster.interconnect import LinkSpec
 from repro.cluster.storage import StorageModel, StorageSpec
-from repro.federation.config import FederationConfig
-from repro.federation.federation import build_shards
-from repro.obs import anomaly
-from repro.obs.anomaly import (
-    AnomalyConfig,
-    OnlineAnomalyDetector,
-    detect_from_snapshots,
-)
-from repro.obs.audit import AuditConfig
-from repro.obs.metrics import default_window_interval
-from repro.obs.stream import StreamConfig, TelemetryStream, read_stream
+from repro.obs.anomaly import OnlineAnomalyDetector, detect_from_snapshots
+from repro.obs.audit import MAX_CANDIDATES, AuditConfig
+from repro.obs.stream import StreamConfig
 from repro.obs.tracer import Tracer
 from repro.sim.config import SystemConfig, system_anl, system_linux8
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import run_simulation
-from repro.util.deprecation import REMOVED_IN
 from repro.util.units import GiB, MiB
 from repro.workload.scenarios import make_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
-HELPER = PACKAGE / "util" / "deprecation.py"
 
 
 def _release(version):
@@ -61,67 +50,33 @@ def _release(version):
 
 
 def warning_sites():
-    """``{surface: "file:line"}`` for every ``deprecated(...)`` call."""
-    sites = {}
+    """``"file:line"`` of every ``DeprecationWarning`` name and every
+    call to a function named ``deprecated`` in ``src/repro``."""
+    sites = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and node.id == "DeprecationWarning":
-                assert path == HELPER, (
-                    f"{path.relative_to(ROOT)}:{node.lineno} warns without "
-                    "repro.util.deprecation.deprecated"
-                )
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name != "deprecated" or path == HELPER:
-                continue
-            surface = node.args[0] if node.args else None
-            assert isinstance(surface, ast.Constant) and isinstance(surface.value, str), (
-                f"{path.relative_to(ROOT)}:{node.lineno}: name the surface "
-                "with a string literal"
-            )
-            sites[surface.value] = f"{path.relative_to(ROOT)}:{node.lineno}"
+                sites.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "deprecated":
+                    sites.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     return sites
-
-
-def readme_table(heading):
-    """The first backticked span of each row of the table under ``heading``."""
-    lines = (ROOT / "README.md").read_text().splitlines()
-    if heading not in lines:
-        return None
-    rows = []
-    for line in lines[lines.index(heading) + 1:]:
-        if rows and not line.startswith("|"):
-            break
-        if line.startswith("|"):
-            rows.append(line)
-    surfaces = set()
-    for row in rows[2:]:  # header and separator
-        match = re.match(r"\|\s*`([^`]+)`", row)
-        assert match, f"README deprecation row without a surface: {row}"
-        surfaces.add(match.group(1))
-    return surfaces
 
 
 class TestOneDeprecationList:
     def test_warning_sites_match_readme_table(self):
-        major, minor = _release(repro.__version__)
-        assert REMOVED_IN == f"{major}.{minor + 1}"
-        heading = (
-            f"#### Deprecated in {major}.{minor}, removed in {major}.{minor + 1}"
-        )
-        sites = warning_sites()
-        table = readme_table(heading)
-        if sites:
-            assert table is not None, f"README lacks {heading!r}"
-        table = table or set()
-        unlisted = {s: where for s, where in sites.items() if s not in table}
-        assert not unlisted, f"warnings for surfaces README does not list: {unlisted}"
-        assert not table - set(sites), (
-            f"README rows with no warning site: {sorted(table - set(sites))}"
-        )
+        """1.10 deprecates nothing: no warning site, no README table.
+
+        A release that deprecates a surface again brings back one
+        helper that every warning goes through, README's "Deprecated
+        in X.Y, removed in X.Y+1" table, and a check that the two agree.
+        """
+        assert warning_sites() == []
+        readme = (ROOT / "README.md").read_text()
+        assert not re.search(r"^#+ Deprecated in ", readme, re.MULTILINE)
 
     def test_readme_migrates_to_this_release(self):
         major, minor = _release(repro.__version__)
@@ -129,299 +84,65 @@ class TestOneDeprecationList:
         assert f"### Migrating to {major}.{minor}" in lines
 
 
-def _one_warning(record, surface, replacement):
-    """The one warning in ``record``: ``surface``, naming ``replacement``."""
-    assert len(record) == 1, [str(w.message) for w in record]
-    warning = record[0]
-    message = str(warning.message)
-    assert message.startswith(f"{surface} is deprecated")
-    assert f"removed in {REMOVED_IN}" in message
-    assert replacement in message.split("; ", 1)[1]
-    # Attributed to the line that reached the surface, not the library.
-    assert warning.filename == __file__
-    return message
-
-
-@pytest.fixture
-def silent():
-    """A block in which any ``DeprecationWarning`` fails the test."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        yield
-
-
 def _scenario():
     return make_scenario(2, scale=0.02)
 
 
-def _spike():
-    """Twelve healthy snapshot records, then a p95 latency spike."""
-    healthy = {
-        "jobs_completed": 10,
-        "outstanding": 5,
-        "latency_p95": 0.05,
-        "cache_hits": 9,
-        "cache_misses": 1,
-        "hit_rate": 0.9,
-        "burn": 1.0,
-    }
-    rows = [dict(healthy, t=k + 1.0, start=float(k)) for k in range(12)]
-    rows.append(dict(healthy, t=13.0, start=12.0, latency_p95=5.0))
-    return rows
-
-
-class TestEachSurfaceWarns:
-    """The surfaces 1.9 deprecates, removed in 1.10: each warns when used,
-    still takes effect, and is silent at its default."""
-
-    def test_run_config_timeline_interval(self, silent):
-        scenario = _scenario()
-        with pytest.warns(DeprecationWarning) as record:
-            config = RunConfig(timeline_interval=scenario.trace.duration / 8)
-        _one_warning(record, "RunConfig.timeline_interval", "result.metrics.snapshots")
-        result = run_simulation(scenario, "OURS", config)
-        assert len(result.timeline_samples.samples) == 9
-        assert run_simulation(scenario, "OURS", RunConfig()).timeline_samples is None
-
-    def test_run_config_counter_interval(self, silent):
-        scenario = _scenario()
-        with pytest.warns(DeprecationWarning) as record:
-            config = RunConfig(
-                tracer=Tracer(), counter_interval=scenario.trace.duration / 8
-            )
-        _one_warning(record, "RunConfig.counter_interval", "horizon/256")
-
-        def queue_samples(config):
-            tracer = run_simulation(scenario, "OURS", config).tracer
-            return sum(e.phase == "C" and e.name == "queue depth" for e in tracer.events)
-
-        assert queue_samples(config) == 9
-        assert queue_samples(RunConfig(tracer=Tracer())) == 257
-
-    def test_run_config_metrics_interval(self, silent):
-        scenario = _scenario()
-        with pytest.warns(DeprecationWarning) as record:
-            config = RunConfig(metrics=True, metrics_interval=scenario.trace.duration / 8)
-        _one_warning(record, "RunConfig.metrics_interval", "horizon/64")
-        assert len(run_simulation(scenario, "OURS", config).metrics.windows) == 8
-        default = run_simulation(scenario, "OURS", RunConfig(metrics=True))
-        assert len(default.metrics.windows) == 64
-
-    def test_stream_config_interval(self, silent, tmp_path):
-        scenario = _scenario()
-        path = tmp_path / "s.ndjson"
-        with pytest.warns(DeprecationWarning) as record:
-            stream = StreamConfig(path, interval=scenario.trace.duration / 8)
-        _one_warning(record, "StreamConfig.interval", "horizon/64")
-        result = run_simulation(scenario, "OURS", RunConfig(stream=stream))
-        assert result.stream.snapshots == 8
-        assert read_stream(path)[0]["interval"] == stream.interval
-        result = run_simulation(scenario, "OURS", RunConfig(stream=StreamConfig(path)))
-        assert result.stream.snapshots == 64
-
-    def test_stream_config_wall_interval(self, silent, tmp_path):
-        def wall_records(config):
-            run_simulation(_scenario(), "OURS", RunConfig(stream=config))
-            return sum(r["type"] == "wall" for r in read_stream(config.path))
-
-        with pytest.warns(DeprecationWarning) as record:
-            config = StreamConfig(tmp_path / "s.ndjson", wall_interval=1e-9)
-        _one_warning(record, "StreamConfig.wall_interval", "once per wall second")
-        # A checkpoint on every tick, against one per wall second.
-        assert wall_records(config) == 65
-        assert wall_records(StreamConfig(tmp_path / "d.ndjson")) < 65
-
-    def test_stream_config_anomalies(self, silent, tmp_path):
-        with pytest.warns(DeprecationWarning) as record:
-            config = StreamConfig(tmp_path / "s.ndjson", anomalies=False)
-        _one_warning(record, "StreamConfig.anomalies", "the detectors always run")
-        assert TelemetryStream(config).detector is None
-        default = TelemetryStream(StreamConfig(tmp_path / "d.ndjson"))
-        assert default.detector is not None
-
-    def test_stream_config_anomaly_config(self, silent, tmp_path):
-        with pytest.warns(DeprecationWarning, match="AnomalyConfig"):
-            thresholds = AnomalyConfig(warmup=2)
-        with pytest.warns(DeprecationWarning) as record:
-            config = StreamConfig(tmp_path / "s.ndjson", anomaly_config=thresholds)
-        _one_warning(record, "StreamConfig.anomaly_config", "default thresholds")
-        # The stream's own detector is built from it without a warning.
-        assert TelemetryStream(config).detector.warmup == 2
-
-    def test_anomaly_config(self, silent):
-        with pytest.warns(DeprecationWarning) as record:
-            config = AnomalyConfig()
-        _one_warning(record, "AnomalyConfig", "Z_THRESHOLD")
-        assert dataclasses.astuple(config) == (
-            anomaly.WARMUP,
-            anomaly.EWMA_ALPHA,
-            anomaly.Z_THRESHOLD,
-            anomaly.CUSUM_K,
-            anomaly.CUSUM_H,
-            anomaly.COOLDOWN,
-        )
-
-    def test_online_anomaly_detector_config(self, silent):
-        with pytest.warns(DeprecationWarning, match="AnomalyConfig"):
-            config = AnomalyConfig(z_threshold=1e9)
-        with pytest.warns(DeprecationWarning) as record:
-            detector = OnlineAnomalyDetector(config)
-        _one_warning(record, "OnlineAnomalyDetector(config=...)", "module constants")
-        assert not [a for row in _spike() for a in detector.observe(row)]
-        default = OnlineAnomalyDetector()
-        assert default.warmup == anomaly.WARMUP
-        spike = [a.kind for row in _spike() for a in default.observe(row)]
-        assert spike == ["latency-spike"]
-
-    def test_detect_from_snapshots_config(self, silent):
-        with pytest.warns(DeprecationWarning, match="AnomalyConfig"):
-            config = AnomalyConfig(z_threshold=1e9)
-        with pytest.warns(DeprecationWarning) as record:
-            alarms = detect_from_snapshots(_spike(), config)
-        _one_warning(record, "detect_from_snapshots(config=...)", "module constants")
-        assert alarms == []
-        assert [a.kind for a in detect_from_snapshots(_spike())] == ["latency-spike"]
-
-    def test_audit_config_candidates(self, silent):
-        with pytest.warns(DeprecationWarning) as record:
-            config = AuditConfig(candidates=False)
-        _one_warning(record, "AuditConfig.candidates", "candidate snapshot")
-        lean = run_simulation(_scenario(), "OURS", RunConfig(audit=config))
-        assert lean.audit.records and not any(r.candidates for r in lean.audit)
-        full = run_simulation(_scenario(), "OURS", RunConfig(audit=AuditConfig()))
-        assert all(r.candidates for r in full.audit)
-
-    def test_audit_config_max_candidates(self, silent):
-        with pytest.warns(DeprecationWarning) as record:
-            config = AuditConfig(max_candidates=2)
-        _one_warning(record, "AuditConfig.max_candidates", "at most 8")
-        # The cap stops adding cached replicas; the chosen and the
-        # min-available node are always kept.
-        # Scenario 3 caches chunks on many nodes.
-        scenario = make_scenario(3, scale=0.02)
-        capped = run_simulation(scenario, "OURS", RunConfig(audit=config))
-        assert max(len(r.candidates) for r in capped.audit) == 2
-        full = run_simulation(scenario, "OURS", RunConfig(audit=True))
-        assert max(len(r.candidates) for r in full.audit) == 8
-
-    @pytest.mark.parametrize("name", ["TimelineSampler", "TimelineSample"])
-    def test_timeline_names(self, silent, name):
-        module = importlib.import_module("repro.reporting.timeline")
-        with pytest.warns(DeprecationWarning) as record:
-            cls = getattr(module, name)
-        _one_warning(record, name, "result.metrics.snapshots")
-        # The package re-export and a ``from`` import warn once too.
-        with pytest.warns(DeprecationWarning) as record:
-            assert getattr(repro.reporting, name) is cls
-        _one_warning(record, name, "result.metrics.snapshots")
-        with pytest.warns(DeprecationWarning) as record:
-            exec(f"from repro.reporting import {name}", {})
-        assert len(record) == 1
-        assert name not in repro.reporting.__all__
-        assert "sparkline" in repro.reporting.__all__
-        with pytest.raises(AttributeError):
-            repro.reporting.no_such_name
-
-    def test_timeline_sampler_still_builds_rows(self, silent):
-        with pytest.warns(DeprecationWarning):
-            from repro.reporting.timeline import TimelineSample, TimelineSampler
-        result = run_simulation(_scenario(), "OURS", RunConfig(metrics=True))
-        rows = TimelineSampler(result.metrics.snapshots).samples
-        assert len(rows) == 65
-        assert all(type(row) is TimelineSample for row in rows)
-
-    def test_default_stream_interval(self, silent):
-        with pytest.warns(DeprecationWarning) as record:
-            from repro.obs.stream import default_stream_interval
-        _one_warning(
-            record,
-            "repro.obs.stream.default_stream_interval",
-            "default_window_interval",
-        )
-        assert default_stream_interval is default_window_interval
-        with pytest.warns(DeprecationWarning) as record:
-            exec("from repro.obs import default_stream_interval", {})
-        assert len(record) == 1
-        assert "default_stream_interval" not in repro.obs.__all__
-
-    def test_storage_end_load_without_size(self, silent):
-        model = StorageModel(StorageSpec())
-        model.begin_load(MiB)
-        model.begin_load(MiB)
-        with pytest.warns(DeprecationWarning) as record:
-            model.end_load()
-        _one_warning(record, "StorageModel.end_load()", "end_load(nbytes)")
-        assert model.active_loads == 1
-        assert model.active_bytes == 2 * MiB  # the gauge under-reports
-        model.end_load(MiB)
-        assert (model.active_loads, model.active_bytes) == (0, 0)
-
-
 class TestDefaultsAreSilent:
-    def test_default_configs_and_runs_warn_nothing(self, silent, tmp_path):
-        RunConfig()
-        AuditConfig()
-        StreamConfig(tmp_path / "s.ndjson")
-        OnlineAnomalyDetector()
-        config = RunConfig(
-            drain=True,
-            tracer=Tracer(),
-            metrics=True,
-            audit=True,
-            stream=StreamConfig(tmp_path / "run.ndjson"),
-            record_assignments=True,
-        )
-        result = run_simulation(_scenario(), "OURS", config)
-        assert result.metrics.snapshots and result.stream.snapshots
-
-    def test_repro_copies_do_not_warn_again(self, tmp_path):
-        with pytest.warns(DeprecationWarning) as record:
-            stream = StreamConfig(
-                tmp_path / "s.ndjson", interval=0.1, wall_interval=2.0
-            )
-            config = RunConfig(stream=stream, counter_interval=0.5, tracer=Tracer())
-        assert len(record) == 3
+    def test_default_configs_and_runs_warn_nothing(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            shard = stream.for_shard(1)
-            _, _, pairs = build_shards(
-                _scenario(), FederationConfig(shards=2, run=config)
+            RunConfig()
+            AuditConfig()
+            StreamConfig(tmp_path / "s.ndjson")
+            OnlineAnomalyDetector()
+            config = RunConfig(
+                drain=True,
+                tracer=Tracer(),
+                metrics=True,
+                audit=True,
+                stream=StreamConfig(tmp_path / "run.ndjson"),
+                record_assignments=True,
             )
-            run_simulation(_scenario(), "OURS", config)
-        assert (shard.interval, shard.wall_interval) == (0.1, 2.0)
-        assert [c.counter_interval for _, c in pairs] == [0.5, 0.5]
-        assert [c.stream.interval for _, c in pairs] == [0.1, 0.1]
+            result = run_simulation(_scenario(), "OURS", config)
+        assert result.metrics.snapshots and result.stream.snapshots
 
 
-def _timeline_rows(snapshots):
-    return [
-        (s.time, s.backlog, s.busy, s.completed, s.hits, s.misses, s.deferred)
-        for s in snapshots
-    ]
+class TestRemainingFields:
+    def test_config_fields_are_the_fifteen_kept(self):
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
 
+        run = names(RunConfig)
+        stream = names(StreamConfig)
+        audit = names(AuditConfig)
+        assert run == [
+            "drain",
+            "max_drain_time",
+            "storage_seed",
+            "tracer",
+            "metrics",
+            "frontend",
+            "record_assignments",
+            "audit",
+            "faults",
+            "stream",
+            "job_namespace",
+        ]
+        assert stream == ["path", "stall_timeout"]
+        assert audit == ["capacity", "jsonl_path"]
+        assert len(run + stream + audit) == 15
 
-class TestTimelineReplacement:
-    """``result.metrics.snapshots`` reads the rows the deprecated
-    ``RunConfig(timeline_interval=...)`` sampler built on the same grid."""
-
-    @pytest.mark.parametrize("drain", [False, True], ids=["undrained", "drained"])
-    def test_snapshots_match_timeline_samples(self, drain):
-        scenario = make_scenario(2, scale=0.05)
-        interval = default_window_interval(scenario.trace.duration)
-        with pytest.warns(DeprecationWarning, match="timeline_interval"):
-            sampled = RunConfig(drain=drain, timeline_interval=interval)
-        timeline = run_simulation(scenario, "OURS", sampled).timeline_samples
-        metrics = run_simulation(
-            scenario, "OURS", RunConfig(drain=drain, metrics=True)
-        ).metrics
-        rows = [dataclasses.astuple(sample) for sample in timeline.samples]
-        assert len(rows) > 64 if drain else len(rows) == 65
-        assert _timeline_rows(metrics.snapshots) == rows
-        assert [s.window for s in metrics.snapshots[1:]] == metrics.windows
+    def test_positional_fields_moved_up(self, tmp_path):
+        assert StreamConfig(tmp_path / "s.ndjson", 2.0).stall_timeout == 2.0
+        tracer = Tracer()
+        config = RunConfig(False, None, 0, tracer, True)
+        assert (config.tracer, config.metrics) == (tracer, True)
 
 
 class TestEachSurfaceIsGone:
-    """The six surfaces 1.7 deprecated, removed in 1.8."""
+    """The six surfaces 1.7 deprecated, removed in 1.8, and the sixteen
+    1.9 deprecated, removed in 1.10."""
 
     def test_system_config_link(self):
         with pytest.raises(TypeError, match="link"):
@@ -462,14 +183,120 @@ class TestEachSurfaceIsGone:
             exec(f"from repro.sim import {name}", {})
 
     def test_unknown_names_still_raise(self):
-        sweep_module = importlib.import_module("repro.sim.sweep")
-        # No module ``__getattr__`` hook is left to intercept a read.
-        assert "__getattr__" not in vars(repro.sim)
-        assert "__getattr__" not in vars(sweep_module)
-        with pytest.raises(AttributeError):
-            repro.sim.no_such_name
-        with pytest.raises(AttributeError):
-            sweep_module.no_such_name
+        for name in (
+            "repro.sim",
+            "repro.sim.sweep",
+            "repro.reporting",
+            "repro.reporting.timeline",
+            "repro.obs",
+            "repro.obs.stream",
+        ):
+            module = importlib.import_module(name)
+            # No module ``__getattr__`` hook is left to intercept a read.
+            assert "__getattr__" not in vars(module), name
+            with pytest.raises(AttributeError):
+                module.no_such_name
+
+    # -- 1.9's surfaces --------------------------------------------------
+
+    def _run_config_field(self, field):
+        with pytest.raises(TypeError, match=field):
+            RunConfig(**{field: 1.0})
+        with pytest.raises(TypeError, match=field):
+            RunConfig().replace(**{field: 1.0})
+
+    def test_run_config_timeline_interval(self):
+        self._run_config_field("timeline_interval")
+        result = run_simulation(_scenario(), "OURS")
+        with pytest.raises(AttributeError, match="timeline_samples"):
+            result.timeline_samples
+
+    def test_run_config_counter_interval(self):
+        self._run_config_field("counter_interval")
+
+    def test_run_config_metrics_interval(self):
+        self._run_config_field("metrics_interval")
+
+    def _stream_config_field(self, tmp_path, field, value):
+        with pytest.raises(TypeError, match=field):
+            StreamConfig(tmp_path / "s.ndjson", **{field: value})
+
+    def test_stream_config_interval(self, tmp_path):
+        self._stream_config_field(tmp_path, "interval", 1.0)
+
+    def test_stream_config_wall_interval(self, tmp_path):
+        self._stream_config_field(tmp_path, "wall_interval", 2.0)
+
+    def test_stream_config_anomalies(self, tmp_path):
+        self._stream_config_field(tmp_path, "anomalies", False)
+
+    def test_stream_config_anomaly_config(self, tmp_path):
+        self._stream_config_field(tmp_path, "anomaly_config", None)
+
+    def test_anomaly_config(self):
+        with pytest.raises(ImportError, match="AnomalyConfig"):
+            exec("from repro.obs.anomaly import AnomalyConfig", {})
+        for module in (repro, repro.obs):
+            with pytest.raises(AttributeError, match="AnomalyConfig"):
+                module.AnomalyConfig
+            assert "AnomalyConfig" not in module.__all__
+
+    def test_online_anomaly_detector_config(self):
+        with pytest.raises(TypeError):
+            OnlineAnomalyDetector(object())
+        with pytest.raises(TypeError, match="config"):
+            OnlineAnomalyDetector(config=None)
+
+    def test_detect_from_snapshots_config(self):
+        with pytest.raises(TypeError):
+            detect_from_snapshots([], object())
+        with pytest.raises(TypeError, match="config"):
+            detect_from_snapshots([], config=None)
+
+    def test_audit_config_candidates(self):
+        with pytest.raises(TypeError, match="candidates"):
+            AuditConfig(candidates=False)
+        result = run_simulation(_scenario(), "OURS", RunConfig(audit=True))
+        assert result.audit.records and all(r.candidates for r in result.audit)
+
+    def test_audit_config_max_candidates(self):
+        with pytest.raises(TypeError, match="max_candidates"):
+            AuditConfig(max_candidates=2)
+        # Scenario 3 caches chunks on many nodes: snapshots hit the cap.
+        result = run_simulation(
+            make_scenario(3, scale=0.02), "OURS", RunConfig(audit=True)
+        )
+        assert max(len(r.candidates) for r in result.audit) == MAX_CANDIDATES == 8
+
+    @pytest.mark.parametrize("name", ["TimelineSampler", "TimelineSample"])
+    def test_timeline_names(self, name):
+        module = importlib.import_module("repro.reporting.timeline")
+        for owner in (module, repro.reporting):
+            with pytest.raises(AttributeError, match=name):
+                getattr(owner, name)
+        with pytest.raises(ImportError, match=name):
+            exec(f"from repro.reporting import {name}", {})
+        assert "sparkline" in repro.reporting.__all__
+
+    def test_default_stream_interval(self):
+        stream = importlib.import_module("repro.obs.stream")
+        with pytest.raises(AttributeError, match="default_stream_interval"):
+            stream.default_stream_interval
+        for owner in ("repro.obs.stream", "repro.obs"):
+            with pytest.raises(ImportError, match="default_stream_interval"):
+                exec(f"from {owner} import default_stream_interval", {})
+
+    def test_storage_end_load_without_size(self):
+        model = StorageModel(StorageSpec())
+        model.begin_load(MiB)
+        with pytest.raises(TypeError, match="nbytes"):
+            model.end_load()
+        model.end_load(MiB)
+        assert (model.active_loads, model.active_bytes) == (0, 0)
+
+    def test_deprecation_helper_is_gone(self):
+        with pytest.raises(ImportError, match="deprecation"):
+            importlib.import_module("repro.util.deprecation")
 
 
 class TestTheLinkHasNoEffect:

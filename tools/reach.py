@@ -1,7 +1,8 @@
 """Reachability probe: which functions in ``src/repro`` never run outside tests.
 
-Runs the examples, every CLI verb and the benchmark suite (outside the
-unit tests) under a ``sys.setprofile`` hook, then prints every function
+Runs the examples, every CLI verb, the benchmark suite and the
+end-to-end smoke run (``benchmarks/e2e/run.py --smoke``), outside the
+unit tests, under a ``sys.setprofile`` hook, then prints every function
 defined in ``src/repro`` that no run entered, marked ``public`` (its
 name, or its class's, is exported by ``repro`` or a subpackage
 ``__init__``) or ``internal``.  The output is a candidate list for
@@ -14,8 +15,11 @@ The hook reaches each child process through a temporary
 writes the code objects it entered when it exits.  Blind spot: pool
 workers leave through ``os._exit`` and skip ``atexit``, so paths that
 only run inside a process pool (``__getstate__`` unpickling, a pool
-shard's run) are reported unreached.  The benchmark suite runs on a
-copy of ``benchmarks/`` so its result files stay out of the tree.
+shard's run) are reported unreached.  The benchmark suite and the
+end-to-end run each run on a copy (the latter with a ``src`` link back
+to the tree) so their result and stream files stay out of the tree; the
+end-to-end repeats keep the hook, which their parent passes on through
+``PYTHONPATH``.
 Stdlib only.  CI runs it weekly and on demand in the non-gating
 ``reach`` workflow (``.github/workflows/reach.yml``), which uploads the
 list as an artifact.
@@ -183,6 +187,17 @@ def collect(tmp: Path) -> Set[Tuple[str, int]]:
         [py, "-m", "pytest", "benchmarks", "--benchmark-disable", "-q",
          "-p", "no:cacheprovider"],
         env, bench, "pytest benchmarks",
+    )
+    e2e = tmp / "e2e"
+    shutil.copytree(
+        ROOT / "benchmarks" / "e2e", e2e / "benchmarks" / "e2e",
+        ignore=shutil.ignore_patterns("out", "__pycache__"),
+    )
+    (e2e / "src").symlink_to(SRC, target_is_directory=True)
+    _run(
+        [py, str(e2e / "benchmarks" / "e2e" / "run.py"), "--smoke",
+         "--json", str(tmp / "e2e-smoke.json")],
+        env, tmp, "e2e smoke",
     )
     entered: Set[Tuple[str, int]] = set()
     for path in out.glob("*.txt"):
